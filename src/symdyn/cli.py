@@ -38,8 +38,8 @@ from .report import Report
 from .scenarios import SCENARIO_NAMES, run_scenario
 from .sft import (
     PeriodicOrbit,
+    _orbits_by_period,
     capacities,
-    enumerate_periodic,
     per_table,
     top_entropy,
     word,
@@ -60,15 +60,14 @@ def _emit(report: Report, fmt: str) -> None:
 
 def _cmd_per(args) -> int:
     sft = _load(args.spec, "sft")
-    table = per_table(sft, args.n, cap=args.cap)
     orbits = {
-        n: ["".join(map(str, o.representative)) for o in enumerate_periodic(sft, n, cap=args.cap)]
-        for n in range(1, args.n + 1)
+        n: ["".join(map(str, o.representative)) for o in found]
+        for n, found in _orbits_by_period(sft, args.n, args.cap).items()
     }
     rep = Report(
         "per",
         {"spec": args.spec, "n": args.n},
-        {"counts": dict(table.counts), "orbits": orbits},
+        {"counts": {n: n * len(reps) for n, reps in orbits.items()}, "orbits": orbits},
     )
     _emit(rep, args.format)
     return 0
@@ -106,12 +105,18 @@ def _cmd_entropy(args) -> int:
     return 0
 
 
+def _orbit(text: str, sft) -> PeriodicOrbit:
+    w = word(text)
+    if not (set(w) <= set(sft.alphabet.symbols) and sft.admits_cyclic(w)):
+        raise ArgumentError(f"orbit {text!r} is not in the subshift")
+    return PeriodicOrbit.of(w)
+
+
 def _parse_mixture(text: str, sft) -> OrbitMixture:
     parts = []
     for chunk in text.split(","):
         rep, _, weight = chunk.partition(":")
-        orbit = PeriodicOrbit.of(word(rep.strip()))
-        parts.append((orbit, Fraction(weight.strip() or "1")))
+        parts.append((_orbit(rep.strip(), sft), Fraction(weight.strip() or "1")))
     return OrbitMixture(tuple(parts))
 
 
@@ -131,7 +136,7 @@ def _cmd_dbar(args) -> int:
     else:
         if not (args.a and args.b):
             raise ArgumentError("give --a and --b orbit representatives")
-        va = dbar_periodic(PeriodicOrbit.of(word(args.a)), PeriodicOrbit.of(word(args.b)))
+        va = dbar_periodic(_orbit(args.a, sft), _orbit(args.b, sft))
         rep = Report("dbar", {"a": args.a, "b": args.b}, {"distance": va})
     _emit(rep, args.format)
     return 0
@@ -333,19 +338,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec=True):
-        if spec:
-            p.add_argument("--spec", required=True, help="input spec file (JSON)")
+    def common(p, cap=False):
+        p.add_argument("--spec", required=True, help="input spec file (JSON)")
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--cap", type=int, default=20, help="resource cap")
+        if cap:
+            p.add_argument("--cap", type=int, default=20, help="largest period enumerated")
 
     p = sub.add_parser("per", help="periodic orbit counts")
-    common(p)
+    common(p, cap=True)
     p.add_argument("-n", type=int, required=True)
     p.set_defaults(fn=_cmd_per)
 
     p = sub.add_parser("capacities", help="periodic capacities from a count table")
-    common(p)
+    common(p, cap=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--window", type=int, default=None)
     p.set_defaults(fn=_cmd_capacities)

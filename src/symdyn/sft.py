@@ -3,6 +3,13 @@
 A subshift is given by an alphabet and a finite set of forbidden words.
 Symbols are strings; for array systems truncated to K rows a symbol is a
 K-tuple of per-row symbols and the spec carries the row structure.
+
+Each spec is compiled once, on first use, and cached on the spec: the
+forbidden words grouped by length, the (L-1)-block graph (Lind & Marcus,
+ch. 2) and its essential core.  ``admits`` is the only forbidden-word scan
+and every word and orbit query goes through it; ``count_words`` walks the
+block graph, and ``transfer_graph``, ``validate`` and ``top_entropy`` read
+the core.
 """
 
 from __future__ import annotations
@@ -10,11 +17,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 from .entropy import EntropyBracket, EntropyValue, max_entropy
 from .errors import ArgumentError, ResourceCapError
 
-Symbol = str | tuple
 Word = tuple  # tuple of symbols
 
 DEFAULT_PERIOD_CAP = 20
@@ -77,16 +85,39 @@ class SftSpec:
             if not set(self.alphabet.symbols) <= expect:
                 raise ArgumentError("alphabet inconsistent with row structure")
 
+    @cached_property
+    def _by_length(self) -> tuple:
+        """The forbidden words as ((length, frozenset of words), ...), shortest first."""
+        groups = {}
+        for f in self.forbidden:
+            groups.setdefault(len(f), set()).add(f)
+        return tuple((lf, frozenset(words)) for lf, words in sorted(groups.items()))
+
+    @cached_property
+    def _blocks(self) -> _BlockGraph:
+        """States are the admissible (L-1)-words in alphabet order; st has an
+        edge to (st + (s,))[1:] for each symbol s with st + (s,) admissible."""
+        states = tuple(words_of_length(self, self.memory - 1))
+        index = {st: i for i, st in enumerate(states)}
+        succ = tuple(
+            tuple(index[w[1:]] for w in [st + (s,) for s in self.alphabet.symbols] if self.admits(w))
+            for st in states
+        )
+        return _BlockGraph(states, succ)
+
+    @cached_property
+    def _core(self) -> _BlockGraph:
+        return self._blocks.essential()
+
     @property
     def memory(self) -> int:
         """Max forbidden-word length L; local rules have window L."""
-        return max((len(f) for f in self.forbidden), default=1)
+        return self._by_length[-1][0] if self._by_length else 1
 
     def admits(self, w: Word) -> bool:
-        for f in self.forbidden:
-            lf = len(f)
+        for lf, words in self._by_length:
             for i in range(len(w) - lf + 1):
-                if w[i : i + lf] == f:
+                if w[i : i + lf] in words:
                     return False
         return True
 
@@ -96,15 +127,7 @@ class SftSpec:
         if n == 0:
             return False
         reps = -(-(n + self.memory) // n)  # enough copies to see every window
-        stretched = w * reps
-        for f in self.forbidden:
-            lf = len(f)
-            if lf > len(stretched):
-                continue
-            for i in range(n):
-                if stretched[i : i + lf] == f:
-                    return False
-        return True
+        return self.admits((w * reps)[: n + self.memory - 1])
 
 
 def full_shift(symbols: str | tuple) -> SftSpec:
@@ -120,51 +143,40 @@ def golden_mean() -> SftSpec:
 # transfer graph on (L-1)-blocks
 
 
-def transfer_graph(sft: SftSpec):
-    """Essential de Bruijn-style graph: states are admissible (L-1)-words.
+class _BlockGraph(NamedTuple):
+    """States with successor lists: succ[i] holds, with multiplicity, the
+    indices of the states one edge after states[i]."""
 
-    Returns (states, edges) with edges[state] a sorted tuple of successor
-    states; states with no bi-infinite continuation are pruned.
-    """
-    m = max(sft.memory - 1, 0)
-    if m == 0:
-        # single state; one self-loop per admissible symbol (multiplicity kept)
-        loops = tuple(() for s in sft.alphabet.symbols if sft.admits((s,)))
-        if not loops:
-            return [], {}
-        return [()], {(): loops}
-    states = [w for w in itertools.product(sft.alphabet.symbols, repeat=m) if sft.admits(w)]
-    edges = {}
-    for st in states:
-        outs = []
-        for s in sft.alphabet.symbols:
-            nxt = st[1:] + (s,)
-            if sft.admits(st + (s,)):
-                outs.append(nxt)
-        edges[st] = outs
-    # essentialize: repeatedly drop states lacking successors or predecessors
-    alive = set(states)
-    changed = True
-    while changed:
-        changed = False
-        indeg = {st: 0 for st in alive}
-        for st in alive:
-            for nx in edges[st]:
-                if nx in alive:
-                    indeg[nx] += 1
-        for st in list(alive):
-            outs = [nx for nx in edges[st] if nx in alive]
-            if not outs or indeg[st] == 0:
-                alive.discard(st)
-                changed = True
-    states = sorted(alive)
-    edges = {st: tuple(sorted(nx for nx in edges[st] if nx in alive)) for st in states}
-    return states, edges
+    states: tuple
+    succ: tuple
+
+    def step(self, vec: list) -> list:
+        """The adjacency matrix times vec."""
+        return [sum([vec[j] for j in outs]) for outs in self.succ]
+
+    def essential(self) -> "_BlockGraph":
+        """The subgraph on the states that lie on bi-infinite paths."""
+        alive, keep = None, set(range(len(self.states)))
+        while keep != alive:
+            alive = keep
+            entered = {j for i in alive for j in self.succ[i]}
+            keep = {i for i in alive & entered if not alive.isdisjoint(self.succ[i])}
+        order = sorted(alive)
+        new = {old: i for i, old in enumerate(order)}
+        return _BlockGraph(
+            tuple(self.states[i] for i in order),
+            tuple(tuple(new[j] for j in self.succ[i] if j in alive) for i in order),
+        )
+
+
+def transfer_graph(sft: SftSpec) -> _BlockGraph:
+    """The essential (L-1)-block graph, computed once per spec: its states
+    are the admissible (L-1)-words with a bi-infinite continuation."""
+    return sft._core
 
 
 def language_nonempty(sft: SftSpec) -> bool:
-    states, _ = transfer_graph(sft)
-    return len(states) > 0
+    return len(transfer_graph(sft).states) > 0
 
 
 def validate(sft: SftSpec) -> None:
@@ -192,22 +204,14 @@ def words_of_length(sft: SftSpec, n: int):
 
 
 def count_words(sft: SftSpec, n: int) -> int:
-    """Number of admissible words of length n via transfer counts."""
-    states, edges = transfer_graph(sft)
-    if not states:
-        return 0
-    m = max(sft.memory - 1, 0)
+    """Number of admissible words of length n: paths in the block graph."""
+    m = sft.memory - 1
     if n <= m:
         return sum(1 for _ in words_of_length(sft, n))
-    idx = {st: i for i, st in enumerate(states)}
-    vec = [1] * len(states)
+    graph = sft._blocks
+    vec = [1] * len(graph.states)
     for _ in range(n - m):
-        new = [0] * len(states)
-        for st in states:
-            i = idx[st]
-            for nx in edges[st]:
-                new[i] += vec[idx[nx]]
-        vec = new
+        vec = graph.step(vec)
     return sum(vec)
 
 
@@ -239,24 +243,19 @@ def enumerate_periodic(sft: SftSpec, n: int, cap: int = DEFAULT_PERIOD_CAP) -> l
     """All orbits of minimal period n, sorted by representative.
 
     Walks only the admissible words of length n (the forbidden-word
-    pruning makes this linear in the language, not the symbol cube), then
-    filters for minimal period and cyclic admissibility.
+    pruning makes this linear in the language, not the symbol cube) and
+    keeps each orbit at its representative, which the walk meets because
+    every rotation of a cyclically admissible word is admissible.
     """
     if n < 1:
         raise ArgumentError("period must be >= 1")
     if n > cap:
         raise ResourceCapError(f"period {n} exceeds cap {cap}")
-    seen = set()
-    out = []
-    for w in words_of_length(sft, n):
-        if minimal_period(w) != n:
-            continue
-        canon = least_rotation(w)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        if sft.admits_cyclic(canon):
-            out.append(PeriodicOrbit(canon))
+    out = [
+        PeriodicOrbit(w)
+        for w in words_of_length(sft, n)
+        if minimal_period(w) == n and w == least_rotation(w) and sft.admits_cyclic(w)
+    ]
     out.sort()
     return out
 
@@ -283,14 +282,15 @@ class PerTable:
         raise ArgumentError(f"period {n} outside table range")
 
 
-def per_table(sft: SftSpec, N: int, cap: int = DEFAULT_PERIOD_CAP) -> PerTable:
+def _orbits_by_period(sft: SftSpec, N: int, cap: int) -> dict:
+    """{n: enumerate_periodic(sft, n, cap)} for n = 1..N."""
     if N < 1:
         raise ArgumentError("table horizon must be >= 1")
-    pairs = []
-    for n in range(1, N + 1):
-        orbits = enumerate_periodic(sft, n, cap=cap)
-        pairs.append((n, n * len(orbits)))
-    return PerTable(tuple(pairs))
+    return {n: enumerate_periodic(sft, n, cap=cap) for n in range(1, N + 1)}
+
+
+def per_table(sft: SftSpec, N: int, cap: int = DEFAULT_PERIOD_CAP) -> PerTable:
+    return PerTable(tuple((n, n * len(orbits)) for n, orbits in _orbits_by_period(sft, N, cap).items()))
 
 
 @dataclass(frozen=True)
@@ -360,21 +360,13 @@ def top_entropy(
     intersection over n encloses the entropy.  Returns the widest-effort
     bracket with ``tolerance_met=False`` if the cap depth is reached first.
     """
-    states, edges = transfer_graph(sft)
-    if not states:
+    core = transfer_graph(sft)
+    if not core.states:
         raise ArgumentError("empty subshift has no entropy")
-    idx = {st: i for i, st in enumerate(states)}
-    size = len(states)
-    vec = [1] * size  # A**n applied to the ones vector
+    vec = [1] * len(core.states)  # A**n applied to the ones vector
     lo_best, hi_best = Fraction(0), None
     for n in range(1, depth_cap + 1):
-        new = [0] * size
-        for st in states:
-            acc = 0
-            for nx in edges[st]:
-                acc += vec[idx[nx]]
-            new[idx[st]] = acc
-        vec = new
+        vec = core.step(vec)
         lo_n = _log2_bracket(min(vec))[0] / n
         hi_n = _log2_bracket(max(vec))[1] / n
         lo_best = max(lo_best, lo_n)

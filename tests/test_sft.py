@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,13 +28,66 @@ from symdyn.sft import (
 )
 
 
+def naive_admits(sft, w):
+    """Reference: compare every forbidden word at every offset."""
+    for f in sft.forbidden:
+        lf = len(f)
+        for i in range(len(w) - lf + 1):
+            if w[i : i + lf] == f:
+                return False
+    return True
+
+
+def naive_admits_cyclic(sft, w):
+    """Reference: every window of w repeated L + 1 times is a cyclic window."""
+    memory = max((len(f) for f in sft.forbidden), default=1)
+    return len(w) > 0 and naive_admits(sft, w * (memory + 1))
+
+
 def brute_force_minimal_period_count(sft, n):
     """Independent oracle: scan all words, test cyclic admissibility."""
     count = 0
     for w in itertools.product(sft.alphabet.symbols, repeat=n):
-        if minimal_period(w) == n and sft.admits_cyclic(w):
+        if minimal_period(w) == n and naive_admits_cyclic(sft, w):
             count += 1
     return count
+
+
+def random_specs(seed, count):
+    """Specs over 2-3 symbols with 1-4 forbidden words of length 1-3;
+    many have dead ends (admissible words with no bi-infinite continuation)."""
+    rng = random.Random(seed)
+    specs = []
+    for _ in range(count):
+        symbols = ("0", "1", "2")[: rng.randint(2, 3)]
+        forbidden = {
+            tuple(rng.choice(symbols) for _ in range(rng.randint(1, 3))) for _ in range(rng.randint(1, 4))
+        }
+        specs.append(SftSpec(Alphabet(symbols), frozenset(forbidden)))
+    return specs
+
+
+@st.composite
+def small_specs(draw):
+    symbols = ("0", "1", "2")[: draw(st.integers(1, 3))]
+    words = st.lists(st.sampled_from(symbols), min_size=1, max_size=4).map(tuple)
+    return SftSpec(Alphabet(symbols), draw(st.frozensets(words, max_size=5)))
+
+
+@given(small_specs())
+@settings(max_examples=100, deadline=None)
+def test_compiled_form_matches_naive_scan(spec):
+    for n in range(0, 7):
+        words = list(itertools.product(spec.alphabet.symbols, repeat=n))
+        for w in words:
+            assert spec.admits(w) == naive_admits(spec, w)
+            assert spec.admits_cyclic(w) == naive_admits_cyclic(spec, w)
+        assert list(words_of_length(spec, n)) == [w for w in words if naive_admits(spec, w)]
+        if n >= 1:
+            reps = [o.representative for o in enumerate_periodic(spec, n)]
+            cyclic = {least_rotation(w) for w in words if minimal_period(w) == n and naive_admits_cyclic(spec, w)}
+            assert reps == sorted(cyclic)
+            assert n * len(reps) == brute_force_minimal_period_count(spec, n)
 
 
 def test_full_shift_fixed_points():
@@ -164,7 +218,10 @@ def test_top_entropy_against_power_iteration():
 
 
 def test_count_words_matches_enumeration():
-    for spec in (full_shift("01"), golden_mean()):
+    # forbidding every word that leaves 2 makes 2 a dead end: 6 words of length 2
+    dead_end = SftSpec(Alphabet(("0", "1", "2")), frozenset({word("20"), word("21"), word("22")}))
+    assert count_words(dead_end, 2) == 6
+    for spec in (full_shift("01"), golden_mean(), dead_end, *random_specs(5, 40)):
         for n in range(0, 9):
             assert count_words(spec, n) == sum(1 for _ in words_of_length(spec, n))
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from symdyn.cli import main
+from symdyn.cli import build_parser, main
 from symdyn.errors import SpecFileError
 from symdyn.specfiles import load_spec, window_to_json
 
@@ -128,6 +129,34 @@ def test_cli_dbar(tmp_path):
     )
     assert code == 0
     assert json.loads(out)["result"]["bound"]["exact"] == "1/4"
+
+
+def test_cli_dbar_rejects_orbits_outside_spec(tmp_path):
+    for args in (
+        ["--a", "1", "--b", "0"],
+        ["--a", "0", "--b", "011"],
+        ["--a", "2", "--b", "0"],
+        ["--mix-a", "0:1/2,1:1/2", "--mix-b", "0:1"],
+        ["--mix-a", "0:1", "--mix-b", "011:1"],
+    ):
+        code, out, err = run_cli(["dbar", "--spec", gm_spec(tmp_path), *args])
+        assert code == 3 and out == ""
+        assert "not in the subshift" in err
+
+
+def _parsers(parser, path=()):
+    yield " ".join(path), parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _parsers(sub, path + (name,))
+
+
+def test_cap_offered_only_where_read():
+    parsers = dict(_parsers(build_parser()))
+    assert {"per", "entropy", "markers run", "extend hall", "diagram analyze"} <= set(parsers)
+    with_cap = {path for path, p in parsers.items() if "--cap" in p._option_string_actions}
+    assert with_cap == {"per", "capacities"}
 
 
 def test_cli_markers_pipeline(tmp_path):
