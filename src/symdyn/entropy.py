@@ -20,12 +20,25 @@ def int_nthroot(x: int, n: int) -> int:
         raise ValueError("int_nthroot requires x >= 0, n >= 1")
     if x in (0, 1) or n == 1:
         return x
-    r = int(round(x ** (1.0 / n)))  # seed only; corrected below
-    while r > 0 and r**n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
-    return r
+    # integer Newton steps fall monotonically from any seed above the root
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
+
+
+def _perfect_power(c: int) -> tuple:
+    """(b, e) with c == b**e and e maximal, so that b is not a perfect power."""
+    e, k = 1, 2
+    while k <= c.bit_length():
+        r = int_nthroot(c, k)
+        if r**k == c:
+            c, e = r, e * k
+        else:
+            k += 1
+    return c, e
 
 
 def _log2_exact(c: int) -> int | None:
@@ -127,7 +140,10 @@ class EntropyValue:
             return hash(self._rat)
         if self._kind == "inf":
             return hash("entropy-inf")
-        return hash(("entropy-log", self._c, self._n))
+        # log2(c)/n == log2(c')/n' exactly when the perfect-power bases agree
+        # and so do the exponent ratios
+        b, e = _perfect_power(self._c)
+        return hash(("entropy-log", b, Fraction(e, self._n)))
 
     def __add__(self, other) -> "EntropyValue":
         other = _coerce(other)

@@ -45,7 +45,7 @@ from .diagram import (
     tau_unbounded_along,
     val_add,
 )
-from .entropy import EntropyValue
+from .entropy import EntropyValue, max_entropy, optimal_alphabet_size
 from .errors import ArgumentError, ConstructionError
 
 
@@ -354,7 +354,7 @@ def analyze_diagram(
     quantities are re-checked pointwise, never assumed.
     """
     warnings = []
-    _require_vanishing_tails_perseq(perseq, diagram, warnings)
+    _require_vanishing_tails_perseq(perseq, diagram)
     theta = tails_of(hseq, diagram)
     h = hseq.limit_fn(diagram)
     u_sex = minimal_repair(theta, zero_fn(diagram), diagram)
@@ -398,11 +398,9 @@ def analyze_diagram(
             warnings.append(
                 "cardinality computed from sup h_emb only: no periodic-capacity input"
             )
-            cardinality = emb_val.floor_two_pow() + 1
+            cardinality = optimal_alphabet_size(emb_val)
         else:
-            from .entropy import max_entropy
-
-            cardinality = max_entropy(p_sup, emb_val).floor_two_pow() + 1
+            cardinality = optimal_alphabet_size(max_entropy(p_sup, emb_val))
     else:
         warnings.append("sup h_emb is infinite: no finite-alphabet extension")
     return DiagramReport(
@@ -420,7 +418,7 @@ def analyze_diagram(
     )
 
 
-def _require_vanishing_tails_perseq(perseq, diagram, warnings):
+def _require_vanishing_tails_perseq(perseq, diagram):
     _require_vanishing_tails(perseq)
     for n in diagram.nodes:
         s = perseq.spec(n.node_id)

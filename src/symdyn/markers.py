@@ -13,6 +13,7 @@ excluded from all invariant checks.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -168,6 +169,22 @@ def periodic_stretches(w: ArrayWindow, depth: int, max_period: int, min_len: int
 # passes
 
 
+def _anchor(cols, c):
+    """The least column of sorted `cols` at or right of c, or None."""
+    i = bisect_left(cols, c)
+    return cols[i] if i < len(cols) else None
+
+
+def _clear(cols, c: int, d: int) -> bool:
+    """Whether every column of sorted `cols` lies at least d away from c."""
+    i = bisect_left(cols, c)
+    return (i == len(cols) or cols[i] - c >= d) and (i == 0 or c - cols[i - 1] >= d)
+
+
+def _flagged_spans(w: ArrayWindow, k: int):
+    return {(f.lo, f.hi) for f in w.flags if f.row == k}
+
+
 def place_krieger(w: ArrayWindow, row: int, n: int) -> ArrayWindow:
     """Greedy marker placement in `row` with interior gaps in [n, 2n+1].
 
@@ -225,17 +242,13 @@ def upward_adjust(w: ArrayWindow) -> ArrayWindow:
     flags = list(w.flags)
     for k in range(2, w.depth + 1):
         above = cur.row_markers(k - 1)
-        moved = []
-        relocation = {}
-        for c in cur.row_markers(k):
-            target = next((a for a in above if a >= c), None)
-            if target is None:
-                notes.append(f"row {k}: marker at {c} dropped (no anchor to the right)")
-                relocation[c] = None
-            else:
-                moved.append(target)
-                relocation[c] = target
-        cur = cur.with_markers(k, moved)
+        relocation = {c: _anchor(above, c) for c in cur.row_markers(k)}
+        notes += [
+            f"row {k}: marker at {c} dropped (no anchor to the right)"
+            for c, target in relocation.items()
+            if target is None
+        ]
+        cur = cur.with_markers(k, [t for t in relocation.values() if t is not None])
         # flagged long gaps follow their bounding markers
         for idx, f in enumerate(flags):
             if f is None or f.row != k:
@@ -247,10 +260,8 @@ def upward_adjust(w: ArrayWindow) -> ArrayWindow:
                 notes.append(f"row {k}: long-gap flag dropped with its marker")
             else:
                 flags[idx] = LongGapFlag(k, lo, hi, f.period)
-    cur = replace(cur, flags=tuple(f for f in flags if f is not None))
-    for note in notes:
-        cur = cur.with_note(note)
-    return cur
+    flags = tuple(f for f in flags if f is not None)
+    return replace(cur, flags=flags, notes=cur.notes + tuple(notes))
 
 
 def decompose_gap(p: int, m: int) -> tuple:
@@ -281,18 +292,16 @@ def subdivide_balance(w: ArrayWindow, schedule: MarkerSchedule) -> ArrayWindow:
     cur = w
     for k in range(1, w.depth + 1):
         m = schedule.m[k - 1]
-        # gaps of length >= m(m+1) always decompose; shorter ones only
-        # sometimes, so solvability itself is the checked precondition
-        for a, b, p in w.interior_gaps(k):
+        new_cols = []
+        for a, b, p in cur.interior_gaps(k):
+            # gaps of length >= m(m+1) always decompose; shorter ones only
+            # sometimes, so solvability itself is the checked precondition
             try:
-                decompose_gap(p, m)
+                na, nb = decompose_gap(p, m)
             except ArgumentError:
                 raise ArgumentError(
                     f"row {k} gap ({a}, {b}] of length {p} has no a*{m}+b*{m + 1} split"
                 )
-        new_cols = []
-        for a, b, p in cur.interior_gaps(k):
-            na, nb = decompose_gap(p, m)
             pos = a
             for _ in range(na):
                 pos += m
@@ -301,20 +310,19 @@ def subdivide_balance(w: ArrayWindow, schedule: MarkerSchedule) -> ArrayWindow:
                 pos += m + 1
                 new_cols.append(pos)
             new_cols.pop()  # the last landing point is the existing marker at b
-        if k == 1:
-            cur = cur.with_markers(1, cur.row_markers(1) + tuple(new_cols))
-        else:
+        if k > 1:
             above = cur.row_markers(k - 1)
-            adjusted = []
+            anchored = []
             for c in new_cols:
-                target = next((x for x in above if x >= c), None)
+                target = _anchor(above, c)
                 if target is None:
                     cur = cur.with_note(
                         f"row {k}: subdivision marker at {c} dropped (no anchor)"
                     )
                 else:
-                    adjusted.append(target)
-            cur = cur.with_markers(k, cur.row_markers(k) + tuple(adjusted))
+                    anchored.append(target)
+            new_cols = anchored
+        cur = cur.with_markers(k, cur.row_markers(k) + tuple(new_cols))
     return cur
 
 
@@ -329,7 +337,7 @@ def periodic_markers(w: ArrayWindow, row: int) -> ArrayWindow:
     if w.boundary != OPEN:
         raise ArgumentError("marker passes require an open boundary")
     flagged = [f for f in w.flags if f.row == row]
-    flagged_spans = [(f.lo, f.hi) for f in flagged]
+    flagged_spans = _flagged_spans(w, row)
     for a, b, length in w.interior_gaps(row):
         if length > 2 * row + 1 and (a, b) not in flagged_spans:
             raise ConstructionError(
@@ -340,14 +348,11 @@ def periodic_markers(w: ArrayWindow, row: int) -> ArrayWindow:
         p = f.period
         if p < 1 or p >= row:
             raise ConstructionError(f"flag period {p} inconsistent with row {row}")
-        existing = set(cur.row_markers(p))
-        added = []
+        existing = list(cur.row_markers(p))
         for c in range(f.lo + 1, f.hi + 1, p):
-            if all(abs(c - e) >= p for e in existing):
-                existing.add(c)
-                added.append(c)
-        if added:
-            cur = cur.with_markers(p, cur.row_markers(p) + tuple(added))
+            if _clear(existing, c, p):
+                insort(existing, c)
+        cur = cur.with_markers(p, existing)
     return cur
 
 
@@ -361,17 +366,14 @@ def upward_stretch(w: ArrayWindow) -> ArrayWindow:
     """
     if w.boundary != OPEN:
         raise ArgumentError("marker passes require an open boundary")
-    marks = [set(ms) for ms in w.markers]
+    marks = [list(ms) for ms in w.markers]
     for k in range(w.depth, 1, -1):
-        for c in sorted(set(w.row_markers(k))):
+        for c in w.row_markers(k):
             for l in range(k - 1, 0, -1):
-                if any(abs(c - e) <= l for e in marks[l - 1]):
+                if not _clear(marks[l - 1], c, l + 1):
                     break
-                marks[l - 1].add(c)
-    cur = w
-    for k in range(1, w.depth + 1):
-        cur = cur.with_markers(k, tuple(sorted(marks[k - 1])))
-    return cur
+                insort(marks[l - 1], c)
+    return replace(w, markers=tuple(map(tuple, marks)))
 
 
 def leftward_stretch(w: ArrayWindow) -> ArrayWindow:
@@ -384,16 +386,14 @@ def leftward_stretch(w: ArrayWindow) -> ArrayWindow:
     """
     if w.boundary != OPEN:
         raise ArgumentError("marker passes require an open boundary")
-    cur = w
+    marks = [list(ms) for ms in w.markers]
     for k in range(1, w.depth + 1):
-        marks = set(cur.row_markers(k))
-        for i in sorted(set(cur.row_markers(k))):
+        for i in w.row_markers(k):
             c = i - k
-            while c >= 0 and all(abs(c - e) >= k for e in marks):
-                marks.add(c)
+            while c >= 0 and _clear(marks[k - 1], c, k):
+                insort(marks[k - 1], c)
                 c -= k
-        cur = cur.with_markers(k, tuple(sorted(marks)))
-    return cur
+    return replace(w, markers=tuple(map(tuple, marks)))
 
 
 def aperiodicize(w: ArrayWindow) -> ArrayWindow:
@@ -433,10 +433,6 @@ class MarkerInvariantReport:
     @property
     def passed(self) -> bool:
         return all(v.passed for v in self.verdicts)
-
-
-def _flagged_spans(w: ArrayWindow, k: int):
-    return {(f.lo, f.hi) for f in w.flags if f.row == k}
 
 
 def verify_invariants(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from .diagram import (
     FamilyLink,
@@ -201,26 +202,15 @@ def random_aperiodic_window(rng: random.Random, width: int, depth: int, scales) 
     ]
     w = window_from_rows(rows)
     for _ in range(600):
-        dirty = False
-        for k in range(1, depth + 1):
-            for n in scales:
-                stretches = periodic_stretches(w, k, n, 2 * n + 1)
-                for a, b, p in stretches:
-                    mid = (a + b) // 2
-                    row = list(w.rows[k - 1])
-                    row[mid] = "1" if row[mid] == "0" else "0"
-                    w = window_from_rows(
-                        [
-                            w.rows[i] if i != k - 1 else "".join(row)
-                            for i in range(depth)
-                        ]
-                    )
-                    dirty = True
-                    break
-                if dirty:
-                    break
-            if dirty:
+        for k, n in product(range(1, depth + 1), scales):
+            stretches = periodic_stretches(w, k, n, 2 * n + 1)
+            if stretches:
                 break
-        if not dirty:
+        else:
             return w
+        a, b, _ = stretches[0]
+        mid = (a + b) // 2
+        row = w.rows[k - 1]
+        row = row[:mid] + ("1" if row[mid] == "0" else "0") + row[mid + 1 :]
+        w = window_from_rows(w.rows[: k - 1] + (row,) + w.rows[k:])
     raise RuntimeError("could not scrub periodic stretches from the window")

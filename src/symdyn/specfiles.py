@@ -55,7 +55,7 @@ def load_spec(path: str) -> dict:
     """Parse, check kind and version, and validate the payload."""
     try:
         raw = json.loads(Path(path).read_text())
-    except FileNotFoundError:
+    except OSError:
         raise SpecFileError("file not readable", path)
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"invalid JSON: {exc}", path)

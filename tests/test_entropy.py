@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from symdyn.entropy import (
     EntropyBracket,
@@ -12,10 +12,39 @@ from symdyn.entropy import (
 )
 
 
-@given(st.integers(0, 10**12), st.integers(1, 8))
+@given(st.integers(0, 2**4096), st.integers(1, 64))
+@settings(max_examples=300, deadline=None)
 def test_int_nthroot_bracket(x, n):
+    # the range runs past 2**1024, where a float seed overflows
     r = int_nthroot(x, n)
     assert r**n <= x < (r + 1) ** n
+
+
+def test_int_nthroot_near_perfect_powers():
+    # 2**2000 overflows a float seed; near 10**200 a float seed is off by
+    # far more than a unit step
+    assert int_nthroot(2**3000, 3) == 2**1000
+    assert int_nthroot(2**3000 - 1, 3) == 2**1000 - 1
+    assert int_nthroot(10**200, 2) == 10**100
+    assert int_nthroot(10**200 - 1, 2) == 10**100 - 1
+    assert int_nthroot(2**301, 2) ** 2 <= 2**301 < (int_nthroot(2**301, 2) + 1) ** 2
+
+
+@given(st.integers(2, 12), st.integers(0, 6), st.integers(1, 6), st.integers(0, 6), st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+def test_equal_values_hash_equal(b, i, n1, j, n2):
+    # log2(b**i)/n1 and log2(b**j)/n2 are equal exactly when i*n2 == j*n1
+    x, y = EntropyValue.log2_of(b**i, n1), EntropyValue.log2_of(b**j, n2)
+    assert (x == y) == (i * n2 == j * n1)
+    if x == y:
+        assert hash(x) == hash(y)
+        assert len({x, y}) == 1
+
+
+def test_equal_log_forms_share_a_set_slot():
+    assert len({EntropyValue.log2_of(9, 2), EntropyValue.log2_of(3, 1)}) == 1
+    # rendering keeps the form as given, so reports do not move
+    assert EntropyValue.log2_of(9, 2).render() == "log2(9)/2 (1.58496)"
 
 
 def test_log_form_reduces_to_rational_on_powers_of_two():

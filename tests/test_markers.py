@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from symdyn.errors import ArgumentError, ConstructionError
 from symdyn.markers import (
+    LongGapFlag,
     MarkerSchedule,
     aperiodicize,
     decompose_gap,
@@ -23,6 +25,246 @@ from symdyn.randgen import random_aperiodic_window
 
 def rand_row(rng, width):
     return "".join(rng.choice("01") for _ in range(width))
+
+
+# ---------------------------------------------------------------------------
+# reference passes: linear scans over the whole marker set, the way the
+# passes were first written; the bisect-based passes must match them
+
+
+def naive_upward_adjust(w):
+    cur = w
+    notes = []
+    flags = list(w.flags)
+    for k in range(2, w.depth + 1):
+        above = cur.row_markers(k - 1)
+        moved = []
+        relocation = {}
+        for c in cur.row_markers(k):
+            target = next((a for a in above if a >= c), None)
+            if target is None:
+                notes.append(f"row {k}: marker at {c} dropped (no anchor to the right)")
+                relocation[c] = None
+            else:
+                moved.append(target)
+                relocation[c] = target
+        cur = cur.with_markers(k, moved)
+        for idx, f in enumerate(flags):
+            if f is None or f.row != k:
+                continue
+            lo = f.lo if f.lo == -1 else relocation.get(f.lo, f.lo)
+            hi = relocation.get(f.hi, f.hi)
+            if lo is None or hi is None:
+                flags[idx] = None
+                notes.append(f"row {k}: long-gap flag dropped with its marker")
+            else:
+                flags[idx] = LongGapFlag(k, lo, hi, f.period)
+    cur = replace(cur, flags=tuple(f for f in flags if f is not None))
+    for note in notes:
+        cur = cur.with_note(note)
+    return cur
+
+
+def naive_subdivide_balance(w, schedule):
+    if not schedule.m or len(schedule.m) < w.depth:
+        raise ArgumentError("schedule must provide m_k for every row")
+    cur = w
+    for k in range(1, w.depth + 1):
+        m = schedule.m[k - 1]
+        for a, b, p in w.interior_gaps(k):
+            try:
+                decompose_gap(p, m)
+            except ArgumentError:
+                raise ArgumentError(
+                    f"row {k} gap ({a}, {b}] of length {p} has no a*{m}+b*{m + 1} split"
+                )
+        new_cols = []
+        for a, b, p in cur.interior_gaps(k):
+            na, nb = decompose_gap(p, m)
+            pos = a
+            for _ in range(na):
+                pos += m
+                new_cols.append(pos)
+            for _ in range(nb):
+                pos += m + 1
+                new_cols.append(pos)
+            new_cols.pop()
+        if k == 1:
+            cur = cur.with_markers(1, cur.row_markers(1) + tuple(new_cols))
+        else:
+            above = cur.row_markers(k - 1)
+            adjusted = []
+            for c in new_cols:
+                target = next((x for x in above if x >= c), None)
+                if target is None:
+                    cur = cur.with_note(
+                        f"row {k}: subdivision marker at {c} dropped (no anchor)"
+                    )
+                else:
+                    adjusted.append(target)
+            cur = cur.with_markers(k, cur.row_markers(k) + tuple(adjusted))
+    return cur
+
+
+def naive_periodic_markers(w, row):
+    flagged = [f for f in w.flags if f.row == row]
+    flagged_spans = [(f.lo, f.hi) for f in flagged]
+    for a, b, length in w.interior_gaps(row):
+        if length > 2 * row + 1 and (a, b) not in flagged_spans:
+            raise ConstructionError(
+                f"row {row} gap ({a}, {b}] is long but carries no period flag"
+            )
+    cur = w
+    for f in flagged:
+        p = f.period
+        if p < 1 or p >= row:
+            raise ConstructionError(f"flag period {p} inconsistent with row {row}")
+        existing = set(cur.row_markers(p))
+        added = []
+        for c in range(f.lo + 1, f.hi + 1, p):
+            if all(abs(c - e) >= p for e in existing):
+                existing.add(c)
+                added.append(c)
+        if added:
+            cur = cur.with_markers(p, cur.row_markers(p) + tuple(added))
+    return cur
+
+
+def naive_upward_stretch(w):
+    marks = [set(ms) for ms in w.markers]
+    for k in range(w.depth, 1, -1):
+        for c in sorted(set(w.row_markers(k))):
+            for l in range(k - 1, 0, -1):
+                if any(abs(c - e) <= l for e in marks[l - 1]):
+                    break
+                marks[l - 1].add(c)
+    cur = w
+    for k in range(1, w.depth + 1):
+        cur = cur.with_markers(k, tuple(sorted(marks[k - 1])))
+    return cur
+
+
+def naive_leftward_stretch(w):
+    cur = w
+    for k in range(1, w.depth + 1):
+        marks = set(cur.row_markers(k))
+        for i in sorted(set(cur.row_markers(k))):
+            c = i - k
+            while c >= 0 and all(abs(c - e) >= k for e in marks):
+                marks.add(c)
+                c -= k
+        cur = cur.with_markers(k, tuple(sorted(marks)))
+    return cur
+
+
+def naive_aperiodicize(w):
+    cur = w
+    for k in range(1, w.depth + 1):
+        cur = place_krieger(cur, k, k) if cur.width > 2 * k + 1 else cur
+    for k in range(2, w.depth + 1):
+        cur = naive_periodic_markers(cur, k)
+    return naive_leftward_stretch(naive_upward_stretch(cur))
+
+
+def outcome(fn, *args):
+    """Everything a pass hands back, notes included, or its error."""
+    try:
+        out = fn(*args)
+    except (ArgumentError, ConstructionError) as exc:
+        return type(exc).__name__, str(exc)
+    return out.rows, out.markers, out.flags, out.notes
+
+
+def dense_window(rng, width, depth):
+    """Random rows, markers at per-row densities up to 1/2, and long-gap
+    flags on random interior gaps (and the leading boundary gap) with
+    periods below their row, so every branch of the passes is reached."""
+    rows = [rand_row(rng, width) for _ in range(depth)]
+    markers = [
+        sorted(rng.sample(range(width), rng.randint(0, width // rng.choice((2, 4, 8, 16)))))
+        for _ in range(depth)
+    ]
+    flags = []
+    for k, ms in enumerate(markers, start=1):
+        if k < 2 or len(ms) < 2:
+            continue
+        spans = [(-1, ms[0])] + list(zip(ms, ms[1:]))
+        for lo, hi in rng.sample(spans, rng.randint(0, min(3, len(spans)))):
+            flags.append(LongGapFlag(k, lo, hi, rng.randrange(1, k + 1)))
+        if rng.random() < 0.3:  # a trailing flag running to the window edge
+            flags.append(LongGapFlag(k, ms[-1], width - 1, rng.randrange(1, k)))
+    return replace(window_from_rows(rows, markers), flags=tuple(flags))
+
+
+def long_gaps_flagged(w, row):
+    """w with a flag on every long row-`row` gap, periods below the row."""
+    rng = random.Random(row * 1000 + len(w.flags))
+    extra = tuple(
+        LongGapFlag(row, a, b, rng.randrange(1, row))
+        for a, b, p in w.interior_gaps(row)
+        if p > 2 * row + 1
+    )
+    return replace(w, flags=w.flags + extra)
+
+
+def test_passes_match_reference_scans_on_dense_windows():
+    rng = random.Random(43)
+    seen = set()  # which branches the random windows reached
+    for trial in range(150):
+        w = dense_window(rng, rng.choice((12, 30, 80, 160)), rng.randint(1, 6))
+        got = outcome(upward_adjust, w)
+        assert got == outcome(naive_upward_adjust, w)
+        seen.update(
+            kind for kind in ("no anchor", "flag dropped") if any(kind in n for n in got[3])
+        )
+        sched = MarkerSchedule(tuple(range(1, w.depth + 1)), tuple(rng.choice((1, 2, 3)) for _ in range(w.depth)))
+        for v in (w, upward_adjust(w)):
+            got = outcome(subdivide_balance, v, sched)
+            assert got == outcome(naive_subdivide_balance, v, sched)
+            seen.add("subdivide error" if got[0] == "ArgumentError" else "subdivided")
+            if got[0] != "ArgumentError" and any("(no anchor)" in n for n in got[3]):
+                seen.add("subdivision dropped")
+        for row in range(2, w.depth + 1):
+            for v in (w, long_gaps_flagged(w, row)):
+                got = outcome(periodic_markers, v, row)
+                assert got == outcome(naive_periodic_markers, v, row)
+                seen.add(got[0] if isinstance(got[0], str) else "filled")
+        assert outcome(upward_stretch, w) == outcome(naive_upward_stretch, w)
+        assert outcome(leftward_stretch, w) == outcome(naive_leftward_stretch, w)
+    assert seen >= {
+        "no anchor",
+        "flag dropped",
+        "subdivide error",
+        "subdivided",
+        "subdivision dropped",
+        "ConstructionError",
+        "filled",
+    }
+
+
+def test_pass_chains_match_reference_scans():
+    rng = random.Random(47)
+    for _ in range(12):
+        depth = rng.randint(2, 5)
+        w = random_aperiodic_window(rng, rng.choice((40, 120)), depth, depth)
+        rows = list(w.rows)
+        # plant periodic blocks so the chain flags and fills long gaps
+        for k in range(depth - rng.randint(0, 1)):
+            a = rng.randrange(0, len(rows[k]) // 2)
+            pattern = (rng.choice(("01", "011", "0")) * 40)[: len(rows[k]) // 3]
+            rows[k] = rows[k][:a] + pattern + rows[k][a + len(pattern) :]
+        w = window_from_rows(rows)
+        assert outcome(aperiodicize, w) == outcome(naive_aperiodicize, w)
+        placed = w
+        for k in range(1, depth + 1):
+            if placed.width > 2 * k + 1:
+                placed = place_krieger(placed, k, k)
+        sched = MarkerSchedule(tuple(range(1, depth + 1)), (1,) * depth)
+        assert outcome(upward_adjust, placed) == outcome(naive_upward_adjust, placed)
+        adjusted = upward_adjust(placed)
+        assert outcome(subdivide_balance, adjusted, sched) == outcome(
+            naive_subdivide_balance, adjusted, sched
+        )
 
 
 # ---------------------------------------------------------------------------

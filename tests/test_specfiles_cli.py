@@ -299,6 +299,31 @@ def test_cli_input_error_paths(tmp_path):
     assert code == 4  # period cap
 
 
+def test_cli_spec_path_not_a_file(tmp_path):
+    code, _, err = run_cli(["per", "--spec", str(tmp_path), "-n", "3"])
+    assert code == 3
+    assert "file not readable" in err
+
+
+@pytest.mark.parametrize("h, p, q", [("2000/3", 2000, 3), ("301/2", 301, 2)])
+def test_cli_diagram_analyze_huge_entropy(tmp_path, h, p, q):
+    # 2**(2000/3) is past the float range; 2**(301/2) sits where a float
+    # root is off by far more than a unit step
+    diag = {
+        "kind": "diagram",
+        "version": 1,
+        "nodes": [{"id": "a", "kind": "periodic", "period": "1"}],
+        "families": [],
+        "h": {"a": h},
+        "ptail": {"a": "0"},
+    }
+    code, out, _ = run_cli(["diagram", "analyze", "--spec", write(tmp_path, "big.json", diag)])
+    assert code == 0
+    card = json.loads(out)["result"]["cardinality"]
+    # cardinality == floor(2**(p/q)) + 1
+    assert (card - 1) ** q <= 2**p < card**q
+
+
 def test_cli_determinism(tmp_path):
     args = ["per", "--spec", gm_spec(tmp_path), "-n", "4"]
     assert run_cli(args)[1] == run_cli(args)[1]
