@@ -13,41 +13,27 @@ parameter against a linear expression in the others; sequences indexed by
 k take one value below a linear threshold in the parameters and another
 above.  Everything is exact: values are Fractions (or +infinity), guard
 satisfiability is decided by integer scanning plus a certified asymptotic
-regime, never by floats.
+regime, never by floats.  The one infinity is EntropyValue.infinity()
+(exported here as INF): `+` and `-` absorb it, and `v is INF` tests for it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .entropy import EntropyValue
 from .errors import ArgumentError
 
-INF = float("inf")
+INF = EntropyValue.infinity()
 
 MAX_COEFF = 3
 _SLOPE_STEP = 6  # lcm of admissible coefficient denominators 1..3
 
 
-def val_add(a, b):
-    if a == INF or b == INF:
-        return INF
-    return a + b
-
-
-def val_sub(a, b):
-    if b == INF:
-        raise ArgumentError("cannot subtract infinity")
-    if a == INF:
-        return INF
-    return a - b
-
-
 def as_val(x):
-    if x == INF:
-        return INF
-    return Fraction(x)
+    return x if x is INF else Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +232,10 @@ def tau_unbounded_along(atoms, mins: dict, var: str, tau: Lin) -> bool:
         s0 = sup_tau(x)
         if s0 is None:
             continue
-        if s0 == INF:
+        if s0 is INF:
             return True
         s1 = sup_tau(x + _SLOPE_STEP)
-        if s1 == INF or (s1 is not None and s1 > s0):
+        if s1 is INF or (s1 is not None and s1 > s0):
             return True
     return False
 
@@ -272,16 +258,12 @@ class FnSpec:
 
     def render(self) -> str:
         if len(self.pieces) == 1:
-            return _render_val(self.pieces[0][1])
+            return str(self.pieces[0][1])
         parts = []
         for atoms, v in self.pieces:
             cond = " & ".join(a.render() for a in atoms) or "else"
-            parts.append(f"{cond}: {_render_val(v)}")
+            parts.append(f"{cond}: {v}")
         return "{" + "; ".join(parts) + "}"
-
-
-def _render_val(v) -> str:
-    return "inf" if v == INF else str(v)
 
 
 def const_fn(v) -> FnSpec:
@@ -318,11 +300,11 @@ def fn_max(f: FnSpec, g: FnSpec, mins: dict) -> FnSpec:
 
 
 def fn_add(f: FnSpec, g: FnSpec, mins: dict) -> FnSpec:
-    return fn_binary(f, g, val_add, mins)
+    return fn_binary(f, g, operator.add, mins)
 
 
 def fn_shift(f: FnSpec, c) -> FnSpec:
-    return FnSpec(tuple((atoms, val_add(v, as_val(c))) for atoms, v in f.pieces))
+    return FnSpec(tuple((atoms, v + as_val(c)) for atoms, v in f.pieces))
 
 
 def fn_eventual(f: FnSpec, param: str, mins: dict) -> FnSpec:
@@ -535,19 +517,25 @@ class MeasureDiagram:
                 raise ArgumentError(
                     f"parameterized class {n.node_id} must converge somewhere"
                 )
+        into = {}
+        for f in self.families:
+            into.setdefault(f.limit, []).append(f)
+        # lookup indexes, kept off the dataclass fields
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_into", {k: tuple(v) for k, v in into.items()})
         # levels: members sit strictly below their limits; depth <= 2
         for n in self.nodes:
             if self.level(n.node_id) > 2:
                 raise ArgumentError("accumulation depth exceeds 2")
 
     def node(self, node_id: str) -> Node:
-        for n in self.nodes:
-            if n.node_id == node_id:
-                return n
-        raise ArgumentError(f"unknown node {node_id!r}")
+        try:
+            return self._by_id[node_id]
+        except KeyError:
+            raise ArgumentError(f"unknown node {node_id!r}") from None
 
     def level(self, node_id: str) -> int:
-        incoming = [f for f in self.families if f.limit == node_id]
+        incoming = self.families_into(node_id)
         if not incoming:
             return 0
         return 1 + max(self.level(f.member) for f in incoming)
@@ -557,7 +545,7 @@ class MeasureDiagram:
         return max((self.level(n.node_id) for n in self.nodes), default=0)
 
     def families_into(self, node_id: str):
-        return [f for f in self.families if f.limit == node_id]
+        return self._into.get(node_id, ())
 
     def chains_into(self, node_id: str):
         """Two-step family chains (grandchild, child) converging to node_id."""
@@ -574,11 +562,14 @@ class FnOnDiagram:
 
     specs: tuple  # sorted (node_id, FnSpec) pairs
 
+    def __post_init__(self):
+        object.__setattr__(self, "_by_id", dict(self.specs))
+
     def spec(self, node_id: str) -> FnSpec:
-        for nid, s in self.specs:
-            if nid == node_id:
-                return s
-        raise ArgumentError(f"no spec for node {node_id!r}")
+        try:
+            return self._by_id[node_id]
+        except KeyError:
+            raise ArgumentError(f"no spec for node {node_id!r}") from None
 
     def evaluate(self, node_id: str, env: dict):
         return self.spec(node_id).evaluate(env)
@@ -594,7 +585,7 @@ class FnOnDiagram:
         acc = Fraction(0)
         for nid, env, w in parts:
             v = self.evaluate(nid, env)
-            if v == INF:
+            if v is INF:
                 if w > 0:
                     return INF
                 continue
@@ -623,17 +614,17 @@ class SeqOnDiagram:
         if self.monotone not in ("nonincreasing", "nondecreasing"):
             raise ArgumentError("declare the monotone direction")
         for nid, s in self.specs:
-            lo_hi = (s.lo, s.hi)
             if self.monotone == "nonincreasing" and not s.lo >= s.hi:
                 raise ArgumentError(f"{nid}: nonincreasing spec needs lo >= hi")
             if self.monotone == "nondecreasing" and not s.lo <= s.hi:
                 raise ArgumentError(f"{nid}: nondecreasing spec needs lo <= hi")
+        object.__setattr__(self, "_by_id", dict(self.specs))
 
     def spec(self, node_id: str) -> SeqSpec:
-        for nid, s in self.specs:
-            if nid == node_id:
-                return s
-        raise ArgumentError(f"no sequence spec for node {node_id!r}")
+        try:
+            return self._by_id[node_id]
+        except KeyError:
+            raise ArgumentError(f"no sequence spec for node {node_id!r}") from None
 
     def limit_fn(self, diagram: MeasureDiagram) -> FnOnDiagram:
         """The recorded pointwise limit, constant per class."""
@@ -664,5 +655,5 @@ def tails_of(hseq: SeqOnDiagram, diagram: MeasureDiagram) -> SeqOnDiagram:
     specs = {}
     for nid, s in hseq.specs:
         h = s.limit
-        specs[nid] = SeqSpec(val_sub(h, s.lo), s.tau, val_sub(h, s.hi))
+        specs[nid] = SeqSpec(h - s.lo, s.tau, h - s.hi)
     return seq_on(diagram, specs, "nonincreasing")

@@ -12,6 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from math import inf, isqrt, log2
+
+from .errors import ArgumentError, ResourceCapError
+
+MAX_POWER_BITS = 1 << 16  # exact powers past this many bits are refused (exit 4)
 
 
 def int_nthroot(x: int, n: int) -> int:
@@ -20,6 +25,8 @@ def int_nthroot(x: int, n: int) -> int:
         raise ValueError("int_nthroot requires x >= 0, n >= 1")
     if x in (0, 1) or n == 1:
         return x
+    if x.bit_length() <= n:  # 2 <= x < 2**n
+        return 1
     # integer Newton steps fall monotonically from any seed above the root
     r = 1 << -(-x.bit_length() // n)
     while True:
@@ -29,6 +36,13 @@ def int_nthroot(x: int, n: int) -> int:
         r = s
 
 
+def _pow(b: int, e: int) -> int:
+    """b**e, or ResourceCapError when it surely exceeds MAX_POWER_BITS bits."""
+    if e * (b.bit_length() - 1) > MAX_POWER_BITS:
+        raise ResourceCapError(f"an exact power exceeds {MAX_POWER_BITS} bits")
+    return b**e
+
+
 def _perfect_power(c: int) -> tuple:
     """(b, e) with c == b**e and e maximal, so that b is not a perfect power."""
     e, k = 1, 2
@@ -36,8 +50,10 @@ def _perfect_power(c: int) -> tuple:
         r = int_nthroot(c, k)
         if r**k == c:
             c, e = r, e * k
-        else:
+        else:  # a perfect k-th power is a perfect p-th power for each prime p | k
             k += 1
+            while any(k % d == 0 for d in range(2, isqrt(k) + 1)):
+                k += 1
     return c, e
 
 
@@ -55,18 +71,14 @@ class EntropyValue:
     __slots__ = ("_kind", "_rat", "_c", "_n")
 
     def __init__(self, value: Fraction | int | str = 0):
-        if isinstance(value, str):
-            value = Fraction(value)
         self._kind = "rat"
         self._rat = Fraction(value)
         self._c = self._n = None
 
     @classmethod
     def infinity(cls) -> "EntropyValue":
-        v = cls.__new__(cls)
-        v._kind = "inf"
-        v._rat = v._c = v._n = None
-        return v
+        """The one +infinity: every infinite result is this instance."""
+        return _INFINITY
 
     @classmethod
     def log2_of(cls, c: int, n: int = 1) -> "EntropyValue":
@@ -96,32 +108,28 @@ class EntropyValue:
         return self._rat
 
     def approx(self) -> float:
-        import math
-
         if self._kind == "inf":
-            return math.inf
+            return inf
         if self._kind == "rat":
             return float(self._rat)
-        return math.log2(self._c) / self._n
+        return log2(self._c) / self._n
 
     # comparisons: rational p/q vs log2(c)/n  <=>  2**(p*n) vs c**q
     def _cmp(self, other: "EntropyValue") -> int:
-        if self._kind == "inf" or other._kind == "inf":
-            a = 1 if self._kind == "inf" else 0
-            b = 1 if other._kind == "inf" else 0
-            return a - b
+        if self is _INFINITY or other is _INFINITY:
+            return (self is _INFINITY) - (other is _INFINITY)
         if self._kind == "rat" and other._kind == "rat":
             return (self._rat > other._rat) - (self._rat < other._rat)
         if self._kind == "log" and other._kind == "log":
-            lhs = self._c ** other._n
-            rhs = other._c ** self._n
+            lhs = _pow(self._c, other._n)
+            rhs = _pow(other._c, self._n)
             return (lhs > rhs) - (lhs < rhs)
         if self._kind == "rat":
             p, q = self._rat.numerator, self._rat.denominator
             if p < 0:
                 return -1  # log form is always >= 0
-            lhs = 2 ** (p * other._n)
-            rhs = other._c ** q
+            lhs = _pow(2, p * other._n)
+            rhs = _pow(other._c, q)
             return (lhs > rhs) - (lhs < rhs)
         return -other._cmp(self)
 
@@ -148,21 +156,36 @@ class EntropyValue:
     def __add__(self, other) -> "EntropyValue":
         other = _coerce(other)
         if self._kind == "inf" or other._kind == "inf":
-            return EntropyValue.infinity()
+            return _INFINITY
         if self._kind == "rat" and other._kind == "rat":
             return EntropyValue(self._rat + other._rat)
         if self._kind == "log" and other._kind == "log":
             # log2(c1)/n1 + log2(c2)/n2 = log2(c1^n2 * c2^n1) / (n1*n2)
             return EntropyValue.log2_of(
-                self._c ** other._n * other._c ** self._n, self._n * other._n
+                _pow(self._c, other._n) * _pow(other._c, self._n), self._n * other._n
             )
         rat, log = (self, other) if self._kind == "rat" else (other, self)
         p, q = rat._rat.numerator, rat._rat.denominator
         if p < 0:
             raise ValueError("cannot add a negative rational to a log form exactly")
-        return EntropyValue.log2_of(2 ** (p * log._n) * log._c ** q, q * log._n)
+        return EntropyValue.log2_of(_pow(2, p * log._n) * _pow(log._c, q), q * log._n)
 
     __radd__ = __add__
+
+    def __sub__(self, other) -> "EntropyValue":
+        """inf - finite is inf; rationals subtract exactly; nothing subtracts inf."""
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        if other._kind == "inf":
+            raise ArgumentError("cannot subtract infinity")
+        if self._kind == "inf":
+            return _INFINITY
+        return EntropyValue(self.as_fraction() - other.as_fraction())
+
+    def __rsub__(self, other) -> "EntropyValue":
+        other = _coerce(other)
+        return NotImplemented if other is None else other - self
 
     def __mul__(self, other) -> "EntropyValue":
         """Scale by a nonnegative rational weight (harmonic averaging)."""
@@ -170,12 +193,12 @@ class EntropyValue:
         if w < 0:
             raise ValueError("entropy values scale by nonnegative weights only")
         if self._kind == "inf":
-            return EntropyValue(0) if w == 0 else EntropyValue.infinity()
+            return EntropyValue(0) if w == 0 else _INFINITY
         if self._kind == "rat":
             return EntropyValue(self._rat * w)
         if w == 0:
             return EntropyValue(0)
-        return EntropyValue.log2_of(self._c ** w.numerator, self._n * w.denominator)
+        return EntropyValue.log2_of(_pow(self._c, w.numerator), self._n * w.denominator)
 
     __rmul__ = __mul__
 
@@ -187,7 +210,7 @@ class EntropyValue:
             p, q = self._rat.numerator, self._rat.denominator
             if p < 0:
                 return 0
-            return int_nthroot(2**p, q)
+            return int_nthroot(_pow(2, p), q)
         return int_nthroot(self._c, self._n)
 
     def render(self) -> str:
@@ -200,6 +223,18 @@ class EntropyValue:
     def __repr__(self):
         return f"EntropyValue[{self.render()}]"
 
+    def __str__(self):  # bare "inf", like the Fractions it stands beside in diagrams
+        return "inf" if self._kind == "inf" else repr(self)
+
+    def __reduce_ex__(self, protocol):  # copies and pickles keep the one infinity
+        if self is _INFINITY:
+            return (EntropyValue.infinity, ())
+        return super().__reduce_ex__(protocol)
+
+
+_INFINITY = object.__new__(EntropyValue)
+_INFINITY._kind, _INFINITY._rat, _INFINITY._c, _INFINITY._n = "inf", None, None, None
+
 
 def _coerce(x) -> EntropyValue | None:
     if isinstance(x, EntropyValue):
@@ -210,14 +245,7 @@ def _coerce(x) -> EntropyValue | None:
 
 
 def max_entropy(*values: EntropyValue) -> EntropyValue:
-    out = None
-    for v in values:
-        v = _coerce(v)
-        if out is None or v > out:
-            out = v
-    if out is None:
-        raise ValueError("max_entropy of nothing")
-    return out
+    return max(map(_coerce, values))
 
 
 def optimal_alphabet_size(value: EntropyValue) -> int:

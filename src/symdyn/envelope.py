@@ -43,7 +43,6 @@ from .diagram import (
     seq_on,
     tails_of,
     tau_unbounded_along,
-    val_add,
 )
 from .entropy import EntropyValue, max_entropy, optimal_alphabet_size
 from .errors import ArgumentError, ConstructionError
@@ -94,7 +93,7 @@ def envelope_limit(
                     if tau_unbounded_along(list(atoms), grand.mins, outer, spec.tau)
                     else spec.hi
                 )
-                cand = val_add(v, tail)
+                cand = v + tail
                 if best is None or cand > best:
                     best = cand
             if best is not None:
@@ -103,17 +102,31 @@ def envelope_limit(
     return fn_on(diagram, out)
 
 
+def _pointwise(op, f: FnOnDiagram, g: FnOnDiagram, diagram: MeasureDiagram):
+    """op (fn_max or fn_add) applied class by class."""
+    return fn_on(
+        diagram,
+        {
+            n.node_id: op(f.spec(n.node_id), g.spec(n.node_id), n.mins)
+            for n in diagram.nodes
+        },
+    )
+
+
+def _equal(f: FnOnDiagram, g: FnOnDiagram, diagram: MeasureDiagram) -> bool:
+    return all(
+        fn_compare(f.spec(n.node_id), g.spec(n.node_id), n.mins) is None
+        for n in diagram.nodes
+    )
+
+
 def usc_envelope(f: FnOnDiagram, diagram: MeasureDiagram) -> FnOnDiagram:
     """The upper semicontinuous envelope of f on the diagram."""
     return envelope_limit(f, zero_seq(diagram), diagram)
 
 
 def is_usc(f: FnOnDiagram, diagram: MeasureDiagram) -> bool:
-    env = usc_envelope(f, diagram)
-    return all(
-        fn_compare(env.spec(n.node_id), f.spec(n.node_id), n.mins) is None
-        for n in diagram.nodes
-    )
+    return _equal(usc_envelope(f, diagram), f, diagram)
 
 
 def _require_vanishing_tails(theta: SeqOnDiagram):
@@ -182,25 +195,10 @@ def minimal_repair(
     if not is_usc(floor, diagram):
         raise ArgumentError("floor must be upper semicontinuous")
 
-    def join(f: FnOnDiagram, g: FnOnDiagram) -> FnOnDiagram:
-        return fn_on(
-            diagram,
-            {
-                n.node_id: fn_max(f.spec(n.node_id), g.spec(n.node_id), n.mins)
-                for n in diagram.nodes
-            },
-        )
-
-    def equal(f: FnOnDiagram, g: FnOnDiagram) -> bool:
-        return all(
-            fn_compare(f.spec(n.node_id), g.spec(n.node_id), n.mins) is None
-            for n in diagram.nodes
-        )
-
-    u = join(floor, u_one(theta, diagram))
+    u = _pointwise(fn_max, floor, u_one(theta, diagram), diagram)
     for _ in range(diagram.depth + 1):
-        nxt = join(floor, envelope_limit(u, theta, diagram))
-        if equal(nxt, u):
+        nxt = _pointwise(fn_max, floor, envelope_limit(u, theta, diagram), diagram)
+        if _equal(nxt, u, diagram):
             verdict = is_repair(u, theta, diagram)
             if not verdict.repairs:
                 raise ConstructionError(f"fixpoint fails re-verification: {verdict.render()}")
@@ -266,7 +264,7 @@ def is_superenvelope(
         diff = {}
         for node in diagram.nodes:
             hk = hseq.spec(node.node_id).as_fn(k, node.mins)
-            if any(v == INF for _, v in hk.pieces):
+            if any(v is INF for _, v in hk.pieces):
                 raise ArgumentError("entropy sequences must take finite values")
             minus = FnSpec(tuple((atoms, -v) for atoms, v in hk.pieces))
             diff[node.node_id] = fn_add(E.spec(node.node_id), minus, node.mins)
@@ -361,18 +359,9 @@ def analyze_diagram(
     u1 = u_one(perseq, diagram)
     u_emb = minimal_repair(theta, u1, diagram)
 
-    def add(f: FnOnDiagram, g: FnOnDiagram) -> FnOnDiagram:
-        return fn_on(
-            diagram,
-            {
-                n.node_id: fn_add(f.spec(n.node_id), g.spec(n.node_id), n.mins)
-                for n in diagram.nodes
-            },
-        )
-
-    h_sex = add(h, u_sex)
-    h_emb = add(h, u_emb)
-    h_plus_u1 = add(h, u1)
+    h_sex = _pointwise(fn_add, h, u_sex, diagram)
+    h_emb = _pointwise(fn_add, h, u_emb, diagram)
+    h_plus_u1 = _pointwise(fn_add, h, u1, diagram)
     lower_pw = upper_pw = True
     for n in diagram.nodes:
         lhs = fn_max(h_sex.spec(n.node_id), h_plus_u1.spec(n.node_id), n.mins)
@@ -388,11 +377,11 @@ def analyze_diagram(
         lower_pw,
         upper_pw,
         max(sup_h_sex, p_star) <= sup_h_emb,
-        sup_h_emb <= val_add(sup_h_sex, p_star),
+        sup_h_emb <= sup_h_sex + p_star,
     )
     cardinality = None
     p_sup = diagram.p_sup
-    if sup_h_emb != INF:
+    if sup_h_emb is not INF:
         emb_val = EntropyValue(Fraction(sup_h_emb))
         if p_sup is None:
             warnings.append(

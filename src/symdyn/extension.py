@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .entropy import EntropyValue
+from .entropy import EntropyValue, optimal_alphabet_size
 from .errors import ArgumentError, ConstructionError
 from .sft import PeriodicOrbit, Word, minimal_period, rotations
 
@@ -363,7 +363,7 @@ def extension_alphabet_report(s: int, sup_e: EntropyValue) -> dict:
     recoding bound (reported, not performed)."""
     return {
         "built_alphabet": 2 * s,
-        "recoding_bound": sup_e.floor_two_pow() + 1,
+        "recoding_bound": optimal_alphabet_size(sup_e),
     }
 
 
@@ -431,19 +431,34 @@ def hall_match(words_per_strip: dict) -> dict:
     adj = {s: sorted(words_per_strip[s], key=repr) for s in strips}
     match_word = {}  # word -> strip
 
-    def augment(s, seen):
-        for w in adj[s]:
-            if w in seen:
+    def augment(root) -> bool:
+        """Depth-first augmenting path from root, on an explicit stack."""
+        seen = set()
+        stack = [(root, iter(adj[root]))]
+        chosen = []  # chosen[i]: the word stack[i] tries to take over
+        while stack:
+            for w in stack[-1][1]:
+                if w not in seen:
+                    break
+            else:  # no word left for this strip: back up one step
+                stack.pop()
+                if chosen:
+                    chosen.pop()
                 continue
             seen.add(w)
-            if w not in match_word or augment(match_word[w], seen):
-                match_word[w] = s
-                return True
+            if w in match_word:
+                chosen.append(w)
+                stack.append((match_word[w], iter(adj[match_word[w]])))
+                continue
+            # w is free: every strip on the path moves to the word it chose
+            for (t, _), x in zip(stack, chosen + [w]):
+                match_word[x] = t
+            return True
         return False
 
     unmatched = None
     for s in strips:
-        if not augment(s, set()):
+        if not augment(s):
             unmatched = s
             break
     if unmatched is None:

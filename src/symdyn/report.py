@@ -14,8 +14,6 @@ def jsonable(x):
     """Exact values rendered as p/q strings plus a float approximation."""
     if isinstance(x, Fraction):
         return {"exact": str(x), "approx": float(x)}
-    if x == float("inf"):
-        return {"exact": "inf", "approx": None}
     if isinstance(x, EntropyValue):
         return {"exact": x.render(), "approx": None if x.is_infinite else x.approx()}
     if isinstance(x, EntropyBracket):

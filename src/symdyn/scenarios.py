@@ -122,8 +122,13 @@ def example3_data(h0: Fraction) -> ScenarioData:
 
 
 def pickupsticks_data() -> ScenarioData:
-    """The bare two-level tail structure: single points instead of
-    clusters, value one bit below the index thresholds, zero entropy."""
+    """An alias of example 1, returned unchanged.
+
+    The bare two-level tail structure puts single points where example 1
+    has clusters, with the same values (one bit below the index
+    thresholds, zero entropy).  A class already stands for a cluster whose
+    values agree, so both give the same class-level diagram.
+    """
     return example1_data()
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import MeasureDiagram, SeqOnDiagram, val_add, val_sub
+from .diagram import MeasureDiagram, SeqOnDiagram
 from .errors import ArgumentError
 
 
@@ -96,7 +96,7 @@ class TruncatedOps:
     def envelope_at(self, values: dict, seq, point, k: int):
         def val(pt):
             base = values[pt]
-            return base if seq is None else val_add(base, seq(pt, k))
+            return base if seq is None else base + seq(pt, k)
 
         node_id, env_items = point
         node = self.diagram.node(node_id)
@@ -153,7 +153,7 @@ class TruncatedOps:
     def analyze(self, hseq: SeqOnDiagram, perseq: SeqOnDiagram) -> dict:
         def tail(pt, k):
             s = hseq.spec(pt[0])
-            return val_sub(s.limit, s.value_at(dict(pt[1]), k))
+            return s.limit - s.value_at(dict(pt[1]), k)
 
         def per(pt, k):
             return perseq.spec(pt[0]).value_at(dict(pt[1]), k)
@@ -163,8 +163,8 @@ class TruncatedOps:
         u_sex = self.minimal_repair(tail, zero)
         u1 = self.u_one(per)
         u_emb = self.minimal_repair(tail, u1)
-        h_sex = {pt: val_add(h[pt], u_sex[pt]) for pt in self.space.points}
-        h_emb = {pt: val_add(h[pt], u_emb[pt]) for pt in self.space.points}
+        h_sex = {pt: h[pt] + u_sex[pt] for pt in self.space.points}
+        h_emb = {pt: h[pt] + u_emb[pt] for pt in self.space.points}
         return {
             "h": h,
             "h_sex": h_sex,

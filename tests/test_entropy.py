@@ -1,15 +1,21 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symdyn.diagram import INF
 from symdyn.entropy import (
+    MAX_POWER_BITS,
     EntropyBracket,
     EntropyValue,
+    _perfect_power,
     int_nthroot,
     max_entropy,
     optimal_alphabet_size,
 )
+from symdyn.errors import ArgumentError, ResourceCapError
 
 
 @given(st.integers(0, 2**4096), st.integers(1, 64))
@@ -39,6 +45,20 @@ def test_equal_values_hash_equal(b, i, n1, j, n2):
     if x == y:
         assert hash(x) == hash(y)
         assert len({x, y}) == 1
+    # trying prime exponents only finds the same base as trying them all
+    for c in (b**i, b**j, b**i + 1):
+        assert _perfect_power(c) == perfect_power_every_exponent(c)
+
+
+def perfect_power_every_exponent(c: int) -> tuple:
+    e, k = 1, 2
+    while k <= c.bit_length():
+        r = int_nthroot(c, k)
+        if r**k == c:
+            c, e = r, e * k
+        else:
+            k += 1
+    return c, e
 
 
 def test_equal_log_forms_share_a_set_slot():
@@ -104,3 +124,51 @@ def test_bracket_validation():
     assert b.contains(0.6)
     with pytest.raises(ValueError):
         EntropyBracket(Fraction(1), Fraction(0))
+
+
+entropies = st.one_of(
+    st.fractions(min_value=-64, max_value=64, max_denominator=64),
+    st.fractions(min_value=0, max_value=64, max_denominator=64).map(EntropyValue),
+    st.builds(EntropyValue.log2_of, st.integers(1, 10**6), st.integers(1, 12)),
+)
+
+
+@given(entropies, st.fractions(min_value=-64, max_value=64, max_denominator=64))
+@settings(max_examples=300, deadline=None)
+def test_infinity_absorbs_sums_and_differences(x, q):
+    assert EntropyValue.infinity() is INF
+    assert INF + x is INF
+    assert x + INF is INF
+    assert INF - x is INF
+    with pytest.raises(ArgumentError, match="cannot subtract infinity"):
+        x - INF
+    assert INF > x and x < INF and x != INF
+    # finite diagram values stay Fractions; rational entropies subtract exactly
+    assert type(q - Fraction(1, 3)) is Fraction
+    assert EntropyValue(q) - Fraction(1, 3) == EntropyValue(q - Fraction(1, 3))
+    assert q - EntropyValue(Fraction(1, 3)) == EntropyValue(q - Fraction(1, 3))
+
+
+def test_infinity_is_one_instance():
+    assert INF * 3 is INF
+    assert max_entropy(EntropyValue(1), INF) is INF
+    assert copy.deepcopy(INF) is INF
+    assert pickle.loads(pickle.dumps(INF)) is INF
+    log_form = pickle.loads(pickle.dumps(EntropyValue.log2_of(9, 2)))
+    assert log_form.render() == "log2(9)/2 (1.58496)"
+    assert str(INF) == "inf"
+
+
+def test_powers_past_the_bit_cap_are_refused():
+    big = EntropyValue(MAX_POWER_BITS + 1)
+    with pytest.raises(ResourceCapError):
+        big.floor_two_pow()
+    with pytest.raises(ResourceCapError):
+        big < EntropyValue.log2_of(3)
+    with pytest.raises(ResourceCapError):
+        EntropyValue.log2_of(3) * (MAX_POWER_BITS + 1)
+    # just under the cap the powers are still built exactly
+    assert EntropyValue(MAX_POWER_BITS - 1).floor_two_pow() == 2 ** (MAX_POWER_BITS - 1)
+    # a root of huge degree never builds a huge power
+    assert int_nthroot(2, 10**400) == 1
+    assert EntropyValue(Fraction(1, 10**400)).floor_two_pow() == 1

@@ -33,6 +33,7 @@ from symdyn.envelope import (
 )
 from symdyn.errors import ArgumentError
 from symdyn.randgen import random_candidate_envelope, random_diagram
+from symdyn.report import jsonable
 
 
 def chain2():
@@ -184,6 +185,19 @@ def test_minimal_repair_rejects_non_usc_floor():
 def test_is_repair_zero_cases():
     D = chain2()
     assert is_repair(zero_fn(D), zero_seq(D), D).repairs
+
+
+def test_infinite_values_render_as_inf():
+    top = Node("top", (), "periodic", "1")
+    arm = Node("arm", ("j",), "periodic")
+    D = MeasureDiagram((top, arm), (FamilyLink("arm", "j", "top"),))
+    theta = seq_on(D, {"top": 0, "arm": seq_step(INF, lin(0, j=1), 0)}, "nonincreasing")
+    verdict = is_repair(zero_fn(D), theta, D)
+    assert verdict.residual is INF
+    assert verdict.render() == "repairs: no (witness top, residual inf)"
+    assert const_fn(INF).render() == "inf"
+    assert step_fn("j", lin(3), 0, INF).render() == "{j<3: 0; j>=3: inf}"
+    assert jsonable(INF) == {"exact": "inf", "approx": None}
 
 
 def test_superenvelope_trivial_cases():

@@ -314,6 +314,76 @@ def test_hall_random_against_bruteforce():
             assert set(exc.neighborhood) == union
 
 
+def naive_hall_match(words_per_strip: dict) -> dict:
+    """The recursive augmenting-path matcher hall_match replaced, kept as
+    the reference for its assignments and violators."""
+    strips = sorted(words_per_strip, key=repr)
+    adj = {s: sorted(words_per_strip[s], key=repr) for s in strips}
+    match_word = {}
+
+    def augment(s, seen):
+        for w in adj[s]:
+            if w in seen:
+                continue
+            seen.add(w)
+            if w not in match_word or augment(match_word[w], seen):
+                match_word[w] = s
+                return True
+        return False
+
+    unmatched = None
+    for s in strips:
+        if not augment(s, set()):
+            unmatched = s
+            break
+    if unmatched is None:
+        return {s: w for w, s in match_word.items()}
+    reach_strips = {unmatched}
+    reach_words = set()
+    grew = True
+    while grew:
+        grew = False
+        for s in list(reach_strips):
+            for w in adj[s]:
+                if w not in reach_words:
+                    reach_words.add(w)
+                    grew = True
+                    if w in match_word and match_word[w] not in reach_strips:
+                        reach_strips.add(match_word[w])
+    raise HallInfeasible(sorted(reach_strips, key=repr), sorted(reach_words, key=repr))
+
+
+def _hall_outcome(match, mapping):
+    try:
+        return "match", match(mapping)
+    except HallInfeasible as exc:
+        return "violator", exc.violator, exc.neighborhood
+
+
+def test_hall_match_agrees_with_recursive_reference():
+    rng = random.Random(2024)
+    words = [("w", str(i)) for i in range(30)]
+    outcomes = set()
+    for _ in range(400):
+        mapping = {
+            f"s{i}": set(rng.sample(words, rng.randint(1, 4)))
+            for i in range(rng.randint(1, 24))
+        }
+        got = _hall_outcome(hall_match, mapping)
+        assert got == _hall_outcome(naive_hall_match, mapping)
+        outcomes.add(got[0])
+    assert outcomes == {"match", "violator"}
+
+
+def test_hall_match_long_augmenting_paths():
+    # repr order sends augmenting paths along the whole 3000-strip path,
+    # far past the interpreter's recursion limit
+    mapping = {i: {i, i + 1} for i in range(3000)}
+    match = hall_match(mapping)
+    assert len(set(match.values())) == len(match) == 3000
+    assert all(w in mapping[s] for s, w in match.items())
+
+
 def test_three_level_hierarchy_families():
     rects = (
         Rectangle("B1", 1, word=(0, 0, 0, 0, 0)),

@@ -230,6 +230,19 @@ def test_cli_extend_and_hall(tmp_path):
     assert code == 2
 
 
+def test_cli_hall_one_augmenting_path_through_3000_strips(tmp_path):
+    # strips s0001..s2999 take their own words first; strip t, matched last,
+    # can only get a word by shifting every one of them along the path
+    strips = {f"s{i:04d}": [f"{i:04d}", f"{i + 1:04d}"] for i in range(1, 3000)}
+    strips["t"] = ["9999", "0001"]
+    hall = {"kind": "hall", "version": 1, "strips": strips}
+    code, out, _ = run_cli(["extend", "hall", "--spec", write(tmp_path, "path.json", hall)])
+    assert code == 0
+    assignment = json.loads(out)["result"]["assignment"]
+    assert assignment["t"] == "0001"
+    assert assignment["s2999"] == "3000"
+
+
 def test_cli_generator(tmp_path):
     codefile = write(
         tmp_path,
@@ -305,10 +318,7 @@ def test_cli_spec_path_not_a_file(tmp_path):
     assert "file not readable" in err
 
 
-@pytest.mark.parametrize("h, p, q", [("2000/3", 2000, 3), ("301/2", 301, 2)])
-def test_cli_diagram_analyze_huge_entropy(tmp_path, h, p, q):
-    # 2**(2000/3) is past the float range; 2**(301/2) sits where a float
-    # root is off by far more than a unit step
+def analyze_one_node(tmp_path, h):
     diag = {
         "kind": "diagram",
         "version": 1,
@@ -317,11 +327,32 @@ def test_cli_diagram_analyze_huge_entropy(tmp_path, h, p, q):
         "h": {"a": h},
         "ptail": {"a": "0"},
     }
-    code, out, _ = run_cli(["diagram", "analyze", "--spec", write(tmp_path, "big.json", diag)])
+    return run_cli(["diagram", "analyze", "--spec", write(tmp_path, "one.json", diag)])
+
+
+@pytest.mark.parametrize("h, p, q", [("2000/3", 2000, 3), ("301/2", 301, 2)])
+def test_cli_diagram_analyze_huge_entropy(tmp_path, h, p, q):
+    # 2**(2000/3) is past the float range; 2**(301/2) sits where a float
+    # root is off by far more than a unit step
+    code, out, _ = analyze_one_node(tmp_path, h)
     assert code == 0
     card = json.loads(out)["result"]["cardinality"]
     # cardinality == floor(2**(p/q)) + 1
     assert (card - 1) ** q <= 2**p < card**q
+
+
+def test_cli_diagram_analyze_power_past_cap(tmp_path):
+    # floor(2**(10**400)) has 10**400 bits: refused as a resource cap, not built
+    code, _, err = analyze_one_node(tmp_path, "1" + "0" * 400)
+    assert code == 4
+    assert "bits" in err
+
+
+def test_cli_diagram_analyze_root_of_huge_degree(tmp_path):
+    # 2**(1/10**400) lies in (1, 2); its root must not step through 2**(10**400)
+    code, out, _ = analyze_one_node(tmp_path, "1/1" + "0" * 400)
+    assert code == 0
+    assert json.loads(out)["result"]["cardinality"] == 2
 
 
 def test_cli_determinism(tmp_path):
