@@ -1,13 +1,15 @@
 """Command-line dispatch.
 
-Exit codes: 0 all checks pass, 2 scenario/assertion diff, 3 input or
-argument error, 4 resource cap exceeded.  Results go to stdout as JSON
+Exit codes: 0 all checks pass, 1 stdout closed before the report was
+written (broken pipe), 2 scenario/assertion diff, 3 input or argument
+error, 4 resource cap exceeded.  Results go to stdout as JSON
 (default) or a plain table; diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -417,11 +419,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _silence_stdout() -> None:
+    """After a broken pipe (`symdyn ... | head`), point stdout at devnull so
+    the flush at interpreter exit stays quiet (the SIGPIPE note in the
+    Python docs)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not backed by a file
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        _silence_stdout()
+        return 1
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 4

@@ -226,10 +226,12 @@ class EntropyValue:
     def __str__(self):  # bare "inf", like the Fractions it stands beside in diagrams
         return "inf" if self._kind == "inf" else repr(self)
 
-    def __reduce_ex__(self, protocol):  # copies and pickles keep the one infinity
-        if self is _INFINITY:
+    def __reduce_ex__(self, protocol):  # any protocol; copies keep the one infinity
+        if self._kind == "inf":
             return (EntropyValue.infinity, ())
-        return super().__reduce_ex__(protocol)
+        if self._kind == "rat":
+            return (EntropyValue, (self._rat,))
+        return (EntropyValue.log2_of, (self._c, self._n))
 
 
 _INFINITY = object.__new__(EntropyValue)

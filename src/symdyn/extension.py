@@ -94,6 +94,7 @@ class RectangleHierarchy:
         if len(set(ids)) != len(ids):
             raise ArgumentError("duplicate rectangle id")
         by_id = {r.rect_id: r for r in self.rects}
+        object.__setattr__(self, "_by_id", by_id)  # lookup index, kept off the fields
         for r in self.rects:
             if r.level == 1:
                 if r.word is None:
@@ -110,10 +111,10 @@ class RectangleHierarchy:
                     raise ArgumentError(f"{r.rect_id}: bottom block width mismatch")
 
     def get(self, rect_id: str) -> Rectangle:
-        for r in self.rects:
-            if r.rect_id == rect_id:
-                return r
-        raise ArgumentError(f"unknown rectangle {rect_id!r}")
+        try:
+            return self._by_id[rect_id]
+        except KeyError:
+            raise ArgumentError(f"unknown rectangle {rect_id!r}") from None
 
     def level_rects(self, level: int):
         return [r for r in self.rects if r.level == level]
@@ -141,13 +142,19 @@ class OracleTable:
     budgets: tuple  # tuple of (level, tuple of (rect_id, budget))
     normalized: bool = False
 
-    def budget(self, level: int, rect_id: str) -> int:
+    def __post_init__(self):
+        # lookup index, kept off the dataclass fields; the first entry per key wins
+        index = {}
         for lv, entries in self.budgets:
-            if lv == level:
-                for rid, b in entries:
-                    if rid == rect_id:
-                        return b
-        raise ArgumentError(f"no budget for level {level} rectangle {rect_id!r}")
+            for rid, b in entries:
+                index.setdefault((lv, rid), b)
+        object.__setattr__(self, "_by_key", index)
+
+    def budget(self, level: int, rect_id: str) -> int:
+        try:
+            return self._by_key[level, rect_id]
+        except KeyError:
+            raise ArgumentError(f"no budget for level {level} rectangle {rect_id!r}") from None
 
 
 def oracle_from_dict(d: dict) -> OracleTable:
@@ -262,13 +269,19 @@ class FamilyTable:
     alphabet_size: int
     families: tuple  # (level, tuple of Family)
 
-    def family(self, level: int, rect_id: str) -> Family:
+    def __post_init__(self):
+        # lookup index, kept off the dataclass fields; the first family per key wins
+        index = {}
         for lv, fams in self.families:
-            if lv == level:
-                for f in fams:
-                    if f.rect_id == rect_id:
-                        return f
-        raise ArgumentError(f"no family for level {level} rectangle {rect_id!r}")
+            for f in fams:
+                index.setdefault((lv, f.rect_id), f)
+        object.__setattr__(self, "_by_key", index)
+
+    def family(self, level: int, rect_id: str) -> Family:
+        try:
+            return self._by_key[level, rect_id]
+        except KeyError:
+            raise ArgumentError(f"no family for level {level} rectangle {rect_id!r}") from None
 
 
 def build_families(hierarchy: RectangleHierarchy, oracle: OracleTable, s: int) -> FamilyTable:

@@ -1,5 +1,5 @@
 """Period tails of a concrete system: counts of selected periodic points
-sharing a depthapped-row name.
+sharing a depth-k name, the sequence of their top k rows.
 
 For an array system truncated to R rows, the depth-k refining partition is
 the cylinder partition of the top k rows, so two period-n points share a
@@ -11,6 +11,7 @@ rational mixtures are the weighted averages of the orbit values.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,16 +78,12 @@ def period_tail_from_system(
         for o in orbits:
             if o.period != n:
                 raise ArgumentError("selection lists an orbit under the wrong period")
-        points = []
+        points = [p for o in orbits for p in rotations(o.representative)]
+        names = [Counter(_project(p, k) for p in points) for k in range(1, K + 1)]
         for o in orbits:
-            points.extend(rotations(o.representative))
-        per_orbit = []
-        for o in orbits:
-            vals = []
-            for k in range(1, K + 1):
-                mine = _project(o.representative, k)
-                count = sum(1 for p in points if _project(p, k) == mine)
-                vals.append(EntropyValue.log2_of(count, n))
-            per_orbit.append((o, tuple(vals)))
-        out.extend(per_orbit)
+            vals = tuple(
+                EntropyValue.log2_of(names[k - 1][_project(o.representative, k)], n)
+                for k in range(1, K + 1)
+            )
+            out.append((o, vals))
     return PeriodTailSample(K, tuple(out))

@@ -9,7 +9,10 @@ forbidden words grouped by length, the (L-1)-block graph (Lind & Marcus,
 ch. 2) and its essential core.  ``admits`` is the only forbidden-word scan
 and every word and orbit query goes through it; ``count_words`` walks the
 block graph, and ``transfer_graph``, ``validate`` and ``top_entropy`` read
-the core.
+the core.  Periodic-point counts come from the core too: ``per_table``
+takes the traces tr(A**n) of its adjacency matrix and Moebius-inverts them
+into minimal-period counts.  Orbits are enumerated word by word
+(``enumerate_periodic``) only where their names are wanted.
 """
 
 from __future__ import annotations
@@ -154,6 +157,21 @@ class _BlockGraph(NamedTuple):
         """The adjacency matrix times vec."""
         return [sum([vec[j] for j in outs]) for outs in self.succ]
 
+    def traces(self, N: int) -> list:
+        """[tr(A**n) for n = 0..N], each closed walk counted from its start:
+        a sparse vector steps from every state, so only reachable states cost."""
+        tr = [len(self.states)] + [0] * N
+        for i in range(len(self.states)):
+            vec = {i: 1}
+            for n in range(1, N + 1):
+                nxt = {}
+                for j, c in vec.items():
+                    for k in self.succ[j]:
+                        nxt[k] = nxt.get(k, 0) + c
+                vec = nxt
+                tr[n] += vec.get(i, 0)
+        return tr
+
     def essential(self) -> "_BlockGraph":
         """The subgraph on the states that lie on bi-infinite paths."""
         alive, keep = None, set(range(len(self.states)))
@@ -270,27 +288,63 @@ class PerTable:
         for n, c in self.counts:
             if c % n != 0:
                 raise ArgumentError(f"count {c} at period {n} is not a multiple of {n}")
+        # lookup index, kept off the dataclass fields; the first pair per period wins
+        object.__setattr__(self, "_by_period", dict(reversed(self.counts)))
 
     @property
     def horizon(self) -> int:
         return max((n for n, _ in self.counts), default=0)
 
     def count(self, n: int) -> int:
-        for m, c in self.counts:
-            if m == n:
-                return c
-        raise ArgumentError(f"period {n} outside table range")
+        try:
+            return self._by_period[n]
+        except KeyError:
+            raise ArgumentError(f"period {n} outside table range") from None
+
+
+def _check_horizon(N: int, cap: int) -> None:
+    """The errors enumerate_periodic would raise over periods 1..N, up front."""
+    if N < 1:
+        raise ArgumentError("table horizon must be >= 1")
+    if N > cap:
+        raise ResourceCapError(f"period {max(1, cap + 1)} exceeds cap {cap}")
 
 
 def _orbits_by_period(sft: SftSpec, N: int, cap: int) -> dict:
     """{n: enumerate_periodic(sft, n, cap)} for n = 1..N."""
-    if N < 1:
-        raise ArgumentError("table horizon must be >= 1")
+    _check_horizon(N, cap)
     return {n: enumerate_periodic(sft, n, cap=cap) for n in range(1, N + 1)}
 
 
+def _mobius(n: int) -> int:
+    """The Moebius function: 0 if a square divides n, else (-1)**(prime factors)."""
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
 def per_table(sft: SftSpec, N: int, cap: int = DEFAULT_PERIOD_CAP) -> PerTable:
-    return PerTable(tuple((n, n * len(orbits)) for n, orbits in _orbits_by_period(sft, N, cap).items()))
+    """Points of minimal period n for n = 1..N, without naming an orbit.
+
+    tr(A**n) on the essential block graph counts the points x with
+    sigma**n(x) = x, and Moebius inversion keeps those of minimal period n:
+    p_n = sum over d | n of mu(n/d) * tr(A**d).  The horizon obeys the same
+    cap as ``enumerate_periodic``.
+    """
+    _check_horizon(N, cap)
+    tr = sft._core.traces(N)
+    return PerTable(
+        tuple(
+            (n, sum(_mobius(n // d) * tr[d] for d in range(1, n + 1) if n % d == 0))
+            for n in range(1, N + 1)
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -332,18 +386,41 @@ def capacities(table: PerTable, tail_window: int | None = None) -> Capacities:
 
 DEFAULT_ENTROPY_TOL = Fraction(1, 100)
 DEFAULT_ENTROPY_DEPTH_CAP = 160
-_LOG_SCALE = 1024
+_LOG_SQUARINGS = 10
+_LOG_SCALE = 1 << _LOG_SQUARINGS
+_MANTISSA_BITS = 64
+
+
+def _mantissa(v: int, up: bool) -> tuple[int, int]:
+    """(m, s) with m <= 2**_MANTISSA_BITS and m * 2**s <= v, or >= v if up."""
+    s = max(0, v.bit_length() - _MANTISSA_BITS)
+    m = v >> s
+    return (m + 1 if up and m << s != v else m), s
+
+
+def _floor_log2_power_bound(x: int, up: bool) -> int:
+    """floor(log2(y)) for a y <= x**_LOG_SCALE (y >= x**_LOG_SCALE if up),
+    from repeated squaring of a mantissa rounded the same way at every step."""
+    m, e = _mantissa(x, up)
+    for _ in range(_LOG_SQUARINGS):
+        m, s = _mantissa(m * m, up)
+        e = 2 * e + s
+    return m.bit_length() - 1 + e
 
 
 def _log2_bracket(x: int) -> tuple[Fraction, Fraction]:
     """Rational lo <= log2(x) <= hi with width 1/_LOG_SCALE, certified.
 
-    2**b <= x**K < 2**(b+1) gives b/K <= log2(x) < (b+1)/K.
+    2**b <= x**K < 2**(b+1) gives b/K <= log2(x) < (b+1)/K.  b is read off
+    a lower and an upper bound of x**K; only when x**K lies so close to a
+    power of two that the two disagree is x**K computed exactly.
     """
     if x & (x - 1) == 0:  # power of two: exact
         e = x.bit_length() - 1
         return Fraction(e), Fraction(e)
-    b = (x**_LOG_SCALE).bit_length() - 1
+    b = _floor_log2_power_bound(x, up=False)
+    if b != _floor_log2_power_bound(x, up=True):
+        b = (x**_LOG_SCALE).bit_length() - 1
     return Fraction(b, _LOG_SCALE), Fraction(b + 1, _LOG_SCALE)
 
 

@@ -172,3 +172,21 @@ def test_powers_past_the_bit_cap_are_refused():
     # a root of huge degree never builds a huge power
     assert int_nthroot(2, 10**400) == 1
     assert EntropyValue(Fraction(1, 10**400)).floor_two_pow() == 1
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_every_kind_pickles_at_every_protocol(protocol):
+    rational, log_form = EntropyValue(Fraction(-7, 3)), EntropyValue.log2_of(9, 2)
+    for value in (rational, log_form):
+        back = pickle.loads(pickle.dumps(value, protocol))
+        assert back == value and back.render() == value.render()
+    assert pickle.loads(pickle.dumps(INF, protocol)) is INF
+    assert pickle.loads(pickle.dumps([INF, log_form, INF], protocol))[2] is INF
+
+
+def test_every_kind_copies():
+    for value in (EntropyValue(3), EntropyValue(Fraction(1, 3)), EntropyValue.log2_of(3, 5)):
+        for dup in (copy.copy(value), copy.deepcopy(value)):
+            assert dup == value and dup.render() == value.render()
+            assert hash(dup) == hash(value)
+    assert copy.copy(INF) is INF and copy.deepcopy([INF])[0] is INF

@@ -429,3 +429,23 @@ def test_three_level_hierarchy_families():
     assert w_s1 != w_s2
     assert w_s1 in set(table.family(3, "S1").words(2))
     assert w_s2 in set(table.family(3, "S2").words(2))
+
+
+def test_keyed_lookups_keep_scan_order_and_messages():
+    from symdyn.extension import FamilyTable, OracleTable
+
+    h = two_level_toy()
+    assert h.get("R2").bottom == (1,) * 10 and h.width("R1") == 10
+    with pytest.raises(ArgumentError, match=r"^unknown rectangle 'X'$"):
+        h.get("X")
+    # a level listed twice: the first entry for a key wins, later ones still answer
+    oracle = OracleTable(((1, (("B1", 2),)), (1, (("B1", 4), ("B2", 8)))))
+    assert oracle.budget(1, "B1") == 2 and oracle.budget(1, "B2") == 8
+    with pytest.raises(ArgumentError, match=r"^no budget for level 2 rectangle 'B1'$"):
+        oracle.budget(2, "B1")
+    table = build_families(h, normalized_toy_oracle(), 2)
+    assert table.family(2, "R1").rect_id == "R1"
+    with pytest.raises(ArgumentError, match=r"^no family for level 1 rectangle 'R1'$"):
+        table.family(1, "R1")
+    twice = FamilyTable(2, ((1, (table.family(1, "B1"),)), (1, (table.family(1, "B2"),))))
+    assert twice.family(1, "B2") is table.family(1, "B2")

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from conftest import necklace_count
 from symdyn.entropy import EntropyValue
 from symdyn.errors import ArgumentError
-from symdyn.period_tail import period_tail_from_system
-from symdyn.sft import Alphabet, SftSpec, enumerate_periodic
+from symdyn.period_tail import PeriodTailSample, period_tail_from_system
+from symdyn.sft import Alphabet, SftSpec, enumerate_periodic, rotations
+from test_generator import delayed_copy_system
 
 
 def two_row_toy() -> SftSpec:
@@ -23,6 +25,48 @@ def two_row_toy() -> SftSpec:
                     for s1 in "01":
                         forbidden.add(((x, s0), (y, s1)))
     return SftSpec(Alphabet(symbols), frozenset(forbidden), rows)
+
+
+def naive_period_tail(sft, periods, K):
+    """Reference: for each orbit and depth, rescan every point of its period."""
+    out = []
+    for n in sorted(set(periods)):
+        orbits = enumerate_periodic(sft, n)
+        points = []
+        for o in orbits:
+            points.extend(rotations(o.representative))
+        for o in orbits:
+            vals = []
+            for k in range(1, K + 1):
+                mine = tuple(sym[:k] for sym in o.representative)
+                count = sum(1 for p in points if tuple(sym[:k] for sym in p) == mine)
+                vals.append(EntropyValue.log2_of(count, n))
+            out.append((o, tuple(vals)))
+    return PeriodTailSample(K, tuple(out))
+
+
+def random_row_systems(seed, count):
+    """Two or three binary rows; forbidden 2-words of the product alphabet."""
+    rng = random.Random(seed)
+    systems = []
+    for _ in range(count):
+        rows = (Alphabet(("0", "1")),) * rng.randint(2, 3)
+        symbols = tuple(itertools.product(*[r.symbols for r in rows]))
+        pairs = list(itertools.product(symbols, repeat=2))
+        forbidden = frozenset(rng.sample(pairs, rng.randint(len(pairs) // 4, 3 * len(pairs) // 4)))
+        systems.append(SftSpec(Alphabet(symbols), forbidden, rows))
+    return systems
+
+
+def test_counter_regrouping_matches_rescan():
+    seen_shared = False
+    for sft in (delayed_copy_system(2), two_row_toy(), *random_row_systems(7, 24)):
+        K = len(sft.rows)
+        periods = range(1, 7 if K == 2 else 5)  # the rescan is quadratic in the points
+        fast = period_tail_from_system(sft, periods, K)
+        assert fast == naive_period_tail(sft, periods, K)
+        seen_shared |= any(v != EntropyValue(0) for _, vals in fast.values for v in vals)
+    assert seen_shared  # some points share a name, so the counts are not all 1
 
 
 def test_values_against_direct_count():

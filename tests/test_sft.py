@@ -9,6 +9,7 @@ from conftest import necklace_count
 from symdyn.entropy import EntropyValue
 from symdyn.errors import ArgumentError, ResourceCapError
 from symdyn.sft import (
+    _log2_bracket,
     Alphabet,
     PeriodicOrbit,
     SftSpec,
@@ -67,6 +68,24 @@ def random_specs(seed, count):
     return specs
 
 
+def trace_specs(seed, count):
+    """Specs of memory 1-4 (cycling) over 2-3 symbols: at most 2**L of the
+    L-words allowed, so no language outgrows the full 2-shift, plus at most
+    one shorter forbidden word; many have dead ends or an empty language."""
+    rng = random.Random(seed)
+    specs = []
+    for i in range(count):
+        memory = i % 4 + 1
+        symbols = ("0", "1", "2")[: rng.randint(2, 3)]
+        words = list(itertools.product(symbols, repeat=memory))
+        allowed = rng.randint(2 ** (memory - 1), min(2**memory, len(words) - 1))
+        forbidden = set(rng.sample(words, len(words) - allowed))
+        for _ in range(rng.randint(0, 1)):
+            forbidden.add(tuple(rng.choice(symbols) for _ in range(rng.randint(1, memory))))
+        specs.append(SftSpec(Alphabet(symbols), frozenset(forbidden)))
+    return specs
+
+
 @st.composite
 def small_specs(draw):
     symbols = ("0", "1", "2")[: draw(st.integers(1, 3))]
@@ -121,6 +140,9 @@ def test_per_table_full_shift_matches_necklace_oracle():
 def test_per_table_golden_mean():
     table = per_table(golden_mean(), 2)
     assert dict(table.counts) == {1: 1, 2: 2}
+    assert table.count(2) == 2
+    with pytest.raises(ArgumentError, match="^period 3 outside table range$"):
+        table.count(3)
 
 
 def test_aperiodic_truncation_all_zero():
@@ -253,3 +275,52 @@ def test_per_table_full_three_shift_matches_necklace_oracle():
     fs3 = full_shift("abc")
     for n in range(1, 9):
         assert necklace_count(3, n) == n * len(enumerate_periodic(fs3, n))
+
+
+def test_per_table_matches_enumeration():
+    from test_generator import delayed_copy_system
+
+    dead_end = SftSpec(Alphabet(("0", "1", "2")), frozenset({word("20"), word("21"), word("22")}))
+    empty = SftSpec(Alphabet(("0", "1")), frozenset({word("0"), word("1")}))
+    two_rows = delayed_copy_system(2)
+    specs = [full_shift("01"), golden_mean(), dead_end, empty, two_rows, *trace_specs(11, 48)]
+    assert {spec.memory for spec in specs} == {1, 2, 3, 4}
+    assert any(len(spec._core.states) < len(spec._blocks.states) for spec in specs)  # dead ends
+    assert sum(not language_nonempty(spec) for spec in specs) > 1
+    for spec in specs:
+        table = per_table(spec, 14)
+        assert table.counts == tuple((n, n * len(enumerate_periodic(spec, n))) for n in range(1, 15))
+    assert per_table(two_rows, 14).count(14) == necklace_count(2, 14)
+
+
+def test_per_table_full_shift_at_the_cap_matches_necklace_oracle():
+    # enumerating the 2**20 words of length 20 took ~30 s; the traces take milliseconds
+    table = per_table(full_shift("01"), 20)
+    assert table.counts == tuple((n, necklace_count(2, n)) for n in range(1, 21))
+
+
+def test_per_table_cap_message_unchanged():
+    for spec, N, cap in ((full_shift("01"), 21, 20), (golden_mean(), 6, 5), (golden_mean(), 3, 0)):
+        with pytest.raises(ResourceCapError, match=f"^period {cap + 1} exceeds cap {cap}$"):
+            per_table(spec, N, cap=cap)
+    with pytest.raises(ArgumentError, match="table horizon must be >= 1"):
+        per_table(golden_mean(), 0)
+
+
+@st.composite
+def log_bracket_inputs(draw):
+    """Integers up to 2**4096, and 2**k +- 1, which sit so close to a power of
+    two that the squared-mantissa bounds disagree for large k."""
+    k = draw(st.integers(1, 4096))
+    return draw(st.one_of(st.integers(1, 2**k), st.sampled_from([2**k - 1, 2**k + 1])))
+
+
+@given(log_bracket_inputs())
+@settings(max_examples=120, deadline=None)
+def test_log2_bracket_matches_exact_power(x):
+    lo, hi = _log2_bracket(x)
+    if x & (x - 1) == 0:
+        assert lo == hi == x.bit_length() - 1
+    else:
+        b = (x**1024).bit_length() - 1  # the exact 1024th power
+        assert (lo, hi) == (Fraction(b, 1024), Fraction(b + 1, 1024))

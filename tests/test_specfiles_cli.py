@@ -1,7 +1,9 @@
 import argparse
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -84,9 +86,6 @@ def test_window_roundtrip(tmp_path):
 
 
 def run_cli(args):
-    import io
-    from contextlib import redirect_stderr, redirect_stdout
-
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(args)
@@ -420,3 +419,39 @@ def test_cli_diagram_analyze_with_capacity(tmp_path):
     assert body["result"]["sup_h_emb"]["exact"] == "1"
     assert body["result"]["cardinality"] == 5
     assert body["warnings"] if "warnings" in body else True
+
+
+def test_cli_capacities_past_the_period_cap(tmp_path):
+    code, out, err = run_cli(["capacities", "--spec", gm_spec(tmp_path), "-n", "21"])
+    assert (code, out) == (4, "")
+    assert err == "resource cap: period 21 exceeds cap 20\n"
+    code, _, err = run_cli(["capacities", "--spec", gm_spec(tmp_path), "-n", "8", "--cap", "5"])
+    assert (code, err) == (4, "resource cap: period 6 exceeds cap 5\n")
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_cli_broken_pipe_exits_quietly(tmp_path):
+    err = io.StringIO()
+    with redirect_stdout(ClosedPipe()), redirect_stderr(err):
+        code = main(["per", "--spec", gm_spec(tmp_path), "-n", "6"])
+    assert (code, err.getvalue()) == (1, "")
+
+
+def test_console_broken_pipe_exits_quietly(tmp_path):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "symdyn.cli", "per", "--spec", gm_spec(tmp_path), "-n", "6"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=ROOT,
+    )
+    proc.stdout.close()  # the reader is gone before the report is written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == b""
