@@ -98,10 +98,6 @@ class EntropyValue:
     def is_infinite(self) -> bool:
         return self._kind == "inf"
 
-    @property
-    def is_rational(self) -> bool:
-        return self._kind == "rat"
-
     def as_fraction(self) -> Fraction:
         if self._kind != "rat":
             raise ValueError(f"{self} is not an exact rational")

@@ -129,13 +129,6 @@ class MarkerSchedule:
 # periodicity detection
 
 
-def _column(w: ArrayWindow, depth: int, i: int, marker_rows: int):
-    """Fingerprint of column i over rows 1..depth, markers over rows 1..marker_rows."""
-    syms = tuple(w.rows[r][i] for r in range(depth))
-    marks = tuple(i in w.markers[r] for r in range(marker_rows))
-    return (syms, marks)
-
-
 def periodic_stretches(w: ArrayWindow, depth: int, max_period: int, min_len: int):
     """Maximal intervals (a, b, p): top-`depth` rows are p-periodic on [a, b].
 
@@ -144,23 +137,40 @@ def periodic_stretches(w: ArrayWindow, depth: int, max_period: int, min_len: int
     the ones being placed.  Only stretches longer than min_len columns are
     reported; intervals for different periods may overlap and are kept
     separate, since a union of two patterns need not be periodic itself.
+
+    For each p the stretches are the maximal runs of positions i with
+    column i equal to column i+p; a run of r positions spans r+p columns, so
+    it is reported exactly when r >= m = max(1, min_len - p + 1).  The scan
+    tests only every m-th position and extends each match both ways to its
+    maximal run, so it misses no reported run: the samples start at m-1 and
+    step by m, and after a run that ends at the mismatch j they go on at j+m;
+    every later run starts after j, so any m consecutive positions of it
+    hold a sample.
     """
     W = w.width
-    cols = [_column(w, depth, i, depth - 1) for i in range(W)]
+    mask = [0] * W  # bit r set: row r+1 (of rows 1..depth-1) has a marker here
+    for r in range(depth - 1):
+        for c in w.markers[r]:
+            mask[c] |= 1 << r
+    cols = list(zip(mask, *w.rows[:depth]))
     out = []
-    for p in range(1, max_period):
-        i = 0
-        while i < W - p:
-            if cols[i] != cols[i + p]:
-                i += 1
+    for p in range(1, min(max_period, W)):
+        m = max(1, min_len - p + 1)
+        end = W - p  # positions i < end compare column i with column i+p
+        j = m - 1
+        while j < end:
+            if cols[j] != cols[j + p]:
+                j += m
                 continue
-            start = i
-            while i < W - p and cols[i] == cols[i + p]:
-                i += 1
-            end = i - 1 + p  # columns start..end are p-periodic
-            if end - start + 1 > min_len:
-                out.append((start, end, p))
-            i += 1
+            start = j
+            while start > 0 and cols[start - 1] == cols[start - 1 + p]:
+                start -= 1
+            j += 1
+            while j < end and cols[j] == cols[j + p]:
+                j += 1
+            if j - start >= m:  # columns start..j-1+p are p-periodic
+                out.append((start, j - 1 + p, p))
+            j += m
     out.sort()
     return out
 
@@ -200,20 +210,21 @@ def place_krieger(w: ArrayWindow, row: int, n: int) -> ArrayWindow:
         raise ArgumentError(f"row {row} out of range")
     if w.width <= 2 * n + 1:
         raise ArgumentError(f"window of width {w.width} too narrow for n={n}")
-    stretches = periodic_stretches(w, row, n, 2 * n + 1)
-    blocked = {}  # column -> covering stretch reaching furthest right
-    for a, b, p in stretches:
-        for c in range(a, b + 1):
-            if c not in blocked or b > blocked[c][1]:
-                blocked[c] = (a, b, p)
+    stretches = periodic_stretches(w, row, n, 2 * n + 1)  # sorted by (a, b, p)
     cols = []
     flags = []
     last = None  # column of the previous marker, None before the first
+    s = 0  # stretches[:s] start at or left of column i
+    reach = None  # the first of stretches[:s] reaching furthest right
     i = 0
     W = w.width
     while i < W:
-        if i in blocked:
-            a, b, p = blocked[i]
+        while s < len(stretches) and stretches[s][0] <= i:
+            if reach is None or stretches[s][1] > reach[1]:
+                reach = stretches[s]
+            s += 1
+        if reach is not None and reach[1] >= i:  # i is blocked: reach covers it
+            a, b, p = reach
             if b + 1 >= W:
                 flags.append(LongGapFlag(row, -1 if last is None else last, W - 1, p))
                 break

@@ -31,13 +31,19 @@ class PeriodTailSample:
     depth: int
     values: tuple  # ((orbit, tuple of EntropyValue per k=1..K) pairs)
 
+    def __post_init__(self):
+        # lookup index, kept off the dataclass fields; the first pair per orbit wins
+        object.__setattr__(self, "_by_orbit", dict(reversed(self.values)))
+
     def value(self, orbit: PeriodicOrbit, k: int) -> EntropyValue:
         if not (1 <= k <= self.depth):
             raise ArgumentError(f"depth {k} outside 1..{self.depth}")
-        for o, vals in self.values:
-            if o == orbit:
-                return vals[k - 1]
-        raise ArgumentError(f"orbit {orbit.representative!r} not in the selection")
+        try:
+            return self._by_orbit[orbit][k - 1]
+        except KeyError:
+            raise ArgumentError(
+                f"orbit {orbit.representative!r} not in the selection"
+            ) from None
 
     def mixture_value(self, parts, k: int) -> EntropyValue:
         """Weighted average over (orbit, weight) pairs summing to 1."""

@@ -203,22 +203,35 @@ def validate(sft: SftSpec) -> None:
 
 
 def words_of_length(sft: SftSpec, n: int):
-    """All admissible words of length n, lexicographic, by depth-first walk."""
+    """All admissible words of length n, lexicographic, by depth-first walk.
+
+    The walk keeps one iterator over the alphabet per letter of the current
+    prefix, so its depth is not bounded by the recursion limit.
+    """
+    if n < 0:  # no word has negative length
+        return
     if n == 0:
         yield ()
         return
     memory = sft.memory
-
-    def extend(prefix):
-        if len(prefix) == n:
-            yield prefix
-            return
-        for s in sft.alphabet.symbols:
-            cand = prefix + (s,)
-            if sft.admits(cand[-memory:]):
-                yield from extend(cand)
-
-    yield from extend(())
+    symbols = sft.alphabet.symbols
+    prefix = []
+    branches = [iter(symbols)]  # branches[d]: the symbols still to try at position d
+    while branches:
+        for s in branches[-1]:
+            prefix.append(s)
+            if not sft.admits(tuple(prefix[-memory:])):
+                prefix.pop()
+            elif len(prefix) == n:
+                yield tuple(prefix)
+                prefix.pop()
+            else:
+                branches.append(iter(symbols))
+                break
+        else:  # position exhausted: back up one letter
+            branches.pop()
+            if prefix:
+                prefix.pop()
 
 
 def count_words(sft: SftSpec, n: int) -> int:

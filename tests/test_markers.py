@@ -13,6 +13,7 @@ from symdyn.markers import (
     decompose_gap,
     leftward_stretch,
     periodic_markers,
+    periodic_stretches,
     place_krieger,
     subdivide_balance,
     upward_adjust,
@@ -166,6 +167,74 @@ def naive_aperiodicize(w):
     return naive_leftward_stretch(naive_upward_stretch(cur))
 
 
+def naive_periodic_stretches(w, depth, max_period, min_len):
+    """Reference: compare every column with the one p to its right, for
+    every p, on fingerprints built one cell at a time."""
+
+    def column(i):
+        syms = tuple(w.rows[r][i] for r in range(depth))
+        marks = tuple(i in w.markers[r] for r in range(depth - 1))
+        return (syms, marks)
+
+    W = w.width
+    cols = [column(i) for i in range(W)]
+    out = []
+    for p in range(1, max_period):
+        i = 0
+        while i < W - p:
+            if cols[i] != cols[i + p]:
+                i += 1
+                continue
+            start = i
+            while i < W - p and cols[i] == cols[i + p]:
+                i += 1
+            end = i - 1 + p
+            if end - start + 1 > min_len:
+                out.append((start, end, p))
+            i += 1
+    out.sort()
+    return out
+
+
+def naive_place_krieger(w, row, n):
+    """Reference: map every column to its covering stretch reaching furthest
+    right (the first in (a, b, p) order on ties), then place greedily."""
+    if w.boundary != "open":
+        raise ArgumentError("marker passes require an open boundary")
+    if not (1 <= row <= w.depth):
+        raise ArgumentError(f"row {row} out of range")
+    if w.width <= 2 * n + 1:
+        raise ArgumentError(f"window of width {w.width} too narrow for n={n}")
+    blocked = {}
+    for a, b, p in naive_periodic_stretches(w, row, n, 2 * n + 1):
+        for c in range(a, b + 1):
+            if c not in blocked or b > blocked[c][1]:
+                blocked[c] = (a, b, p)
+    cols = []
+    flags = []
+    last = None
+    i = 0
+    W = w.width
+    while i < W:
+        if i in blocked:
+            a, b, p = blocked[i]
+            if b + 1 >= W:
+                flags.append(LongGapFlag(row, -1 if last is None else last, W - 1, p))
+                break
+            nxt = b + 1
+            flags.append(LongGapFlag(row, -1 if last is None else last, nxt, p))
+            cols.append(nxt)
+            last = nxt
+            i = nxt + n
+        else:
+            cols.append(i)
+            last = i
+            i += n
+    merged = tuple(sorted(set(w.row_markers(row)) | set(cols)))
+    out = w.with_markers(row, merged)
+    return replace(out, flags=out.flags + tuple(flags))
+
+
 def outcome(fn, *args):
     """Everything a pass hands back, notes included, or its error."""
     try:
@@ -265,6 +334,92 @@ def test_pass_chains_match_reference_scans():
         assert outcome(subdivide_balance, adjusted, sched) == outcome(
             naive_subdivide_balance, adjusted, sched
         )
+
+
+# ---------------------------------------------------------------------------
+# periodic stretches: the sampled scan and the sweep against the full scans
+
+
+def planted(row, at, length, pattern):
+    """row with `pattern` repeated over columns at..at+length-1."""
+    block = (pattern * (length // len(pattern) + 1))[:length]
+    return row[:at] + block + row[at + length :]
+
+
+@st.composite
+def stretch_windows(draw):
+    """Windows of width 1-80 and depth 1-3: random rows, often with one block
+    planted at a common offset in every row (periods 1-8, their own pattern
+    per row) and markers repeating with the block's period."""
+    width = draw(st.integers(1, 80))
+    depth = draw(st.integers(1, 3))
+    rows = [draw(st.text("01", min_size=width, max_size=width)) for _ in range(depth)]
+    markers = [
+        draw(st.lists(st.integers(0, width - 1), max_size=width // 3 + 1, unique=True))
+        for _ in range(depth)
+    ]
+    if draw(st.booleans()):
+        q = draw(st.integers(1, 8))
+        at = draw(st.integers(0, width - 1))
+        length = draw(st.integers(1, width - at))
+        for r in range(depth):
+            rows[r] = planted(rows[r], at, length, draw(st.text("01", min_size=q, max_size=q)))
+            if draw(st.booleans()):  # markers with the block's period
+                phase = draw(st.integers(0, q - 1))
+                inside = set(range(at + phase, at + length, q))
+                markers[r] = sorted(set(markers[r]) - set(range(at, at + length)) | inside)
+    return window_from_rows(rows, markers)
+
+
+@given(stretch_windows(), st.data())
+@settings(max_examples=500, deadline=None)
+def test_sampled_scan_matches_full_scan(w, data):
+    # min_len and max_period run past the width; with min_len below p (and
+    # below 2p) runs of every length are reported, down to a single pair
+    depth = data.draw(st.integers(1, w.depth))
+    max_period = data.draw(st.integers(1, w.width + 2))
+    min_len = data.draw(st.integers(0, w.width + 2))
+    assert periodic_stretches(w, depth, max_period, min_len) == naive_periodic_stretches(
+        w, depth, max_period, min_len
+    )
+
+
+@given(stretch_windows(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_sweep_placement_matches_column_map(w, data):
+    row = data.draw(st.integers(1, w.depth))
+    n = data.draw(st.integers(1, max(1, w.width // 2)))
+    assert outcome(place_krieger, w, row, n) == outcome(naive_place_krieger, w, row, n)
+
+
+def test_scan_and_sweep_match_on_seeded_windows():
+    rng = random.Random(53)
+    reported = 0
+    for _ in range(200):
+        width = rng.choice((12, 40, 80, 160, 400))
+        depth = rng.randint(1, 4)
+        rows = [rand_row(rng, width) for _ in range(depth)]
+        for _ in range(rng.randint(0, 3)):  # overlapping plants of periods 1-9
+            at = rng.randrange(width)
+            length = rng.randint(1, width - at)
+            pattern = rand_row(rng, rng.randint(1, 9))
+            for r in range(rng.randint(1, depth)):
+                rows[r] = planted(rows[r], at, length, pattern)
+        markers = [sorted(rng.sample(range(width), rng.randint(0, width // 4))) for _ in range(depth)]
+        w = window_from_rows(rows, markers)
+        for d in range(1, depth + 1):
+            for max_period, min_len in ((d + 1, 2 * d + 3), (rng.randint(1, 12), rng.randint(0, 30))):
+                got = periodic_stretches(w, d, max_period, min_len)
+                assert got == naive_periodic_stretches(w, d, max_period, min_len)
+                reported += len(got)
+            n = rng.randint(1, 12)
+            assert outcome(place_krieger, w, d, n) == outcome(naive_place_krieger, w, d, n)
+        placed = w
+        for k in range(1, depth + 1):
+            if placed.width > 2 * k + 1:
+                assert outcome(place_krieger, placed, k, k) == outcome(naive_place_krieger, placed, k, k)
+                placed = place_krieger(placed, k, k)
+    assert reported > 1000  # the plants make the scans report stretches
 
 
 # ---------------------------------------------------------------------------

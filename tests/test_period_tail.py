@@ -136,3 +136,32 @@ def test_mixture_weights_validated():
     a = sample.orbits()[0]
     with pytest.raises(ArgumentError):
         sample.mixture_value([(a, Fraction(1, 2))], 1)
+
+
+def scan_value(sample, orbit, k):
+    """Reference: the first (orbit, values) pair naming the orbit."""
+    return next(vals[k - 1] for o, vals in sample.values if o == orbit)
+
+
+def test_indexed_lookup_over_every_orbit():
+    sft = two_row_toy()
+    sample = period_tail_from_system(sft, [12], K=2)
+    assert len(sample.orbits()) == 670
+    for o in sample.orbits():
+        for k in (1, 2):
+            assert sample.value(o, k) == scan_value(sample, o, k)
+
+
+def test_lookup_misses_and_first_pair_wins():
+    sft = two_row_toy()
+    orbits = enumerate_periodic(sft, 3)
+    a, b = orbits[0], orbits[1]
+    sample = PeriodTailSample(1, ((a, (EntropyValue(1),)), (a, (EntropyValue(2),))))
+    assert sample.value(a, 1) == EntropyValue(1)
+    with pytest.raises(ArgumentError, match=r"^depth 2 outside 1\.\.1$"):
+        sample.value(a, 2)
+    with pytest.raises(ArgumentError, match=r"^depth 0 outside 1\.\.1$"):
+        sample.value(b, 0)
+    with pytest.raises(ArgumentError) as miss:
+        sample.value(b, 1)
+    assert str(miss.value) == f"orbit {b.representative!r} not in the selection"

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -246,6 +247,42 @@ def test_count_words_matches_enumeration():
     for spec in (full_shift("01"), golden_mean(), dead_end, *random_specs(5, 40)):
         for n in range(0, 9):
             assert count_words(spec, n) == sum(1 for _ in words_of_length(spec, n))
+
+
+def recursive_words_of_length(sft, n):
+    """Reference: the recursive depth-first walk words_of_length replaced."""
+    if n == 0:
+        yield ()
+        return
+    memory = sft.memory
+
+    def extend(prefix):
+        if len(prefix) == n:
+            yield prefix
+            return
+        for s in sft.alphabet.symbols:
+            cand = prefix + (s,)
+            if sft.admits(cand[-memory:]):
+                yield from extend(cand)
+
+    yield from extend(())
+
+
+def test_iterative_walk_matches_recursive_walk():
+    dead_end = SftSpec(Alphabet(("0", "1", "2")), frozenset({word("20"), word("21"), word("22")}))
+    for spec in (full_shift("01"), golden_mean(), dead_end, *random_specs(5, 40), *trace_specs(9, 40)):
+        for n in range(0, 9):
+            assert list(words_of_length(spec, n)) == list(recursive_words_of_length(spec, n))
+
+
+def test_walk_deeper_than_the_recursion_limit():
+    alternating = SftSpec(Alphabet(("0", "1")), frozenset({word("00"), word("11")}))
+    n = 3 * sys.getrecursionlimit()
+    assert list(words_of_length(alternating, n)) == [
+        tuple("01" * (n // 2) + "0" * (n % 2)),
+        tuple("10" * (n // 2) + "1" * (n % 2)),
+    ]
+    assert list(words_of_length(alternating, -1)) == []
 
 
 def test_empty_language_detected():

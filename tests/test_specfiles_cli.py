@@ -265,6 +265,26 @@ def test_cli_generator(tmp_path):
     assert body["verdicts"]["multiplicity_nonincreasing"] is True
 
 
+def test_cli_generator_deeper_than_the_recursion_limit(tmp_path):
+    alternating = write(
+        tmp_path,
+        "alt.json",
+        {"kind": "sft", "version": 1, "alphabet": ["0", "1"], "forbidden": ["00", "11"]},
+    )
+    codefile = write(
+        tmp_path,
+        "code.json",
+        {"kind": "blockcode", "version": 1, "radius": 0, "table": {"0": "0", "1": "1"}},
+    )
+    code, out, err = run_cli(
+        ["extend", "generator", "--spec", alternating, "--code", codefile, "--depth", "600"]
+    )
+    assert code == 0, err
+    body = json.loads(out)
+    assert body["verdicts"]["multiplicity_nonincreasing"] is True
+    assert set(body["result"]["multiplicities"].values()) == {1}
+
+
 def test_cli_diagram_analyze(tmp_path):
     diag = {
         "kind": "diagram",
