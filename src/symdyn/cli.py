@@ -9,6 +9,7 @@ error, 4 resource cap exceeded.  Results go to stdout as JSON
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -109,7 +110,7 @@ def _cmd_entropy(args) -> int:
 
 def _orbit(text: str, sft) -> PeriodicOrbit:
     w = word(text)
-    if not (set(w) <= set(sft.alphabet.symbols) and sft.admits_cyclic(w)):
+    if not sft.admits_cyclic(w):
         raise ArgumentError(f"orbit {text!r} is not in the subshift")
     return PeriodicOrbit.of(w)
 
@@ -333,6 +334,7 @@ def _cmd_scenario(args) -> int:
     return 0 if rep.all_passed else 2
 
 
+@functools.cache  # parsing leaves the parser as it was, so one per process serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symdyn",

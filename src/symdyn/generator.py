@@ -8,11 +8,11 @@ here: how sharply the bilateral label name pins down the central symbols
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ArgumentError, ResourceCapError
-from .sft import SftSpec, Word, count_words, words_of_length
+from .sft import SftSpec, prefix_walk, word_counts, words_of_length
 
 DEFAULT_WORD_CAP = 2_000_000
 
@@ -59,15 +59,63 @@ def _check_total(code: BlockCode, sft: SftSpec):
         )
 
 
-def _capped_words(sft: SftSpec, length: int, cap: int):
-    count = 0
-    for w in words_of_length(sft, length):
-        count += 1
-        if count > cap:
-            raise ResourceCapError(
-                f"more than {cap} admissible words of length {length}"
-            )
-        yield w
+def _check_depth(depth: int, center_radius: int = 0) -> None:
+    if depth < 0:
+        raise ArgumentError(f"depth must be >= 0, got {depth}")
+    if not 0 <= center_radius <= depth:
+        raise ArgumentError(f"center radius must lie in 0..depth = 0..{depth}, got {center_radius}")
+
+
+def _check_word_cap(counts: list, lengths: range, cap: int) -> None:
+    """Refuse at the first of the word lengths with more than cap words;
+    counts[L] is the number of admissible words of length L."""
+    for L in lengths:
+        if counts[L] > cap:
+            raise ResourceCapError(f"more than {cap} admissible words of length {L}")
+
+
+class _Names:
+    """Label names as integers: a name (l_1, ..., l_m) is the number with
+    base-B digits code(l_1) ... code(l_m), where the codes run 1..B-1."""
+
+    def __init__(self, sft: SftSpec, code: BlockCode):
+        self.sft = sft
+        index = {s: k for k, s in enumerate(sft.alphabet.symbols)}
+        self.labels = list(dict.fromkeys(label for _, label in code.table))
+        label_code = {label: i for i, label in enumerate(self.labels, 1)}
+        self.base = len(self.labels) + 1
+        self.size = len(index)
+        self.width = 2 * code.radius + 1
+        # windows as base-|A| numbers of their symbol indices
+        self.window_code = {}
+        for w, label in code.table:
+            if all(s in index for s in w):
+                wid = 0
+                for s in w:
+                    wid = wid * self.size + index[s]
+                self.window_code[wid] = label_code[label]
+
+    def decode(self, name: int) -> tuple:
+        out = []
+        while name:
+            name, digit = divmod(name, self.base)
+            out.append(self.labels[digit - 1])
+        return tuple(reversed(out))
+
+    def walk(self, n: int):
+        """(L, path, name) for every admissible word of length L = 1..n, in
+        prefix_walk's order: path[:L] holds the word's symbol indices and
+        name codes the labels of its windows, left to right."""
+        size, width, base, window_code = self.size, self.width, self.base, self.window_code
+        keep = size ** (width - 1)
+        path = [0] * n
+        tail = [0] * (n + 1)  # tail[L]: the last min(L, width) symbols as a number
+        names = [0] * (n + 1)
+        for L, k in prefix_walk(self.sft, n):
+            path[L - 1] = k
+            tail[L] = wid = tail[L - 1] % keep * size + k
+            names[L] = names[L - 1] * base + window_code[wid] if L >= width else 0
+            yield L, path, names[L]
 
 
 @dataclass(frozen=True)
@@ -95,21 +143,21 @@ def extract_generator(
     depth n means the name determines the center: the finite-depth shadow
     of a shrinking-diameter generator.
     """
+    _check_depth(depth, center_radius)
     _check_total(code, sft)
-    table = code.as_dict()
-    r = code.radius
     c = center_radius
-    mult = []
-    for n in range(c, depth + 1):  # the center block must fit in the word
-        L = 2 * n + 1
-        groups = defaultdict(set)
-        for w in _capped_words(sft, L, word_cap):
-            lo, hi = r, L - r  # label positions computable inside the word
-            name = tuple(table[w[i - r : i + r + 1]] for i in range(lo, hi))
-            center = w[n - c : n + c + 1]
-            groups[name].add(center)
-        mult.append((n, max((len(v) for v in groups.values()), default=0)))
-    return GeneratorReport(c, tuple(mult))
+    lengths = range(2 * c + 1, 2 * depth + 2, 2)
+    _check_word_cap(word_counts(sft, 2 * depth + 1), lengths, word_cap)
+    pairs = [set() if L in lengths else None for L in range(2 * depth + 2)]  # (name, center) per length
+    for L, path, name in _Names(sft, code).walk(2 * depth + 1):
+        found = pairs[L]
+        if found is not None:
+            n = L // 2
+            found.add((name, tuple(path[n - c : n + c + 1])))
+    mult = tuple(
+        (L // 2, max(Counter(name for name, _ in pairs[L]).values(), default=0)) for L in lengths
+    )
+    return GeneratorReport(c, mult)
 
 
 @dataclass(frozen=True)
@@ -129,39 +177,31 @@ def partition_to_extension(
 ) -> ImageLanguageReport:
     """The label-name image language to the given length, with a decode check.
 
-    Also verifies on every admissible word that whenever a label name of
-    maximal depth determines a unique consistent center symbol, that symbol
-    is the word's own center (selecting back out of the image is the
-    identity wherever it is determined at this depth).
+    The decode check groups the admissible words of odd length
+    L >= depth + 2r by their label name: ``decode_unique`` says whether
+    every name determines the word's center symbol.  ``decode_consistent``
+    (each word's center among its name's candidates) holds by construction,
+    since each word's center goes into its own name's set.  When more than
+    word_cap words have length L the check is skipped and both hold
+    vacuously.  One depth-first walk to the deepest length sees every
+    shorter word on the way.
     """
+    _check_depth(depth)
     _check_total(code, sft)
-    table = code.as_dict()
     r = code.radius
-    by_len = []
-    counts = []
-    for L in range(1, depth + 1):
-        names = set()
-        for w in _capped_words(sft, L + 2 * r, word_cap):
-            names.add(tuple(table[w[i : i + 2 * r + 1]] for i in range(L)))
-        by_len.append((L, tuple(sorted(names))))
-        counts.append((L, len(names)))
-    # decode check at the deepest length
-    consistent, unique = True, True
-    L = depth + 2 * r
-    if L % 2 == 0:
-        L += 1
-    centers = defaultdict(set)
-    if count_words(sft, L) <= word_cap:
-        mid = L // 2
-        all_words = list(words_of_length(sft, L))
-        names = []
-        for w in all_words:
-            name = tuple(table[w[i : i + 2 * r + 1]] for i in range(L - 2 * r))
-            names.append(name)
-            centers[name].add(w[mid])
-        for w, name in zip(all_words, names):
-            if w[mid] not in centers[name]:
-                consistent = False
-            if len(centers[name]) != 1:
-                unique = False
-    return ImageLanguageReport(tuple(counts), tuple(by_len), depth, consistent, unique)
+    check_len = (depth + 2 * r) | 1  # odd, so the word has a center
+    counts = word_counts(sft, check_len)
+    _check_word_cap(counts, range(2 * r + 1, depth + 2 * r + 1), word_cap)
+    check = counts[check_len] <= word_cap
+    names = _Names(sft, code)
+    image = [set() for _ in range(depth + 1)]  # image[L]: the names of length L
+    centers = set()  # (name, center) at the decode-check length
+    for L, path, name in names.walk(check_len if check else depth + 2 * r):
+        if 2 * r < L <= depth + 2 * r:
+            image[L - 2 * r].add(name)
+        if L == check_len and check:
+            centers.add((name, path[L // 2]))
+    by_len = tuple((L, tuple(sorted(map(names.decode, image[L])))) for L in range(1, depth + 1))
+    sizes = tuple((L, len(image[L])) for L in range(1, depth + 1))
+    unique = len(centers) == len({name for name, _ in centers})
+    return ImageLanguageReport(sizes, by_len, depth, True, unique)

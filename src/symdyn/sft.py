@@ -4,15 +4,22 @@ A subshift is given by an alphabet and a finite set of forbidden words.
 Symbols are strings; for array systems truncated to K rows a symbol is a
 K-tuple of per-row symbols and the spec carries the row structure.
 
-Each spec is compiled once, on first use, and cached on the spec: the
-forbidden words grouped by length, the (L-1)-block graph (Lind & Marcus,
-ch. 2) and its essential core.  ``admits`` is the only forbidden-word scan
-and every word and orbit query goes through it; ``count_words`` walks the
-block graph, and ``transfer_graph``, ``validate`` and ``top_entropy`` read
-the core.  Periodic-point counts come from the core too: ``per_table``
-takes the traces tr(A**n) of its adjacency matrix and Moebius-inverts them
-into minimal-period counts.  Orbits are enumerated word by word
-(``enumerate_periodic``) only where their names are wanted.
+Each spec is compiled once, on first use, and cached on the spec: its
+Aho-Corasick automaton (Aho & Corasick 1975), whose states are the proper
+prefixes of the forbidden words and whose transitions stop (-1) where a
+forbidden word would be completed.  Reading a word from the root decides
+``admits``; depth-first walks along its edges in alphabet order give
+``words_of_length`` in lexicographic order (``prefix_walk`` is that walk,
+shared with the generator checks); walks from the root counted by one
+vector pass give ``count_words``.  After L-1 symbols (L the longest
+forbidden word) the state is a function of those symbols, so on the
+essential part of the automaton -- the states on bi-infinite paths -- the
+labelling is a conjugacy onto the subshift (Lind & Marcus, ch. 2-3):
+``transfer_graph`` and ``validate`` read that part, and ``per_table`` takes
+the traces tr(A**n) of its adjacency matrix and Moebius-inverts them into
+minimal-period counts.  ``top_entropy`` alone still reads the (L-1)-block
+graph, whose row sums its bracket is built from.  Orbits are enumerated
+word by word (``enumerate_periodic``) only where their names are wanted.
 """
 
 from __future__ import annotations
@@ -89,16 +96,19 @@ class SftSpec:
                 raise ArgumentError("alphabet inconsistent with row structure")
 
     @cached_property
-    def _by_length(self) -> tuple:
-        """The forbidden words as ((length, frozenset of words), ...), shortest first."""
-        groups = {}
-        for f in self.forbidden:
-            groups.setdefault(len(f), set()).add(f)
-        return tuple((lf, frozenset(words)) for lf, words in sorted(groups.items()))
+    def _automaton(self) -> _Automaton:
+        return _aho_corasick(self.alphabet.symbols, self.forbidden)
 
     @cached_property
-    def _blocks(self) -> _BlockGraph:
-        """States are the admissible (L-1)-words in alphabet order; st has an
+    def _core(self) -> _Graph:
+        """The essential part of the automaton: the states on bi-infinite paths."""
+        auto = self._automaton
+        return _Graph(auto.states, tuple(tuple(t for t in row if t >= 0) for row in auto.delta)).essential()
+
+    @cached_property
+    def _blocks(self) -> _Graph:
+        """The essential (L-1)-block graph, read only by ``top_entropy``: its
+        states are the admissible (L-1)-words in alphabet order, and st has an
         edge to (st + (s,))[1:] for each symbol s with st + (s,) admissible."""
         states = tuple(words_of_length(self, self.memory - 1))
         index = {st: i for i, st in enumerate(states)}
@@ -106,22 +116,25 @@ class SftSpec:
             tuple(index[w[1:]] for w in [st + (s,) for s in self.alphabet.symbols] if self.admits(w))
             for st in states
         )
-        return _BlockGraph(states, succ)
+        return _Graph(states, succ).essential()
 
     @cached_property
-    def _core(self) -> _BlockGraph:
-        return self._blocks.essential()
-
-    @property
     def memory(self) -> int:
         """Max forbidden-word length L; local rules have window L."""
-        return self._by_length[-1][0] if self._by_length else 1
+        return max(map(len, self.forbidden), default=1)
 
     def admits(self, w: Word) -> bool:
-        for lf, words in self._by_length:
-            for i in range(len(w) - lf + 1):
-                if w[i : i + lf] in words:
-                    return False
+        """Whether w is a word of the language.  A symbol outside the
+        alphabet occurs in no such word, so a word holding one is refused."""
+        auto = self._automaton
+        state = 0
+        for s in w:
+            k = auto.index.get(s)
+            if k is None:
+                return False
+            state = auto.delta[state][k]
+            if state < 0:
+                return False
         return True
 
     def admits_cyclic(self, w: Word) -> bool:
@@ -143,10 +156,51 @@ def golden_mean() -> SftSpec:
 
 
 # ---------------------------------------------------------------------------
-# transfer graph on (L-1)-blocks
+# the pattern automaton and its transfer graphs
 
 
-class _BlockGraph(NamedTuple):
+class _Automaton(NamedTuple):
+    """The Aho-Corasick automaton of a set of forbidden words.
+
+    states[0] is the root (); the others are the proper prefixes of
+    forbidden words reachable from it, in breadth-first order.
+    delta[i][k] is the state reached from states[i] by the k-th symbol --
+    the longest suffix of states[i] + (symbol,) that is a state -- or -1
+    when a suffix of that word is forbidden.  index maps symbols to k.
+    """
+
+    states: tuple
+    delta: tuple
+    index: dict
+
+
+def _aho_corasick(symbols: tuple, forbidden: frozenset) -> _Automaton:
+    """The trie of the forbidden words with failure links folded into the
+    transitions (Aho & Corasick 1975), cut down to the live states that the
+    root reaches."""
+    index = {s: k for k, s in enumerate(symbols)}
+    nodes = sorted({f[:i] for f in forbidden for i in range(len(f) + 1)} | {()}, key=len)
+    trie = set(nodes)
+    # row[p][k]: longest suffix of p + (symbols[k],) in the trie; fail[p]:
+    # longest proper suffix of p in the trie; dead[p]: a suffix of p is forbidden
+    row = {(): tuple((s,) if (s,) in trie else () for s in symbols)}
+    fail, dead = {(): ()}, {(): False}
+    for p in nodes[1:]:  # shortest first, so fail[p] and its row are ready
+        fail[p] = row[fail[p[:-1]]][index[p[-1]]] if len(p) > 1 else ()
+        dead[p] = p in forbidden or dead[fail[p]]
+        row[p] = tuple(p + (s,) if p + (s,) in trie else t for s, t in zip(symbols, row[fail[p]]))
+    number = {(): 0}
+    states = [()]
+    for p in states:  # grows while iterated: breadth-first from the root
+        for t in row[p]:
+            if not dead[t] and t not in number:
+                number[t] = len(states)
+                states.append(t)
+    delta = tuple(tuple(-1 if dead[t] else number[t] for t in row[p]) for p in states)
+    return _Automaton(tuple(states), delta, index)
+
+
+class _Graph(NamedTuple):
     """States with successor lists: succ[i] holds, with multiplicity, the
     indices of the states one edge after states[i]."""
 
@@ -172,7 +226,7 @@ class _BlockGraph(NamedTuple):
                 tr[n] += vec.get(i, 0)
         return tr
 
-    def essential(self) -> "_BlockGraph":
+    def essential(self) -> "_Graph":
         """The subgraph on the states that lie on bi-infinite paths."""
         alive, keep = None, set(range(len(self.states)))
         while keep != alive:
@@ -181,15 +235,15 @@ class _BlockGraph(NamedTuple):
             keep = {i for i in alive & entered if not alive.isdisjoint(self.succ[i])}
         order = sorted(alive)
         new = {old: i for i, old in enumerate(order)}
-        return _BlockGraph(
+        return _Graph(
             tuple(self.states[i] for i in order),
             tuple(tuple(new[j] for j in self.succ[i] if j in alive) for i in order),
         )
 
 
-def transfer_graph(sft: SftSpec) -> _BlockGraph:
-    """The essential (L-1)-block graph, computed once per spec: its states
-    are the admissible (L-1)-words with a bi-infinite continuation."""
+def transfer_graph(sft: SftSpec) -> _Graph:
+    """The essential part of the spec's automaton, computed once per spec:
+    its closed walks of length n are the points of period n."""
     return sft._core
 
 
@@ -202,48 +256,59 @@ def validate(sft: SftSpec) -> None:
         raise ArgumentError("subshift language is empty")
 
 
-def words_of_length(sft: SftSpec, n: int):
-    """All admissible words of length n, lexicographic, by depth-first walk.
+def prefix_walk(sft: SftSpec, n: int):
+    """Every admissible word of length 1..n, dead ends included, depth-first
+    along the automaton's edges in alphabet order, so in lexicographic order.
 
-    The walk keeps one iterator over the alphabet per letter of the current
-    prefix, so its depth is not bounded by the recursion limit.
+    Yields (d, k) as the current word grows to length d with the k-th symbol
+    as its last letter; its first d - 1 letters are those of the last word
+    yielded at length d - 1.  The walk keeps one iterator per letter, so its
+    depth is not bounded by the recursion limit.
     """
-    if n < 0:  # no word has negative length
+    if n < 1:
         return
+    delta = sft._automaton.delta
+    branches = [iter(enumerate(delta[0]))]  # branches[d]: the edges still to try after d letters
+    while branches:
+        for k, t in branches[-1]:
+            if t >= 0:
+                yield len(branches), k
+                if len(branches) < n:
+                    branches.append(iter(enumerate(delta[t])))
+                    break
+        else:  # position exhausted: back up one letter
+            branches.pop()
+
+
+def words_of_length(sft: SftSpec, n: int):
+    """All admissible words of length n, lexicographic."""
     if n == 0:
         yield ()
         return
-    memory = sft.memory
     symbols = sft.alphabet.symbols
-    prefix = []
-    branches = [iter(symbols)]  # branches[d]: the symbols still to try at position d
-    while branches:
-        for s in branches[-1]:
-            prefix.append(s)
-            if not sft.admits(tuple(prefix[-memory:])):
-                prefix.pop()
-            elif len(prefix) == n:
-                yield tuple(prefix)
-                prefix.pop()
-            else:
-                branches.append(iter(symbols))
-                break
-        else:  # position exhausted: back up one letter
-            branches.pop()
-            if prefix:
-                prefix.pop()
+    letters = [None] * n
+    for d, k in prefix_walk(sft, n):
+        letters[d - 1] = symbols[k]
+        if d == n:
+            yield tuple(letters)
+
+
+def word_counts(sft: SftSpec, n: int) -> list:
+    """The numbers of admissible words of lengths 0..n, in one vector pass:
+    after m steps vec[i] counts the walks of length m from state i, and the
+    root's entry counts the words of length m."""
+    delta = sft._automaton.delta
+    vec = [1] * len(delta)
+    counts = [1]
+    for _ in range(n):
+        vec = [sum([vec[t] for t in row if t >= 0]) for row in delta]
+        counts.append(vec[0])
+    return counts
 
 
 def count_words(sft: SftSpec, n: int) -> int:
-    """Number of admissible words of length n: paths in the block graph."""
-    m = sft.memory - 1
-    if n <= m:
-        return sum(1 for _ in words_of_length(sft, n))
-    graph = sft._blocks
-    vec = [1] * len(graph.states)
-    for _ in range(n - m):
-        vec = graph.step(vec)
-    return sum(vec)
+    """Number of admissible words of length n: walks from the root."""
+    return word_counts(sft, n)[n] if n >= 0 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +410,7 @@ def _mobius(n: int) -> int:
 def per_table(sft: SftSpec, N: int, cap: int = DEFAULT_PERIOD_CAP) -> PerTable:
     """Points of minimal period n for n = 1..N, without naming an orbit.
 
-    tr(A**n) on the essential block graph counts the points x with
+    tr(A**n) on the essential automaton counts the points x with
     sigma**n(x) = x, and Moebius inversion keeps those of minimal period n:
     p_n = sum over d | n of mu(n/d) * tr(A**d).  The horizon obeys the same
     cap as ``enumerate_periodic``.
@@ -442,7 +507,7 @@ def top_entropy(
     tolerance: Fraction = DEFAULT_ENTROPY_TOL,
     depth_cap: int = DEFAULT_ENTROPY_DEPTH_CAP,
 ) -> EntropyBracket:
-    """A bracket around the topological entropy from transfer counts.
+    """A bracket around the topological entropy from (L-1)-block counts.
 
     For a nonnegative matrix with all row sums in [a, b] the spectral
     radius lies in [a, b]; applying this to powers of the transfer matrix
@@ -450,7 +515,7 @@ def top_entropy(
     intersection over n encloses the entropy.  Returns the widest-effort
     bracket with ``tolerance_met=False`` if the cap depth is reached first.
     """
-    core = transfer_graph(sft)
+    core = sft._blocks
     if not core.states:
         raise ArgumentError("empty subshift has no entropy")
     vec = [1] * len(core.states)  # A**n applied to the ones vector

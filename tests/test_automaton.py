@@ -1,0 +1,271 @@
+"""The compiled automaton against the code it replaced.
+
+The references below are the earlier implementations, kept verbatim in
+substance: the (L-1)-block graph with its sparse-vector traces, the
+iterative prefix walk that tested each new suffix with the forbidden-word
+scan, and the generator checks that built every label name as a tuple.
+"""
+
+import itertools
+import random
+from collections import defaultdict
+from dataclasses import astuple
+from typing import NamedTuple
+
+import pytest
+
+from symdyn.errors import ResourceCapError
+from symdyn.generator import (
+    DEFAULT_WORD_CAP,
+    block_code,
+    extract_generator,
+    partition_to_extension,
+)
+from symdyn.sft import (
+    Alphabet,
+    SftSpec,
+    _mobius,
+    count_words,
+    full_shift,
+    language_nonempty,
+    per_table,
+    word,
+    words_of_length,
+)
+from test_sft import naive_admits
+
+
+class BlockGraph(NamedTuple):
+    """States with successor lists: succ[i] holds, with multiplicity, the
+    indices of the states one edge after states[i]."""
+
+    states: tuple
+    succ: tuple
+
+    def step(self, vec):
+        return [sum([vec[j] for j in outs]) for outs in self.succ]
+
+    def traces(self, N):
+        """[tr(A**n) for n = 0..N], each closed walk counted from its start."""
+        tr = [len(self.states)] + [0] * N
+        for i in range(len(self.states)):
+            vec = {i: 1}
+            for n in range(1, N + 1):
+                nxt = {}
+                for j, c in vec.items():
+                    for k in self.succ[j]:
+                        nxt[k] = nxt.get(k, 0) + c
+                vec = nxt
+                tr[n] += vec.get(i, 0)
+        return tr
+
+    def essential(self):
+        alive, keep = None, set(range(len(self.states)))
+        while keep != alive:
+            alive = keep
+            entered = {j for i in alive for j in self.succ[i]}
+            keep = {i for i in alive & entered if not alive.isdisjoint(self.succ[i])}
+        order = sorted(alive)
+        new = {old: i for i, old in enumerate(order)}
+        return BlockGraph(
+            tuple(self.states[i] for i in order),
+            tuple(tuple(new[j] for j in self.succ[i] if j in alive) for i in order),
+        )
+
+
+def memory(spec):
+    return max((len(f) for f in spec.forbidden), default=1)
+
+
+def scan_words_of_length(spec, n):
+    """Depth-first, each new letter checked by scanning the last L symbols."""
+    if n < 0:
+        return
+    if n == 0:
+        yield ()
+        return
+    m = memory(spec)
+    prefix, branches = [], [iter(spec.alphabet.symbols)]
+    while branches:
+        for s in branches[-1]:
+            prefix.append(s)
+            if not naive_admits(spec, tuple(prefix[-m:])):
+                prefix.pop()
+            elif len(prefix) == n:
+                yield tuple(prefix)
+                prefix.pop()
+            else:
+                branches.append(iter(spec.alphabet.symbols))
+                break
+        else:
+            branches.pop()
+            if prefix:
+                prefix.pop()
+
+
+def block_graph(spec):
+    states = tuple(scan_words_of_length(spec, memory(spec) - 1))
+    index = {st: i for i, st in enumerate(states)}
+    succ = tuple(
+        tuple(index[(st + (s,))[1:]] for s in spec.alphabet.symbols if naive_admits(spec, st + (s,)))
+        for st in states
+    )
+    return BlockGraph(states, succ)
+
+
+def block_per_table(spec, N):
+    tr = block_graph(spec).essential().traces(N)
+    return tuple(
+        (n, sum(_mobius(n // d) * tr[d] for d in range(1, n + 1) if n % d == 0)) for n in range(1, N + 1)
+    )
+
+
+def block_count_words(spec, n):
+    m = memory(spec) - 1
+    if n <= m:
+        return sum(1 for _ in scan_words_of_length(spec, n))
+    graph = block_graph(spec)
+    vec = [1] * len(graph.states)
+    for _ in range(n - m):
+        vec = graph.step(vec)
+    return sum(vec)
+
+
+def capped_words(spec, length, cap):
+    for count, w in enumerate(scan_words_of_length(spec, length), 1):
+        if count > cap:
+            raise ResourceCapError(f"more than {cap} admissible words of length {length}")
+        yield w
+
+
+def tuple_extract_generator(spec, code, depth, c, cap):
+    table, r, mult = code.as_dict(), code.radius, []
+    for n in range(c, depth + 1):
+        L = 2 * n + 1
+        groups = defaultdict(set)
+        for w in capped_words(spec, L, cap):
+            name = tuple(table[w[i - r : i + r + 1]] for i in range(r, L - r))
+            groups[name].add(w[n - c : n + c + 1])
+        mult.append((n, max((len(v) for v in groups.values()), default=0)))
+    return c, tuple(mult)
+
+
+def tuple_partition_to_extension(spec, code, depth, cap):
+    table, r = code.as_dict(), code.radius
+    by_len, counts = [], []
+    for L in range(1, depth + 1):
+        names = {tuple(table[w[i : i + 2 * r + 1]] for i in range(L)) for w in capped_words(spec, L + 2 * r, cap)}
+        by_len.append((L, tuple(sorted(names))))
+        counts.append((L, len(names)))
+    consistent, unique = True, True
+    L = depth + 2 * r
+    if L % 2 == 0:
+        L += 1
+    centers = defaultdict(set)
+    if block_count_words(spec, L) <= cap:
+        mid = L // 2
+        all_words = list(scan_words_of_length(spec, L))
+        names = [tuple(table[w[i : i + 2 * r + 1]] for i in range(L - 2 * r)) for w in all_words]
+        for w, name in zip(all_words, names):
+            centers[name].add(w[mid])
+        for w, name in zip(all_words, names):
+            consistent &= w[mid] in centers[name]
+            unique &= len(centers[name]) == 1
+    return tuple(counts), tuple(by_len), depth, consistent, unique
+
+
+def reference_specs(seed, count):
+    """Specs over 1-4 symbols with 1-6 forbidden words of length 1-5; among
+    them dead ends and empty languages.  Four symbols go with words of
+    length at most 4, so no block graph outgrows 81 states."""
+    rng = random.Random(seed)
+    specs = []
+    for _ in range(count):
+        symbols = "0123"[: rng.choice((1, 2, 2, 3, 3, 4, 4))]
+        longest = 4 if len(symbols) == 4 else 5
+        forbidden = {
+            tuple(rng.choice(symbols) for _ in range(rng.randint(1, longest))) for _ in range(rng.randint(1, 6))
+        }
+        specs.append(SftSpec(Alphabet(tuple(symbols)), frozenset(forbidden)))
+    return specs
+
+
+SPECS = reference_specs(2024, 320)
+
+
+def random_code(rng, spec, radius):
+    labels = "xyz"[: rng.randint(1, 3)]
+    windows = itertools.product(spec.alphabet.symbols, repeat=2 * radius + 1)
+    return block_code(radius, {w: rng.choice(labels) for w in windows})
+
+
+def test_reference_pool_covers_the_hard_cases():
+    assert {spec.alphabet.size for spec in SPECS} == {1, 2, 3, 4}
+    assert {len(f) for spec in SPECS for f in spec.forbidden} == {1, 2, 3, 4, 5}
+    assert sum(not language_nonempty(spec) for spec in SPECS) >= 10
+    dead_ends = [spec for spec in SPECS if 0 < len(spec._core.states) < len(spec._automaton.states)]
+    assert len(dead_ends) >= 10
+
+
+def test_automaton_matches_block_graph_and_scans():
+    for spec in SPECS:
+        assert per_table(spec, 10).counts == block_per_table(spec, 10)
+        for n in range(0, 9):
+            assert count_words(spec, n) == block_count_words(spec, n)
+        for n in range(0, 6):
+            assert list(words_of_length(spec, n)) == list(scan_words_of_length(spec, n))
+        for n in range(0, 5):
+            for w in itertools.product(spec.alphabet.symbols, repeat=n):
+                assert spec.admits(w) == naive_admits(spec, w)
+
+
+def test_symbols_outside_the_alphabet_are_refused():
+    spec = full_shift("01")
+    assert naive_admits(spec, word("02"))  # the scan would pass a foreign symbol
+    for w in (word("2"), word("02"), word("0120"), ("0", 1), (("0",),)):
+        assert not spec.admits(w)
+        assert not spec.admits_cyclic(w)
+    assert spec.admits(word("0110"))
+
+
+def test_generator_reports_match_tuple_names():
+    rng = random.Random(7)
+    for spec in SPECS:
+        for radius in (0, 1):
+            code = random_code(rng, spec, radius)
+            for c in (0, 1, 2):
+                for depth in range(c, 3):
+                    assert astuple(extract_generator(spec, code, depth, c)) == tuple_extract_generator(
+                        spec, code, depth, c, DEFAULT_WORD_CAP
+                    )
+            for depth in range(0, 4):
+                assert astuple(partition_to_extension(spec, code, depth)) == tuple_partition_to_extension(
+                    spec, code, depth, DEFAULT_WORD_CAP
+                )
+
+
+def outcome(run):
+    try:
+        return run()
+    except ResourceCapError as exc:
+        return f"cap: {exc}"
+
+
+@pytest.mark.parametrize("cap", [0, 3, 10])
+def test_word_cap_fails_at_the_same_length(cap):
+    rng = random.Random(cap)
+    outcomes = []
+    for spec in SPECS[:120]:
+        code = random_code(rng, spec, rng.randint(0, 1))
+        for depth in (2, 3):  # at depth 2 and radius 0 the decode check may be skipped
+            runs = [
+                (lambda: astuple(extract_generator(spec, code, depth, 1, cap)),
+                 lambda: tuple_extract_generator(spec, code, depth, 1, cap)),
+                (lambda: astuple(partition_to_extension(spec, code, depth, cap)),
+                 lambda: tuple_partition_to_extension(spec, code, depth, cap)),
+            ]
+            for new, old in runs:
+                outcomes.append(outcome(new))
+                assert outcomes[-1] == outcome(old)
+    assert any(isinstance(o, str) for o in outcomes)
+    assert any(not isinstance(o, str) for o in outcomes)

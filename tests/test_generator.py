@@ -70,6 +70,16 @@ def test_partial_code_rejected():
         extract_generator(gm, partial, depth=2)
 
 
+def test_bad_depth_and_center_rejected():
+    gm = golden_mean()
+    code = zero_coordinate_code(gm)
+    for depth, center in ((-1, 0), (4, -1), (2, 5)):
+        with pytest.raises(ArgumentError, match="^(depth|center radius) must"):
+            extract_generator(gm, code, depth, center_radius=center)
+    with pytest.raises(ArgumentError, match="^depth must be >= 0, got -1$"):
+        partition_to_extension(gm, code, -1)
+
+
 def test_image_language_identity():
     fs = full_shift("01")
     rep = partition_to_extension(fs, zero_coordinate_code(fs), depth=5)

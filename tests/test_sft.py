@@ -322,7 +322,7 @@ def test_per_table_matches_enumeration():
     two_rows = delayed_copy_system(2)
     specs = [full_shift("01"), golden_mean(), dead_end, empty, two_rows, *trace_specs(11, 48)]
     assert {spec.memory for spec in specs} == {1, 2, 3, 4}
-    assert any(len(spec._core.states) < len(spec._blocks.states) for spec in specs)  # dead ends
+    assert any(len(spec._core.states) < len(spec._automaton.states) for spec in specs)  # dead ends
     assert sum(not language_nonempty(spec) for spec in specs) > 1
     for spec in specs:
         table = per_table(spec, 14)

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -285,6 +286,43 @@ def test_cli_generator_deeper_than_the_recursion_limit(tmp_path):
     assert set(body["result"]["multiplicities"].values()) == {1}
 
 
+def zero_code(tmp_path):
+    return write(
+        tmp_path,
+        "code.json",
+        {"kind": "blockcode", "version": 1, "radius": 0, "table": {"0": "0", "1": "1"}},
+    )
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--depth", "-1"], "depth must be >= 0, got -1"),
+        (["--center", "-1"], "center radius must lie in 0..depth = 0..4, got -1"),
+        (["--center", "5", "--depth", "2"], "center radius must lie in 0..depth = 0..2, got 5"),
+    ],
+)
+def test_cli_generator_rejects_bad_depth_and_center(tmp_path, flags, message):
+    args = ["extend", "generator", "--spec", gm_spec(tmp_path), "--code", zero_code(tmp_path), *flags]
+    assert run_cli(args) == (3, "", f"error: {message}\n")
+
+
+def test_cli_capacities_on_a_long_forbidden_word(tmp_path):
+    # the (L-1)-block graph of this spec has 8**6 = 262,144 states; its automaton has 7
+    path = write(
+        tmp_path,
+        "long.json",
+        {"kind": "sft", "version": 1, "alphabet": list("01234567"), "forbidden": ["0123456"]},
+    )
+    start = time.perf_counter()
+    code, out, err = run_cli(["capacities", "--spec", path, "-n", "20"])
+    assert time.perf_counter() - start < 5.0
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["estimate_window"] == list(range(15, 21))
+    assert result["p_sup"]["approx"] == 3.0  # the 8 fixed points; p_n <= 8**n bounds it above
+
+
 def test_cli_diagram_analyze(tmp_path):
     diag = {
         "kind": "diagram",
@@ -377,6 +415,37 @@ def test_cli_diagram_analyze_root_of_huge_degree(tmp_path):
 def test_cli_determinism(tmp_path):
     args = ["per", "--spec", gm_spec(tmp_path), "-n", "4"]
     assert run_cli(args)[1] == run_cli(args)[1]
+
+
+def run_outcome(args):
+    """(exit code, stdout, stderr) of main, an argparse exit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_commands_in_one_process_match_fresh_processes(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to this width
+    gm = gm_spec(tmp_path)
+    commands = [
+        ["per", "--spec", gm, "-n", "4"],
+        ["per", "--spec", gm],  # -n missing: argparse exits 2
+        ["capacities", "--spec", gm, "-n", "6", "--format", "table"],
+        ["entropy", "--spec", gm, "--bogus"],
+        ["extend", "generator", "--spec", gm, "--code", zero_code(tmp_path), "--depth", "3"],
+        ["per", "--spec", gm, "-n", "4"],
+    ]
+    in_process = [run_outcome(args) for args in commands]
+    assert [code for code, _, _ in in_process] == [0, 2, 0, 2, 0, 0]
+    for args, got in zip(commands, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "symdyn.cli", *args], capture_output=True, text=True, cwd=ROOT
+        )
+        assert got == (proc.returncode, proc.stdout, proc.stderr)
 
 
 def test_console_entry_point_runs():
