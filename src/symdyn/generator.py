@@ -11,10 +11,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import ArgumentError, ResourceCapError
-from .sft import SftSpec, prefix_walk, word_counts, words_of_length
-
-DEFAULT_WORD_CAP = 2_000_000
+from .errors import ArgumentError
+from .sft import DEFAULT_WORD_CAP, SftSpec, _check_word_cap, prefix_walk, word_counts, words_of_length
 
 
 @dataclass(frozen=True)
@@ -64,14 +62,6 @@ def _check_depth(depth: int, center_radius: int = 0) -> None:
         raise ArgumentError(f"depth must be >= 0, got {depth}")
     if not 0 <= center_radius <= depth:
         raise ArgumentError(f"center radius must lie in 0..depth = 0..{depth}, got {center_radius}")
-
-
-def _check_word_cap(counts: list, lengths: range, cap: int) -> None:
-    """Refuse at the first of the word lengths with more than cap words;
-    counts[L] is the number of admissible words of length L."""
-    for L in lengths:
-        if counts[L] > cap:
-            raise ResourceCapError(f"more than {cap} admissible words of length {L}")
 
 
 class _Names:
@@ -181,25 +171,22 @@ def partition_to_extension(
     L >= depth + 2r by their label name: ``decode_unique`` says whether
     every name determines the word's center symbol.  ``decode_consistent``
     (each word's center among its name's candidates) holds by construction,
-    since each word's center goes into its own name's set.  When more than
-    word_cap words have length L the check is skipped and both hold
-    vacuously.  One depth-first walk to the deepest length sees every
-    shorter word on the way.
+    since each word's center goes into its own name's set.  L, like each
+    image length, is refused when it has more than word_cap words.  One
+    depth-first walk to L sees every shorter word on the way.
     """
     _check_depth(depth)
     _check_total(code, sft)
     r = code.radius
     check_len = (depth + 2 * r) | 1  # odd, so the word has a center
-    counts = word_counts(sft, check_len)
-    _check_word_cap(counts, range(2 * r + 1, depth + 2 * r + 1), word_cap)
-    check = counts[check_len] <= word_cap
+    _check_word_cap(word_counts(sft, check_len), range(2 * r + 1, check_len + 1), word_cap)
     names = _Names(sft, code)
     image = [set() for _ in range(depth + 1)]  # image[L]: the names of length L
     centers = set()  # (name, center) at the decode-check length
-    for L, path, name in names.walk(check_len if check else depth + 2 * r):
+    for L, path, name in names.walk(check_len):
         if 2 * r < L <= depth + 2 * r:
             image[L - 2 * r].add(name)
-        if L == check_len and check:
+        if L == check_len:
             centers.add((name, path[L // 2]))
     by_len = tuple((L, tuple(sorted(map(names.decode, image[L])))) for L in range(1, depth + 1))
     sizes = tuple((L, len(image[L])) for L in range(1, depth + 1))

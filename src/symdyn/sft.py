@@ -15,11 +15,11 @@ vector pass give ``count_words``.  After L-1 symbols (L the longest
 forbidden word) the state is a function of those symbols, so on the
 essential part of the automaton -- the states on bi-infinite paths -- the
 labelling is a conjugacy onto the subshift (Lind & Marcus, ch. 2-3):
-``transfer_graph`` and ``validate`` read that part, and ``per_table`` takes
+``transfer_graph`` and ``validate`` read that part, ``per_table`` takes
 the traces tr(A**n) of its adjacency matrix and Moebius-inverts them into
-minimal-period counts.  ``top_entropy`` alone still reads the (L-1)-block
-graph, whose row sums its bracket is built from.  Orbits are enumerated
-word by word (``enumerate_periodic``) only where their names are wanted.
+minimal-period counts, and ``top_entropy`` brackets the growth of its row
+sums.  Orbits are enumerated word by word (``enumerate_periodic``) only
+where their names are wanted.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .errors import ArgumentError, ResourceCapError
 Word = tuple  # tuple of symbols
 
 DEFAULT_PERIOD_CAP = 20
+DEFAULT_WORD_CAP = 2_000_000
 
 
 def word(text: str) -> Word:
@@ -104,19 +105,6 @@ class SftSpec:
         """The essential part of the automaton: the states on bi-infinite paths."""
         auto = self._automaton
         return _Graph(auto.states, tuple(tuple(t for t in row if t >= 0) for row in auto.delta)).essential()
-
-    @cached_property
-    def _blocks(self) -> _Graph:
-        """The essential (L-1)-block graph, read only by ``top_entropy``: its
-        states are the admissible (L-1)-words in alphabet order, and st has an
-        edge to (st + (s,))[1:] for each symbol s with st + (s,) admissible."""
-        states = tuple(words_of_length(self, self.memory - 1))
-        index = {st: i for i, st in enumerate(states)}
-        succ = tuple(
-            tuple(index[w[1:]] for w in [st + (s,) for s in self.alphabet.symbols] if self.admits(w))
-            for st in states
-        )
-        return _Graph(states, succ).essential()
 
     @cached_property
     def memory(self) -> int:
@@ -311,6 +299,14 @@ def count_words(sft: SftSpec, n: int) -> int:
     return word_counts(sft, n)[n] if n >= 0 else 0
 
 
+def _check_word_cap(counts: list, lengths: range, cap: int) -> None:
+    """Refuse at the first of the word lengths with more than cap words;
+    counts[L] is the number of admissible words of length L."""
+    for L in lengths:
+        if counts[L] > cap:
+            raise ResourceCapError(f"more than {cap} admissible words of length {L}")
+
+
 # ---------------------------------------------------------------------------
 # periodic orbits
 
@@ -389,8 +385,10 @@ def _check_horizon(N: int, cap: int) -> None:
 
 
 def _orbits_by_period(sft: SftSpec, N: int, cap: int) -> dict:
-    """{n: enumerate_periodic(sft, n, cap)} for n = 1..N."""
+    """{n: enumerate_periodic(sft, n, cap)} for n = 1..N; each walk over
+    the words of length n obeys the word cap."""
     _check_horizon(N, cap)
+    _check_word_cap(word_counts(sft, N), range(1, N + 1), DEFAULT_WORD_CAP)
     return {n: enumerate_periodic(sft, n, cap=cap) for n in range(1, N + 1)}
 
 
@@ -507,7 +505,7 @@ def top_entropy(
     tolerance: Fraction = DEFAULT_ENTROPY_TOL,
     depth_cap: int = DEFAULT_ENTROPY_DEPTH_CAP,
 ) -> EntropyBracket:
-    """A bracket around the topological entropy from (L-1)-block counts.
+    """A bracket around the topological entropy from the essential automaton.
 
     For a nonnegative matrix with all row sums in [a, b] the spectral
     radius lies in [a, b]; applying this to powers of the transfer matrix
@@ -515,7 +513,7 @@ def top_entropy(
     intersection over n encloses the entropy.  Returns the widest-effort
     bracket with ``tolerance_met=False`` if the cap depth is reached first.
     """
-    core = sft._blocks
+    core = sft._core
     if not core.states:
         raise ArgumentError("empty subshift has no entropy")
     vec = [1] * len(core.states)  # A**n applied to the ones vector

@@ -1,20 +1,23 @@
 """The compiled automaton against the code it replaced.
 
 The references below are the earlier implementations, kept verbatim in
-substance: the (L-1)-block graph with its sparse-vector traces, the
-iterative prefix walk that tested each new suffix with the forbidden-word
-scan, and the generator checks that built every label name as a tuple.
+substance: the (L-1)-block graph with its sparse-vector traces and its
+row-sum entropy bracket, the iterative prefix walk that tested each new
+suffix with the forbidden-word scan, and the generator checks that built
+every label name as a tuple.
 """
 
 import itertools
 import random
 from collections import defaultdict
 from dataclasses import astuple
+from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
 
-from symdyn.errors import ResourceCapError
+from symdyn.entropy import EntropyBracket
+from symdyn.errors import ArgumentError, ResourceCapError
 from symdyn.generator import (
     DEFAULT_WORD_CAP,
     block_code,
@@ -24,11 +27,13 @@ from symdyn.generator import (
 from symdyn.sft import (
     Alphabet,
     SftSpec,
+    _log2_bracket,
     _mobius,
     count_words,
     full_shift,
     language_nonempty,
     per_table,
+    top_entropy,
     word,
     words_of_length,
 )
@@ -131,6 +136,24 @@ def block_count_words(spec, n):
     return sum(vec)
 
 
+def block_top_entropy(spec, tolerance, depth_cap):
+    """The row-sum bracket on the essential block graph."""
+    core = block_graph(spec).essential()
+    if not core.states:
+        raise ArgumentError("empty subshift has no entropy")
+    vec = [1] * len(core.states)
+    lo_best, hi_best = Fraction(0), None
+    for n in range(1, depth_cap + 1):
+        vec = core.step(vec)
+        lo_n = _log2_bracket(min(vec))[0] / n
+        hi_n = _log2_bracket(max(vec))[1] / n
+        lo_best = max(lo_best, lo_n)
+        hi_best = hi_n if hi_best is None else min(hi_best, hi_n)
+        if hi_best - lo_best <= tolerance:
+            return EntropyBracket(lo_best, hi_best, True)
+    return EntropyBracket(lo_best, hi_best, False)
+
+
 def capped_words(spec, length, cap):
     for count, w in enumerate(scan_words_of_length(spec, length), 1):
         if count > cap:
@@ -162,15 +185,16 @@ def tuple_partition_to_extension(spec, code, depth, cap):
     if L % 2 == 0:
         L += 1
     centers = defaultdict(set)
-    if block_count_words(spec, L) <= cap:
-        mid = L // 2
-        all_words = list(scan_words_of_length(spec, L))
-        names = [tuple(table[w[i : i + 2 * r + 1]] for i in range(L - 2 * r)) for w in all_words]
-        for w, name in zip(all_words, names):
-            centers[name].add(w[mid])
-        for w, name in zip(all_words, names):
-            consistent &= w[mid] in centers[name]
-            unique &= len(centers[name]) == 1
+    if block_count_words(spec, L) > cap:
+        raise ResourceCapError(f"more than {cap} admissible words of length {L}")
+    mid = L // 2
+    all_words = list(scan_words_of_length(spec, L))
+    names = [tuple(table[w[i : i + 2 * r + 1]] for i in range(L - 2 * r)) for w in all_words]
+    for w, name in zip(all_words, names):
+        centers[name].add(w[mid])
+    for w, name in zip(all_words, names):
+        consistent &= w[mid] in centers[name]
+        unique &= len(centers[name]) == 1
     return tuple(counts), tuple(by_len), depth, consistent, unique
 
 
@@ -219,6 +243,17 @@ def test_automaton_matches_block_graph_and_scans():
                 assert spec.admits(w) == naive_admits(spec, w)
 
 
+@pytest.mark.parametrize("tolerance", [Fraction(1, 20), Fraction(1, 100), Fraction(1, 1000)])
+def test_entropy_bracket_matches_block_graph(tolerance):
+    for spec in SPECS:
+        for depth_cap in (1, 40, 160):
+            if language_nonempty(spec):
+                assert top_entropy(spec, tolerance, depth_cap) == block_top_entropy(spec, tolerance, depth_cap)
+            else:
+                with pytest.raises(ArgumentError, match="empty subshift has no entropy"):
+                    top_entropy(spec, tolerance, depth_cap)
+
+
 def test_symbols_outside_the_alphabet_are_refused():
     spec = full_shift("01")
     assert naive_admits(spec, word("02"))  # the scan would pass a foreign symbol
@@ -257,7 +292,7 @@ def test_word_cap_fails_at_the_same_length(cap):
     outcomes = []
     for spec in SPECS[:120]:
         code = random_code(rng, spec, rng.randint(0, 1))
-        for depth in (2, 3):  # at depth 2 and radius 0 the decode check may be skipped
+        for depth in (2, 3):  # at depth 2 and radius 0 the decode-check length alone may be refused
             runs = [
                 (lambda: astuple(extract_generator(spec, code, depth, 1, cap)),
                  lambda: tuple_extract_generator(spec, code, depth, 1, cap)),

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from symdyn.errors import ArgumentError
+from symdyn.errors import ArgumentError, ResourceCapError
 from symdyn.generator import (
     block_code,
     extract_generator,
@@ -78,6 +78,15 @@ def test_bad_depth_and_center_rejected():
             extract_generator(gm, code, depth, center_radius=center)
     with pytest.raises(ArgumentError, match="^depth must be >= 0, got -1$"):
         partition_to_extension(gm, code, -1)
+
+
+def test_decode_check_length_obeys_the_word_cap():
+    # the image lengths 1 and 2 have 2 and 4 words; the decode check at length 3 has 8
+    fs = full_shift("01")
+    code = zero_coordinate_code(fs)
+    assert partition_to_extension(fs, code, depth=2, word_cap=8).decode_unique
+    with pytest.raises(ResourceCapError, match="^more than 4 admissible words of length 3$"):
+        partition_to_extension(fs, code, depth=2, word_cap=4)
 
 
 def test_image_language_identity():

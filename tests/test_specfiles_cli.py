@@ -307,7 +307,37 @@ def test_cli_generator_rejects_bad_depth_and_center(tmp_path, flags, message):
     assert run_cli(args) == (3, "", f"error: {message}\n")
 
 
-def test_cli_capacities_on_a_long_forbidden_word(tmp_path):
+def check_long_capacities(code, out, err):
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["estimate_window"] == list(range(15, 21))
+    assert result["p_sup"]["approx"] == 3.0  # the 8 fixed points; p_n <= 8**n bounds it above
+
+
+def check_long_entropy(code, out, err):
+    assert code == 0, err
+    body = json.loads(out)
+    bracket = body["result"]["bracket"]
+    assert (bracket["lo"]["exact"], bracket["hi"]["exact"]) == ("30621/10240", "3")
+    assert bracket["tolerance_met"] and "warnings" not in body
+
+
+def check_long_per(code, out, err):
+    # 8**7 - 1 words of length 7: listing the orbits up to period 20 is refused at once
+    assert (code, out) == (4, "")
+    assert err == "resource cap: more than 2000000 admissible words of length 7\n"
+
+
+@pytest.mark.parametrize(
+    "args, check",
+    [
+        (["capacities", "-n", "20"], check_long_capacities),
+        (["entropy"], check_long_entropy),
+        (["per", "-n", "20"], check_long_per),
+    ],
+    ids=["capacities", "entropy", "per"],
+)
+def test_cli_capacities_on_a_long_forbidden_word(tmp_path, args, check):
     # the (L-1)-block graph of this spec has 8**6 = 262,144 states; its automaton has 7
     path = write(
         tmp_path,
@@ -315,12 +345,9 @@ def test_cli_capacities_on_a_long_forbidden_word(tmp_path):
         {"kind": "sft", "version": 1, "alphabet": list("01234567"), "forbidden": ["0123456"]},
     )
     start = time.perf_counter()
-    code, out, err = run_cli(["capacities", "--spec", path, "-n", "20"])
+    code, out, err = run_cli([args[0], "--spec", path, *args[1:]])
     assert time.perf_counter() - start < 5.0
-    assert code == 0, err
-    result = json.loads(out)["result"]
-    assert result["estimate_window"] == list(range(15, 21))
-    assert result["p_sup"]["approx"] == 3.0  # the 8 fixed points; p_n <= 8**n bounds it above
+    check(code, out, err)
 
 
 def test_cli_diagram_analyze(tmp_path):
