@@ -520,13 +520,19 @@ class MeasureDiagram:
         into = {}
         for f in self.families:
             into.setdefault(f.limit, []).append(f)
+        # levels: members sit strictly below their limits and carry one
+        # parameter more, so settling classes by falling parameter count
+        # settles every member before its limit; depth <= 2
+        level = {}
+        for n in sorted(self.nodes, key=lambda n: -len(n.params)):
+            members = (level[f.member] for f in into.get(n.node_id, ()))
+            level[n.node_id] = 1 + max(members, default=-1)
+        if max(level.values(), default=0) > 2:
+            raise ArgumentError("accumulation depth exceeds 2")
         # lookup indexes, kept off the dataclass fields
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_into", {k: tuple(v) for k, v in into.items()})
-        # levels: members sit strictly below their limits; depth <= 2
-        for n in self.nodes:
-            if self.level(n.node_id) > 2:
-                raise ArgumentError("accumulation depth exceeds 2")
+        object.__setattr__(self, "_level", level)
 
     def node(self, node_id: str) -> Node:
         try:
@@ -535,14 +541,14 @@ class MeasureDiagram:
             raise ArgumentError(f"unknown node {node_id!r}") from None
 
     def level(self, node_id: str) -> int:
-        incoming = self.families_into(node_id)
-        if not incoming:
-            return 0
-        return 1 + max(self.level(f.member) for f in incoming)
+        try:
+            return self._level[node_id]
+        except KeyError:
+            raise ArgumentError(f"unknown node {node_id!r}") from None
 
     @property
     def depth(self) -> int:
-        return max((self.level(n.node_id) for n in self.nodes), default=0)
+        return max(self._level.values(), default=0)
 
     def families_into(self, node_id: str):
         return self._into.get(node_id, ())

@@ -337,12 +337,14 @@ def enumerate_periodic(sft: SftSpec, n: int, cap: int = DEFAULT_PERIOD_CAP) -> l
     Walks only the admissible words of length n (the forbidden-word
     pruning makes this linear in the language, not the symbol cube) and
     keeps each orbit at its representative, which the walk meets because
-    every rotation of a cyclically admissible word is admissible.
+    every rotation of a cyclically admissible word is admissible.  The
+    walk obeys the word cap at every length up to n.
     """
     if n < 1:
         raise ArgumentError("period must be >= 1")
     if n > cap:
         raise ResourceCapError(f"period {n} exceeds cap {cap}")
+    _check_word_cap(word_counts(sft, n), range(1, n + 1), DEFAULT_WORD_CAP)
     out = [
         PeriodicOrbit(w)
         for w in words_of_length(sft, n)

@@ -27,6 +27,7 @@ from symdyn.diagram import (
     tau_unbounded_along,
 )
 from symdyn.errors import ArgumentError
+from symdyn.scenarios import scenario_data
 
 
 def rand_lin(rng, other_vars):
@@ -234,6 +235,34 @@ def test_diagram_validation():
             (top, mid, deep),
             (FamilyLink("deep", "j", "mid"), FamilyLink("mid", "x", "top")),
         )
+
+
+@pytest.mark.parametrize(
+    "name, levels",
+    [
+        ("example1", {"mu_bottom": 0, "mu_middle": 1, "mu0": 2}),
+        ("example2", {"mu_bottom": 0, "mu_middle": 1, "mu0": 2}),
+        ("example3", {"mu_per": 0, "mu_ap": 0, "mu0": 1}),
+        ("pickupsticks", {"mu_bottom": 0, "mu_middle": 1, "mu0": 2}),
+    ],
+)
+def test_levels_on_the_scenarios(name, levels):
+    D = scenario_data(name, Fraction(3, 2) if name in ("example2", "example3") else None).diagram
+    assert {n.node_id: D.level(n.node_id) for n in D.nodes} == levels
+    assert D.depth == max(levels.values())
+    with pytest.raises(ArgumentError, match="^unknown node 'nowhere'$"):
+        D.level("nowhere")
+
+
+def test_accumulation_deeper_than_two_is_refused():
+    # Node refuses a third parameter, so forge one to reach the depth check
+    chain = [Node(f"n{i}") for i in range(4)]
+    for i, node in enumerate(chain):
+        object.__setattr__(node, "params", tuple("abc"[:i]))
+    families = tuple(FamilyLink(f"n{i}", "abc"[i - 1], f"n{i - 1}") for i in (1, 2, 3))
+    assert MeasureDiagram(tuple(chain[:3]), families[:2]).depth == 2
+    with pytest.raises(ArgumentError, match="^accumulation depth exceeds 2$"):
+        MeasureDiagram(tuple(chain), families)
 
 
 def test_seq_monotone_validation():

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -160,6 +161,16 @@ def test_aperiodic_truncation_all_zero():
 def test_period_cap():
     with pytest.raises(ResourceCapError):
         enumerate_periodic(full_shift("01"), 21)
+
+
+def test_enumerate_periodic_obeys_the_word_cap():
+    # 8**7 - 1 admissible words of length 7: the walk to period 20 is refused
+    # up front, with the message `symdyn per` gives, instead of running for hours
+    spec = SftSpec(Alphabet(tuple("01234567")), frozenset({word("0123456")}))
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match="^more than 2000000 admissible words of length 7$"):
+        enumerate_periodic(spec, 20)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_capacities_full_shift():

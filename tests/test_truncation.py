@@ -2,16 +2,228 @@ import random
 
 import pytest
 
+from symdyn.diagram import INF, seq_on, seq_step, lin
 from symdyn.envelope import analyze_diagram
 from symdyn.errors import ArgumentError
 from symdyn.randgen import random_diagram
 from symdyn.scenarios import SCENARIO_NAMES, scenario_data
-from symdyn.truncation import build_space, compare_with_exact, truncated_analyze
+from symdyn.truncation import TruncatedOps, build_space, compare_with_exact, truncated_analyze
 from fractions import Fraction
+
+H0S = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2))
 
 
 def _h0_for(name):
     return Fraction(3, 2) if name in ("example2", "example3") else None
+
+
+def _tail_window(cap: int):
+    return range(cap // 2 + 1, cap + 1)
+
+
+class NaiveTruncatedOps:
+    """The oracle before compilation: every envelope pass rebuilds each
+    scan point by point and evaluates the sequences with Fractions."""
+
+    def __init__(self, space):
+        self.space = space
+        self.diagram = space.diagram
+
+    def horizon(self, point) -> int:
+        env = dict(point[1])
+        return self.space.horizon_base + 3 * sum(env.values()) + 1
+
+    def envelope_at(self, values: dict, seq, point, k: int):
+        def val(pt):
+            base = values[pt]
+            return base if seq is None else base + seq(pt, k)
+
+        node_id, env_items = point
+        node = self.diagram.node(node_id)
+        best = val(point)
+        env = dict(env_items)
+        for fam in self.diagram.families_into(node_id):
+            cap = self.space.truncations[fam.member][len(node.params)]
+            member = self.diagram.node(fam.member)
+            for t in _tail_window(cap):
+                e = dict(env)
+                e[fam.parameter] = t
+                pt = (fam.member, tuple((p, e[p]) for p in member.params))
+                cand = val(pt)
+                if cand > best:
+                    best = cand
+        for deep_fam, _mid in self.diagram.chains_into(node_id):
+            grand = self.diagram.node(deep_fam.member)
+            outer_cap = self.space.truncations[grand.node_id][len(node.params)]
+            inner_cap = self.space.truncations[grand.node_id][len(node.params) + 1]
+            outer_p, inner_p = grand.params[-2], grand.params[-1]
+            for t0 in _tail_window(outer_cap):
+                for t1 in range(grand.mins[inner_p], inner_cap + 1):
+                    e = dict(env)
+                    e[outer_p] = t0
+                    e[inner_p] = t1
+                    pt = (grand.node_id, tuple((p, e[p]) for p in grand.params))
+                    cand = val(pt)
+                    if cand > best:
+                        best = cand
+        return best
+
+    def envelope_limit(self, values: dict, seq) -> dict:
+        return {
+            pt: self.envelope_at(values, seq, pt, self.horizon(pt))
+            for pt in self.space.points
+        }
+
+    def u_one(self, seq) -> dict:
+        zero = {pt: 0 for pt in self.space.points}
+        return self.envelope_limit(zero, seq)
+
+    def minimal_repair(self, seq, floor: dict) -> dict:
+        u = {pt: max(floor[pt], v) for pt, v in self.u_one(seq).items()}
+        for _ in range(self.diagram.depth + 1):
+            nxt = {
+                pt: max(floor[pt], v)
+                for pt, v in self.envelope_limit(u, seq).items()
+            }
+            if nxt == u:
+                return u
+            u = nxt
+        raise ArgumentError("truncated repair iteration did not stabilize")
+
+    def analyze(self, hseq, perseq) -> dict:
+        def tail(pt, k):
+            s = hseq.spec(pt[0])
+            return s.limit - s.value_at(dict(pt[1]), k)
+
+        def per(pt, k):
+            return perseq.spec(pt[0]).value_at(dict(pt[1]), k)
+
+        h = {pt: hseq.spec(pt[0]).limit for pt in self.space.points}
+        zero = {pt: 0 for pt in self.space.points}
+        u_sex = self.minimal_repair(tail, zero)
+        u1 = self.u_one(per)
+        u_emb = self.minimal_repair(tail, u1)
+        h_sex = {pt: h[pt] + u_sex[pt] for pt in self.space.points}
+        h_emb = {pt: h[pt] + u_emb[pt] for pt in self.space.points}
+        return {
+            "h": h,
+            "h_sex": h_sex,
+            "u1": u1,
+            "h_emb": h_emb,
+            "p_star": max(u1.values()),
+            "sup_h_sex": max(h_sex.values()),
+            "sup_h_emb": max(h_emb.values()),
+        }
+
+
+def naive_truncated_analyze(diagram, hseq, perseq, T: int) -> dict:
+    space = build_space(diagram, T, hseq, perseq)
+    return NaiveTruncatedOps(space).analyze(hseq, perseq)
+
+
+def assert_matches_naive(diagram, hseq, perseq, T):
+    """Every key at every point of the space, boundary points included."""
+    want = naive_truncated_analyze(diagram, hseq, perseq, T)
+    got = truncated_analyze(diagram, hseq, perseq, T)
+    assert set(got) - {"space"} == set(want)
+    for key, value in want.items():
+        assert got[key] == value, key
+    return got
+
+
+SCENARIO_CASES = [
+    (name, h0)
+    for name in SCENARIO_NAMES
+    for h0 in (H0S if name in ("example2", "example3") else (None,))
+]
+
+
+@pytest.mark.parametrize("name, h0", SCENARIO_CASES)
+@pytest.mark.parametrize("T", [10, 20, 40])
+def test_compiled_oracle_matches_naive_on_scenarios(name, h0, T):
+    data = scenario_data(name, h0)
+    assert_matches_naive(data.diagram, data.hseq, data.perseq, T)
+
+
+@pytest.mark.parametrize("T", [10, 20])
+def test_compiled_oracle_matches_naive_on_random_diagrams(T):
+    rng = random.Random(2017)
+    for _ in range(60):
+        assert_matches_naive(*random_diagram(rng), T)
+
+
+class _Visits(dict):
+    """Zero at every point, recording the order in which points are read."""
+
+    def __init__(self, points):
+        super().__init__((pt, 0) for pt in points)
+        self.read = []
+
+    def __getitem__(self, pt):
+        self.read.append(pt)
+        return super().__getitem__(pt)
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_scan_lists_are_the_points_the_naive_oracle_visits(name):
+    # every threshold along a window parameter lies past every horizon, so
+    # the values alone would not see a window off by one at either end
+    data = scenario_data(name, _h0_for(name))
+    rng = random.Random(name)
+    for D, hseq, perseq in [(data.diagram, data.hseq, data.perseq)] + [
+        random_diagram(rng) for _ in range(10)
+    ]:
+        space = build_space(D, 10, hseq, perseq)
+        naive, ops = NaiveTruncatedOps(space), TruncatedOps(space)
+        visits = _Visits(space.points)
+        for i, pt in enumerate(space.points):
+            visits.read = []
+            naive.envelope_at(visits, None, pt, 0)
+            assert visits.read == [space.points[q] for q in ops.scans[i]], pt
+            assert ops.horizons[i] == naive.horizon(pt)
+
+
+def _two_level(hvals, pervals):
+    D = scenario_data("example1").diagram
+    return D, seq_on(D, hvals, "nondecreasing"), seq_on(D, pervals, "nonincreasing")
+
+
+@pytest.mark.parametrize("T", [10, 20])
+def test_compiled_oracle_matches_naive_on_mixed_denominators(T):
+    # denominators 2, 3, 4 and 7: their lcm is 84, the largest only 7
+    hvals = {
+        "mu_bottom": seq_step(0, lin(j=1), Fraction(1, 2)),
+        "mu_middle": seq_step(Fraction(1, 3), lin(m=1), Fraction(2, 3)),
+        "mu0": Fraction(3, 4),
+    }
+    pervals = {
+        "mu_bottom": seq_step(Fraction(5, 7), lin(m=1, j=1), 0),
+        "mu_middle": seq_step(Fraction(1, 2), lin(m=1), 0),
+        "mu0": 0,
+    }
+    got = assert_matches_naive(*_two_level(hvals, pervals), T)
+    assert got["p_star"] == Fraction(5, 7)
+
+
+def test_compiled_oracle_matches_naive_on_an_infinite_period_tail():
+    pervals = {"mu_bottom": seq_step(INF, lin(j=1), 0), "mu_middle": 0, "mu0": 0}
+    got = assert_matches_naive(*_two_level({"mu_bottom": 0, "mu_middle": 0, "mu0": 0}, pervals), 10)
+    assert got["p_star"] is INF and got["sup_h_emb"] is INF
+
+
+@pytest.mark.parametrize(
+    "hvals",
+    [
+        {"mu_bottom": 0, "mu_middle": 0, "mu0": INF},
+        {"mu_bottom": 0, "mu_middle": seq_step(0, lin(m=1), INF), "mu0": 0},
+    ],
+    ids=["constant", "step"],
+)
+def test_infinite_entropy_fails_like_the_naive_oracle(hvals):
+    args = _two_level(hvals, {"mu_bottom": 0, "mu_middle": 0, "mu0": 0}) + (10,)
+    for analyze in (naive_truncated_analyze, truncated_analyze):
+        with pytest.raises(ArgumentError, match="^cannot subtract infinity$"):
+            analyze(*args)
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
@@ -26,13 +238,13 @@ def test_truncation_matches_exact_on_scenarios(name, T):
 def test_truncation_matches_exact_on_random_diagrams():
     rng = random.Random(77)
     checked = 0
-    for _ in range(12):
+    for _ in range(60):
         D, hseq, perseq = random_diagram(rng)
         exact = analyze_diagram(D, hseq, perseq)
         mismatches = compare_with_exact(D, hseq, perseq, 20, exact)
         assert mismatches == []
         checked += 1
-    assert checked == 12
+    assert checked == 60
 
 
 def test_truncation_space_shape():
