@@ -12,6 +12,7 @@ import argparse
 import functools
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .dbar import OrbitMixture, dbar_mixture, dbar_periodic
@@ -315,12 +316,7 @@ def _cmd_diagram(args) -> int:
             "cardinality": rep_data.cardinality,
             "note": rep_data.label,
         },
-        {
-            "lower_pointwise": rep_data.bounds.lower_pointwise,
-            "upper_pointwise": rep_data.bounds.upper_pointwise,
-            "lower_topological": rep_data.bounds.lower_topological,
-            "upper_topological": rep_data.bounds.upper_topological,
-        },
+        asdict(rep_data.bounds),
         rep_data.warnings,
     )
     _emit(rep, args.format)

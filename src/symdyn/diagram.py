@@ -22,6 +22,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .entropy import EntropyValue
 from .errors import ArgumentError
@@ -134,6 +135,28 @@ def _y_bounds_at(atoms, x_var: str, y_var: str, x: int, y_min: int):
     return lo, hi
 
 
+def _frame(atoms, mins: dict, vars_: list, var: str | None = None):
+    """(x_var, y_var, y_min, near, tail) for a two-variable guard set.
+
+    x (`var` when given, else the first name) is probed and y solved for
+    at each x.  `near` runs from x's minimum past every guard crossing.
+    Beyond the crossings the y-bounds, and so tau's supremum, are affine
+    along each residue class mod 6 (all slope denominators divide 6), so
+    one full residue window, `tail`, decides the tail exactly, and one
+    step of 6 from it reveals growth.
+    """
+    if len(vars_) != 2:
+        raise ArgumentError("feasibility supports at most two variables")
+    x_var, y_var = vars_
+    if var is not None and var != x_var:
+        x_var, y_var = y_var, x_var
+    x_min, y_min = mins.get(x_var, 1), mins.get(y_var, 1)
+    budget = _const_budget(atoms) + x_min + y_min
+    near = range(x_min, x_min + 4 * budget + 2)
+    base = x_min + 4 * budget + _BIG_OFFSET
+    return x_var, y_var, y_min, near, range(base, base + _SLOPE_STEP)
+
+
 def feasible(atoms, mins: dict):
     """A satisfying integer assignment with every var >= its min, or None."""
     vars_ = sorted({a.var for a in atoms} | set(mins))
@@ -153,20 +176,8 @@ def feasible(atoms, mins: dict):
         if hi is not None and lo > hi:
             return None
         return {x: lo}
-    if len(vars_) != 2:
-        raise ArgumentError("feasibility supports at most two variables")
-    x_var, y_var = vars_
-    x_min, y_min = mins.get(x_var, 1), mins.get(y_var, 1)
-    budget = _const_budget(atoms) + x_min + y_min
-    for x in range(x_min, x_min + 4 * budget + 2):
-        b = _y_bounds_at(atoms, x_var, y_var, x, y_min)
-        if b is not None:
-            return {x_var: x, y_var: b[0]}
-    # beyond every crossing the bounds are affine along each residue class
-    # mod 6 (all slope denominators divide 6), so probing one full residue
-    # window decides the tail exactly
-    base = x_min + 4 * budget + _BIG_OFFSET
-    for x in range(base, base + _SLOPE_STEP):
+    x_var, y_var, y_min, near, tail = _frame(atoms, mins, vars_)
+    for x in chain(near, tail):
         b = _y_bounds_at(atoms, x_var, y_var, x, y_min)
         if b is not None:
             return {x_var: x, y_var: b[0]}
@@ -179,18 +190,8 @@ def feasible_unbounded(atoms, mins: dict, var: str) -> bool:
     if len(vars_) == 1:
         # feasible for arbitrarily large var iff no upper bound exists
         return not any(a.lt for a in atoms)
-    if len(vars_) != 2:
-        raise ArgumentError("feasibility supports at most two variables")
-    x_var, y_var = vars_
-    if var != x_var:
-        x_var, y_var = y_var, x_var
-    x_min, y_min = mins.get(x_var, 1), mins.get(y_var, 1)
-    budget = _const_budget(atoms) + x_min + y_min
-    base = x_min + 4 * budget + _BIG_OFFSET
-    return any(
-        _y_bounds_at(atoms, x_var, y_var, x, y_min) is not None
-        for x in range(base, base + _SLOPE_STEP)
-    )
+    x_var, y_var, y_min, _, tail = _frame(atoms, mins, vars_, var)
+    return any(_y_bounds_at(atoms, x_var, y_var, x, y_min) is not None for x in tail)
 
 
 def tau_unbounded_along(atoms, mins: dict, var: str, tau: Lin) -> bool:
@@ -205,13 +206,7 @@ def tau_unbounded_along(atoms, mins: dict, var: str, tau: Lin) -> bool:
     if not other:
         return False
     vars_ = sorted({a.var for a in atoms} | set(mins) | {var} | set(other))
-    if len(vars_) == 1:
-        return False
-    x_var, y_var = vars_
-    if var != x_var:
-        x_var, y_var = y_var, x_var
-    x_min, y_min = mins.get(x_var, 1), mins.get(y_var, 1)
-    budget = _const_budget(atoms) + x_min + y_min
+    x_var, y_var, y_min, _, tail = _frame(atoms, mins, vars_, var)
 
     def sup_tau(x: int):
         b = _y_bounds_at(atoms, x_var, y_var, x, y_min)
@@ -225,10 +220,7 @@ def tau_unbounded_along(atoms, mins: dict, var: str, tau: Lin) -> bool:
             return INF
         return tau.const + tau.coeff(x_var) * x + cy * hi
 
-    # compare residue by residue: along each class mod 6 the supremum is
-    # affine in x beyond the crossings, so one step of size 6 reveals growth
-    base = x_min + 4 * budget + _BIG_OFFSET
-    for x in range(base, base + _SLOPE_STEP):
+    for x in tail:
         s0 = sup_tau(x)
         if s0 is None:
             continue
@@ -280,6 +272,13 @@ def step_fn(var: str, tau: Lin, lo, hi) -> FnSpec:
     )
 
 
+def _collapse(pieces) -> FnSpec:
+    """One constant piece when all values agree, else the pieces as given."""
+    if all(v == pieces[0][1] for _, v in pieces):
+        return const_fn(pieces[0][1])
+    return FnSpec(tuple(pieces))
+
+
 def fn_binary(f: FnSpec, g: FnSpec, op, mins: dict) -> FnSpec:
     pieces = []
     for fa, fv in f.pieces:
@@ -290,9 +289,7 @@ def fn_binary(f: FnSpec, g: FnSpec, op, mins: dict) -> FnSpec:
             pieces.append((atoms, op(fv, gv)))
     if not pieces:
         raise ArgumentError("operands do not cover the parameter space")
-    if all(v == pieces[0][1] for _, v in pieces):
-        return const_fn(pieces[0][1])
-    return FnSpec(tuple(pieces))
+    return _collapse(pieces)
 
 
 def fn_max(f: FnSpec, g: FnSpec, mins: dict) -> FnSpec:
@@ -338,9 +335,7 @@ def fn_eventual(f: FnSpec, param: str, mins: dict) -> FnSpec:
         raise ArgumentError(f"no piece survives {param} -> infinity")
     reduced_mins = {p: m for p, m in mins.items() if p != param}
     live = [(a, v) for a, v in out if feasible(list(a), reduced_mins) is not None]
-    if all(v == live[0][1] for _, v in live):
-        return const_fn(live[0][1])
-    return FnSpec(tuple(live))
+    return _collapse(live)
 
 
 def fn_sup(f: FnSpec, mins: dict):
@@ -356,28 +351,27 @@ def fn_sup(f: FnSpec, mins: dict):
     return best
 
 
-def fn_compare(f: FnSpec, g: FnSpec, mins: dict):
-    """None if f == g everywhere, else a witness (env, f value, g value)."""
+def _fn_witness(f: FnSpec, g: FnSpec, mins: dict, holds):
+    """The first piece pair, f's pieces outer, where holds(f value, g value)
+    fails on a feasible joint guard: (env, f value, g value), or None."""
     for fa, fv in f.pieces:
         for ga, gv in g.pieces:
-            if fv == gv:
+            if holds(fv, gv):
                 continue
             env = feasible(list(fa + ga), mins)
             if env is not None:
                 return env, fv, gv
     return None
+
+
+def fn_compare(f: FnSpec, g: FnSpec, mins: dict):
+    """None if f == g everywhere, else a witness (env, f value, g value)."""
+    return _fn_witness(f, g, mins, operator.eq)
 
 
 def fn_le(f: FnSpec, g: FnSpec, mins: dict):
     """None if f <= g everywhere, else a witness (env, f value, g value)."""
-    for fa, fv in f.pieces:
-        for ga, gv in g.pieces:
-            if fv <= gv:
-                continue
-            env = feasible(list(fa + ga), mins)
-            if env is not None:
-                return env, fv, gv
-    return None
+    return _fn_witness(f, g, mins, operator.le)
 
 
 # ---------------------------------------------------------------------------

@@ -268,7 +268,8 @@ class EntropyBracket:
         return self.hi - self.lo
 
     def contains(self, x: float | Fraction) -> bool:
-        return float(self.lo) <= float(x) <= float(self.hi)
+        # Fraction compares exactly with ints, Fractions and floats
+        return self.lo <= x <= self.hi
 
     def render(self) -> str:
         flag = "" if self.tolerance_met else " (tolerance not met)"

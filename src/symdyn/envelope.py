@@ -16,6 +16,11 @@ of u + theta_k.  On a diagram it decomposes per node class:
 
 Limits in k are taken outside the finite maxima, which keeps every step in
 closed form.
+
+Every verdict that compares two functions on a diagram reports the same
+witness: the first class, in diagram order, where the comparison fails,
+the first failing guard-piece pair in it, and the parameter point found
+for that pair as its sorted (parameter, value) items.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from .diagram import (
     MeasureDiagram,
     SeqOnDiagram,
     const_fn,
-    feasible,
     feasible_unbounded,
     fn_add,
     fn_compare,
@@ -113,11 +117,19 @@ def _pointwise(op, f: FnOnDiagram, g: FnOnDiagram, diagram: MeasureDiagram):
     )
 
 
+def _witness(f: FnOnDiagram, g: FnOnDiagram, diagram: MeasureDiagram, compare):
+    """The first witness of compare (fn_compare or fn_le) over the classes in
+    diagram order: (node id, sorted env items, f value, g value), or None."""
+    for n in diagram.nodes:
+        w = compare(f.spec(n.node_id), g.spec(n.node_id), n.mins)
+        if w is not None:
+            env, fv, gv = w
+            return n.node_id, tuple(sorted(env.items())), fv, gv
+    return None
+
+
 def _equal(f: FnOnDiagram, g: FnOnDiagram, diagram: MeasureDiagram) -> bool:
-    return all(
-        fn_compare(f.spec(n.node_id), g.spec(n.node_id), n.mins) is None
-        for n in diagram.nodes
-    )
+    return _witness(f, g, diagram, fn_compare) is None
 
 
 def usc_envelope(f: FnOnDiagram, diagram: MeasureDiagram) -> FnOnDiagram:
@@ -163,17 +175,12 @@ def is_repair(
 ) -> RepairVerdict:
     """Whether the envelopes of u + theta_k settle back down to u."""
     _require_vanishing_tails(theta)
-    for node in diagram.nodes:
-        if fn_le(const_fn(0), u.spec(node.node_id), node.mins) is not None:
-            raise ArgumentError("repair candidates must be nonnegative")
-    limit = envelope_limit(u, theta, diagram)
-    for node in diagram.nodes:
-        w = fn_compare(limit.spec(node.node_id), u.spec(node.node_id), node.mins)
-        if w is not None:
-            env, lv, uv = w
-            return RepairVerdict(
-                False, node.node_id, tuple(sorted(env.items())), lv - uv
-            )
+    if _witness(zero_fn(diagram), u, diagram, fn_le) is not None:
+        raise ArgumentError("repair candidates must be nonnegative")
+    w = _witness(envelope_limit(u, theta, diagram), u, diagram, fn_compare)
+    if w is not None:
+        nid, env, lv, uv = w
+        return RepairVerdict(False, nid, env, lv - uv)
     return RepairVerdict(True)
 
 
@@ -188,10 +195,8 @@ def minimal_repair(
     fixpoint is the smallest one this iteration scheme can produce.
     """
     _require_vanishing_tails(theta)
-    for node in diagram.nodes:
-        w = fn_le(const_fn(0), floor.spec(node.node_id), node.mins)
-        if w is not None:
-            raise ArgumentError("floor must be nonnegative")
+    if _witness(zero_fn(diagram), floor, diagram, fn_le) is not None:
+        raise ArgumentError("floor must be nonnegative")
     if not is_usc(floor, diagram):
         raise ArgumentError("floor must be upper semicontinuous")
 
@@ -245,21 +250,14 @@ def is_superenvelope(
     """
     if hseq.monotone != "nondecreasing":
         raise ArgumentError("entropy sequences must be nondecreasing")
-    h = hseq.limit_fn(diagram)
-    for node in diagram.nodes:
-        w = fn_le(h.spec(node.node_id), E.spec(node.node_id), node.mins)
-        if w is not None:
-            env, hv, ev = w
-            return SuperenvelopeVerdict(
-                False,
-                (),
-                node.node_id,
-                tuple(sorted(env.items())),
-                f"E = {ev} < h = {hv}",
-            )
+    w = _witness(hseq.limit_fn(diagram), E, diagram, fn_le)
+    if w is not None:
+        nid, env, hv, ev = w
+        return SuperenvelopeVerdict(False, (), nid, env, f"E = {ev} < h = {hv}")
     if k_horizon is None:
         k_horizon = _k_horizon(hseq, E, diagram)
     checked = tuple(range(1, k_horizon + 1))
+    zero = zero_fn(diagram)
     for k in checked:
         diff = {}
         for node in diagram.nodes:
@@ -269,31 +267,18 @@ def is_superenvelope(
             minus = FnSpec(tuple((atoms, -v) for atoms, v in hk.pieces))
             diff[node.node_id] = fn_add(E.spec(node.node_id), minus, node.mins)
         g = fn_on(diagram, diff)
-        for node in diagram.nodes:
-            lowest = min(v for _, v in g.spec(node.node_id).pieces)
-            if lowest < 0:
-                w = fn_le(const_fn(0), g.spec(node.node_id), node.mins)
-                if w is not None:
-                    env, _, gv = w
-                    return SuperenvelopeVerdict(
-                        False,
-                        checked[:k],
-                        node.node_id,
-                        tuple(sorted(env.items())),
-                        f"E - h_{k} = {gv} < 0",
-                    )
-        env_g = usc_envelope(g, diagram)
-        for node in diagram.nodes:
-            w = fn_compare(env_g.spec(node.node_id), g.spec(node.node_id), node.mins)
-            if w is not None:
-                envv, ev_, gv = w
-                return SuperenvelopeVerdict(
-                    False,
-                    checked[:k],
-                    node.node_id,
-                    tuple(sorted(envv.items())),
-                    f"E - h_{k} not usc: envelope {ev_} > {gv}",
-                )
+        w = _witness(zero, g, diagram, fn_le)
+        if w is not None:
+            nid, env, _, gv = w
+            return SuperenvelopeVerdict(
+                False, checked[:k], nid, env, f"E - h_{k} = {gv} < 0"
+            )
+        w = _witness(usc_envelope(g, diagram), g, diagram, fn_compare)
+        if w is not None:
+            nid, env, ev, gv = w
+            return SuperenvelopeVerdict(
+                False, checked[:k], nid, env, f"E - h_{k} not usc: envelope {ev} > {gv}"
+            )
     return SuperenvelopeVerdict(True, checked)
 
 
@@ -328,14 +313,6 @@ class DiagramReport:
         fn = getattr(self, which)
         return fn.evaluate(node_id, env or {})
 
-    def quantities(self) -> dict:
-        return {
-            "p_star": self.p_star,
-            "sup_h_sex": self.sup_h_sex,
-            "sup_h_emb": self.sup_h_emb,
-            "cardinality": self.cardinality,
-        }
-
 
 def _sup_over(f: FnOnDiagram, diagram: MeasureDiagram):
     return max(fn_sup(f.spec(n.node_id), n.mins) for n in diagram.nodes)
@@ -362,20 +339,14 @@ def analyze_diagram(
     h_sex = _pointwise(fn_add, h, u_sex, diagram)
     h_emb = _pointwise(fn_add, h, u_emb, diagram)
     h_plus_u1 = _pointwise(fn_add, h, u1, diagram)
-    lower_pw = upper_pw = True
-    for n in diagram.nodes:
-        lhs = fn_max(h_sex.spec(n.node_id), h_plus_u1.spec(n.node_id), n.mins)
-        if fn_le(lhs, h_emb.spec(n.node_id), n.mins) is not None:
-            lower_pw = False
-        rhs = fn_add(h_sex.spec(n.node_id), u1.spec(n.node_id), n.mins)
-        if fn_le(h_emb.spec(n.node_id), rhs, n.mins) is not None:
-            upper_pw = False
+    lower = _pointwise(fn_max, h_sex, h_plus_u1, diagram)
+    upper = _pointwise(fn_add, h_sex, u1, diagram)
     p_star = _sup_over(u1, diagram)
     sup_h_sex = _sup_over(h_sex, diagram)
     sup_h_emb = _sup_over(h_emb, diagram)
     bounds = BoundVerdicts(
-        lower_pw,
-        upper_pw,
+        _witness(lower, h_emb, diagram, fn_le) is None,
+        _witness(h_emb, upper, diagram, fn_le) is None,
         max(sup_h_sex, p_star) <= sup_h_emb,
         sup_h_emb <= sup_h_sex + p_star,
     )

@@ -8,7 +8,7 @@ verdicts; any failure is an assertion diff (CLI exit code 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .diagram import (
@@ -205,10 +205,7 @@ def run_scenario(name: str, h0: Fraction | None = None) -> Report:
         check("u1.top", rep.value("u1", "mu0"), one)
         check("u1.periodic_cluster", rep.value("u1", "mu_per", {"m": 4}), Fraction(0))
         check("u1.aperiodic", rep.value("u1", "mu_ap", {"m": 4}), Fraction(0))
-    verdicts = {"bounds.lower_pointwise": rep.bounds.lower_pointwise,
-                "bounds.upper_pointwise": rep.bounds.upper_pointwise,
-                "bounds.lower_topological": rep.bounds.lower_topological,
-                "bounds.upper_topological": rep.bounds.upper_topological}
+    verdicts = {f"bounds.{k}": v for k, v in asdict(rep.bounds).items()}
     verdicts.update(checks)
     inputs = {"scenario": name, "h0": None if h0 is None else str(h0)}
     return Report(f"scenario {name}", inputs, result, verdicts, rep.warnings)

@@ -27,7 +27,6 @@ from .markers import ArrayWindow, LongGapFlag, window_from_rows
 from .sft import Alphabet, SftSpec, validate as validate_sft
 
 SUPPORTED_VERSION = 1
-KINDS = ("sft", "window", "hierarchy", "diagram", "scenario", "hall", "blockcode")
 
 
 def _expect_fields(obj: dict, required: dict, optional: dict, path: str):
@@ -42,6 +41,22 @@ def _expect_fields(obj: dict, required: dict, optional: dict, path: str):
     for k, typ in optional.items():
         if k in obj and typ is not None and not isinstance(obj[k], typ):
             raise SpecFileError(f"field {k!r} must be {typ.__name__}", path)
+
+
+def _int(value, path: str) -> int:
+    """An integer field; a bool, a float or a string is refused, not cast."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecFileError(f"must be an integer, not {value!r}", path)
+    return value
+
+
+def _word(value, path: str) -> tuple:
+    """A forbidden word: a string of symbols or a list of symbol strings."""
+    if isinstance(value, str):
+        return tuple(value)
+    if isinstance(value, list) and all(isinstance(s, str) for s in value):
+        return tuple(value)
+    raise SpecFileError(f"must be a string or a list of strings, not {value!r}", path)
 
 
 def _fraction(text, path: str) -> Fraction:
@@ -94,8 +109,7 @@ def _parse_sft(obj: dict) -> SftSpec:
         forbidden = set()
         for i, w in enumerate(obj.get("forbidden", [])):
             word = []
-            for j, sym in enumerate(w):
-                sym = str(sym)
+            for j, sym in enumerate(_word(w, f"forbidden[{i}]")):
                 if len(sym) != len(rows):
                     raise SpecFileError(
                         "product symbol needs one character per row",
@@ -108,7 +122,9 @@ def _parse_sft(obj: dict) -> SftSpec:
         if "alphabet" not in obj:
             raise SpecFileError("missing field 'alphabet'", "sft")
         alphabet = Alphabet(tuple(str(s) for s in obj["alphabet"]))
-        forbidden = frozenset(tuple(str(c) for c in w) for w in obj.get("forbidden", []))
+        forbidden = frozenset(
+            _word(w, f"forbidden[{i}]") for i, w in enumerate(obj.get("forbidden", []))
+        )
         spec = SftSpec(alphabet, forbidden)
     try:
         validate_sft(spec)
@@ -124,9 +140,14 @@ def _parse_window(obj: dict) -> ArrayWindow:
         {"boundary": str, "flags": list},
         "window",
     )
+    markers = []
+    for i, m in enumerate(obj["markers"]):
+        if not isinstance(m, list):
+            raise SpecFileError(f"must be a list of columns, not {m!r}", f"markers[{i}]")
+        markers.append([_int(c, f"markers[{i}][{j}]") for j, c in enumerate(m)])
     w = window_from_rows(
         [str(r) for r in obj["rows"]],
-        [list(map(int, m)) for m in obj["markers"]],
+        markers,
         obj.get("boundary", "open"),
     )
     flags = []
@@ -207,7 +228,7 @@ def _parse_hierarchy(obj: dict):
 
 
 def _parse_lin(obj, path: str) -> Lin:
-    if isinstance(obj, int):
+    if isinstance(obj, int) and not isinstance(obj, bool):
         return lin(obj)
     if not isinstance(obj, dict):
         raise SpecFileError("threshold must be an integer or an object", path)
@@ -215,9 +236,9 @@ def _parse_lin(obj, path: str) -> Lin:
     coeffs = {}
     for k, v in obj.items():
         if k == "const":
-            const = int(v)
+            const = _int(v, f"{path}.const")
         else:
-            coeffs[k] = int(v)
+            coeffs[k] = _int(v, f"{path}.{k}")
     return lin(const, **coeffs)
 
 
@@ -247,7 +268,10 @@ def _parse_diagram(obj: dict):
             {"params": list, "kind": str, "period": str, "param_mins": list},
             f"nodes[{i}]",
         )
-        mins = tuple(int(x) for x in n.get("param_mins", ()))
+        mins = tuple(
+            _int(x, f"nodes[{i}].param_mins[{j}]")
+            for j, x in enumerate(n.get("param_mins", ()))
+        )
         if any(m < 1 for m in mins):
             raise SpecFileError("parameter minimums must be positive", f"nodes[{i}].param_mins")
         nodes.append(
@@ -270,16 +294,8 @@ def _parse_diagram(obj: dict):
         p_sup = EntropyValue(_fraction(obj["p_sup"], "diagram.p_sup"))
     try:
         diagram = MeasureDiagram(tuple(nodes), tuple(families), p_sup)
-        hseq = seq_on(
-            diagram,
-            {nid: _parse_seq(s, f"h.{nid}") for nid, s in obj["h"].items()},
-            "nondecreasing",
-        )
-        perseq = seq_on(
-            diagram,
-            {nid: _parse_seq(s, f"ptail.{nid}") for nid, s in obj["ptail"].items()},
-            "nonincreasing",
-        )
+        hseq = seq_on(diagram, _parse_seqs(obj, "h", nodes), "nondecreasing")
+        perseq = seq_on(diagram, _parse_seqs(obj, "ptail", nodes), "nonincreasing")
     except SpecFileError:
         raise
     except Exception as exc:
@@ -287,10 +303,16 @@ def _parse_diagram(obj: dict):
     return {"diagram": diagram, "h": hseq, "ptail": perseq}
 
 
-def _parse_scenario(obj: dict):
-    _expect_fields(obj, {"name": str}, {"h0": None}, "scenario")
-    h0 = None if obj.get("h0") is None else _fraction(obj["h0"], "scenario.h0")
-    return {"name": obj["name"], "h0": h0}
+def _parse_seqs(obj: dict, field: str, nodes: list) -> dict:
+    """The sequence specs of one field, keyed by node id; a key that names
+    no node is an unknown field."""
+    ids = {n.node_id for n in nodes}
+    specs = {}
+    for nid, s in obj[field].items():
+        if nid not in ids:
+            raise SpecFileError(f"no node {nid!r}", f"{field}.{nid}")
+        specs[nid] = _parse_seq(s, f"{field}.{nid}")
+    return specs
 
 
 def _parse_hall(obj: dict):
@@ -316,7 +338,7 @@ _PARSERS = {
     "window": _parse_window,
     "hierarchy": _parse_hierarchy,
     "diagram": _parse_diagram,
-    "scenario": _parse_scenario,
     "hall": _parse_hall,
     "blockcode": _parse_blockcode,
 }
+KINDS = tuple(_PARSERS)

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from symdyn.diagram import (
+    _BIG_OFFSET,
+    _SLOPE_STEP,
+    INF,
     Atom,
     FamilyLink,
     Lin,
@@ -25,6 +28,8 @@ from symdyn.diagram import (
     seq_step,
     step_fn,
     tau_unbounded_along,
+    _const_budget,
+    _y_bounds_at,
 )
 from symdyn.errors import ArgumentError
 from symdyn.scenarios import scenario_data
@@ -272,3 +277,193 @@ def test_seq_monotone_validation():
         seq_on(D, {"top": SeqSpec(Fraction(0), lin(3), Fraction(1))}, "nonincreasing")
     with pytest.raises(ArgumentError):
         seq_on(D, {"top": SeqSpec(Fraction(1), lin(0, t=1), Fraction(1))}, "nonincreasing")
+
+
+# ---------------------------------------------------------------------------
+# the hand-written probe loops and piece-pair searches these routines
+# replaced, kept as references for the shared frame and witness search
+
+
+def naive_feasible(atoms, mins):
+    vars_ = sorted({a.var for a in atoms} | set(mins))
+    if not vars_:
+        return {}
+    if len(vars_) == 1:
+        x = vars_[0]
+        x_min = mins.get(x, 1)
+        lo, hi = x_min, None
+        for a in atoms:
+            if a.rhs.coeffs:
+                raise ArgumentError("one-variable guard references a second variable")
+            if a.lt:
+                hi = a.rhs.const - 1 if hi is None else min(hi, a.rhs.const - 1)
+            else:
+                lo = max(lo, a.rhs.const)
+        if hi is not None and lo > hi:
+            return None
+        return {x: lo}
+    if len(vars_) != 2:
+        raise ArgumentError("feasibility supports at most two variables")
+    x_var, y_var = vars_
+    x_min, y_min = mins.get(x_var, 1), mins.get(y_var, 1)
+    budget = _const_budget(atoms) + x_min + y_min
+    for x in range(x_min, x_min + 4 * budget + 2):
+        b = _y_bounds_at(atoms, x_var, y_var, x, y_min)
+        if b is not None:
+            return {x_var: x, y_var: b[0]}
+    base = x_min + 4 * budget + _BIG_OFFSET
+    for x in range(base, base + _SLOPE_STEP):
+        b = _y_bounds_at(atoms, x_var, y_var, x, y_min)
+        if b is not None:
+            return {x_var: x, y_var: b[0]}
+    return None
+
+
+def naive_feasible_unbounded(atoms, mins, var):
+    vars_ = sorted({a.var for a in atoms} | set(mins) | {var})
+    if len(vars_) == 1:
+        return not any(a.lt for a in atoms)
+    if len(vars_) != 2:
+        raise ArgumentError("feasibility supports at most two variables")
+    x_var, y_var = vars_
+    if var != x_var:
+        x_var, y_var = y_var, x_var
+    x_min, y_min = mins.get(x_var, 1), mins.get(y_var, 1)
+    budget = _const_budget(atoms) + x_min + y_min
+    base = x_min + 4 * budget + _BIG_OFFSET
+    return any(
+        _y_bounds_at(atoms, x_var, y_var, x, y_min) is not None
+        for x in range(base, base + _SLOPE_STEP)
+    )
+
+
+def naive_tau_unbounded_along(atoms, mins, var, tau):
+    if tau.coeff(var) >= 1:
+        return True
+    other = [p for p in tau.params if p != var]
+    if not other:
+        return False
+    vars_ = sorted({a.var for a in atoms} | set(mins) | {var} | set(other))
+    if len(vars_) == 1:
+        return False
+    x_var, y_var = vars_
+    if var != x_var:
+        x_var, y_var = y_var, x_var
+    x_min, y_min = mins.get(x_var, 1), mins.get(y_var, 1)
+    budget = _const_budget(atoms) + x_min + y_min
+
+    def sup_tau(x):
+        b = _y_bounds_at(atoms, x_var, y_var, x, y_min)
+        if b is None:
+            return None
+        lo, hi = b
+        cy = tau.coeff(y_var)
+        if cy == 0:
+            return tau.const + tau.coeff(x_var) * x
+        if hi is None:
+            return INF
+        return tau.const + tau.coeff(x_var) * x + cy * hi
+
+    base = x_min + 4 * budget + _BIG_OFFSET
+    for x in range(base, base + _SLOPE_STEP):
+        s0 = sup_tau(x)
+        if s0 is None:
+            continue
+        if s0 is INF:
+            return True
+        s1 = sup_tau(x + _SLOPE_STEP)
+        if s1 is INF or (s1 is not None and s1 > s0):
+            return True
+    return False
+
+
+def naive_fn_compare(f, g, mins):
+    for fa, fv in f.pieces:
+        for ga, gv in g.pieces:
+            if fv == gv:
+                continue
+            env = naive_feasible(list(fa + ga), mins)
+            if env is not None:
+                return env, fv, gv
+    return None
+
+
+def naive_fn_le(f, g, mins):
+    for fa, fv in f.pieces:
+        for ga, gv in g.pieces:
+            if fv <= gv:
+                continue
+            env = naive_feasible(list(fa + ga), mins)
+            if env is not None:
+                return env, fv, gv
+    return None
+
+
+def outcome(fn, *args):
+    """The result with its key order, or the error type and message."""
+    try:
+        got = fn(*args)
+    except ArgumentError as exc:
+        return "error", str(exc)
+    if isinstance(got, dict):
+        return list(got.items())
+    if isinstance(got, tuple):
+        return list(got[0].items()), got[1], got[2]
+    return got
+
+
+def rand_mins(rng, vars_):
+    return {v: rng.choice([1, 1, 1, 2, 5]) for v in vars_}
+
+
+def test_probe_frame_matches_the_reference():
+    rng = random.Random(41)
+    for _ in range(1500):
+        vars_ = ["m", "j"][: rng.choice([1, 2, 2])]
+        mins = rand_mins(rng, vars_)
+        atoms = rand_atoms(rng, vars_)
+        assert outcome(feasible, atoms, mins) == outcome(naive_feasible, atoms, mins)
+        var = rng.choice(["m", "j"])
+        assert outcome(feasible_unbounded, atoms, mins, var) == outcome(
+            naive_feasible_unbounded, atoms, mins, var
+        )
+        tau = rand_lin(rng, ["m", "j"])
+        assert outcome(tau_unbounded_along, atoms, mins, var, tau) == outcome(
+            naive_tau_unbounded_along, atoms, mins, var, tau
+        )
+
+
+def test_three_variables_are_refused_alike():
+    atoms = [Atom("m", True, lin(4, j=1)), Atom("t", False, lin(2))]
+    mins = {"m": 1, "j": 1}
+    message = "^feasibility supports at most two variables$"
+    with pytest.raises(ArgumentError, match=message):
+        feasible(atoms, mins)
+    with pytest.raises(ArgumentError, match=message):
+        feasible_unbounded(atoms, mins, "m")
+    with pytest.raises(ArgumentError, match=message):
+        tau_unbounded_along(atoms, mins, "m", lin(0, j=1))
+
+
+def rand_piecewise(rng, mins):
+    """A covering FnSpec over m and j: a step, a two-step split or a constant,
+    with values that tie often and sometimes are infinite."""
+    vals = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), INF]
+    kind = rng.randrange(3)
+    if kind == 0:
+        return const_fn(rng.choice(vals))
+    f = step_fn("m", rand_lin(rng, ["j"]), rng.choice(vals), rng.choice(vals))
+    if kind == 1:
+        return f
+    g = step_fn("j", rand_lin(rng, ["m"]), rng.choice(vals), rng.choice(vals))
+    return fn_max(f, g, mins)
+
+
+def test_piece_witnesses_match_the_reference():
+    rng = random.Random(43)
+    for _ in range(600):
+        mins = rand_mins(rng, ["m", "j"])
+        f, g = rand_piecewise(rng, mins), rand_piecewise(rng, mins)
+        assert outcome(fn_compare, f, g, mins) == outcome(naive_fn_compare, f, g, mins)
+        assert outcome(fn_le, f, g, mins) == outcome(naive_fn_le, f, g, mins)
+        assert outcome(fn_le, g, f, mins) == outcome(naive_fn_le, g, f, mins)

@@ -126,6 +126,16 @@ def test_bracket_validation():
         EntropyBracket(Fraction(1), Fraction(0))
 
 
+def test_bracket_contains_compares_exactly():
+    third = Fraction(1, 3)
+    point = EntropyBracket(third, third)
+    assert point.contains(third)
+    # 1/3 + 10**-20 rounds to the same float as 1/3
+    assert not point.contains(third + Fraction(1, 10**20))
+    assert not point.contains(third - Fraction(1, 10**20))
+    assert EntropyBracket(Fraction(0), Fraction(1)).contains(1)
+
+
 entropies = st.one_of(
     st.fractions(min_value=-64, max_value=64, max_denominator=64),
     st.fractions(min_value=0, max_value=64, max_denominator=64).map(EntropyValue),

@@ -9,10 +9,12 @@ from symdyn.diagram import (
     FnSpec,
     MeasureDiagram,
     Node,
+    SeqSpec,
     const_fn,
     fn_add,
     fn_compare,
     fn_le,
+    fn_max,
     fn_on,
     lin,
     seq_on,
@@ -20,8 +22,14 @@ from symdyn.diagram import (
     step_fn,
     tails_of,
 )
+from symdyn import envelope
 from symdyn.envelope import (
+    RepairVerdict,
+    SuperenvelopeVerdict,
+    _k_horizon,
+    _require_vanishing_tails,
     analyze_diagram,
+    envelope_limit,
     is_repair,
     is_superenvelope,
     is_usc,
@@ -34,6 +42,7 @@ from symdyn.envelope import (
 from symdyn.errors import ArgumentError
 from symdyn.randgen import random_candidate_envelope, random_diagram
 from symdyn.report import jsonable
+from test_diagram_algebra import naive_fn_compare, naive_fn_le
 
 
 def chain2():
@@ -376,3 +385,213 @@ def test_harmonic_mixture_evaluation():
     assert u2.mixture_value(parts) == Fraction(1, 2) * 2 + Fraction(1, 4) * 1
     with pytest.raises(ArgumentError):
         u2.mixture_value(parts[:2])
+
+
+# ---------------------------------------------------------------------------
+# the per-class witness loops the shared search replaced, kept as references
+
+
+def naive_is_repair(u, theta, diagram):
+    _require_vanishing_tails(theta)
+    for node in diagram.nodes:
+        if naive_fn_le(const_fn(0), u.spec(node.node_id), node.mins) is not None:
+            raise ArgumentError("repair candidates must be nonnegative")
+    limit = envelope_limit(u, theta, diagram)
+    for node in diagram.nodes:
+        w = naive_fn_compare(limit.spec(node.node_id), u.spec(node.node_id), node.mins)
+        if w is not None:
+            env, lv, uv = w
+            return RepairVerdict(False, node.node_id, tuple(sorted(env.items())), lv - uv)
+    return RepairVerdict(True)
+
+
+def naive_is_superenvelope(E, hseq, diagram, k_horizon=None):
+    h = hseq.limit_fn(diagram)
+    for node in diagram.nodes:
+        w = naive_fn_le(h.spec(node.node_id), E.spec(node.node_id), node.mins)
+        if w is not None:
+            env, hv, ev = w
+            return SuperenvelopeVerdict(
+                False, (), node.node_id, tuple(sorted(env.items())), f"E = {ev} < h = {hv}"
+            )
+    if k_horizon is None:
+        k_horizon = _k_horizon(hseq, E, diagram)
+    checked = tuple(range(1, k_horizon + 1))
+    for k in checked:
+        diff = {}
+        for node in diagram.nodes:
+            hk = hseq.spec(node.node_id).as_fn(k, node.mins)
+            minus = FnSpec(tuple((atoms, -v) for atoms, v in hk.pieces))
+            diff[node.node_id] = fn_add(E.spec(node.node_id), minus, node.mins)
+        g = fn_on(diagram, diff)
+        for node in diagram.nodes:
+            lowest = min(v for _, v in g.spec(node.node_id).pieces)
+            if lowest < 0:
+                w = naive_fn_le(const_fn(0), g.spec(node.node_id), node.mins)
+                if w is not None:
+                    env, _, gv = w
+                    return SuperenvelopeVerdict(
+                        False,
+                        checked[:k],
+                        node.node_id,
+                        tuple(sorted(env.items())),
+                        f"E - h_{k} = {gv} < 0",
+                    )
+        env_g = usc_envelope(g, diagram)
+        for node in diagram.nodes:
+            w = naive_fn_compare(env_g.spec(node.node_id), g.spec(node.node_id), node.mins)
+            if w is not None:
+                envv, ev_, gv = w
+                return SuperenvelopeVerdict(
+                    False,
+                    checked[:k],
+                    node.node_id,
+                    tuple(sorted(envv.items())),
+                    f"E - h_{k} not usc: envelope {ev_} > {gv}",
+                )
+    return SuperenvelopeVerdict(True, checked)
+
+
+def naive_pointwise_bounds(rep, diagram):
+    """analyze_diagram's lower and upper pointwise verdicts, class by class."""
+    lower_pw = upper_pw = True
+    for n in diagram.nodes:
+        h_plus_u1 = fn_add(rep.h.spec(n.node_id), rep.u1.spec(n.node_id), n.mins)
+        lhs = fn_max(rep.h_sex.spec(n.node_id), h_plus_u1, n.mins)
+        if naive_fn_le(lhs, rep.h_emb.spec(n.node_id), n.mins) is not None:
+            lower_pw = False
+        rhs = fn_add(rep.h_sex.spec(n.node_id), rep.u1.spec(n.node_id), n.mins)
+        if naive_fn_le(rep.h_emb.spec(n.node_id), rhs, n.mins) is not None:
+            upper_pw = False
+    return lower_pw, upper_pw
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ArgumentError as exc:
+        return "error", str(exc)
+
+
+_CANDIDATE_VALUES = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), INF]
+
+
+def random_candidate(rng, diagram, negative=False):
+    """Per class a constant or a step along one parameter; with `negative`,
+    some class may dip below 0."""
+    values = _CANDIDATE_VALUES + ([Fraction(-1, 2)] if negative else [])
+    specs = {}
+    for n in diagram.nodes:
+        if not n.params or rng.random() < 0.4:
+            specs[n.node_id] = const_fn(rng.choice(values))
+        else:
+            var = rng.choice(n.params)
+            specs[n.node_id] = step_fn(
+                var, lin(rng.randrange(1, 5)), rng.choice(values), rng.choice(values)
+            )
+    return fn_on(diagram, specs)
+
+
+def with_infinite_tails(rng, theta, diagram):
+    """theta with some positive lo sides replaced by infinity."""
+    specs = {
+        nid: SeqSpec(INF if s.lo > 0 and rng.random() < 0.5 else s.lo, s.tau, s.hi)
+        for nid, s in theta.specs
+    }
+    return seq_on(diagram, specs, "nonincreasing")
+
+
+def test_repair_verdicts_match_the_reference():
+    rng = random.Random(47)
+    failing = 0
+    for _ in range(400):
+        D, hseq, perseq = random_diagram(rng)
+        theta = rng.choice([perseq, tails_of(hseq, D)])
+        if rng.random() < 0.3:
+            theta = with_infinite_tails(rng, theta, D)
+        pick = rng.randrange(4)
+        if pick == 0:
+            u = u_one(theta, D)
+        elif pick == 1:
+            u = minimal_repair(theta, zero_fn(D), D)
+        else:
+            u = random_candidate(rng, D, negative=pick == 3)
+        got = outcome(is_repair, u, theta, D)
+        assert got == outcome(naive_is_repair, u, theta, D)
+        failing += got != RepairVerdict(True)
+    assert failing > 150
+
+
+def test_floor_guard_matches_the_reference():
+    rng = random.Random(53)
+    refused = 0
+    for _ in range(60):
+        D, _, perseq = random_diagram(rng)
+        floor = random_candidate(rng, D, negative=True)
+        negative = any(
+            naive_fn_le(const_fn(0), floor.spec(n.node_id), n.mins) is not None
+            for n in D.nodes
+        )
+        got = outcome(minimal_repair, perseq, floor, D)
+        assert (got == ("error", "floor must be nonnegative")) == negative
+        refused += negative
+    assert 10 < refused < 50
+
+
+def test_superenvelope_verdicts_match_the_reference():
+    rng = random.Random(59)
+    failing = 0
+    for i in range(80):
+        D, hseq, _ = random_diagram(rng)
+        # the default horizon on every third instance, a short one elsewhere
+        horizon = None if i % 3 == 0 else 6
+        if rng.random() < 0.25:  # often below h somewhere
+            E = random_candidate(rng, D)
+            got = is_superenvelope(E, hseq, D, horizon)
+            assert got == naive_is_superenvelope(E, hseq, D, horizon)
+            failing += not got.is_superenvelope
+            continue
+        h_sex = None
+        if rng.random() < 0.4:
+            u_sex = minimal_repair(tails_of(hseq, D), zero_fn(D), D)
+            h_sex = fn_on(
+                D,
+                {
+                    n.node_id: fn_add(
+                        hseq.limit_fn(D).spec(n.node_id), u_sex.spec(n.node_id), n.mins
+                    )
+                    for n in D.nodes
+                },
+            )
+        E = random_candidate_envelope(rng, D, hseq, h_sex)
+        if rng.random() < 0.2:
+            nid = rng.choice(D.nodes).node_id
+            E = fn_on(D, {**dict(E.specs), nid: const_fn(INF)})
+        got = is_superenvelope(E, hseq, D, horizon)
+        assert got == naive_is_superenvelope(E, hseq, D, horizon)
+        failing += not got.is_superenvelope
+    assert 20 < failing < 70
+
+
+def test_pointwise_bounds_match_the_reference():
+    rng = random.Random(61)
+    for _ in range(80):
+        D, hseq, perseq = random_diagram(rng)
+        if rng.random() < 0.3:
+            perseq = with_infinite_tails(rng, perseq, D)
+        rep = analyze_diagram(D, hseq, perseq)
+        got = (rep.bounds.lower_pointwise, rep.bounds.upper_pointwise)
+        assert got == naive_pointwise_bounds(rep, D)
+
+
+def test_witness_env_is_sorted_items():
+    # the comparison may build its env in any order; the witness sorts it
+    D = chain2()
+    f = fn_on(D, {n.node_id: const_fn(0) for n in D.nodes})
+
+    def unsorted_compare(fs, gs, mins):
+        return ({"m": 3, "j": 1}, 1, 0) if "j" in mins else None
+
+    assert envelope._witness(f, f, D, unsorted_compare) == (
+        "deep", (("j", 1), ("m", 3)), 1, 0
+    )

@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ import pytest
 
 from symdyn.cli import build_parser, main
 from symdyn.errors import SpecFileError
-from symdyn.specfiles import load_spec, window_to_json
+from symdyn.specfiles import KINDS, load_spec, window_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -380,6 +381,94 @@ def test_cli_diagram_analyze(tmp_path):
     body = json.loads(out)
     assert body["result"]["sup_h_emb"]["exact"] == "5/2"
     assert body["verdicts"]["upper_pointwise"] is True
+
+
+def with_h(h_arm, **extra):
+    """A two-class diagram spec with h on the arm set to h_arm."""
+    diag = {
+        "kind": "diagram",
+        "version": 1,
+        "nodes": [{"id": "top"}, {"id": "arm", "params": ["m"]}],
+        "families": [{"member": "arm", "parameter": "m", "limit": "top"}],
+        "h": {"top": "0", "arm": h_arm},
+        "ptail": {"top": "0", "arm": "0"},
+    }
+    for field, value in extra.items():
+        diag[field] = {**diag.get(field, {}), **value} if isinstance(value, dict) else value
+    return diag
+
+
+WRONG_SHAPES = [
+    (
+        "per",
+        {"kind": "sft", "version": 1, "alphabet": ["0", "1"], "forbidden": [11]},
+        "forbidden[0]: must be a string or a list of strings, not 11",
+    ),
+    (
+        "per",
+        {"kind": "sft", "version": 1, "rows": [["0", "1"], ["0", "1"]], "forbidden": [11]},
+        "forbidden[0]: must be a string or a list of strings, not 11",
+    ),
+    (
+        "markers",
+        {"kind": "window", "version": 1, "rows": ["0101"], "markers": [5]},
+        "markers[0]: must be a list of columns, not 5",
+    ),
+    (
+        "markers",
+        {"kind": "window", "version": 1, "rows": ["0101"], "markers": ["18"]},
+        "markers[0]: must be a list of columns, not '18'",
+    ),
+    (
+        "markers",
+        {"kind": "window", "version": 1, "rows": ["0101"], "markers": [[2.7, 5]]},
+        "markers[0][0]: must be an integer, not 2.7",
+    ),
+    (
+        "diagram",
+        with_h({"lo": "0", "hi": "1", "tau": {"m": 1.5}}),
+        "h.arm.tau.m: must be an integer, not 1.5",
+    ),
+    (
+        "diagram",
+        with_h({"lo": "0", "hi": "1", "tau": {"m": 1, "const": True}}),
+        "h.arm.tau.const: must be an integer, not True",
+    ),
+    (
+        "diagram",
+        with_h({"lo": "0", "hi": "1", "tau": True}),
+        "h.arm.tau: threshold must be an integer or an object",
+    ),
+    (
+        "diagram",
+        with_h("0", nodes=[{"id": "top"}, {"id": "arm", "params": ["m"], "param_mins": [1.5]}]),
+        "nodes[1].param_mins[0]: must be an integer, not 1.5",
+    ),
+    ("diagram", with_h("0", h={"typo": "5"}), "h.typo: no node 'typo'"),
+    ("diagram", with_h("0", ptail={"zz": "1"}), "ptail.zz: no node 'zz'"),
+]
+
+
+@pytest.mark.parametrize("command, payload, message", WRONG_SHAPES)
+def test_cli_wrong_shaped_values_name_their_field(tmp_path, command, payload, message):
+    path = write(tmp_path, "spec.json", payload)
+    argv = {
+        "per": ["per", "--spec", path, "-n", "2"],
+        "markers": ["markers", "run", "--pass", "pipeline", "--spec", path],
+        "diagram": ["diagram", "analyze", "--spec", path],
+    }[command]
+    code, out, err = run_cli(argv)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+    with pytest.raises(SpecFileError, match=re.escape(message)):
+        load_spec(path)
+
+
+def test_scenario_spec_kind_is_unknown(tmp_path):
+    path = write(tmp_path, "s.json", {"kind": "scenario", "version": 1, "name": "example1"})
+    code, _, err = run_cli(["diagram", "analyze", "--spec", path])
+    assert code == 3
+    assert "unknown kind 'scenario'" in err
+    assert KINDS == ("sft", "window", "hierarchy", "diagram", "hall", "blockcode")
 
 
 def test_cli_scenario_exit_codes(tmp_path):
