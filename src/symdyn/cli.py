@@ -12,11 +12,12 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 from .dbar import OrbitMixture, dbar_mixture, dbar_periodic
 from .diagram import MeasureDiagram
+from .entropy import EntropyValue
 from .envelope import analyze_diagram
 from .errors import ArgumentError, AssertionDiff, ResourceCapError, SymdynError
 from .extension import (
@@ -147,9 +148,8 @@ def _cmd_dbar(args) -> int:
 
 
 def _schedule(args) -> MarkerSchedule:
-    n = tuple(int(x) for x in args.schedule_n.split(",")) if args.schedule_n else ()
     m = tuple(int(x) for x in args.schedule_m.split(",")) if args.schedule_m else ()
-    return MarkerSchedule(n, m)
+    return MarkerSchedule((), m)
 
 
 def _cmd_markers(args) -> int:
@@ -292,9 +292,6 @@ def _cmd_diagram(args) -> int:
     data = _load(args.spec, "diagram")
     diagram: MeasureDiagram = data["diagram"]
     if args.p_sup:
-        from .entropy import EntropyValue
-        from dataclasses import replace
-
         diagram = replace(diagram, p_sup=EntropyValue(Fraction(args.p_sup)))
     rep_data = analyze_diagram(diagram, data["h"], data["ptail"])
     per_node = {}
@@ -375,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--pass", dest="pass_name", required=True)
     mp.add_argument("--row", type=int, default=1)
     mp.add_argument("-n", type=int, default=5)
-    mp.add_argument("--schedule-n", dest="schedule_n")
     mp.add_argument("--schedule-m", dest="schedule_m")
     mp.add_argument("--rules", help="comma list from A,B,C-ratio,D,E")
     mp.add_argument("--gap-bounds", dest="gap_bounds", help="row,lo,hi;row,lo,hi")

@@ -16,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import lt
 
 from .errors import ArgumentError, ConstructionError
 
@@ -50,9 +51,9 @@ class ArrayWindow:
         if len(self.markers) != len(self.rows):
             raise ArgumentError("one marker set per row required")
         for ms in self.markers:
-            if list(ms) != sorted(set(ms)):
+            if not all(map(lt, ms, ms[1:])):
                 raise ArgumentError("marker sets must be sorted and duplicate-free")
-            if any(not (0 <= c < W) for c in ms):
+            if ms and not (0 <= ms[0] and ms[-1] < W):  # sorted: the ends bound the rest
                 raise ArgumentError("marker column out of range")
         if self.boundary not in (OPEN, WRAP):
             raise ArgumentError(f"unknown boundary policy {self.boundary!r}")
@@ -191,6 +192,11 @@ def _clear(cols, c: int, d: int) -> bool:
     return (i == len(cols) or cols[i] - c >= d) and (i == 0 or c - cols[i - 1] >= d)
 
 
+def _require_open(w: ArrayWindow) -> None:
+    if w.boundary != OPEN:
+        raise ArgumentError("marker passes require an open boundary")
+
+
 def _flagged_spans(w: ArrayWindow, k: int):
     return {(f.lo, f.hi) for f in w.flags if f.row == k}
 
@@ -204,8 +210,7 @@ def place_krieger(w: ArrayWindow, row: int, n: int) -> ArrayWindow:
     with these gap bounds realizes the clopen-set placement; the greedy
     left-to-right rule fixes one deterministically.
     """
-    if w.boundary != OPEN:
-        raise ArgumentError("marker passes require an open boundary")
+    _require_open(w)
     if not (1 <= row <= w.depth):
         raise ArgumentError(f"row {row} out of range")
     if w.width <= 2 * n + 1:
@@ -248,6 +253,7 @@ def upward_adjust(w: ArrayWindow) -> ArrayWindow:
     alignment is against already-adjusted markers.  Markers with no
     candidate to their right are dropped with a boundary note.
     """
+    _require_open(w)
     cur = w
     notes = []
     flags = list(w.flags)
@@ -296,8 +302,7 @@ def subdivide_balance(w: ArrayWindow, schedule: MarkerSchedule) -> ArrayWindow:
     the (already subdivided) row above.  Resulting row-k gaps lie within
     schedule.subdivided_bounds(k) away from window boundaries.
     """
-    if w.boundary != OPEN:
-        raise ArgumentError("marker passes require an open boundary")
+    _require_open(w)
     if not schedule.m or len(schedule.m) < w.depth:
         raise ArgumentError("schedule must provide m_k for every row")
     cur = w
@@ -345,8 +350,7 @@ def periodic_markers(w: ArrayWindow, row: int) -> ArrayWindow:
     the gap interior), skipping insertions closer than p to markers already
     present in row p.
     """
-    if w.boundary != OPEN:
-        raise ArgumentError("marker passes require an open boundary")
+    _require_open(w)
     flagged = [f for f in w.flags if f.row == row]
     flagged_spans = _flagged_spans(w, row)
     for a, b, length in w.interior_gaps(row):
@@ -375,8 +379,7 @@ def upward_stretch(w: ArrayWindow) -> ArrayWindow:
     up to row 1.  Source rows are processed deepest first, columns left to
     right, against the current (growing) marker sets.
     """
-    if w.boundary != OPEN:
-        raise ArgumentError("marker passes require an open boundary")
+    _require_open(w)
     marks = [list(ms) for ms in w.markers]
     for k in range(w.depth, 1, -1):
         for c in w.row_markers(k):
@@ -395,8 +398,7 @@ def leftward_stretch(w: ArrayWindow) -> ArrayWindow:
     row-k marker, or past the window edge.  Markers are processed left to
     right against the growing set.
     """
-    if w.boundary != OPEN:
-        raise ArgumentError("marker passes require an open boundary")
+    _require_open(w)
     marks = [list(ms) for ms in w.markers]
     for k in range(1, w.depth + 1):
         for i in w.row_markers(k):

@@ -2,51 +2,74 @@
 
 Every file carries "kind" and "version"; unknown fields are rejected with
 the offending field path.  Exact rationals travel as "p/q" strings.
+
+Each field has one reader, a function of (value, path) that checks the
+value's JSON type and returns it converted, or raises SpecFileError naming
+the field as `field`, `field[i]` (a list item) or `field.key` (an object
+member).  Errors the constructors find once every field is read concern the
+spec as a whole and carry its kind as their path.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from .diagram import (
-    FamilyLink,
-    Lin,
-    MeasureDiagram,
-    Node,
-    SeqSpec,
-    lin,
-    seq_on,
-)
+from .diagram import FamilyLink, Lin, MeasureDiagram, Node, SeqSpec, lin, seq_on
 from .entropy import EntropyValue
-from .errors import SpecFileError
+from .errors import ArgumentError, SpecFileError
 from .extension import Rectangle, RectangleHierarchy, oracle_from_dict
 from .generator import BlockCode, block_code
 from .markers import ArrayWindow, LongGapFlag, window_from_rows
 from .sft import Alphabet, SftSpec, validate as validate_sft
 
 SUPPORTED_VERSION = 1
+_DIGITS = "0123456789"
 
 
-def _expect_fields(obj: dict, required: dict, optional: dict, path: str):
+def _member(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _fields(obj, path: str, required: dict, optional: dict) -> dict:
+    """The fields of an object, each read by its reader in `required` or
+    `optional`; a missing required field or an unknown field is refused."""
+    if not isinstance(obj, dict):
+        raise SpecFileError(f"must be an object, not {obj!r}", path)
     for k in obj:
         if k not in required and k not in optional:
-            raise SpecFileError(f"unknown field {k!r}", path)
-    for k, typ in required.items():
+            raise SpecFileError("unknown field", _member(path, k))
+    for k in required:
         if k not in obj:
-            raise SpecFileError(f"missing field {k!r}", path)
-        if typ is not None and not isinstance(obj[k], typ):
-            raise SpecFileError(f"field {k!r} must be {typ.__name__}", path)
-    for k, typ in optional.items():
-        if k in obj and typ is not None and not isinstance(obj[k], typ):
-            raise SpecFileError(f"field {k!r} must be {typ.__name__}", path)
+            raise SpecFileError("missing field", _member(path, k))
+    readers = {**required, **optional}
+    return {k: readers[k](v, _member(path, k)) for k, v in obj.items()}
 
 
 def _int(value, path: str) -> int:
-    """An integer field; a bool, a float or a string is refused, not cast."""
+    """An integer; a bool, a float or a string is refused, not cast."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise SpecFileError(f"must be an integer, not {value!r}", path)
+    return value
+
+
+def _int_min(least: int):
+    """An integer reader that also refuses values below `least`."""
+
+    def read(value, path: str) -> int:
+        if _int(value, path) < least:
+            raise SpecFileError(f"must be at least {least}, not {value}", path)
+        return value
+
+    return read
+
+
+def _str(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise SpecFileError(f"must be a string, not {value!r}", path)
     return value
 
 
@@ -59,11 +82,56 @@ def _word(value, path: str) -> tuple:
     raise SpecFileError(f"must be a string or a list of strings, not {value!r}", path)
 
 
-def _fraction(text, path: str) -> Fraction:
+def _digits(value, path: str) -> tuple:
+    """A rectangle word: a string of decimal digits, one symbol each."""
+    if _str(value, path).strip(_DIGITS):
+        raise SpecFileError(f"must be a string of decimal digits, not {value!r}", path)
+    return tuple(map(int, value))  # only ASCII digits get here
+
+
+def _level(key: str, path: str) -> int:
+    """An oracle level: an object key spelling a decimal integer."""
+    if not key or key.strip(_DIGITS):
+        raise SpecFileError("oracle levels must be integers", path)
+    return int(key)  # only ASCII digits get here
+
+
+def _fraction(value, path: str) -> Fraction:
+    """An exact rational: an integer or a string such as "p/q"."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise SpecFileError(f"not an exact rational: {value!r}", path)
     try:
-        return Fraction(str(text))
+        return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SpecFileError(f"not an exact rational: {text!r} ({exc})", path)
+        raise SpecFileError(f"not an exact rational: {value!r} ({exc})", path)
+
+
+def _list(read, what: str = "a list"):
+    """A list reader: item i read by `read` at `path[i]`."""
+
+    def read_list(value, path: str) -> list:
+        if not isinstance(value, list):
+            raise SpecFileError(f"must be {what}, not {value!r}", path)
+        return [read(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+    return read_list
+
+
+def _dict(read, key=_str):
+    """An object reader: each member's key read by `key`, then its value by
+    `read`, both at `path.key`."""
+
+    def read_dict(value, path: str) -> dict:
+        if not isinstance(value, dict):
+            raise SpecFileError(f"must be an object, not {value!r}", path)
+        out = {}
+        for k, v in value.items():
+            at = _member(path, k)
+            k = key(k, at)
+            out[k] = read(v, at)
+        return out
+
+    return read_dict
 
 
 def load_spec(path: str) -> dict:
@@ -86,86 +154,56 @@ def load_spec(path: str) -> dict:
             "version",
         )
     payload = {k: v for k, v in raw.items() if k not in ("kind", "version")}
-    parsed = _PARSERS[kind](payload)
+    try:
+        parsed = _PARSERS[kind](payload)
+    except SpecFileError:
+        raise
+    except ArgumentError as exc:  # a constructor's check of the whole spec
+        raise SpecFileError(str(exc), kind)
     return {"kind": kind, "version": version, "payload": parsed, "raw": raw}
 
 
-def _parse_sft(obj: dict) -> SftSpec:
-    _expect_fields(
-        obj, {}, {"alphabet": list, "forbidden": list, "rows": list}, "sft"
-    )
-    rows = obj.get("rows")
-    if rows is not None:
-        if "alphabet" in obj:
-            raise SpecFileError("alphabet is derived from rows; give only one", "sft")
-        row_alphabets = []
-        for i, syms in enumerate(rows):
-            if not isinstance(syms, list) or not syms:
-                raise SpecFileError("each row needs a symbol list", f"rows[{i}]")
-            row_alphabets.append(Alphabet(tuple(str(s) for s in syms)))
-        import itertools
+def _row(value, path: str) -> Alphabet:
+    if not (symbols := _list(_str)(value, path)):
+        raise SpecFileError("each row needs a symbol list", path)
+    return Alphabet(tuple(symbols))
 
-        symbols = tuple(itertools.product(*[a.symbols for a in row_alphabets]))
-        forbidden = set()
-        for i, w in enumerate(obj.get("forbidden", [])):
-            word = []
-            for j, sym in enumerate(_word(w, f"forbidden[{i}]")):
+
+def _parse_sft(obj: dict) -> SftSpec:
+    optional = {"alphabet": _list(_str), "forbidden": _list(_word), "rows": _list(_row)}
+    f = _fields(obj, "", {}, optional)
+    words = f.get("forbidden", [])
+    if "rows" not in f:
+        if "alphabet" not in f:
+            raise SpecFileError("missing field", "alphabet")
+        spec = SftSpec(Alphabet(tuple(f["alphabet"])), frozenset(words))
+    elif "alphabet" in f:
+        raise SpecFileError("alphabet is derived from rows; give only one", "sft")
+    else:
+        rows = tuple(f["rows"])
+        for i, w in enumerate(words):
+            for j, sym in enumerate(w):
                 if len(sym) != len(rows):
                     raise SpecFileError(
-                        "product symbol needs one character per row",
-                        f"forbidden[{i}][{j}]",
+                        "product symbol needs one character per row", f"forbidden[{i}][{j}]"
                     )
-                word.append(tuple(sym))
-            forbidden.add(tuple(word))
-        spec = SftSpec(Alphabet(symbols), frozenset(forbidden), tuple(row_alphabets))
-    else:
-        if "alphabet" not in obj:
-            raise SpecFileError("missing field 'alphabet'", "sft")
-        alphabet = Alphabet(tuple(str(s) for s in obj["alphabet"]))
-        forbidden = frozenset(
-            _word(w, f"forbidden[{i}]") for i, w in enumerate(obj.get("forbidden", []))
-        )
-        spec = SftSpec(alphabet, forbidden)
-    try:
-        validate_sft(spec)
-    except Exception as exc:
-        raise SpecFileError(str(exc), "sft")
+        symbols = tuple(itertools.product(*[a.symbols for a in rows]))
+        forbidden = frozenset(tuple(map(tuple, w)) for w in words)
+        spec = SftSpec(Alphabet(symbols), forbidden, rows)
+    validate_sft(spec)
     return spec
 
 
-def _parse_window(obj: dict) -> ArrayWindow:
-    _expect_fields(
-        obj,
-        {"rows": list, "markers": list},
-        {"boundary": str, "flags": list},
-        "window",
-    )
-    markers = []
-    for i, m in enumerate(obj["markers"]):
-        if not isinstance(m, list):
-            raise SpecFileError(f"must be a list of columns, not {m!r}", f"markers[{i}]")
-        markers.append([_int(c, f"markers[{i}][{j}]") for j, c in enumerate(m)])
-    w = window_from_rows(
-        [str(r) for r in obj["rows"]],
-        markers,
-        obj.get("boundary", "open"),
-    )
-    flags = []
-    for i, f in enumerate(obj.get("flags", [])):
-        _expect_fields(
-            f,
-            {"row": int, "lo": int, "hi": int, "period": int},
-            {},
-            f"flags[{i}]",
-        )
-        if f["period"] < 1:
-            raise SpecFileError("period must be positive", f"flags[{i}].period")
-        flags.append(LongGapFlag(f["row"], f["lo"], f["hi"], f["period"]))
-    if flags:
-        from dataclasses import replace
+def _flag(value, path: str) -> LongGapFlag:
+    fields = {"row": _int, "lo": _int, "hi": _int, "period": _int_min(1)}
+    return LongGapFlag(**_fields(value, path, fields, {}))
 
-        w = replace(w, flags=tuple(flags))
-    return w
+
+def _parse_window(obj: dict) -> ArrayWindow:
+    required = {"rows": _list(_str), "markers": _list(_list(_int, "a list of columns"))}
+    f = _fields(obj, "", required, {"boundary": _str, "flags": _list(_flag)})
+    w = window_from_rows(f["rows"], f["markers"], f.get("boundary", "open"))
+    return replace(w, flags=tuple(f.get("flags", ())))
 
 
 def window_to_json(w: ArrayWindow, doubled: bool = False) -> dict:
@@ -190,147 +228,90 @@ def window_to_json(w: ArrayWindow, doubled: bool = False) -> dict:
     }
 
 
+def _rectangle(value, path: str) -> Rectangle:
+    optional = {"word": _digits, "children": _list(_str), "bottom": _digits}
+    r = _fields(value, path, {"id": _str, "level": _int}, optional)
+    children = tuple(r.get("children", ()))
+    return Rectangle(r["id"], r["level"], r.get("word"), children, r.get("bottom"))
+
+
 def _parse_hierarchy(obj: dict):
-    _expect_fields(
-        obj,
-        {"alphabet_size": int, "rectangles": list, "oracle": dict},
-        {},
-        "hierarchy",
-    )
-    s = obj["alphabet_size"]
-    rects = []
-    for i, r in enumerate(obj["rectangles"]):
-        _expect_fields(
-            r,
-            {"id": str, "level": int},
-            {"word": str, "children": list, "bottom": str},
-            f"rectangles[{i}]",
-        )
-        word = tuple(int(c) for c in r["word"]) if "word" in r else None
-        bottom = tuple(int(c) for c in r["bottom"]) if "bottom" in r else None
-        rects.append(
-            Rectangle(r["id"], r["level"], word, tuple(r.get("children", ())), bottom)
-        )
-    hierarchy = RectangleHierarchy(s, tuple(rects))
-    oracle = {}
-    for lv, entries in obj["oracle"].items():
-        try:
-            level = int(lv)
-        except ValueError:
-            raise SpecFileError("oracle levels must be integers", f"oracle.{lv}")
-        if not isinstance(entries, dict):
-            raise SpecFileError("oracle entries must map ids to budgets", f"oracle.{lv}")
-        for rid, b in entries.items():
-            if not isinstance(b, int) or b < 1:
-                raise SpecFileError("budgets must be positive integers", f"oracle.{lv}.{rid}")
-        oracle[level] = {rid: b for rid, b in entries.items()}
-    return {"hierarchy": hierarchy, "oracle": oracle_from_dict(oracle), "s": s}
+    required = {
+        "alphabet_size": _int,
+        "rectangles": _list(_rectangle),
+        "oracle": _dict(_dict(_int_min(1)), key=_level),
+    }
+    f = _fields(obj, "", required, {})
+    s = f["alphabet_size"]
+    hierarchy = RectangleHierarchy(s, tuple(f["rectangles"]))
+    return {"hierarchy": hierarchy, "oracle": oracle_from_dict(f["oracle"]), "s": s}
 
 
-def _parse_lin(obj, path: str) -> Lin:
-    if isinstance(obj, int) and not isinstance(obj, bool):
-        return lin(obj)
-    if not isinstance(obj, dict):
+def _lin(value, path: str) -> Lin:
+    """A threshold: an integer constant, or an object of integer
+    coefficients keyed by parameter name, with "const" the constant."""
+    if isinstance(value, dict):
+        coeffs = _dict(_int)(value, path)
+        return lin(coeffs.pop("const", 0), **coeffs)
+    if isinstance(value, bool) or not isinstance(value, int):
         raise SpecFileError("threshold must be an integer or an object", path)
-    const = 0
-    coeffs = {}
-    for k, v in obj.items():
-        if k == "const":
-            const = _int(v, f"{path}.const")
-        else:
-            coeffs[k] = _int(v, f"{path}.{k}")
-    return lin(const, **coeffs)
+    return lin(value)
 
 
-def _parse_seq(obj, path: str) -> SeqSpec:
-    if isinstance(obj, (str, int)):
-        v = _fraction(obj, path)
+def _seq(value, path: str) -> SeqSpec:
+    """A sequence spec: one exact rational, or lo, hi and a threshold tau."""
+    if not isinstance(value, dict):
+        v = _fraction(value, path)
         return SeqSpec(v, lin(0), v)
-    _expect_fields(obj, {"lo": None, "hi": None}, {"tau": None}, path)
-    lo = _fraction(obj["lo"], f"{path}.lo")
-    hi = _fraction(obj["hi"], f"{path}.hi")
-    tau = _parse_lin(obj.get("tau", 0), f"{path}.tau")
-    return SeqSpec(lo, tau, hi)
+    s = _fields(value, path, {"lo": _fraction, "hi": _fraction}, {"tau": _lin})
+    return SeqSpec(s["lo"], s.get("tau", lin(0)), s["hi"])
+
+
+def _node(value, path: str) -> Node:
+    optional = {
+        "params": _list(_str),
+        "kind": _str,
+        "period": _str,
+        "param_mins": _list(_int_min(1)),
+    }
+    n = _fields(value, path, {"id": _str}, optional)
+    params, mins = tuple(n.get("params", ())), tuple(n.get("param_mins", ()))
+    return Node(n["id"], params, n.get("kind", "periodic"), n.get("period"), mins)
+
+
+def _family(value, path: str) -> FamilyLink:
+    fields = {"member": _str, "parameter": _str, "limit": _str}
+    return FamilyLink(**_fields(value, path, fields, {}))
 
 
 def _parse_diagram(obj: dict):
-    _expect_fields(
-        obj,
-        {"nodes": list, "families": list, "h": dict, "ptail": dict},
-        {"p_sup": None},
-        "diagram",
-    )
-    nodes = []
-    for i, n in enumerate(obj["nodes"]):
-        _expect_fields(
-            n,
-            {"id": str},
-            {"params": list, "kind": str, "period": str, "param_mins": list},
-            f"nodes[{i}]",
-        )
-        mins = tuple(
-            _int(x, f"nodes[{i}].param_mins[{j}]")
-            for j, x in enumerate(n.get("param_mins", ()))
-        )
-        if any(m < 1 for m in mins):
-            raise SpecFileError("parameter minimums must be positive", f"nodes[{i}].param_mins")
-        nodes.append(
-            Node(
-                n["id"],
-                tuple(n.get("params", ())),
-                n.get("kind", "periodic"),
-                n.get("period"),
-                mins,
-            )
-        )
-    families = []
-    for i, f in enumerate(obj["families"]):
-        _expect_fields(
-            f, {"member": str, "parameter": str, "limit": str}, {}, f"families[{i}]"
-        )
-        families.append(FamilyLink(f["member"], f["parameter"], f["limit"]))
-    p_sup = None
-    if obj.get("p_sup") is not None:
-        p_sup = EntropyValue(_fraction(obj["p_sup"], "diagram.p_sup"))
-    try:
-        diagram = MeasureDiagram(tuple(nodes), tuple(families), p_sup)
-        hseq = seq_on(diagram, _parse_seqs(obj, "h", nodes), "nondecreasing")
-        perseq = seq_on(diagram, _parse_seqs(obj, "ptail", nodes), "nonincreasing")
-    except SpecFileError:
-        raise
-    except Exception as exc:
-        raise SpecFileError(str(exc), "diagram")
+    required = {
+        "nodes": _list(_node),
+        "families": _list(_family),
+        "h": _dict(_seq),
+        "ptail": _dict(_seq),
+    }
+    f = _fields(obj, "", required, {"p_sup": _fraction})
+    ids = {n.node_id for n in f["nodes"]}
+    for field in ("h", "ptail"):
+        for nid in f[field]:
+            if nid not in ids:
+                raise SpecFileError(f"no node {nid!r}", f"{field}.{nid}")
+    p_sup = EntropyValue(f["p_sup"]) if "p_sup" in f else None
+    diagram = MeasureDiagram(tuple(f["nodes"]), tuple(f["families"]), p_sup)
+    hseq = seq_on(diagram, f["h"], "nondecreasing")
+    perseq = seq_on(diagram, f["ptail"], "nonincreasing")
     return {"diagram": diagram, "h": hseq, "ptail": perseq}
 
 
-def _parse_seqs(obj: dict, field: str, nodes: list) -> dict:
-    """The sequence specs of one field, keyed by node id; a key that names
-    no node is an unknown field."""
-    ids = {n.node_id for n in nodes}
-    specs = {}
-    for nid, s in obj[field].items():
-        if nid not in ids:
-            raise SpecFileError(f"no node {nid!r}", f"{field}.{nid}")
-        specs[nid] = _parse_seq(s, f"{field}.{nid}")
-    return specs
-
-
 def _parse_hall(obj: dict):
-    _expect_fields(obj, {"strips": dict}, {}, "hall")
-    mapping = {}
-    for strip, words in obj["strips"].items():
-        if not isinstance(words, list):
-            raise SpecFileError("each strip needs a word list", f"strips.{strip}")
-        mapping[str(strip)] = {tuple(str(w)) for w in words}
-    return mapping
+    f = _fields(obj, "", {"strips": _dict(_list(_str))}, {})
+    return {strip: set(map(tuple, words)) for strip, words in f["strips"].items()}
 
 
 def _parse_blockcode(obj: dict) -> BlockCode:
-    _expect_fields(obj, {"radius": int, "table": dict}, {}, "blockcode")
-    if obj["radius"] < 0:
-        raise SpecFileError("radius must be nonnegative", "blockcode.radius")
-    table = {tuple(str(k)): str(v) for k, v in obj["table"].items()}
-    return block_code(obj["radius"], table)
+    f = _fields(obj, "", {"radius": _int_min(0), "table": _dict(_str)}, {})
+    return block_code(f["radius"], {tuple(k): v for k, v in f["table"].items()})
 
 
 _PARSERS = {

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from symdyn.errors import ArgumentError, ConstructionError
 from symdyn.markers import (
+    ArrayWindow,
     LongGapFlag,
     MarkerSchedule,
     aperiodicize,
@@ -727,6 +728,54 @@ def test_wrap_boundary_gap_arithmetic():
     assert gaps[-1] == (15, 2, 7)  # cyclic gap across the seam
     with pytest.raises(ArgumentError):
         place_krieger(w, 1, 3)
+
+
+def test_every_pass_refuses_a_wrap_window():
+    # across the seam column 2 is right of the row-2 marker at 15, so the
+    # open-boundary drop of upward_adjust would be wrong here
+    w = window_from_rows(["0" * 20] * 2, [[2, 9], [15]], boundary="periodic-wrap")
+    passes = (
+        upward_adjust,
+        upward_stretch,
+        leftward_stretch,
+        lambda v: place_krieger(v, 1, 3),
+        lambda v: periodic_markers(v, 2),
+        lambda v: subdivide_balance(v, MarkerSchedule((), (3, 3))),
+    )
+    for run in passes:
+        with pytest.raises(ArgumentError, match="^marker passes require an open boundary$"):
+            run(w)
+
+
+def naive_window_refusal(rows, markers):
+    """The per-column marker check ArrayWindow made before it compared ends."""
+    W = len(rows[0])
+    for ms in markers:
+        if list(ms) != sorted(set(ms)):
+            return "marker sets must be sorted and duplicate-free"
+        if any(not (0 <= c < W) for c in ms):
+            return "marker column out of range"
+    return None
+
+
+def test_window_marker_checks_match_the_per_column_scan():
+    rng = random.Random(53)
+    seen = set()
+    for _ in range(3000):
+        width, depth = rng.randint(1, 12), rng.randint(1, 3)
+        rows = tuple("0" * width for _ in range(depth))
+        markers = tuple(
+            tuple(rng.randint(-2, width + 1) for _ in range(rng.randint(0, 4)))
+            for _ in range(depth)
+        )
+        try:
+            ArrayWindow(rows, markers)
+            got = None
+        except ArgumentError as exc:
+            got = str(exc)
+        assert got == naive_window_refusal(rows, markers), markers
+        seen.add(got)
+    assert len(seen) == 3  # accepted, and both refusals
 
 
 def test_c_ratio_rule():

@@ -398,6 +398,23 @@ def with_h(h_arm, **extra):
     return diag
 
 
+def hierarchy(rectangles=None, **extra):
+    """A two-rectangle hierarchy spec, with fields replaced by `extra`."""
+    rects = [{"id": "B1", "level": 1, "word": "01001"}, {"id": "B2", "level": 1, "word": "11000"}]
+    return {
+        "kind": "hierarchy",
+        "version": 1,
+        "alphabet_size": 2,
+        "rectangles": rectangles or rects,
+        "oracle": {"1": {"B1": 2, "B2": 1}},
+        **extra,
+    }
+
+
+def identity_code(**extra):
+    return {"kind": "blockcode", "version": 1, "radius": 0, "table": {"0": "0", "1": "1"}, **extra}
+
+
 WRONG_SHAPES = [
     (
         "per",
@@ -446,6 +463,51 @@ WRONG_SHAPES = [
     ),
     ("diagram", with_h("0", h={"typo": "5"}), "h.typo: no node 'typo'"),
     ("diagram", with_h("0", ptail={"zz": "1"}), "ptail.zz: no node 'zz'"),
+    # bools are not integers, and no value is cast to the type its field wants
+    ("code", identity_code(radius=True), "radius: must be an integer, not True"),
+    (
+        "per",
+        {"kind": "sft", "version": 1, "alphabet": [["0"], 1]},
+        "alphabet[0]: must be a string, not ['0']",
+    ),
+    (
+        "markers",
+        {"kind": "window", "version": 1, "rows": [101, 110], "markers": [[], []]},
+        "rows[0]: must be a string, not 101",
+    ),
+    (
+        "markers",
+        {
+            "kind": "window",
+            "version": 1,
+            "rows": ["0101"],
+            "markers": [[0, 2]],
+            "flags": [{"row": True, "lo": 0, "hi": 2, "period": 1}],
+        },
+        "flags[0].row: must be an integer, not True",
+    ),
+    ("build", hierarchy(alphabet_size=True), "alphabet_size: must be an integer, not True"),
+    (
+        "hall",
+        {"kind": "hall", "version": 1, "strips": {"a": [12, ["x"]]}},
+        "strips.a[0]: must be a string, not 12",
+    ),
+    ("code", identity_code(table={"0": 1, "1": "1"}), "table.0: must be a string, not 1"),
+    (
+        "build",
+        hierarchy([{"id": "B1", "level": 1, "word": "0a"}, {"id": "B2", "level": 1, "word": "11"}]),
+        "rectangles[0].word: must be a string of decimal digits, not '0a'",
+    ),
+    (
+        "build",
+        hierarchy(oracle={"1_0": {"B1": True}}),
+        "oracle.1_0: oracle levels must be integers",
+    ),
+    (
+        "per",
+        {"kind": "sft", "version": 1, "rows": [["0", "1"], [0, 1]]},
+        "rows[1][0]: must be a string, not 0",
+    ),
 ]
 
 
@@ -456,11 +518,44 @@ def test_cli_wrong_shaped_values_name_their_field(tmp_path, command, payload, me
         "per": ["per", "--spec", path, "-n", "2"],
         "markers": ["markers", "run", "--pass", "pipeline", "--spec", path],
         "diagram": ["diagram", "analyze", "--spec", path],
+        "build": ["extend", "build", "--spec", path],
+        "hall": ["extend", "hall", "--spec", path],
+        "code": ["extend", "generator", "--spec", gm_spec(tmp_path), "--code", path],
     }[command]
     code, out, err = run_cli(argv)
     assert (code, out, err) == (3, "", f"error: {message}\n")
     with pytest.raises(SpecFileError, match=re.escape(message)):
         load_spec(path)
+
+
+NESTED = [{"id": "top", "colour": "red"}, {"id": "arm", "params": ["m"]}]
+BAD_KIND = [{"id": "top"}, {"id": "arm", "params": ["m"], "kind": "x"}]
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (with_h("0", nodes=NESTED), "nodes[0].colour: unknown field"),
+        (
+            with_h("0", families=[{"member": "arm", "limit": "top"}]),
+            "families[0].parameter: missing field",
+        ),
+        (with_h({"lo": 0.5, "hi": "1"}), "h.arm.lo: not an exact rational: 0.5"),
+        (with_h("0", p_sup=None), "p_sup: not an exact rational: None"),
+        (hierarchy(oracle={"1": {"B1": 0, "B2": 1}}), "oracle.1.B1: must be at least 1, not 0"),
+        (identity_code(radius=-1), "radius: must be at least 0, not -1"),
+        ({"kind": "sft", "version": 1, "forbidden": ["0"]}, "alphabet: missing field"),
+        # a constructor's refusal of the whole spec carries the kind as its path
+        (with_h("0", nodes=BAD_KIND), "diagram: unknown node kind 'x'"),
+        (
+            {"kind": "window", "version": 1, "rows": ["01", "0"], "markers": [[], []]},
+            "window: all rows must have the same width",
+        ),
+    ],
+)
+def test_spec_errors_name_the_field_path(tmp_path, payload, message):
+    with pytest.raises(SpecFileError, match=f"^{re.escape(message)}$"):
+        load_spec(write(tmp_path, "spec.json", payload))
 
 
 def test_scenario_spec_kind_is_unknown(tmp_path):
@@ -593,8 +688,6 @@ def test_cli_markers_subdivide(tmp_path):
             "subdivide",
             "--spec",
             path,
-            "--schedule-n",
-            "99",
             "--schedule-m",
             "3",
         ]
