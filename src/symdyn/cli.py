@@ -1,8 +1,10 @@
 """Command-line dispatch.
 
-Exit codes: 0 all checks pass, 1 stdout closed before the report was
-written (broken pipe), 2 scenario/assertion diff, 3 input or argument
-error, 4 resource cap exceeded.  Results go to stdout as JSON
+Every command returns a Report; `main` alone prints it and picks the exit
+code.  Exit codes: 0 every verdict in the report holds, 1 stdout closed
+before the report was written (broken pipe), 2 some verdict in the report
+is false (the report is still printed), 3 input or argument error, usage
+errors included, 4 resource cap exceeded.  Results go to stdout as JSON
 (default) or a plain table; diagnostics go to stderr.
 """
 
@@ -13,13 +15,12 @@ import functools
 import os
 import sys
 from dataclasses import asdict, replace
-from fractions import Fraction
 
 from .dbar import OrbitMixture, dbar_mixture, dbar_periodic
 from .diagram import MeasureDiagram
 from .entropy import EntropyValue
 from .envelope import analyze_diagram
-from .errors import ArgumentError, AssertionDiff, ResourceCapError, SymdynError
+from .errors import ArgumentError, ResourceCapError, SymdynError
 from .extension import (
     HallInfeasible,
     build_families,
@@ -42,6 +43,7 @@ from .markers import (
 from .report import Report
 from .scenarios import SCENARIO_NAMES, run_scenario
 from .sft import (
+    DEFAULT_PERIOD_CAP,
     PeriodicOrbit,
     _orbits_by_period,
     capacities,
@@ -49,7 +51,7 @@ from .sft import (
     top_entropy,
     word,
 )
-from .specfiles import load_spec, window_to_json
+from .specfiles import load_spec, rational, window_to_json
 
 
 def _load(path: str, kind: str):
@@ -59,30 +61,24 @@ def _load(path: str, kind: str):
     return spec["payload"]
 
 
-def _emit(report: Report, fmt: str) -> None:
-    print(report.render(fmt))
-
-
-def _cmd_per(args) -> int:
+def _cmd_per(args) -> Report:
     sft = _load(args.spec, "sft")
     orbits = {
         n: ["".join(map(str, o.representative)) for o in found]
         for n, found in _orbits_by_period(sft, args.n, args.cap).items()
     }
-    rep = Report(
+    return Report(
         "per",
         {"spec": args.spec, "n": args.n},
         {"counts": {n: n * len(reps) for n, reps in orbits.items()}, "orbits": orbits},
     )
-    _emit(rep, args.format)
-    return 0
 
 
-def _cmd_capacities(args) -> int:
+def _cmd_capacities(args) -> Report:
     sft = _load(args.spec, "sft")
     table = per_table(sft, args.n, cap=args.cap)
     caps = capacities(table, tail_window=args.window)
-    rep = Report(
+    return Report(
         "capacities",
         {"spec": args.spec, "n": args.n},
         {
@@ -92,22 +88,18 @@ def _cmd_capacities(args) -> int:
         },
         warnings=(caps.note,),
     )
-    _emit(rep, args.format)
-    return 0
 
 
-def _cmd_entropy(args) -> int:
+def _cmd_entropy(args) -> Report:
     sft = _load(args.spec, "sft")
-    bracket = top_entropy(sft, tolerance=Fraction(args.tol))
+    bracket = top_entropy(sft, tolerance=rational(args.tol, "--tol"))
     warnings = () if bracket.tolerance_met else ("tolerance not met at cap depth",)
-    rep = Report(
+    return Report(
         "entropy",
         {"spec": args.spec, "tol": args.tol},
         {"bracket": bracket},
         warnings=warnings,
     )
-    _emit(rep, args.format)
-    return 0
 
 
 def _orbit(text: str, sft) -> PeriodicOrbit:
@@ -117,34 +109,30 @@ def _orbit(text: str, sft) -> PeriodicOrbit:
     return PeriodicOrbit.of(w)
 
 
-def _parse_mixture(text: str, sft) -> OrbitMixture:
+def _parse_mixture(text: str, sft, flag: str) -> OrbitMixture:
     parts = []
     for chunk in text.split(","):
         rep, _, weight = chunk.partition(":")
-        parts.append((_orbit(rep.strip(), sft), Fraction(weight.strip() or "1")))
+        parts.append((_orbit(rep.strip(), sft), rational(weight.strip() or "1", flag)))
     return OrbitMixture(tuple(parts))
 
 
-def _cmd_dbar(args) -> int:
+def _cmd_dbar(args) -> Report:
     sft = _load(args.spec, "sft")
     if args.mix_a or args.mix_b:
         if not (args.mix_a and args.mix_b):
             raise ArgumentError("mixtures need both --mix-a and --mix-b")
-        mu = _parse_mixture(args.mix_a, sft)
-        nu = _parse_mixture(args.mix_b, sft)
-        value = dbar_mixture(mu, nu)
-        rep = Report(
+        mu = _parse_mixture(args.mix_a, sft, "--mix-a")
+        nu = _parse_mixture(args.mix_b, sft, "--mix-b")
+        return Report(
             "dbar",
             {"mix_a": args.mix_a, "mix_b": args.mix_b},
-            {"bound": value, "meaning": "optimal-coupling upper bound"},
+            {"bound": dbar_mixture(mu, nu), "meaning": "optimal-coupling upper bound"},
         )
-    else:
-        if not (args.a and args.b):
-            raise ArgumentError("give --a and --b orbit representatives")
-        va = dbar_periodic(_orbit(args.a, sft), _orbit(args.b, sft))
-        rep = Report("dbar", {"a": args.a, "b": args.b}, {"distance": va})
-    _emit(rep, args.format)
-    return 0
+    if not (args.a and args.b):
+        raise ArgumentError("give --a and --b orbit representatives")
+    va = dbar_periodic(_orbit(args.a, sft), _orbit(args.b, sft))
+    return Report("dbar", {"a": args.a, "b": args.b}, {"distance": va})
 
 
 def _schedule(args) -> MarkerSchedule:
@@ -152,28 +140,24 @@ def _schedule(args) -> MarkerSchedule:
     return MarkerSchedule((), m)
 
 
-def _cmd_markers(args) -> int:
+_PASSES = {
+    "krieger": lambda w, args: place_krieger(w, args.row, args.n),
+    "adjust": lambda w, args: upward_adjust(w),
+    "subdivide": lambda w, args: subdivide_balance(w, _schedule(args)),
+    "periodic": lambda w, args: periodic_markers(w, args.row),
+    "upstretch": lambda w, args: upward_stretch(w),
+    "leftstretch": lambda w, args: leftward_stretch(w),
+    "pipeline": lambda w, args: aperiodicize(w),
+    "verify": lambda w, args: w,
+}
+
+
+def _cmd_markers(args) -> Report:
     w = _load(args.spec, "window")
     name = args.pass_name
-    if name == "krieger":
-        out = place_krieger(w, args.row, args.n)
-    elif name == "adjust":
-        out = upward_adjust(w)
-    elif name == "subdivide":
-        out = subdivide_balance(w, _schedule(args))
-    elif name == "periodic":
-        out = periodic_markers(w, args.row)
-    elif name == "upstretch":
-        out = upward_stretch(w)
-    elif name == "leftstretch":
-        out = leftward_stretch(w)
-    elif name == "pipeline":
-        out = aperiodicize(w)
-    elif name == "verify":
-        out = w
-    else:
+    if name not in _PASSES:
         raise ArgumentError(f"unknown pass {name!r}")
-    rules = tuple(args.rules.split(",")) if args.rules else ()
+    out = _PASSES[name](w, args)
     bounds = None
     if args.gap_bounds:
         bounds = {}
@@ -181,31 +165,32 @@ def _cmd_markers(args) -> int:
             row, lo, hi = part.split(",")
             bounds[int(row)] = (int(lo), int(hi))
     verdicts = {}
-    if rules:
+    if args.rules:
         report = verify_invariants(
             out,
-            rules,
+            tuple(args.rules.split(",")),
             gap_bounds=bounds,
-            ratio_target=Fraction(args.ratio) if args.ratio else None,
+            ratio_target=rational(args.ratio, "--ratio") if args.ratio is not None else None,
         )
-        verdicts = {
-            v.rule: v.passed for v in report.verdicts
-        }
-    rep = Report(
+        verdicts = {v.rule: v.passed for v in report.verdicts}
+    return Report(
         f"markers run --pass {name}",
         {"spec": args.spec},
         {"window": window_to_json(out), "doubled": window_to_json(out, doubled=True)},
         verdicts,
         out.notes,
     )
-    _emit(rep, args.format)
-    return 0
 
 
-def _cmd_extend_build(args) -> int:
-    data = _load(args.spec, "hierarchy")
+def _families(path: str):
+    """A hierarchy spec and its families under the normalized oracle."""
+    data = _load(path, "hierarchy")
     oracle = normalize_oracle(data["oracle"], data["s"], data["hierarchy"])
-    table = build_families(data["hierarchy"], oracle, data["s"])
+    return data, build_families(data["hierarchy"], oracle, data["s"])
+
+
+def _cmd_extend_build(args) -> Report:
+    data, table = _families(args.spec)
     fams = {}
     for level, members in table.families:
         fams[str(level)] = {
@@ -216,62 +201,43 @@ def _cmd_extend_build(args) -> int:
             }
             for f in members
         }
-    rep = Report("extend build", {"spec": args.spec}, {"families": fams})
-    _emit(rep, args.format)
-    return 0
+    return Report("extend build", {"spec": args.spec}, {"families": fams})
 
 
-def _cmd_extend_selector(args) -> int:
-    data = _load(args.spec, "hierarchy")
-    oracle = normalize_oracle(data["oracle"], data["s"], data["hierarchy"])
-    table = build_families(data["hierarchy"], oracle, data["s"])
+def _cmd_extend_selector(args) -> Report:
+    data, table = _families(args.spec)
     path = [p.strip() for p in args.path.split(",")]
     chosen = embed_selector(path, table, data["hierarchy"])
-    rep = Report(
+    return Report(
         "extend selector",
         {"spec": args.spec, "path": path},
         {"word": "".join(map(str, chosen))},
     )
-    _emit(rep, args.format)
-    return 0
 
 
-def _cmd_extend_hall(args) -> int:
+def _cmd_extend_hall(args) -> Report:
     mapping = _load(args.spec, "hall")
     try:
         match = hall_match(mapping)
-    except HallInfeasible as exc:
-        rep = Report(
-            "extend hall",
-            {"spec": args.spec},
-            {
-                "feasible": False,
-                "violator": ["".join(map(str, s)) if isinstance(s, tuple) else str(s) for s in exc.violator],
-                "neighborhood_size": len(exc.neighborhood),
-            },
-            {"matching": False},
-        )
-        _emit(rep, args.format)
-        return 2
-    rep = Report(
-        "extend hall",
-        {"spec": args.spec},
-        {
+        result = {
             "feasible": True,
             "assignment": {str(k): "".join(map(str, v)) for k, v in sorted(match.items(), key=lambda kv: str(kv[0]))},
-        },
-        {"matching": True},
-    )
-    _emit(rep, args.format)
-    return 0
+        }
+    except HallInfeasible as exc:
+        result = {
+            "feasible": False,
+            "violator": ["".join(map(str, s)) if isinstance(s, tuple) else str(s) for s in exc.violator],
+            "neighborhood_size": len(exc.neighborhood),
+        }
+    return Report("extend hall", {"spec": args.spec}, result, {"matching": result["feasible"]})
 
 
-def _cmd_extend_generator(args) -> int:
+def _cmd_extend_generator(args) -> Report:
     sft = _load(args.spec, "sft")
     code = _load(args.code, "blockcode")
     gen = extract_generator(sft, code, args.depth, center_radius=args.center)
     image = partition_to_extension(sft, code, min(args.depth, 6))
-    rep = Report(
+    return Report(
         "extend generator",
         {"spec": args.spec, "code": args.code, "depth": args.depth},
         {
@@ -284,15 +250,13 @@ def _cmd_extend_generator(args) -> int:
             a[1] >= b[1] for a, b in zip(gen.multiplicities, gen.multiplicities[1:])
         )},
     )
-    _emit(rep, args.format)
-    return 0
 
 
-def _cmd_diagram(args) -> int:
+def _cmd_diagram(args) -> Report:
     data = _load(args.spec, "diagram")
     diagram: MeasureDiagram = data["diagram"]
-    if args.p_sup:
-        diagram = replace(diagram, p_sup=EntropyValue(Fraction(args.p_sup)))
+    if args.p_sup is not None:
+        diagram = replace(diagram, p_sup=EntropyValue(rational(args.p_sup, "--p-sup")))
     rep_data = analyze_diagram(diagram, data["h"], data["ptail"])
     per_node = {}
     for n in diagram.nodes:
@@ -302,7 +266,7 @@ def _cmd_diagram(args) -> int:
             "u1": rep_data.u1.spec(n.node_id).render(),
             "h_emb": rep_data.h_emb.spec(n.node_id).render(),
         }
-    rep = Report(
+    return Report(
         "diagram analyze",
         {"spec": args.spec},
         {
@@ -316,20 +280,24 @@ def _cmd_diagram(args) -> int:
         asdict(rep_data.bounds),
         rep_data.warnings,
     )
-    _emit(rep, args.format)
-    return 0
 
 
-def _cmd_scenario(args) -> int:
-    h0 = Fraction(args.h0) if args.h0 else None
-    rep = run_scenario(args.name, h0)
-    _emit(rep, args.format)
-    return 0 if rep.all_passed else 2
+def _cmd_scenario(args) -> Report:
+    return run_scenario(args.name, rational(args.h0, "--h0") if args.h0 is not None else None)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: exit 3, not argparse's 2, which
+    here means a failed check."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
 
 
 @functools.cache  # parsing leaves the parser as it was, so one per process serves every call
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symdyn",
         description="exact combinatorics for subshifts, marker systems, and entropy diagrams",
     )
@@ -339,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", required=True, help="input spec file (JSON)")
         p.add_argument("--format", choices=("json", "table"), default="json")
         if cap:
-            p.add_argument("--cap", type=int, default=20, help="largest period enumerated")
+            p.add_argument("--cap", type=int, default=DEFAULT_PERIOD_CAP, help="largest period enumerated")
 
     p = sub.add_parser("per", help="periodic orbit counts")
     common(p, cap=True)
@@ -427,21 +395,18 @@ def _silence_stdout() -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.fn(args)
+        rep = args.fn(args)
+        print(rep.render(args.format))
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
-        return code
+        return 0 if rep.all_passed else 2
     except BrokenPipeError:
         _silence_stdout()
         return 1
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 4
-    except AssertionDiff as exc:
-        print(f"assertion diff: {exc}", file=sys.stderr)
-        return 2
     except (ArgumentError, SymdynError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -24,11 +24,3 @@ class ResourceCapError(SymdynError):
 class ConstructionError(SymdynError):
     """An internal construction step failed its re-verification."""
 
-
-class AssertionDiff(SymdynError):
-    """A scenario assertion did not match its reference value (exit code 2)."""
-
-    def __init__(self, diffs):
-        self.diffs = list(diffs)
-        lines = "; ".join(str(d) for d in self.diffs)
-        super().__init__(f"assertion diff: {lines}")

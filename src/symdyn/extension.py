@@ -96,6 +96,11 @@ class RectangleHierarchy:
         by_id = {r.rect_id: r for r in self.rects}
         object.__setattr__(self, "_by_id", by_id)  # lookup index, kept off the fields
         for r in self.rects:
+            for block in (r.word, r.bottom):
+                if block and max(block) >= self.alphabet_size:
+                    raise ArgumentError(
+                        f"{r.rect_id}: digit {max(block)} is not below alphabet_size {self.alphabet_size}"
+                    )
             if r.level == 1:
                 if r.word is None:
                     raise ArgumentError(f"{r.rect_id}: level-1 rectangle needs a word")

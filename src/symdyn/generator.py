@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import ArgumentError
-from .sft import DEFAULT_WORD_CAP, SftSpec, _check_word_cap, prefix_walk, word_counts, words_of_length
+from .sft import DEFAULT_WORD_CAP, SftSpec, _check_word_cap, count_words, prefix_walk, word_counts, words_of_length
 
 
 @dataclass(frozen=True)
@@ -46,15 +47,19 @@ def top_row_code(sft: SftSpec) -> BlockCode:
 
 
 def _check_total(code: BlockCode, sft: SftSpec):
+    """The code labels every admissible window.  Its keys are distinct, so
+    that holds iff as many keys are admissible as there are admissible
+    windows; only a code that is not total walks the windows, and only
+    until the sixth one missing."""
     table = code.as_dict()
-    missing = [
-        w for w in words_of_length(sft, 2 * code.radius + 1) if w not in table
-    ]
-    if missing:
-        raise ArgumentError(
-            f"code not total on the language; uncovered: {missing[:5]}"
-            + ("..." if len(missing) > 5 else "")
-        )
+    n = 2 * code.radius + 1
+    if sum(map(sft.admits, table)) == count_words(sft, n):
+        return
+    missing = list(islice((w for w in words_of_length(sft, n) if w not in table), 6))
+    raise ArgumentError(
+        f"code not total on the language; uncovered: {missing[:5]}"
+        + ("..." if len(missing) > 5 else "")
+    )
 
 
 def _check_depth(depth: int, center_radius: int = 0) -> None:

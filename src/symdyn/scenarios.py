@@ -3,7 +3,7 @@
 The scenarios are code-defined rather than file-loaded so that the shapes
 cannot drift; each assertion carries a stable identifier and the exact
 reference value it must reproduce.  A scenario run reports per-assertion
-verdicts; any failure is an assertion diff (CLI exit code 2).
+verdicts; a false one makes the CLI exit 2, as for every command.
 """
 
 from __future__ import annotations

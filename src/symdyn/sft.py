@@ -444,6 +444,8 @@ def capacities(table: PerTable, tail_window: int | None = None) -> Capacities:
     N = table.horizon
     if tail_window is None:
         tail_window = max(3, N // 3)
+    if tail_window < 1:
+        raise ArgumentError(f"tail window must be >= 1, got {tail_window}")
     tail_start = max(1, N - tail_window + 1)
     sup_terms = [EntropyValue(0)]
     lim_terms = [EntropyValue(0)]
@@ -515,6 +517,8 @@ def top_entropy(
     intersection over n encloses the entropy.  Returns the widest-effort
     bracket with ``tolerance_met=False`` if the cap depth is reached first.
     """
+    if tolerance < 0:
+        raise ArgumentError(f"tolerance must be >= 0, got {tolerance}")
     core = sft._core
     if not core.states:
         raise ArgumentError("empty subshift has no entropy")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -28,6 +29,7 @@ from .sft import Alphabet, SftSpec, validate as validate_sft
 
 SUPPORTED_VERSION = 1
 _DIGITS = "0123456789"
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?")
 
 
 def _member(path: str, key: str) -> str:
@@ -96,13 +98,17 @@ def _level(key: str, path: str) -> int:
     return int(key)  # only ASCII digits get here
 
 
-def _fraction(value, path: str) -> Fraction:
-    """An exact rational: an integer or a string such as "p/q"."""
+def rational(value, path: str) -> Fraction:
+    """An exact rational: an integer, or a string "n", "n/d" or "n.d" of
+    ASCII digits with an optional leading "-".  Command-line flags are read
+    here too, with the flag as the path."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise SpecFileError(f"not an exact rational: {value!r}", path)
+    if isinstance(value, str) and not _RATIONAL.fullmatch(value):
         raise SpecFileError(f"not an exact rational: {value!r}", path)
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:  # the grammar lets only "n/0" through
         raise SpecFileError(f"not an exact rational: {value!r} ({exc})", path)
 
 
@@ -261,9 +267,9 @@ def _lin(value, path: str) -> Lin:
 def _seq(value, path: str) -> SeqSpec:
     """A sequence spec: one exact rational, or lo, hi and a threshold tau."""
     if not isinstance(value, dict):
-        v = _fraction(value, path)
+        v = rational(value, path)
         return SeqSpec(v, lin(0), v)
-    s = _fields(value, path, {"lo": _fraction, "hi": _fraction}, {"tau": _lin})
+    s = _fields(value, path, {"lo": rational, "hi": rational}, {"tau": _lin})
     return SeqSpec(s["lo"], s.get("tau", lin(0)), s["hi"])
 
 
@@ -291,7 +297,7 @@ def _parse_diagram(obj: dict):
         "h": _dict(_seq),
         "ptail": _dict(_seq),
     }
-    f = _fields(obj, "", required, {"p_sup": _fraction})
+    f = _fields(obj, "", required, {"p_sup": rational})
     ids = {n.node_id for n in f["nodes"]}
     for field in ("h", "ptail"):
         for nid in f[field]:

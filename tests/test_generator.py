@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from symdyn import generator
 from symdyn.errors import ArgumentError, ResourceCapError
 from symdyn.generator import (
     block_code,
@@ -68,6 +70,56 @@ def test_partial_code_rejected():
     partial = block_code(0, {("0",): "0"})
     with pytest.raises(ArgumentError, match="uncovered"):
         extract_generator(gm, partial, depth=2)
+
+
+def naive_check_total(code, sft):
+    """The old totality check: every window of length 2r+1 walked and each
+    uncovered one listed.  The outcome is None or the refusal's message."""
+    table = code.as_dict()
+    missing = [w for w in words_of_length(sft, 2 * code.radius + 1) if w not in table]
+    if missing:
+        return f"code not total on the language; uncovered: {missing[:5]}" + ("..." if len(missing) > 5 else "")
+    return None
+
+
+def check_total_outcome(code, sft):
+    try:
+        extract_generator(sft, code, depth=code.radius)
+    except ArgumentError as exc:
+        return str(exc)
+    return None
+
+
+def test_totality_matches_the_walk_on_random_codes():
+    rng = random.Random(12)
+    systems = [full_shift("01"), full_shift("012"), golden_mean(), delayed_copy_system(2)]
+    seen = set()
+    for _ in range(300):
+        sft = rng.choice(systems)
+        r = rng.randint(0, 2)
+        windows = list(itertools.product(sft.alphabet.symbols, repeat=2 * r + 1))
+        admissible = [w for w in windows if sft.admits(w)]
+        # drop none, a few or many admissible windows; add inadmissible ones
+        keep = [w for w in admissible if rng.random() >= rng.choice((0, 0, 0.02, 0.5))]
+        extra = [w for w in windows if not sft.admits(w) and rng.random() < 0.3]
+        code = block_code(r, {w: rng.choice("ab") for w in keep + extra})
+        outcome = naive_check_total(code, sft)
+        assert check_total_outcome(code, sft) == outcome
+        seen.add(None if outcome is None else outcome.endswith("..."))
+    assert seen == {None, True, False}  # total, more than five and at most five missing
+
+
+def test_a_total_code_is_decided_without_walking_the_windows(monkeypatch):
+    def refuse(sft, n):
+        raise AssertionError("the totality check walked the windows")
+
+    monkeypatch.setattr(generator, "words_of_length", refuse)
+    gm = golden_mean()
+    # every admissible window of length 3, and one inadmissible key that must not count
+    table = {w: w[1] for w in itertools.product("01", repeat=3) if gm.admits(w)}
+    table[("1", "1", "0")] = "x"
+    report = extract_generator(gm, block_code(1, table), depth=3)
+    assert len(report.multiplicities) == 4
 
 
 def test_bad_depth_and_center_rejected():

@@ -6,13 +6,15 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from symdyn.cli import build_parser, main
 from symdyn.errors import SpecFileError
-from symdyn.specfiles import KINDS, load_spec, window_to_json
+from symdyn.sft import DEFAULT_PERIOD_CAP
+from symdyn.specfiles import KINDS, load_spec, rational, window_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -508,6 +510,23 @@ WRONG_SHAPES = [
         {"kind": "sft", "version": 1, "rows": [["0", "1"], [0, 1]]},
         "rows[1][0]: must be a string, not 0",
     ),
+    # rectangle words and bottoms are digits of the hierarchy's alphabet
+    (
+        "build",
+        hierarchy([{"id": "B1", "level": 1, "word": "01901"}, {"id": "B2", "level": 1, "word": "11000"}]),
+        "hierarchy: B1: digit 9 is not below alphabet_size 2",
+    ),
+    (
+        "build",
+        hierarchy(
+            [
+                {"id": "B1", "level": 1, "word": "01001"},
+                {"id": "B2", "level": 1, "word": "11000"},
+                {"id": "R1", "level": 2, "children": ["B1", "B2"], "bottom": "0000020000"},
+            ]
+        ),
+        "hierarchy: R1: digit 2 is not below alphabet_size 2",
+    ),
 ]
 
 
@@ -571,6 +590,125 @@ def test_cli_scenario_exit_codes(tmp_path):
     assert code == 0
     code, _, err = run_cli(["scenario", "example2"])  # missing h0
     assert code == 3
+
+
+def failing_e_window(tmp_path):
+    """One constant row with a marker every third column: rule E fails."""
+    return write(
+        tmp_path, "w2.json", {"kind": "window", "version": 1, "rows": ["0" * 10], "markers": [[0, 3, 6, 9]]}
+    )
+
+
+def test_a_false_verdict_exits_2_after_the_full_report(tmp_path):
+    argv = ["markers", "run", "--pass", "verify", "--spec", failing_e_window(tmp_path), "--rules", "E"]
+    code, out, err = run_cli(argv)
+    assert (code, err) == (2, "")
+    body = json.loads(out)
+    assert body["verdicts"] == {"E": False}
+    assert body["result"]["window"]["markers"] == [[0, 3, 6, 9]]
+    code, out, err = run_cli([*argv, "--format", "table"])
+    assert (code, err) == (2, "")
+    assert "check E: FAIL" in out.splitlines()
+
+
+def test_the_exit_code_follows_the_verdicts(tmp_path):
+    import random
+
+    from symdyn.randgen import random_aperiodic_window
+
+    w = random_aperiodic_window(random.Random(3), 120, 3, 3)
+    window = write(tmp_path, "w.json", {"kind": "window", "version": 1, "rows": list(w.rows), "markers": [[]] * 3})
+    feasible = write(tmp_path, "h1.json", {"kind": "hall", "version": 1, "strips": {"s1": ["ab", "cd"], "s2": ["ab"]}})
+    infeasible = write(tmp_path, "h2.json", {"kind": "hall", "version": 1, "strips": {"s1": ["ab"], "s2": ["ab"]}})
+    gm = gm_spec(tmp_path)
+    cases = [
+        (["markers", "run", "--pass", "pipeline", "--spec", window, "--rules", "D,E"], 0),
+        (["extend", "generator", "--spec", gm, "--code", zero_code(tmp_path), "--depth", "4"], 0),
+        (["extend", "hall", "--spec", feasible], 0),
+        (["scenario", "example1"], 0),
+        (["scenario", "example3", "--h0", "1/2"], 0),
+        (["extend", "hall", "--spec", infeasible], 2),
+        (["markers", "run", "--pass", "verify", "--spec", failing_e_window(tmp_path), "--rules", "E,D"], 2),
+    ]
+    for argv, expected in cases:
+        code, out, err = run_cli(argv)
+        assert (code, err) == (expected, ""), argv
+        verdicts = json.loads(out)["verdicts"]
+        assert verdicts and (False in verdicts.values()) == (expected == 2), argv
+    body = json.loads(run_cli(["extend", "hall", "--spec", infeasible])[1])
+    assert body["result"] == {"feasible": False, "violator": ["s1", "s2"], "neighborhood_size": 1}
+    assert body["verdicts"] == {"matching": False}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["per"], ["per", "--spec", "x.json"], ["extend", "nope"], ["scenario", "nope"], ["entropy", "--spec"]],
+)
+def test_usage_errors_exit_3(argv):
+    code, out, err = run_outcome(argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("usage: symdyn")
+    assert "error: " in err.splitlines()[-1]
+
+
+def test_unknown_pass_exits_3(tmp_path):
+    argv = ["markers", "run", "--pass", "x", "--spec", failing_e_window(tmp_path)]
+    assert run_cli(argv) == (3, "", "error: unknown pass 'x'\n")
+
+
+def test_cap_defaults_to_the_period_cap():
+    parser = build_parser()
+    for command in ("per", "capacities"):
+        assert parser.parse_args([command, "--spec", "x.json", "-n", "3"]).cap == DEFAULT_PERIOD_CAP
+
+
+@pytest.mark.parametrize(
+    "text", [" 1_0 ", "1_0", "1e3", "+.5", ".5", "1.", "1/", "-", "inf", "nan", "0x10", "1 / 2", "\u0663", "3/2\n"]
+)
+def test_spec_rationals_outside_the_grammar_exit_3(tmp_path, text):
+    assert analyze_one_node(tmp_path, text) == (3, "", f"error: h.a: not an exact rational: {text!r}\n")
+
+
+@pytest.mark.parametrize(
+    "value, exact",
+    [("3/2", "3/2"), ("-1", "-1"), ("0.25", "1/4"), ("007", "7"), ("-10/4", "-5/2"), ("-0.5", "-1/2"), (4, "4")],
+)
+def test_rationals_in_the_grammar_are_read_exactly(value, exact):
+    assert rational(value, "x") == Fraction(exact)
+
+
+def test_rational_flags_are_read_by_the_spec_reader(tmp_path):
+    gm = gm_spec(tmp_path)
+    diagram = write(tmp_path, "d.json", with_h("0"))
+    window = failing_e_window(tmp_path)
+    cases = [
+        (["entropy", "--spec", gm, "--tol", "1/0"], "--tol: not an exact rational: '1/0' (Fraction(1, 0))"),
+        (["entropy", "--spec", gm, "--tol", "1e-3"], "--tol: not an exact rational: '1e-3'"),
+        (["entropy", "--spec", gm, "--tol", "-1"], "tolerance must be >= 0, got -1"),
+        (["dbar", "--spec", gm, "--mix-a", "0:1_0", "--mix-b", "0"], "--mix-a: not an exact rational: '1_0'"),
+        (["dbar", "--spec", gm, "--mix-a", "0", "--mix-b", "01:+1"], "--mix-b: not an exact rational: '+1'"),
+        (["diagram", "analyze", "--spec", diagram, "--p-sup", "2.5e0"], "--p-sup: not an exact rational: '2.5e0'"),
+        (["scenario", "example2", "--h0", " 3/2"], "--h0: not an exact rational: ' 3/2'"),
+        (
+            ["markers", "run", "--pass", "verify", "--spec", window, "--rules", "C-ratio", "--ratio", "1/0"],
+            "--ratio: not an exact rational: '1/0' (Fraction(1, 0))",
+        ),
+        (["capacities", "--spec", gm, "-n", "6", "--window", "0"], "tail window must be >= 1, got 0"),
+        (["capacities", "--spec", gm, "-n", "6", "--window", "-3"], "tail window must be >= 1, got -3"),
+    ]
+    for argv, message in cases:
+        assert run_cli(argv) == (3, "", f"error: {message}\n"), argv
+
+
+def test_cli_generator_refuses_a_partial_radius_10_code_at_once(tmp_path):
+    full = write(tmp_path, "full.json", {"kind": "sft", "version": 1, "alphabet": ["0", "1"], "forbidden": []})
+    one = write(tmp_path, "one.json", {"kind": "blockcode", "version": 1, "radius": 10, "table": {"0" * 21: "a"}})
+    start = time.perf_counter()
+    got = run_cli(["extend", "generator", "--spec", full, "--code", one, "--depth", "10"])
+    assert time.perf_counter() - start < 1.0
+    # 2**21 - 1 windows are uncovered; the refusal names the first five
+    first = [tuple(format(i, "021b")) for i in range(1, 6)]
+    assert got == (3, "", f"error: code not total on the language; uncovered: {first}...\n")
 
 
 def test_cli_input_error_paths(tmp_path):
@@ -644,14 +782,14 @@ def test_cli_commands_in_one_process_match_fresh_processes(tmp_path, monkeypatch
     gm = gm_spec(tmp_path)
     commands = [
         ["per", "--spec", gm, "-n", "4"],
-        ["per", "--spec", gm],  # -n missing: argparse exits 2
+        ["per", "--spec", gm],  # -n missing: a usage error, exit 3
         ["capacities", "--spec", gm, "-n", "6", "--format", "table"],
         ["entropy", "--spec", gm, "--bogus"],
         ["extend", "generator", "--spec", gm, "--code", zero_code(tmp_path), "--depth", "3"],
         ["per", "--spec", gm, "-n", "4"],
     ]
     in_process = [run_outcome(args) for args in commands]
-    assert [code for code, _, _ in in_process] == [0, 2, 0, 2, 0, 0]
+    assert [code for code, _, _ in in_process] == [0, 3, 0, 3, 0, 0]
     for args, got in zip(commands, in_process):
         proc = subprocess.run(
             [sys.executable, "-m", "symdyn.cli", *args], capture_output=True, text=True, cwd=ROOT
