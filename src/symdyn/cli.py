@@ -51,7 +51,7 @@ from .sft import (
     top_entropy,
     word,
 )
-from .specfiles import load_spec, rational, window_to_json
+from .specfiles import integers, load_spec, rational, window_to_json
 
 
 def _load(path: str, kind: str):
@@ -136,7 +136,7 @@ def _cmd_dbar(args) -> Report:
 
 
 def _schedule(args) -> MarkerSchedule:
-    m = tuple(int(x) for x in args.schedule_m.split(",")) if args.schedule_m else ()
+    m = integers(args.schedule_m, "--schedule-m", "m1,m2,...") if args.schedule_m else ()
     return MarkerSchedule((), m)
 
 
@@ -162,8 +162,8 @@ def _cmd_markers(args) -> Report:
     if args.gap_bounds:
         bounds = {}
         for part in args.gap_bounds.split(";"):
-            row, lo, hi = part.split(",")
-            bounds[int(row)] = (int(lo), int(hi))
+            row, lo, hi = integers(part, "--gap-bounds", "row,lo,hi", 3)
+            bounds[row] = (lo, hi)
     verdicts = {}
     if args.rules:
         report = verify_invariants(

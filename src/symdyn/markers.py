@@ -213,6 +213,8 @@ def place_krieger(w: ArrayWindow, row: int, n: int) -> ArrayWindow:
     _require_open(w)
     if not (1 <= row <= w.depth):
         raise ArgumentError(f"row {row} out of range")
+    if n < 1:
+        raise ArgumentError(f"marker parameter n={n} must be at least 1")
     if w.width <= 2 * n + 1:
         raise ArgumentError(f"window of width {w.width} too narrow for n={n}")
     stretches = periodic_stretches(w, row, n, 2 * n + 1)  # sorted by (a, b, p)
@@ -351,6 +353,8 @@ def periodic_markers(w: ArrayWindow, row: int) -> ArrayWindow:
     present in row p.
     """
     _require_open(w)
+    if not (1 <= row <= w.depth):
+        raise ArgumentError(f"row {row} out of range")
     flagged = [f for f in w.flags if f.row == row]
     flagged_spans = _flagged_spans(w, row)
     for a, b, length in w.interior_gaps(row):
@@ -397,16 +401,21 @@ def leftward_stretch(w: ArrayWindow) -> ArrayWindow:
     before any candidate that would fall within less than k of an existing
     row-k marker, or past the window edge.  Markers are processed left to
     right against the growing set.
+
+    Copies from a marker a go only left of a, so while the next marker i
+    is processed the nearest marker left of it is still a: the copies of i
+    are exactly i-k, i-2k, ... down to a+k (down to 0 for the first marker).
     """
     _require_open(w)
-    marks = [list(ms) for ms in w.markers]
-    for k in range(1, w.depth + 1):
-        for i in w.row_markers(k):
-            c = i - k
-            while c >= 0 and _clear(marks[k - 1], c, k):
-                insort(marks[k - 1], c)
-                c -= k
-    return replace(w, markers=tuple(map(tuple, marks)))
+    marks = []
+    for k, ms in enumerate(w.markers, start=1):
+        row = list(ms)
+        lo = 0  # the least column a copy of the next marker may take
+        for i in ms:
+            row.extend(range(i - k, lo - 1, -k))
+            lo = i + k
+        marks.append(tuple(sorted(row)))
+    return replace(w, markers=tuple(marks))
 
 
 def aperiodicize(w: ArrayWindow) -> ArrayWindow:

@@ -30,6 +30,7 @@ from .sft import Alphabet, SftSpec, validate as validate_sft
 SUPPORTED_VERSION = 1
 _DIGITS = "0123456789"
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?")
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _member(path: str, key: str) -> str:
@@ -110,6 +111,17 @@ def rational(value, path: str) -> Fraction:
         return Fraction(value)
     except ZeroDivisionError as exc:  # the grammar lets only "n/0" through
         raise SpecFileError(f"not an exact rational: {value!r} ({exc})", path)
+
+
+def integers(text: str, path: str, form: str, count: int | None = None) -> tuple:
+    """Comma-separated integers, each "n" of ASCII digits with an optional
+    leading "-" and nothing else; `count` fixes how many.  Command-line
+    flags are read here, with the flag as the path and `form` the expected
+    shape, e.g. "row,lo,hi"."""
+    parts = text.split(",")
+    if (count is not None and len(parts) != count) or not all(map(_INTEGER.fullmatch, parts)):
+        raise SpecFileError(f"expected {form}, not {text!r}", path)
+    return tuple(map(int, parts))
 
 
 def _list(read, what: str = "a list"):

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,6 +205,8 @@ def naive_place_krieger(w, row, n):
         raise ArgumentError("marker passes require an open boundary")
     if not (1 <= row <= w.depth):
         raise ArgumentError(f"row {row} out of range")
+    if n < 1:
+        raise ArgumentError(f"marker parameter n={n} must be at least 1")
     if w.width <= 2 * n + 1:
         raise ArgumentError(f"window of width {w.width} too narrow for n={n}")
     blocked = {}
@@ -234,6 +237,29 @@ def naive_place_krieger(w, row, n):
     merged = tuple(sorted(set(w.row_markers(row)) | set(cols)))
     out = w.with_markers(row, merged)
     return replace(out, flags=out.flags + tuple(flags))
+
+
+def naive_random_aperiodic_window(rng, width, depth, scales):
+    """Reference scrubber: scan every (depth, scale) pair in product order
+    and flip the middle cell of the first stretch found, in its row."""
+    if isinstance(scales, int):
+        scales = (scales,)
+    scales = sorted(set(scales))
+    rows = ["".join(rng.choice("01") for _ in range(width)) for _ in range(depth)]
+    w = window_from_rows(rows)
+    for _ in range(600):
+        for k, n in product(range(1, depth + 1), scales):
+            stretches = periodic_stretches(w, k, n, 2 * n + 1)
+            if stretches:
+                break
+        else:
+            return w
+        a, b, _ = stretches[0]
+        mid = (a + b) // 2
+        row = w.rows[k - 1]
+        row = row[:mid] + ("1" if row[mid] == "0" else "0") + row[mid + 1 :]
+        w = window_from_rows(w.rows[: k - 1] + (row,) + w.rows[k:])
+    raise RuntimeError("could not scrub periodic stretches from the window")
 
 
 def outcome(fn, *args):
@@ -423,6 +449,59 @@ def test_scan_and_sweep_match_on_seeded_windows():
     assert reported > 1000  # the plants make the scans report stretches
 
 
+@st.composite
+def unmarked_periodic_windows(draw):
+    """Unmarked windows of width 20-100 and depth 2-4 with one block of
+    period q (q a draw, 1-6) planted at a common offset in every row, each
+    row with its own pattern, so stretches reach below row 1."""
+    width = draw(st.integers(20, 100))
+    depth = draw(st.integers(2, 4))
+    rows = [draw(st.text("01", min_size=width, max_size=width)) for _ in range(depth)]
+    q = draw(st.integers(1, 6))
+    at = draw(st.integers(0, width // 3))
+    length = draw(st.integers((width - at) // 2, width - at))
+    for r in range(depth):
+        rows[r] = planted(rows[r], at, length, draw(st.text("01", min_size=q, max_size=q)))
+    return window_from_rows(rows), q
+
+
+@given(unmarked_periodic_windows(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_unmarked_stretches_lie_in_row_one_stretches(wq, data):
+    # the lemma behind the row-1 scrubber: with no markers, columns equal
+    # at depth k are equal at depth 1, so each depth-k stretch lies inside a
+    # depth-1 stretch of the same period
+    w, q = wq
+    k = data.draw(st.integers(2, w.depth))
+    n = data.draw(st.integers(1, q + 6))
+    top = periodic_stretches(w, 1, n, 2 * n + 1)
+    for a, b, p in periodic_stretches(w, k, n, 2 * n + 1):
+        assert any(a1 <= a and b <= b1 and p1 == p for a1, b1, p1 in top), (a, b, p)
+
+
+SCRUB_SHAPES = [
+    (400, 4, (4, 6, 20, 30, 160, 198), 100),
+    (1600, 4, (4, 6, 20, 30, 160, 198), 20),
+    (200, 4, (1, 2, 3, 4), 100),
+    (120, 3, 3, 50),
+    (90, 6, 6, 50),
+    (40, 2, 2, 50),
+    (18, 1, 6, 50),
+    (100, 1, 10, 50),
+    (150, 4, 4, 50),
+    (400, 3, 4, 20),
+    (200, 3, 3, 20),
+    (4000, 2, 8, 4),
+]
+
+
+@pytest.mark.parametrize("width, depth, scales, count", SCRUB_SHAPES)
+def test_row_one_scrubber_matches_product_scrubber(width, depth, scales, count):
+    for seed in range(count):
+        got = random_aperiodic_window(random.Random(seed), width, depth, scales)
+        assert got == naive_random_aperiodic_window(random.Random(seed), width, depth, scales), seed
+
+
 # ---------------------------------------------------------------------------
 # place_krieger
 
@@ -465,6 +544,13 @@ def test_krieger_periodic_middle_block():
 def test_krieger_narrow_window_rejected():
     with pytest.raises(ArgumentError):
         place_krieger(window_from_rows(["0101"]), 1, 5)
+
+
+def test_periodic_markers_refuse_rows_outside_the_window():
+    w = window_from_rows(["0" * 10] * 2)
+    for row in (0, -1, 3):
+        with pytest.raises(ArgumentError, match=f"^row {row} out of range$"):
+            periodic_markers(w, row)
 
 
 # ---------------------------------------------------------------------------
@@ -681,6 +767,34 @@ def test_leftward_stretch_stops_near_existing():
     assert 12 not in out.row_markers(3) and 11 not in out.row_markers(3)
     gaps = [p for _, _, p in out.interior_gaps(3)]
     assert all(3 <= p <= 5 for p in gaps)
+
+
+def test_leftward_stretch_matches_reference_on_edge_rows():
+    # markers at column 0, rows with a single marker, and gaps shorter than
+    # the row's step k (no copy fits) next to gaps just long enough
+    rng = random.Random(59)
+    for _ in range(400):
+        width = rng.choice((1, 2, 7, 20, 60))
+        depth = rng.randint(1, 6)
+        markers = []
+        for k in range(1, depth + 1):
+            shape = rng.randrange(4)
+            if shape == 0:
+                ms = {rng.randrange(width)}
+            elif shape == 1:
+                ms = {0} | set(rng.sample(range(width), rng.randint(0, width // 3)))
+            elif shape == 2:  # clusters: gaps below k, then a gap of 2k or so
+                ms, c = set(), rng.randrange(width)
+                while c < width:
+                    ms.add(c)
+                    c += rng.choice((1, max(1, k - 1), 2 * k, 2 * k + 1))
+            else:
+                ms = set()
+            markers.append(sorted(ms))
+        w = window_from_rows(["0" * width] * depth, markers)
+        assert outcome(leftward_stretch, w) == outcome(naive_leftward_stretch, w), markers
+    w = window_from_rows(["0" * 12] * 3, [[0], [0, 1, 7], [5]])
+    assert leftward_stretch(w).markers == ((0,), (0, 1, 3, 5, 7), (2, 5))
 
 
 def test_full_pipeline_intrusion_shape():

@@ -656,6 +656,53 @@ def test_unknown_pass_exits_3(tmp_path):
     assert run_cli(argv) == (3, "", "error: unknown pass 'x'\n")
 
 
+def two_row_window(tmp_path):
+    return write(tmp_path, "w22.json", {"kind": "window", "version": 1, "rows": ["0" * 10] * 2, "markers": [[], []]})
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--pass", "periodic", "--row", "0"], "row 0 out of range"),
+        (["--pass", "periodic", "--row", "-1"], "row -1 out of range"),
+        (["--pass", "periodic", "--row", "3"], "row 3 out of range"),
+        (["--pass", "subdivide", "--schedule-m", "0_3"], "--schedule-m: expected m1,m2,..., not '0_3'"),
+        (["--pass", "subdivide", "--schedule-m", " 3"], "--schedule-m: expected m1,m2,..., not ' 3'"),
+        (["--pass", "subdivide", "--schedule-m", "+3,4"], "--schedule-m: expected m1,m2,..., not '+3,4'"),
+        (["--pass", "verify", "--rules", "A", "--gap-bounds", "1,2"], "--gap-bounds: expected row,lo,hi, not '1,2'"),
+        (["--pass", "verify", "--rules", "A", "--gap-bounds", "x,1,2"], "--gap-bounds: expected row,lo,hi, not 'x,1,2'"),
+        (
+            ["--pass", "verify", "--rules", "A", "--gap-bounds", "1,1,2;2,1,2,3"],
+            "--gap-bounds: expected row,lo,hi, not '2,1,2,3'",
+        ),
+    ],
+)
+def test_markers_flags_outside_their_range_exit_3(tmp_path, flags, message):
+    argv = ["markers", "run", "--spec", two_row_window(tmp_path), *flags]
+    assert run_cli(argv) == (3, "", f"error: {message}\n")
+
+
+def test_markers_integer_flags_in_the_grammar(tmp_path):
+    window = failing_e_window(tmp_path)  # row 1 has gaps of 3
+    for bounds, passed in (("1,3,3", True), ("1,-1,03;2,9,9", True), ("1,4,9", False)):
+        argv = ["markers", "run", "--pass", "verify", "--spec", window, "--rules", "A", "--gap-bounds", bounds]
+        code, out, err = run_cli(argv)
+        assert (code, err, json.loads(out)["verdicts"]) == (0 if passed else 2, "", {"A": passed}), bounds
+    code, _, err = run_cli(["markers", "run", "--pass", "subdivide", "--spec", two_row_window(tmp_path), "--schedule-m", "3,04"])
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_krieger_refuses_n_below_1_at_once(tmp_path, n):
+    # in a fresh process with a timeout: a placement loop that never
+    # advances would hang the suite rather than fail it
+    argv = ["markers", "run", "--pass", "krieger", "-n", n, "--spec", failing_e_window(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "symdyn.cli", *argv], capture_output=True, text=True, cwd=ROOT, timeout=20
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: marker parameter n={n} must be at least 1\n")
+
+
 def test_cap_defaults_to_the_period_cap():
     parser = build_parser()
     for command in ("per", "capacities"):
