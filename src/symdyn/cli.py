@@ -20,7 +20,7 @@ from .dbar import OrbitMixture, dbar_mixture, dbar_periodic
 from .diagram import MeasureDiagram
 from .entropy import EntropyValue
 from .envelope import analyze_diagram
-from .errors import ArgumentError, ResourceCapError, SymdynError
+from .errors import ArgumentError, ResourceCapError, SpecFileError, SymdynError
 from .extension import (
     HallInfeasible,
     build_families,
@@ -286,6 +286,15 @@ def _cmd_scenario(args) -> Report:
     return run_scenario(args.name, rational(args.h0, "--h0") if args.h0 is not None else None)
 
 
+def _integer(text: str) -> int:
+    """An integer flag, in the grammar of `specfiles.integers`.  A value
+    outside it is a usage error: argparse names the flag and exits 3."""
+    try:
+        return integers(text, "", "an integer", 1)[0]
+    except SpecFileError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors are input errors: exit 3, not argparse's 2, which
     here means a failed check."""
@@ -307,17 +316,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", required=True, help="input spec file (JSON)")
         p.add_argument("--format", choices=("json", "table"), default="json")
         if cap:
-            p.add_argument("--cap", type=int, default=DEFAULT_PERIOD_CAP, help="largest period enumerated")
+            p.add_argument("--cap", type=_integer, default=DEFAULT_PERIOD_CAP, help="largest period enumerated")
 
     p = sub.add_parser("per", help="periodic orbit counts")
     common(p, cap=True)
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_integer, required=True)
     p.set_defaults(fn=_cmd_per)
 
     p = sub.add_parser("capacities", help="periodic capacities from a count table")
     common(p, cap=True)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--window", type=int, default=None)
+    p.add_argument("-n", type=_integer, required=True)
+    p.add_argument("--window", type=_integer, default=None)
     p.set_defaults(fn=_cmd_capacities)
 
     p = sub.add_parser("entropy", help="topological entropy bracket")
@@ -338,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     mp = msub.add_parser("run", help="run a pass and verify invariants")
     common(mp)
     mp.add_argument("--pass", dest="pass_name", required=True)
-    mp.add_argument("--row", type=int, default=1)
-    mp.add_argument("-n", type=int, default=5)
+    mp.add_argument("--row", type=_integer, default=1)
+    mp.add_argument("-n", type=_integer, default=5)
     mp.add_argument("--schedule-m", dest="schedule_m")
     mp.add_argument("--rules", help="comma list from A,B,C-ratio,D,E")
     mp.add_argument("--gap-bounds", dest="gap_bounds", help="row,lo,hi;row,lo,hi")
@@ -361,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     ep = esub.add_parser("generator")
     common(ep)
     ep.add_argument("--code", required=True)
-    ep.add_argument("--depth", type=int, default=4)
-    ep.add_argument("--center", type=int, default=0)
+    ep.add_argument("--depth", type=_integer, default=4)
+    ep.add_argument("--center", type=_integer, default=0)
     ep.set_defaults(fn=_cmd_extend_generator)
 
     p = sub.add_parser("diagram", help="measure-diagram analysis")

@@ -438,8 +438,10 @@ def hall_match(words_per_strip: dict) -> dict:
 
     words_per_strip maps each strip (any hashable) to its admissible word
     set.  When no matching exists the raised HallInfeasible carries a
-    witness set S with |union of words over S| < |S|, extracted from the
-    alternating-reachability cut of the final matching.
+    witness set S with |union of words over S| < |S|: the first strip whose
+    augmenting search fails, with the strips matched to the words that
+    search saw.  Every word it saw is matched, and those are all the words
+    of the strips it visited, so they number one fewer than the strips.
     """
     strips = sorted(words_per_strip, key=repr)
     words = sorted({w for ws in words_per_strip.values() for w in ws}, key=repr)
@@ -448,9 +450,8 @@ def hall_match(words_per_strip: dict) -> dict:
         raise ArgumentError("all candidate words must have equal length")
     adj = {s: sorted(words_per_strip[s], key=repr) for s in strips}
     match_word = {}  # word -> strip
-
-    def augment(root) -> bool:
-        """Depth-first augmenting path from root, on an explicit stack."""
+    for root in strips:
+        # depth-first augmenting path from root, on an explicit stack
         seen = set()
         stack = [(root, iter(adj[root]))]
         chosen = []  # chosen[i]: the word stack[i] tries to take over
@@ -471,27 +472,8 @@ def hall_match(words_per_strip: dict) -> dict:
             # w is free: every strip on the path moves to the word it chose
             for (t, _), x in zip(stack, chosen + [w]):
                 match_word[x] = t
-            return True
-        return False
-
-    unmatched = None
-    for s in strips:
-        if not augment(s):
-            unmatched = s
             break
-    if unmatched is None:
-        return {s: w for w, s in match_word.items()}
-    # alternating reachability from the unmatched strip yields the violator
-    reach_strips = {unmatched}
-    reach_words = set()
-    grew = True
-    while grew:
-        grew = False
-        for s in list(reach_strips):
-            for w in adj[s]:
-                if w not in reach_words:
-                    reach_words.add(w)
-                    grew = True
-                    if w in match_word and match_word[w] not in reach_strips:
-                        reach_strips.add(match_word[w])
-    raise HallInfeasible(sorted(reach_strips, key=repr), sorted(reach_words, key=repr))
+        else:  # the search failed: it visited root and the owners of the words it saw
+            violator = [root] + [match_word[w] for w in seen]
+            raise HallInfeasible(sorted(violator, key=repr), sorted(seen, key=repr))
+    return {s: w for w, s in match_word.items()}

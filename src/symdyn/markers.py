@@ -180,10 +180,13 @@ def periodic_stretches(w: ArrayWindow, depth: int, max_period: int, min_len: int
 # passes
 
 
-def _anchor(cols, c):
-    """The least column of sorted `cols` at or right of c, or None."""
-    i = bisect_left(cols, c)
-    return cols[i] if i < len(cols) else None
+def _anchor(above, cols):
+    """(moves, dropped): moves maps each of `cols` to the least column of
+    sorted `above` at or right of it, in the order of `cols`; dropped lists
+    the columns right of every column of `above`."""
+    last = above[-1] if above else -1
+    moves = {c: above[bisect_left(above, c)] for c in cols if c <= last}
+    return moves, [c for c in cols if c > last]
 
 
 def _clear(cols, c: int, d: int) -> bool:
@@ -244,9 +247,9 @@ def place_krieger(w: ArrayWindow, row: int, n: int) -> ArrayWindow:
             cols.append(i)
             last = i
             i += n
-    merged = tuple(sorted(set(w.row_markers(row)) | set(cols)))
-    out = w.with_markers(row, merged)
-    return replace(out, flags=out.flags + tuple(flags))
+    marks = list(w.markers)
+    marks[row - 1] = tuple(sorted(set(marks[row - 1]) | set(cols)))
+    return replace(w, markers=tuple(marks), flags=w.flags + tuple(flags))
 
 
 def upward_adjust(w: ArrayWindow) -> ArrayWindow:
@@ -256,43 +259,34 @@ def upward_adjust(w: ArrayWindow) -> ArrayWindow:
     candidate to their right are dropped with a boundary note.
     """
     _require_open(w)
-    cur = w
+    marks = list(w.markers)
     notes = []
     flags = list(w.flags)
     for k in range(2, w.depth + 1):
-        above = cur.row_markers(k - 1)
-        relocation = {c: _anchor(above, c) for c in cur.row_markers(k)}
-        notes += [
-            f"row {k}: marker at {c} dropped (no anchor to the right)"
-            for c, target in relocation.items()
-            if target is None
-        ]
-        cur = cur.with_markers(k, [t for t in relocation.values() if t is not None])
+        moves, dropped = _anchor(marks[k - 2], marks[k - 1])
+        notes += [f"row {k}: marker at {c} dropped (no anchor to the right)" for c in dropped]
+        marks[k - 1] = tuple(sorted(set(moves.values())))
         # flagged long gaps follow their bounding markers
         for idx, f in enumerate(flags):
             if f is None or f.row != k:
                 continue
-            lo = f.lo if f.lo == -1 else relocation.get(f.lo, f.lo)
-            hi = relocation.get(f.hi, f.hi)
-            if lo is None or hi is None:
+            if f.lo in dropped or f.hi in dropped:
                 flags[idx] = None
                 notes.append(f"row {k}: long-gap flag dropped with its marker")
             else:
+                lo, hi = moves.get(f.lo, f.lo), moves.get(f.hi, f.hi)
                 flags[idx] = LongGapFlag(k, lo, hi, f.period)
     flags = tuple(f for f in flags if f is not None)
-    return replace(cur, flags=flags, notes=cur.notes + tuple(notes))
+    return replace(w, markers=tuple(marks), flags=flags, notes=w.notes + tuple(notes))
 
 
 def decompose_gap(p: int, m: int) -> tuple:
     """(a, b) with a*m + b*(m+1) = p, a maximal; guaranteed when p >= m(m+1)."""
     if m < 1 or p < 0:
         raise ArgumentError("decompose_gap requires m >= 1, p >= 0")
-    b = p % m
-    while b * (m + 1) <= p:
-        a, rem = divmod(p - b * (m + 1), m)
-        if rem == 0:
-            return a, b
-        b += m
+    b = p % m  # a*m + b*(m+1) = p forces b = p (mod m), and the least such b leaves a maximal
+    if b * (m + 1) <= p:
+        return (p - b * (m + 1)) // m, b
     raise ArgumentError(f"no decomposition of {p} as a*{m} + b*{m + 1}")
 
 
@@ -307,11 +301,12 @@ def subdivide_balance(w: ArrayWindow, schedule: MarkerSchedule) -> ArrayWindow:
     _require_open(w)
     if not schedule.m or len(schedule.m) < w.depth:
         raise ArgumentError("schedule must provide m_k for every row")
-    cur = w
+    marks = list(w.markers)
+    notes = []
     for k in range(1, w.depth + 1):
         m = schedule.m[k - 1]
         new_cols = []
-        for a, b, p in cur.interior_gaps(k):
+        for a, b, p in w.interior_gaps(k):  # row k is still w's: only rows above it changed
             # gaps of length >= m(m+1) always decompose; shorter ones only
             # sometimes, so solvability itself is the checked precondition
             try:
@@ -329,19 +324,11 @@ def subdivide_balance(w: ArrayWindow, schedule: MarkerSchedule) -> ArrayWindow:
                 new_cols.append(pos)
             new_cols.pop()  # the last landing point is the existing marker at b
         if k > 1:
-            above = cur.row_markers(k - 1)
-            anchored = []
-            for c in new_cols:
-                target = _anchor(above, c)
-                if target is None:
-                    cur = cur.with_note(
-                        f"row {k}: subdivision marker at {c} dropped (no anchor)"
-                    )
-                else:
-                    anchored.append(target)
-            new_cols = anchored
-        cur = cur.with_markers(k, cur.row_markers(k) + tuple(new_cols))
-    return cur
+            moves, dropped = _anchor(marks[k - 2], new_cols)
+            notes += [f"row {k}: subdivision marker at {c} dropped (no anchor)" for c in dropped]
+            new_cols = list(moves.values())
+        marks[k - 1] = tuple(sorted(set(marks[k - 1]) | set(new_cols)))
+    return replace(w, markers=tuple(marks), notes=w.notes + tuple(notes))
 
 
 def periodic_markers(w: ArrayWindow, row: int) -> ArrayWindow:
@@ -362,17 +349,17 @@ def periodic_markers(w: ArrayWindow, row: int) -> ArrayWindow:
             raise ConstructionError(
                 f"row {row} gap ({a}, {b}] is long but carries no period flag"
             )
-    cur = w
+    marks = list(w.markers)
     for f in flagged:
         p = f.period
         if p < 1 or p >= row:
             raise ConstructionError(f"flag period {p} inconsistent with row {row}")
-        existing = list(cur.row_markers(p))
+        existing = list(marks[p - 1])
         for c in range(f.lo + 1, f.hi + 1, p):
             if _clear(existing, c, p):
                 insort(existing, c)
-        cur = cur.with_markers(p, existing)
-    return cur
+        marks[p - 1] = tuple(existing)
+    return replace(w, markers=tuple(marks))
 
 
 def upward_stretch(w: ArrayWindow) -> ArrayWindow:

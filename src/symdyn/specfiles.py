@@ -262,6 +262,13 @@ def _parse_hierarchy(obj: dict):
     f = _fields(obj, "", required, {})
     s = f["alphabet_size"]
     hierarchy = RectangleHierarchy(s, tuple(f["rectangles"]))
+    levels = {r.rect_id: r.level for r in hierarchy.rects}
+    for lv, budgets in f["oracle"].items():
+        for rid in budgets:
+            if rid not in levels:
+                raise SpecFileError(f"no rectangle {rid!r}", f"oracle.{lv}.{rid}")
+            if levels[rid] != lv:
+                raise SpecFileError(f"rectangle {rid!r} is at level {levels[rid]}", f"oracle.{lv}.{rid}")
     return {"hierarchy": hierarchy, "oracle": oracle_from_dict(f["oracle"]), "s": s}
 
 

@@ -316,7 +316,8 @@ def test_hall_random_against_bruteforce():
 
 def naive_hall_match(words_per_strip: dict) -> dict:
     """The recursive augmenting-path matcher hall_match replaced, kept as
-    the reference for its assignments and violators."""
+    the reference for its assignments, and for its violators through the
+    alternating-reachability cut it computes from the final matching."""
     strips = sorted(words_per_strip, key=repr)
     adj = {s: sorted(words_per_strip[s], key=repr) for s in strips}
     match_word = {}
@@ -373,6 +374,21 @@ def test_hall_match_agrees_with_recursive_reference():
         assert got == _hall_outcome(naive_hall_match, mapping)
         outcomes.add(got[0])
     assert outcomes == {"match", "violator"}
+
+
+def test_failed_search_violator_matches_the_reachability_cut():
+    rng = random.Random(14)
+    infeasible = 0
+    for _ in range(5000):
+        words = [("w", str(i)) for i in range(rng.randint(2, 12))]
+        mapping = {
+            f"s{i}": set(rng.sample(words, rng.randint(1, min(3, len(words)))))
+            for i in range(rng.randint(1, 16))
+        }
+        got = _hall_outcome(hall_match, mapping)
+        assert got == _hall_outcome(naive_hall_match, mapping)
+        infeasible += got[0] == "violator"
+    assert infeasible > 2500
 
 
 def test_hall_match_long_augmenting_paths():

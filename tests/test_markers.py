@@ -363,6 +363,35 @@ def test_pass_chains_match_reference_scans():
         )
 
 
+def test_each_pass_builds_one_window(monkeypatch):
+    rows = ["0110100110010110" * 3] * 3
+    w = window_from_rows(rows, [[4, 9, 14, 30], [2, 12, 40], [0, 20, 47]])
+    w = replace(w, flags=(LongGapFlag(3, 0, 20, 2), LongGapFlag(3, 20, 47, 1)))
+    passes = {
+        "place_krieger": lambda: place_krieger(w, 1, 2),
+        "upward_adjust": lambda: upward_adjust(w),
+        "subdivide_balance": lambda: subdivide_balance(w, MarkerSchedule((), (2, 1, 1))),
+        "periodic_markers": lambda: periodic_markers(w, 3),
+        "upward_stretch": lambda: upward_stretch(w),
+        "leftward_stretch": lambda: leftward_stretch(w),
+    }
+    built = []
+    check = ArrayWindow.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(ArrayWindow, "__post_init__", counted)
+    for name, run in passes.items():
+        built.clear()
+        out = run()
+        assert len(built) == 1 and built[0] is out, (name, len(built))
+        assert out.markers != w.markers, name  # the pass edited rows, not a no-op
+        if name in ("upward_adjust", "subdivide_balance"):
+            assert "no anchor" in out.notes[0], name  # notes ride in the same one window
+
+
 # ---------------------------------------------------------------------------
 # periodic stretches: the sampled scan and the sweep against the full scans
 
@@ -605,6 +634,37 @@ def test_adjustment_displacement_bound():
 
 # ---------------------------------------------------------------------------
 # decompose and subdivide
+
+
+def naive_decompose_gap(p, m):
+    """The retry loop decompose_gap replaced: from b = p mod m it stepped b
+    by m until a*m + b*(m+1) = p had an integer a, or b*(m+1) passed p."""
+    if m < 1 or p < 0:
+        raise ArgumentError("decompose_gap requires m >= 1, p >= 0")
+    b = p % m
+    while b * (m + 1) <= p:
+        a, rem = divmod(p - b * (m + 1), m)
+        if rem == 0:
+            return a, b
+        b += m
+    raise ArgumentError(f"no decomposition of {p} as a*{m} + b*{m + 1}")
+
+
+def outcome_of(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ArgumentError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_closed_form_decomposition_matches_the_retry_loop():
+    outcomes = set()
+    for p in range(-2, 3000):
+        for m in range(-1, 40):
+            got = outcome_of(decompose_gap, p, m)
+            assert got == outcome_of(naive_decompose_gap, p, m), (p, m)
+            outcomes.add(got[0])
+    assert outcomes == {"ok", "ArgumentError"}
 
 
 def test_decompose_examples():

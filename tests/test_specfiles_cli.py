@@ -527,6 +527,25 @@ WRONG_SHAPES = [
         ),
         "hierarchy: R1: digit 2 is not below alphabet_size 2",
     ),
+    # every oracle entry names a rectangle of its level
+    (
+        "build",
+        hierarchy(oracle={"1": {"B1": 1, "B2": 1, "ZZ": 99}, "2": {"R1": 1, "B1": 5}, "7": {"Q": 3}}),
+        "oracle.1.ZZ: no rectangle 'ZZ'",
+    ),
+    ("build", hierarchy(oracle={"1": {"B1": 1, "B2": 1}, "7": {"Q": 3}}), "oracle.7.Q: no rectangle 'Q'"),
+    (
+        "build",
+        hierarchy(
+            [
+                {"id": "B1", "level": 1, "word": "01001"},
+                {"id": "B2", "level": 1, "word": "11000"},
+                {"id": "R1", "level": 2, "children": ["B1", "B2"], "bottom": "0000000000"},
+            ],
+            oracle={"1": {"B1": 1, "B2": 1}, "2": {"R1": 1, "B1": 5}},
+        ),
+        "oracle.2.B1: rectangle 'B1' is at level 1",
+    ),
 ]
 
 
@@ -690,6 +709,36 @@ def test_markers_integer_flags_in_the_grammar(tmp_path):
         assert (code, err, json.loads(out)["verdicts"]) == (0 if passed else 2, "", {"A": passed}), bounds
     code, _, err = run_cli(["markers", "run", "--pass", "subdivide", "--spec", two_row_window(tmp_path), "--schedule-m", "3,04"])
     assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (["markers", "run", "--pass", "krieger"], "-n", " 0_2"),
+        (["markers", "run", "--pass", "krieger"], "--row", "+1"),
+        (["markers", "run", "--pass", "periodic"], "--row", "1.0"),
+        (["per", "-n", "3"], "--cap", "2_0"),
+        (["per"], "-n", " 0_3"),
+        (["capacities", "-n", "3"], "--window", " 3"),
+        (["capacities"], "-n", "3\n"),
+        (["extend", "generator", "--code", "c.json"], "--depth", "\u0664"),
+        (["extend", "generator", "--code", "c.json"], "--center", "0x0"),
+    ],
+)
+def test_integer_flags_outside_the_grammar_exit_3(tmp_path, command, flag, value):
+    # argparse refuses the value: no command runs, and no traceback escapes
+    prog = " ".join(command[:2] if command[0] in ("markers", "extend") else command[:1])
+    code, out, err = run_outcome([*command, "--spec", failing_e_window(tmp_path), flag, value])
+    assert (code, out) == (3, "")
+    assert err.splitlines()[-1] == f"symdyn {prog}: error: argument {flag}: expected an integer, not {value!r}"
+
+
+def test_integer_flags_in_the_grammar(tmp_path):
+    gm = gm_spec(tmp_path)
+    assert run_cli(["per", "--spec", gm, "-n", "03", "--cap", "010"]) == run_cli(["per", "--spec", gm, "-n", "3"])
+    assert run_cli(["capacities", "--spec", gm, "-n", "6", "--window", "04"])[0] == 0
+    argv = ["markers", "run", "--pass", "krieger", "--spec", failing_e_window(tmp_path)]
+    assert run_cli([*argv, "-n", "02", "--row", "01"]) == run_cli([*argv, "-n", "2"])
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])
