@@ -192,14 +192,11 @@ def _families(path: str):
 def _cmd_extend_build(args) -> Report:
     data, table = _families(args.spec)
     fams = {}
-    for level, members in table.families:
-        fams[str(level)] = {
-            f.rect_id: {
-                "fixed": {str(p): d for p, d in f.fixed},
-                "free": list(f.free),
-                "size": f.size(data["s"]),
-            }
-            for f in members
+    for rid, f in table.families.items():
+        fams.setdefault(str(data["hierarchy"].get(rid).level), {})[rid] = {
+            "fixed": {str(p): d for p, d in f.fixed},
+            "free": list(f.free),
+            "size": f.size(data["s"]),
         }
     return Report("extend build", {"spec": args.spec}, {"families": fams})
 

@@ -11,6 +11,7 @@ to alphabet powers first.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .entropy import EntropyValue, optimal_alphabet_size
@@ -90,12 +91,22 @@ class RectangleHierarchy:
     rects: tuple  # all rectangles, all levels
 
     def __post_init__(self):
+        if not self.rects:
+            raise ArgumentError("a hierarchy needs at least one rectangle")
         ids = [r.rect_id for r in self.rects]
         if len(set(ids)) != len(ids):
             raise ArgumentError("duplicate rectangle id")
         by_id = {r.rect_id: r for r in self.rects}
-        object.__setattr__(self, "_by_id", by_id)  # lookup index, kept off the fields
-        for r in self.rects:
+        levels, groups = {}, {}
+        for r in sorted(self.rects, key=lambda r: r.level):  # input order within a level
+            levels.setdefault(r.level, []).append(r)
+            groups.setdefault(r.level, {}).setdefault(r.children, []).append(r)
+        for rects in itertools.chain.from_iterable(g.values() for g in groups.values()):
+            rects.sort(key=lambda r: r.rect_id)
+        object.__setattr__(self, "_by_id", by_id)  # lookup indexes, kept off the fields
+        object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "_groups", groups)
+        for r in itertools.chain.from_iterable(levels.values()):  # children before parents
             for block in (r.word, r.bottom):
                 if block and max(block) >= self.alphabet_size:
                     raise ArgumentError(
@@ -104,7 +115,11 @@ class RectangleHierarchy:
             if r.level == 1:
                 if r.word is None:
                     raise ArgumentError(f"{r.rect_id}: level-1 rectangle needs a word")
+                if r.children or r.bottom is not None:
+                    raise ArgumentError(f"{r.rect_id}: a level-1 rectangle takes no children or bottom")
             else:
+                if r.word is not None:
+                    raise ArgumentError(f"{r.rect_id}: a level-{r.level} rectangle takes no word")
                 if len(r.children) < 2:
                     raise ArgumentError(
                         f"{r.rect_id}: a level-{r.level} rectangle needs >= 2 children"
@@ -121,12 +136,16 @@ class RectangleHierarchy:
         except KeyError:
             raise ArgumentError(f"unknown rectangle {rect_id!r}") from None
 
-    def level_rects(self, level: int):
-        return [r for r in self.rects if r.level == level]
+    def level_rects(self, level: int) -> tuple:
+        return tuple(self._levels.get(level, ()))  # in input order
+
+    def sibling_groups(self, level: int) -> dict:
+        """Child sequence (first listed first) -> its parents at `level`, in id order."""
+        return self._groups.get(level, {})
 
     @property
     def depth(self) -> int:
-        return max(r.level for r in self.rects)
+        return max(self._levels)
 
     def width(self, rect_id: str) -> int:
         r = self.get(rect_id)
@@ -142,31 +161,16 @@ class RectangleHierarchy:
 
 @dataclass(frozen=True)
 class OracleTable:
-    """budgets[level][rect_id] -> positive integer; normalized = powers of s."""
+    """budgets[rect_id] -> positive integer; normalized = powers of s."""
 
-    budgets: tuple  # tuple of (level, tuple of (rect_id, budget))
+    budgets: dict
     normalized: bool = False
 
-    def __post_init__(self):
-        # lookup index, kept off the dataclass fields; the first entry per key wins
-        index = {}
-        for lv, entries in self.budgets:
-            for rid, b in entries:
-                index.setdefault((lv, rid), b)
-        object.__setattr__(self, "_by_key", index)
-
-    def budget(self, level: int, rect_id: str) -> int:
+    def budget(self, rect_id: str) -> int:
         try:
-            return self._by_key[level, rect_id]
+            return self.budgets[rect_id]
         except KeyError:
-            raise ArgumentError(f"no budget for level {level} rectangle {rect_id!r}") from None
-
-
-def oracle_from_dict(d: dict) -> OracleTable:
-    budgets = tuple(
-        (lv, tuple(sorted(d[lv].items()))) for lv in sorted(d)
-    )
-    return OracleTable(budgets)
+            raise ArgumentError(f"no budget for rectangle {rect_id!r}") from None
 
 
 def _ceil_log(base: int, x: int) -> int:
@@ -193,20 +197,15 @@ def verify_oracle(table: OracleTable, s: int, hierarchy: RectangleHierarchy, sla
     p1 = hierarchy.base_width
     if p1 - slack < 0:
         raise ArgumentError("level-1 rectangles too short for the requested slack")
-    lvl1 = sum(table.budget(1, r.rect_id) for r in hierarchy.level_rects(1))
+    lvl1 = sum(table.budget(r.rect_id) for r in hierarchy.level_rects(1))
     if lvl1 > s ** (p1 - slack):
         raise ConstructionError(
             f"level 1: budgets sum to {lvl1} > {s}**{p1 - slack}"
         )
     for level in range(2, hierarchy.depth + 1):
-        groups = {}
-        for r in hierarchy.level_rects(level):
-            groups.setdefault(r.children, []).append(r)
-        for children, rects in groups.items():
-            allowed = 1
-            for c in children:
-                allowed *= table.budget(level - 1, c)
-            used = sum(table.budget(level, r.rect_id) for r in rects)
+        for children, rects in hierarchy.sibling_groups(level).items():
+            allowed = math.prod(table.budget(c) for c in children)
+            used = sum(table.budget(r.rect_id) for r in rects)
             if used > allowed:
                 raise ConstructionError(
                     f"level {level}, children {children}: budgets sum to "
@@ -223,12 +222,8 @@ def normalize_oracle(table: OracleTable, s: int, hierarchy: RectangleHierarchy) 
     rounding is an error, never silent.
     """
     verify_oracle(table, s, hierarchy, slack=2)
-    new = []
-    for level, entries in table.budgets:
-        new.append(
-            (level, tuple((rid, s ** (_ceil_log(s, b) + 1)) for rid, b in entries))
-        )
-    out = OracleTable(tuple(new), normalized=True)
+    budgets = {rid: s ** (_ceil_log(s, b) + 1) for rid, b in table.budgets.items()}
+    out = OracleTable(budgets, normalized=True)
     verify_oracle(out, s, hierarchy, slack=0)
     return out
 
@@ -272,21 +267,13 @@ class Family:
 @dataclass(frozen=True)
 class FamilyTable:
     alphabet_size: int
-    families: tuple  # (level, tuple of Family)
+    families: dict  # rect_id -> Family, level by level in construction order
 
-    def __post_init__(self):
-        # lookup index, kept off the dataclass fields; the first family per key wins
-        index = {}
-        for lv, fams in self.families:
-            for f in fams:
-                index.setdefault((lv, f.rect_id), f)
-        object.__setattr__(self, "_by_key", index)
-
-    def family(self, level: int, rect_id: str) -> Family:
+    def family(self, rect_id: str) -> Family:
         try:
-            return self._by_key[level, rect_id]
+            return self.families[rect_id]
         except KeyError:
-            raise ArgumentError(f"no family for level {level} rectangle {rect_id!r}") from None
+            raise ArgumentError(f"no family for rectangle {rect_id!r}") from None
 
 
 def build_families(hierarchy: RectangleHierarchy, oracle: OracleTable, s: int) -> FamilyTable:
@@ -301,36 +288,28 @@ def build_families(hierarchy: RectangleHierarchy, oracle: OracleTable, s: int) -
         raise ArgumentError("build_families needs a normalized oracle")
     p1 = hierarchy.base_width
     lvl1 = hierarchy.level_rects(1)
-    exps = [_exact_log(s, oracle.budget(1, r.rect_id)) for r in lvl1]
+    exps = [_exact_log(s, oracle.budget(r.rect_id)) for r in lvl1]
     if any(e > p1 for e in exps):
         raise ConstructionError("a level-1 budget exceeds its rectangle capacity")
     alloc = prefix_allocate(s, p1, exps)
-    levels = []
-    fams = []
+    families = {}
     for r, (prefix, e) in zip(lvl1, alloc.entries):
         width = len(r.word)
         fixed = [(i, d) for i, d in enumerate(prefix)]
         fixed += [(i, 0) for i in range(p1, width)]  # terminal padding: zeros
         free = [i for i in range(len(prefix), p1)]
-        fams.append(Family(r.rect_id, width, tuple(fixed), tuple(free)))
-    levels.append((1, tuple(fams)))
-    table = {(1, f.rect_id): f for f in fams}
+        families[r.rect_id] = Family(r.rect_id, width, tuple(fixed), tuple(free))
     for level in range(2, hierarchy.depth + 1):
-        groups = {}
-        for r in hierarchy.level_rects(level):
-            groups.setdefault(r.children, []).append(r)
-        fams = []
-        for children, rects in sorted(groups.items()):
+        for children, rects in sorted(hierarchy.sibling_groups(level).items()):
             offset = 0
             fixed = []
             free = []
             for c in children:
-                child = table[(level - 1, c)]
+                child = families[c]
                 fixed += [(offset + i, d) for i, d in child.fixed]
                 free += [offset + i for i in child.free]
                 offset += child.width
-            rects = sorted(rects, key=lambda r: r.rect_id)
-            exps = [_exact_log(s, oracle.budget(level, r.rect_id)) for r in rects]
+            exps = [_exact_log(s, oracle.budget(r.rect_id)) for r in rects]
             if any(e > len(free) for e in exps):
                 raise ConstructionError(
                     f"level {level}: a budget exceeds the free positions of {children}"
@@ -339,18 +318,10 @@ def build_families(hierarchy: RectangleHierarchy, oracle: OracleTable, s: int) -
             for r, (prefix, e) in zip(rects, alloc.entries):
                 newly_fixed = [(free[i], d) for i, d in enumerate(prefix)]
                 still_free = free[len(prefix) :]
-                fams.append(
-                    Family(
-                        r.rect_id,
-                        offset,
-                        tuple(sorted(fixed + newly_fixed)),
-                        tuple(still_free),
-                    )
+                families[r.rect_id] = Family(
+                    r.rect_id, offset, tuple(sorted(fixed + newly_fixed)), tuple(still_free)
                 )
-        levels.append((level, tuple(fams)))
-        for f in fams:
-            table[(level, f.rect_id)] = f
-    return FamilyTable(s, tuple(levels))
+    return FamilyTable(s, families)
 
 
 def embed_selector(rect_path, families: FamilyTable, hierarchy: RectangleHierarchy) -> tuple:
@@ -370,8 +341,7 @@ def embed_selector(rect_path, families: FamilyTable, hierarchy: RectangleHierarc
     for child, parent in zip(rects, rects[1:]):
         if child.rect_id not in parent.children:
             raise ArgumentError(f"{child.rect_id} is not a child of {parent.rect_id}")
-    top = rects[-1]
-    fam = families.family(top.level, top.rect_id)
+    fam = families.family(rect_path[-1])
     fixed = dict(fam.fixed)
     return tuple(fixed.get(i, 0) for i in range(fam.width))
 

@@ -22,7 +22,7 @@ from pathlib import Path
 from .diagram import FamilyLink, Lin, MeasureDiagram, Node, SeqSpec, lin, seq_on
 from .entropy import EntropyValue
 from .errors import ArgumentError, SpecFileError
-from .extension import Rectangle, RectangleHierarchy, oracle_from_dict
+from .extension import OracleTable, Rectangle, RectangleHierarchy
 from .generator import BlockCode, block_code
 from .markers import ArrayWindow, LongGapFlag, window_from_rows
 from .sft import Alphabet, SftSpec, validate as validate_sft
@@ -146,6 +146,8 @@ def _dict(read, key=_str):
         for k, v in value.items():
             at = _member(path, k)
             k = key(k, at)
+            if k in out:  # two spellings of one key, such as oracle levels "1" and "01"
+                raise SpecFileError(f"repeats the key {k!r}", at)
             out[k] = read(v, at)
         return out
 
@@ -263,13 +265,18 @@ def _parse_hierarchy(obj: dict):
     s = f["alphabet_size"]
     hierarchy = RectangleHierarchy(s, tuple(f["rectangles"]))
     levels = {r.rect_id: r.level for r in hierarchy.rects}
-    for lv, budgets in f["oracle"].items():
-        for rid in budgets:
+    budgets = {}  # keyed by id alone: each id is checked to name a rectangle of its level
+    for lv, entries in f["oracle"].items():
+        for rid, b in entries.items():
             if rid not in levels:
                 raise SpecFileError(f"no rectangle {rid!r}", f"oracle.{lv}.{rid}")
             if levels[rid] != lv:
                 raise SpecFileError(f"rectangle {rid!r} is at level {levels[rid]}", f"oracle.{lv}.{rid}")
-    return {"hierarchy": hierarchy, "oracle": oracle_from_dict(f["oracle"]), "s": s}
+            budgets[rid] = b
+    for rid, lv in levels.items():
+        if rid not in budgets:
+            raise SpecFileError("missing field", f"oracle.{lv}.{rid}")
+    return {"hierarchy": hierarchy, "oracle": OracleTable(budgets), "s": s}
 
 
 def _lin(value, path: str) -> Lin:

@@ -407,10 +407,17 @@ def hierarchy(rectangles=None, **extra):
         "kind": "hierarchy",
         "version": 1,
         "alphabet_size": 2,
-        "rectangles": rectangles or rects,
+        "rectangles": rects if rectangles is None else rectangles,
         "oracle": {"1": {"B1": 2, "B2": 1}},
         **extra,
     }
+
+
+TWO_LEVELS = [
+    {"id": "B1", "level": 1, "word": "01001"},
+    {"id": "B2", "level": 1, "word": "11000"},
+    {"id": "R1", "level": 2, "children": ["B1", "B2"], "bottom": "0000000000"},
+]
 
 
 def identity_code(**extra):
@@ -546,6 +553,38 @@ WRONG_SHAPES = [
         ),
         "oracle.2.B1: rectangle 'B1' is at level 1",
     ),
+    # each oracle level once: "1" and "01" spell the same level
+    (
+        "build",
+        hierarchy(
+            TWO_LEVELS,
+            oracle={"1": {"B1": 2, "B2": 1}, "01": {"B1": 1, "B2": 1}, "2": {"R1": 1}},
+        ),
+        "oracle.01: repeats the key 1",
+    ),
+    # every rectangle has a budget, named at its level
+    ("build", hierarchy(TWO_LEVELS, oracle={"1": {"B1": 2, "B2": 1}}), "oracle.2.R1: missing field"),
+    ("build", hierarchy(oracle={"1": {"B1": 2}}), "oracle.1.B2: missing field"),
+    # word only at level 1, children and bottom only above it, and at least one rectangle
+    (
+        "build",
+        hierarchy(
+            TWO_LEVELS[:2] + [{**TWO_LEVELS[2], "word": "0000000000"}],
+            oracle={"1": {"B1": 2, "B2": 1}, "2": {"R1": 1}},
+        ),
+        "hierarchy: R1: a level-2 rectangle takes no word",
+    ),
+    (
+        "build",
+        hierarchy([{**TWO_LEVELS[0], "children": ["B2", "B2"]}, TWO_LEVELS[1]]),
+        "hierarchy: B1: a level-1 rectangle takes no children or bottom",
+    ),
+    (
+        "build",
+        hierarchy([{**TWO_LEVELS[0], "bottom": "01001"}, TWO_LEVELS[1]]),
+        "hierarchy: B1: a level-1 rectangle takes no children or bottom",
+    ),
+    ("build", hierarchy([], oracle={}), "hierarchy: a hierarchy needs at least one rectangle"),
 ]
 
 
