@@ -12,9 +12,10 @@ Functions on a diagram are piecewise constant with guards comparing one
 parameter against a linear expression in the others; sequences indexed by
 k take one value below a linear threshold in the parameters and another
 above.  Everything is exact: values are Fractions (or +infinity), guard
-satisfiability is decided by integer scanning plus a certified asymptotic
-regime, never by floats.  The one infinity is EntropyValue.infinity()
-(exported here as INF): `+` and `-` absorb it, and `v is INF` tests for it.
+satisfiability is decided in closed form, one integer interval per residue
+class of a parameter mod 6, never by floats.  The one infinity is
+EntropyValue.infinity() (exported here as INF): `+` and `-` absorb it, and
+`v is INF` tests for it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .entropy import EntropyValue
 from .errors import ArgumentError
@@ -54,12 +54,14 @@ class Lin:
                 raise ArgumentError(f"coefficient {c} on {p} outside 1..{MAX_COEFF}")
         if list(self.coeffs) != sorted(self.coeffs):
             raise ArgumentError("Lin coefficients must be sorted")
+        # coefficient lookup, kept off the dataclass fields
+        object.__setattr__(self, "_by_param", dict(self.coeffs))
 
     def evaluate(self, env: dict) -> int:
         return self.const + sum(c * env[p] for p, c in self.coeffs)
 
     def coeff(self, param: str) -> int:
-        return dict(self.coeffs).get(param, 0)
+        return self._by_param.get(param, 0)
 
     @property
     def params(self) -> tuple:
@@ -99,66 +101,81 @@ class Atom:
 # ---------------------------------------------------------------------------
 # integer feasibility over <= 2 parameters
 
-_BIG_OFFSET = 7919  # placed beyond every guard crossing by construction
-
-
-def _const_budget(atoms) -> int:
-    return sum(abs(a.rhs.const) for a in atoms) + 16
-
-
-def _y_bounds_at(atoms, x_var: str, y_var: str, x: int, y_min: int):
-    """Feasible integer y-interval at fixed x, or None when x itself fails."""
-    lo, hi = y_min, None
-    for a in atoms:
-        if a.var == x_var:
-            c = a.rhs.coeff(y_var)
-            base = a.rhs.const
-            if c == 0:
-                ok = x < base if a.lt else x >= base
-                if not ok:
-                    return None
-                continue
-            if a.lt:  # x < c*y + base  =>  y >= floor((x - base)/c) + 1
-                lo = max(lo, (x - base) // c + 1)
-            else:  # x >= c*y + base  =>  y <= floor((x - base)/c)
-                bound = (x - base) // c
-                hi = bound if hi is None else min(hi, bound)
-        else:
-            c = a.rhs.coeff(x_var)
-            base = a.rhs.const + c * x
-            if a.lt:  # y < base
-                hi = base - 1 if hi is None else min(hi, base - 1)
-            else:  # y >= base
-                lo = max(lo, base)
-    if hi is not None and lo > hi:
-        return None
-    return lo, hi
-
 
 def _frame(atoms, mins: dict, vars_: list, var: str | None = None):
-    """(x_var, y_var, y_min, near, tail) for a two-variable guard set.
+    """(x_var, y_var, lows, highs, classes) for a two-variable guard set.
 
-    x (`var` when given, else the first name) is probed and y solved for
-    at each x.  `near` runs from x's minimum past every guard crossing.
-    Beyond the crossings the y-bounds, and so tau's supremum, are affine
-    along each residue class mod 6 (all slope denominators divide 6), so
-    one full residue window, `tail`, decides the tail exactly, and one
-    step of 6 from it reveals growth.
+    x (`var` when given, else the first name) is written x = 6t + r.  All
+    coefficients divide 6, so on each residue class r a guard bounds x
+    alone or bounds y by an exact affine function of t: y runs from the max
+    of the `lows` to the min of the `highs`, each a (slope in t, constant
+    per residue) pair.  Each (low, high) pair is one linear inequality in
+    t, so each class is one t-interval; `classes` yields the nonempty ones.
     """
     if len(vars_) != 2:
         raise ArgumentError("feasibility supports at most two variables")
     x_var, y_var = vars_
     if var is not None and var != x_var:
         x_var, y_var = y_var, x_var
-    x_min, y_min = mins.get(x_var, 1), mins.get(y_var, 1)
-    budget = _const_budget(atoms) + x_min + y_min
-    near = range(x_min, x_min + 4 * budget + 2)
-    base = x_min + 4 * budget + _BIG_OFFSET
-    return x_var, y_var, y_min, near, range(base, base + _SLOPE_STEP)
+    res = range(_SLOPE_STEP)
+    x_lo, x_hi = mins.get(x_var, 1), None  # the box on x alone
+    lows, highs = [(0, (mins.get(y_var, 1),) * _SLOPE_STEP)], []
+    for a in atoms:
+        b = a.rhs.const
+        if a.var == x_var:
+            c = a.rhs.coeff(y_var)
+            if c == 0:
+                if a.lt:
+                    x_hi = b - 1 if x_hi is None else min(x_hi, b - 1)
+                else:
+                    x_lo = max(x_lo, b)
+                continue
+            # x < c*y + b  =>  y >= (x - b)//c + 1;  x >= c*y + b  =>  y <= (x - b)//c
+            bound = (_SLOPE_STEP // c, tuple([(r - b) // c + a.lt for r in res]))
+            (lows if a.lt else highs).append(bound)
+        else:  # y < c*x + b  =>  y <= c*x + b - 1;  y >= c*x + b
+            c = a.rhs.coeff(x_var)
+            bound = (_SLOPE_STEP * c, tuple([c * r + b - a.lt for r in res]))
+            (highs if a.lt else lows).append(bound)
+    pairs = [(sl - sh, kl, kh) for sl, kl in lows for sh, kh in highs]
+    return x_var, y_var, lows, highs, _classes(x_lo, x_hi, pairs)
+
+
+def _classes(x_lo: int, x_hi, pairs):
+    """(x, lo, hi) for each residue class r whose t-interval lo..hi (hi
+    None: no upper end) is not empty, x = 6*lo + r its least point, in
+    increasing order of x.
+
+    A class starts at its point in the box x_lo..x_lo+5 unless a pair
+    raises it, and then by at least 6, so the classes that keep that point
+    come first, in order, and the raised ones after them.
+    """
+    raised = []
+    for x in range(x_lo, x_lo + _SLOPE_STEP):
+        lo, r = divmod(x, _SLOPE_STEP)
+        hi = None if x_hi is None else (x_hi - r) // _SLOPE_STEP
+        for s, kl, kh in pairs:
+            if hi is not None and lo > hi:
+                break
+            k = kh[r] - kl[r]  # low <= high  <=>  s*t <= k
+            if s > 0:
+                hi = k // s if hi is None else min(hi, k // s)
+            elif s < 0:
+                lo = max(lo, -(k // -s))
+            elif k < 0:
+                break
+        else:
+            if hi is None or lo <= hi:
+                if _SLOPE_STEP * lo + r == x:
+                    yield x, lo, hi
+                else:
+                    raised.append((_SLOPE_STEP * lo + r, lo, hi))
+    yield from sorted(raised)
 
 
 def feasible(atoms, mins: dict):
-    """A satisfying integer assignment with every var >= its min, or None."""
+    """The satisfying integer assignment with every var >= its min that has
+    the least first var, and the least second var there; or None."""
     vars_ = sorted({a.var for a in atoms} | set(mins))
     if not vars_:
         return {}
@@ -176,29 +193,33 @@ def feasible(atoms, mins: dict):
         if hi is not None and lo > hi:
             return None
         return {x: lo}
-    x_var, y_var, y_min, near, tail = _frame(atoms, mins, vars_)
-    for x in chain(near, tail):
-        b = _y_bounds_at(atoms, x_var, y_var, x, y_min)
-        if b is not None:
-            return {x_var: x, y_var: b[0]}
-    return None
+    x_var, y_var, lows, _, classes = _frame(atoms, mins, vars_)
+    least = next(classes, None)
+    if least is None:
+        return None
+    x, t, _ = least
+    return {x_var: x, y_var: max(s * t + k[x % _SLOPE_STEP] for s, k in lows)}
 
 
 def feasible_unbounded(atoms, mins: dict, var: str) -> bool:
-    """Whether satisfying points exist with `var` arbitrarily large."""
+    """Whether satisfying points exist with `var` arbitrarily large: some
+    residue class of `var` has no upper end."""
     vars_ = sorted({a.var for a in atoms} | set(mins) | {var})
     if len(vars_) == 1:
         # feasible for arbitrarily large var iff no upper bound exists
         return not any(a.lt for a in atoms)
-    x_var, y_var, y_min, _, tail = _frame(atoms, mins, vars_, var)
-    return any(_y_bounds_at(atoms, x_var, y_var, x, y_min) is not None for x in tail)
+    *_, classes = _frame(atoms, mins, vars_, var)
+    return any(hi is None for _, _, hi in classes)
 
 
 def tau_unbounded_along(atoms, mins: dict, var: str, tau: Lin) -> bool:
     """Whether sup of tau over the region is unbounded as `var` grows.
 
-    Presumes feasible_unbounded(atoms, mins, var).  tau's growth may come
-    from `var` itself or from the other parameter being free to grow.
+    tau's growth may come from `var` itself or from the other parameter
+    being free to grow.  Along a residue class of `var` with no upper end,
+    the other parameter is bounded by the least of the highs, which
+    eventually is the high of least slope, so it grows unless some high
+    has slope 0.
     """
     if tau.coeff(var) >= 1:
         return True
@@ -206,30 +227,11 @@ def tau_unbounded_along(atoms, mins: dict, var: str, tau: Lin) -> bool:
     if not other:
         return False
     vars_ = sorted({a.var for a in atoms} | set(mins) | {var} | set(other))
-    x_var, y_var, y_min, _, tail = _frame(atoms, mins, vars_, var)
-
-    def sup_tau(x: int):
-        b = _y_bounds_at(atoms, x_var, y_var, x, y_min)
-        if b is None:
-            return None
-        lo, hi = b
-        cy = tau.coeff(y_var)
-        if cy == 0:
-            return tau.const + tau.coeff(x_var) * x
-        if hi is None:
-            return INF
-        return tau.const + tau.coeff(x_var) * x + cy * hi
-
-    for x in tail:
-        s0 = sup_tau(x)
-        if s0 is None:
-            continue
-        if s0 is INF:
-            return True
-        s1 = sup_tau(x + _SLOPE_STEP)
-        if s1 is INF or (s1 is not None and s1 > s0):
-            return True
-    return False
+    _, y_var, _, highs, classes = _frame(atoms, mins, vars_, var)
+    if all(hi is not None for _, _, hi in classes):
+        return False
+    # tau = const + cy*y here; with no highs at all, y is free
+    return tau.coeff(y_var) >= 1 and all(s > 0 for s, _ in highs)
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +387,6 @@ class SeqSpec:
     lo: object
     tau: Lin
     hi: object
-
-    def value_at(self, env: dict, k: int):
-        return self.lo if k < self.tau.evaluate(env) else self.hi
 
     @property
     def limit(self):

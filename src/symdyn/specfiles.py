@@ -156,8 +156,17 @@ def _dict(read, key=_str):
 
 def load_spec(path: str) -> dict:
     """Parse, check kind and version, and validate the payload."""
+
+    def members(pairs) -> dict:  # a key written twice is refused, not overwritten
+        out = {}
+        for k, v in pairs:
+            if k in out:
+                raise SpecFileError(f"repeats the key {k!r}", path)
+            out[k] = v
+        return out
+
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), object_pairs_hook=members)
     except OSError:
         raise SpecFileError("file not readable", path)
     except json.JSONDecodeError as exc:

@@ -1,11 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from symdyn.diagram import (
-    _BIG_OFFSET,
     _SLOPE_STEP,
     INF,
     Atom,
@@ -28,8 +28,6 @@ from symdyn.diagram import (
     seq_step,
     step_fn,
     tau_unbounded_along,
-    _const_budget,
-    _y_bounds_at,
 )
 from symdyn.errors import ArgumentError
 from symdyn.scenarios import scenario_data
@@ -200,19 +198,24 @@ def test_fn_compare_and_le():
     assert w is not None and w[0]["m"] >= 3
 
 
+def value_at(s, env, k):
+    """The k-th value of a threshold sequence at env, read off its definition."""
+    return s.lo if k < s.tau.evaluate(env) else s.hi
+
+
 def test_seq_as_fn_slices():
     s = seq_step(Fraction(1), lin(2, m=1), Fraction(0))
     for k in (1, 2, 5, 9):
         fk = s.as_fn(k, {"m": 1})
         for m in range(1, 12):
-            assert fk.evaluate({"m": m}) == s.value_at({"m": m}, k)
+            assert fk.evaluate({"m": m}) == value_at(s, {"m": m}, k)
     two = seq_step(Fraction(1), lin(1, m=1, j=1), Fraction(0))
     for k in (1, 3, 6, 11):
         fk = two.as_fn(k, {"m": 1, "j": 1})
         for m in range(1, 10):
             for j in range(1, 10):
-                assert fk.evaluate({"m": m, "j": j}) == two.value_at(
-                    {"m": m, "j": j}, k
+                assert fk.evaluate({"m": m, "j": j}) == value_at(
+                    two, {"m": m, "j": j}, k
                 )
 
 
@@ -280,8 +283,43 @@ def test_seq_monotone_validation():
 
 
 # ---------------------------------------------------------------------------
-# the hand-written probe loops and piece-pair searches these routines
-# replaced, kept as references for the shared frame and witness search
+# the probe loops and piece-pair searches these routines replaced, kept as
+# references for the residue-class intervals and the witness search
+
+_BIG_OFFSET = 7919  # placed beyond every guard crossing by construction
+
+
+def _const_budget(atoms):
+    return sum(abs(a.rhs.const) for a in atoms) + 16
+
+
+def _y_bounds_at(atoms, x_var, y_var, x, y_min):
+    """Feasible integer y-interval at fixed x, or None when x itself fails."""
+    lo, hi = y_min, None
+    for a in atoms:
+        if a.var == x_var:
+            c = a.rhs.coeff(y_var)
+            base = a.rhs.const
+            if c == 0:
+                ok = x < base if a.lt else x >= base
+                if not ok:
+                    return None
+                continue
+            if a.lt:  # x < c*y + base  =>  y >= floor((x - base)/c) + 1
+                lo = max(lo, (x - base) // c + 1)
+            else:  # x >= c*y + base  =>  y <= floor((x - base)/c)
+                bound = (x - base) // c
+                hi = bound if hi is None else min(hi, bound)
+        else:
+            c = a.rhs.coeff(x_var)
+            base = a.rhs.const + c * x
+            if a.lt:  # y < base
+                hi = base - 1 if hi is None else min(hi, base - 1)
+            else:  # y >= base
+                lo = max(lo, base)
+    if hi is not None and lo > hi:
+        return None
+    return lo, hi
 
 
 def naive_feasible(atoms, mins):
@@ -431,6 +469,68 @@ def test_probe_frame_matches_the_reference():
         assert outcome(tau_unbounded_along, atoms, mins, var, tau) == outcome(
             naive_tau_unbounded_along, atoms, mins, var, tau
         )
+
+
+def rand_big_atoms(rng, vars_):
+    """1-5 guards over m and j with coefficients 0..3 and constants whose
+    size is drawn from 1 to 10^4, of either sign."""
+    atoms = []
+    for _ in range(rng.randrange(1, 6)):
+        v = rng.choice(vars_)
+        coeffs = {x: rng.randrange(4) for x in vars_ if x != v}
+        size = 10 ** rng.randrange(5)
+        atoms.append(Atom(v, rng.random() < 0.5, lin(rng.randint(-size, size), **coeffs)))
+    return atoms
+
+
+def test_residue_classes_match_the_reference_on_large_constants():
+    rng = random.Random(47)
+    found = 0
+    for _ in range(200):
+        mins = rand_mins(rng, ["m", "j"])
+        atoms = rand_big_atoms(rng, ["m", "j"])
+        got = outcome(feasible, atoms, mins)
+        assert got == outcome(naive_feasible, atoms, mins)
+        if got is not None:
+            found += 1
+            assert all(a.holds(dict(got)) for a in atoms)
+        for var in ("m", "j"):
+            assert outcome(feasible_unbounded, atoms, mins, var) == outcome(
+                naive_feasible_unbounded, atoms, mins, var
+            )
+            tau = lin(rng.randrange(-50, 50), **{"j" if var == "m" else "m": rng.randrange(4)})
+            assert outcome(tau_unbounded_along, atoms, mins, var, tau) == outcome(
+                naive_tau_unbounded_along, atoms, mins, var, tau
+            )
+    assert 50 < found < 150  # both verdicts are well represented
+
+
+def test_cost_does_not_grow_with_the_constants():
+    # m >= p + 10^6 and p >= m + 1 cannot both hold; a scan over m would
+    # probe about four million values before saying so
+    atoms = [Atom("m", False, lin(10**6, p=1)), Atom("p", False, lin(1, m=1))]
+    mins = {"m": 1, "p": 1}
+    start = time.perf_counter()
+    assert feasible(atoms, mins) is None
+    assert not feasible_unbounded(atoms, mins, "m")
+    assert not feasible_unbounded(atoms, mins, "p")
+    assert time.perf_counter() - start < 0.5
+
+
+def test_least_point_of_a_large_constant_set():
+    # j < 3m - 10^5 and j >= 2m + 10^4: m lies in ((j + 10^5)/3, (j - 10^4)/2],
+    # which holds an integer first at j = 230002 (only m = 110001); at
+    # j = 230001 it is (110000.33, 110000.5]
+    atoms = [Atom("j", True, lin(-(10**5), m=3)), Atom("j", False, lin(10**4, m=2))]
+    mins = {"m": 1, "j": 1}
+    assert feasible(atoms, mins) == {"j": 230002, "m": 110001}
+    assert all(a.holds({"j": 230002, "m": 110001}) for a in atoms)
+    assert not any(
+        all(a.holds({"j": 230001, "m": m}) for a in atoms) for m in range(109_990, 110_010)
+    )
+    assert feasible(atoms + [Atom("j", True, lin(230002))], mins) is None
+    assert feasible_unbounded(atoms, mins, "j") and feasible_unbounded(atoms, mins, "m")
+    assert tau_unbounded_along(atoms, mins, "j", lin(0, m=1))
 
 
 def test_three_variables_are_refused_alike():

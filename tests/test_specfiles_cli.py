@@ -853,6 +853,32 @@ def test_cli_input_error_paths(tmp_path):
     assert code == 4  # period cap
 
 
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        (
+            ["per", "-n", "2"],
+            '{"kind": "sft", "version": 1, "alphabet": ["0", "1"], "forbidden": ["11"], "forbidden": []}',
+            "forbidden",
+        ),
+        (
+            ["extend", "build"],
+            '{"kind": "hierarchy", "version": 1, "alphabet_size": 2, "rectangles": '
+            '[{"id": "B1", "level": 1, "word": "01001"}, {"id": "B2", "level": 1, "word": "11000"}], '
+            '"oracle": {"1": {"B1": 2, "B2": 1}, "1": {"B1": 1, "B2": 1}}}',
+            "1",
+        ),
+    ],
+)
+def test_a_key_written_twice_exits_3(tmp_path, command, text, key):
+    path = tmp_path / "twice.json"
+    path.write_text(text)
+    with pytest.raises(SpecFileError, match=f"^{re.escape(str(path))}: repeats the key '{key}'$"):
+        load_spec(str(path))
+    code, out, err = run_cli(command + ["--spec", str(path)])
+    assert (code, out, err) == (3, "", f"error: {path}: repeats the key '{key}'\n")
+
+
 def test_cli_spec_path_not_a_file(tmp_path):
     code, _, err = run_cli(["per", "--spec", str(tmp_path), "-n", "3"])
     assert code == 3

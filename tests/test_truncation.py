@@ -17,6 +17,11 @@ def _h0_for(name):
     return Fraction(3, 2) if name in ("example2", "example3") else None
 
 
+def value_at(s, env: dict, k: int):
+    """The k-th value of a threshold sequence at env, read off its definition."""
+    return s.lo if k < s.tau.evaluate(env) else s.hi
+
+
 def _tail_window(cap: int):
     return range(cap // 2 + 1, cap + 1)
 
@@ -93,10 +98,10 @@ class NaiveTruncatedOps:
     def analyze(self, hseq, perseq) -> dict:
         def tail(pt, k):
             s = hseq.spec(pt[0])
-            return s.limit - s.value_at(dict(pt[1]), k)
+            return s.limit - value_at(s, dict(pt[1]), k)
 
         def per(pt, k):
-            return perseq.spec(pt[0]).value_at(dict(pt[1]), k)
+            return value_at(perseq.spec(pt[0]), dict(pt[1]), k)
 
         h = {pt: hseq.spec(pt[0]).limit for pt in self.space.points}
         zero = {pt: 0 for pt in self.space.points}
