@@ -102,8 +102,22 @@ class Atom:
 # integer feasibility over <= 2 parameters
 
 
+def _vars(atoms, mins: dict, *extra) -> list:
+    """The sorted variables a guard set constrains: its atoms' variables,
+    every parameter their right-hand sides mention, the keys of `mins` and
+    `extra`; at most two of them."""
+    vars_ = set(mins).union(extra)
+    for a in atoms:
+        vars_.add(a.var)
+        vars_.update(a.rhs.params)
+    if len(vars_) > 2:
+        raise ArgumentError("feasibility supports at most two variables")
+    return sorted(vars_)
+
+
 def _frame(atoms, mins: dict, vars_: list, var: str | None = None):
-    """(x_var, y_var, lows, highs, classes) for a two-variable guard set.
+    """(x_var, y_var, lows, highs, classes) for a guard set over `vars_`,
+    one or two variables as `_vars` gives them; y_var is None for one.
 
     x (`var` when given, else the first name) is written x = 6t + r.  All
     coefficients divide 6, so on each residue class r a guard bounds x
@@ -111,10 +125,9 @@ def _frame(atoms, mins: dict, vars_: list, var: str | None = None):
     of the `lows` to the min of the `highs`, each a (slope in t, constant
     per residue) pair.  Each (low, high) pair is one linear inequality in
     t, so each class is one t-interval; `classes` yields the nonempty ones.
+    A variable missing from `mins` has least value 1.
     """
-    if len(vars_) != 2:
-        raise ArgumentError("feasibility supports at most two variables")
-    x_var, y_var = vars_
+    x_var, y_var = vars_ if len(vars_) == 2 else (vars_[0], None)
     if var is not None and var != x_var:
         x_var, y_var = y_var, x_var
     res = range(_SLOPE_STEP)
@@ -174,41 +187,26 @@ def _classes(x_lo: int, x_hi, pairs):
 
 
 def feasible(atoms, mins: dict):
-    """The satisfying integer assignment with every var >= its min that has
-    the least first var, and the least second var there; or None."""
-    vars_ = sorted({a.var for a in atoms} | set(mins))
-    if not vars_:
-        return {}
-    if len(vars_) == 1:
-        x = vars_[0]
-        x_min = mins.get(x, 1)
-        lo, hi = x_min, None
-        for a in atoms:
-            if a.rhs.coeffs:
-                raise ArgumentError("one-variable guard references a second variable")
-            if a.lt:
-                hi = a.rhs.const - 1 if hi is None else min(hi, a.rhs.const - 1)
-            else:
-                lo = max(lo, a.rhs.const)
-        if hi is not None and lo > hi:
-            return None
-        return {x: lo}
+    """The satisfying integer assignment with every var >= its min (1 when
+    `mins` has no entry) that has the least first var, and the least second
+    var there; or None."""
+    vars_ = _vars(atoms, mins)
+    if not atoms:
+        return {v: mins.get(v, 1) for v in vars_}
     x_var, y_var, lows, _, classes = _frame(atoms, mins, vars_)
     least = next(classes, None)
     if least is None:
         return None
     x, t, _ = least
+    if y_var is None:
+        return {x_var: x}
     return {x_var: x, y_var: max(s * t + k[x % _SLOPE_STEP] for s, k in lows)}
 
 
 def feasible_unbounded(atoms, mins: dict, var: str) -> bool:
     """Whether satisfying points exist with `var` arbitrarily large: some
     residue class of `var` has no upper end."""
-    vars_ = sorted({a.var for a in atoms} | set(mins) | {var})
-    if len(vars_) == 1:
-        # feasible for arbitrarily large var iff no upper bound exists
-        return not any(a.lt for a in atoms)
-    *_, classes = _frame(atoms, mins, vars_, var)
+    *_, classes = _frame(atoms, mins, _vars(atoms, mins, var), var)
     return any(hi is None for _, _, hi in classes)
 
 
@@ -226,7 +224,7 @@ def tau_unbounded_along(atoms, mins: dict, var: str, tau: Lin) -> bool:
     other = [p for p in tau.params if p != var]
     if not other:
         return False
-    vars_ = sorted({a.var for a in atoms} | set(mins) | {var} | set(other))
+    vars_ = _vars(atoms, mins, var, *other)
     _, y_var, _, highs, classes = _frame(atoms, mins, vars_, var)
     if all(hi is not None for _, _, hi in classes):
         return False
@@ -277,7 +275,7 @@ def step_fn(var: str, tau: Lin, lo, hi) -> FnSpec:
 def _collapse(pieces) -> FnSpec:
     """One constant piece when all values agree, else the pieces as given."""
     if all(v == pieces[0][1] for _, v in pieces):
-        return const_fn(pieces[0][1])
+        return FnSpec((((), pieces[0][1]),))
     return FnSpec(tuple(pieces))
 
 
@@ -286,7 +284,7 @@ def fn_binary(f: FnSpec, g: FnSpec, op, mins: dict) -> FnSpec:
     for fa, fv in f.pieces:
         for ga, gv in g.pieces:
             atoms = fa + ga
-            if feasible(list(atoms), mins) is None:
+            if feasible(atoms, mins) is None:
                 continue
             pieces.append((atoms, op(fv, gv)))
     if not pieces:
@@ -303,7 +301,7 @@ def fn_add(f: FnSpec, g: FnSpec, mins: dict) -> FnSpec:
 
 
 def fn_shift(f: FnSpec, c) -> FnSpec:
-    return FnSpec(tuple((atoms, v + as_val(c)) for atoms, v in f.pieces))
+    return FnSpec(tuple((atoms, v + c) for atoms, v in f.pieces))
 
 
 def fn_eventual(f: FnSpec, param: str, mins: dict) -> FnSpec:
@@ -336,7 +334,7 @@ def fn_eventual(f: FnSpec, param: str, mins: dict) -> FnSpec:
     if not out:
         raise ArgumentError(f"no piece survives {param} -> infinity")
     reduced_mins = {p: m for p, m in mins.items() if p != param}
-    live = [(a, v) for a, v in out if feasible(list(a), reduced_mins) is not None]
+    live = [(a, v) for a, v in out if feasible(a, reduced_mins) is not None]
     return _collapse(live)
 
 
@@ -344,7 +342,7 @@ def fn_sup(f: FnSpec, mins: dict):
     """Supremum of the function over all parameter values."""
     best = None
     for atoms, v in f.pieces:
-        if feasible(list(atoms), mins) is None:
+        if feasible(atoms, mins) is None:
             continue
         if best is None or v > best:
             best = v
@@ -360,7 +358,7 @@ def _fn_witness(f: FnSpec, g: FnSpec, mins: dict, holds):
         for ga, gv in g.pieces:
             if holds(fv, gv):
                 continue
-            env = feasible(list(fa + ga), mins)
+            env = feasible(fa + ga, mins)
             if env is not None:
                 return env, fv, gv
     return None
@@ -387,6 +385,10 @@ class SeqSpec:
     lo: object
     tau: Lin
     hi: object
+
+    def __post_init__(self):
+        object.__setattr__(self, "lo", as_val(self.lo))
+        object.__setattr__(self, "hi", as_val(self.hi))
 
     @property
     def limit(self):
@@ -418,18 +420,14 @@ class SeqSpec:
         for p0 in range(p_min, p_max + 1):
             q_thr = (bound - a * p0) // b + 1  # q < q_thr: settled
             at_p0 = (Atom(p, False, lin(p0)), Atom(p, True, lin(p0 + 1)))
-            pieces.append((at_p0 + (Atom(q, True, lin(q_thr)),), as_val(self.hi)))
-            pieces.append((at_p0 + (Atom(q, False, lin(q_thr)),), as_val(self.lo)))
-        pieces.append(((Atom(p, False, lin(p_max + 1)),), as_val(self.lo)))
+            pieces.append((at_p0 + (Atom(q, True, lin(q_thr)),), self.hi))
+            pieces.append((at_p0 + (Atom(q, False, lin(q_thr)),), self.lo))
+        pieces.append(((Atom(p, False, lin(p_max + 1)),), self.lo))
         return FnSpec(tuple(pieces))
 
 
-def seq_const(v) -> SeqSpec:
-    return SeqSpec(as_val(v), lin(0), as_val(v))
-
-
 def seq_step(lo, tau: Lin, hi) -> SeqSpec:
-    return SeqSpec(as_val(lo), tau, as_val(hi))
+    return SeqSpec(lo, tau, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +635,7 @@ def seq_on(diagram: MeasureDiagram, mapping: dict, monotone: str) -> SeqOnDiagra
             raise ArgumentError(f"no sequence spec for node {n.node_id}")
         s = mapping[n.node_id]
         if not isinstance(s, SeqSpec):
-            s = seq_const(s)
+            s = SeqSpec(s, lin(0), s)
         for p in s.tau.params:
             if p not in n.params:
                 raise ArgumentError(

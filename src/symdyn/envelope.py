@@ -90,11 +90,11 @@ def envelope_limit(
             spec = theta.spec(grand.node_id)
             best = None
             for atoms, v in u.spec(grand.node_id).pieces:
-                if not feasible_unbounded(list(atoms), grand.mins, outer):
+                if not feasible_unbounded(atoms, grand.mins, outer):
                     continue
                 tail = (
                     spec.lo
-                    if tau_unbounded_along(list(atoms), grand.mins, outer, spec.tau)
+                    if tau_unbounded_along(atoms, grand.mins, outer, spec.tau)
                     else spec.hi
                 )
                 cand = v + tail

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .entropy import EntropyValue, optimal_alphabet_size
+from .entropy import EntropyValue
 from .errors import ArgumentError, ConstructionError
 from .sft import PeriodicOrbit, Word, minimal_period, rotations
 
@@ -344,15 +344,6 @@ def embed_selector(rect_path, families: FamilyTable, hierarchy: RectangleHierarc
     fam = families.family(rect_path[-1])
     fixed = dict(fam.fixed)
     return tuple(fixed.get(i, 0) for i in range(fam.width))
-
-
-def extension_alphabet_report(s: int, sup_e: EntropyValue) -> dict:
-    """Alphabet accounting: marker bit times content alphabet, plus the
-    recoding bound (reported, not performed)."""
-    return {
-        "built_alphabet": 2 * s,
-        "recoding_bound": optimal_alphabet_size(sup_e),
-    }
 
 
 # ---------------------------------------------------------------------------

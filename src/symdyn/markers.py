@@ -69,14 +69,6 @@ class ArrayWindow:
     def row_markers(self, k: int) -> tuple:
         return self.markers[k - 1]
 
-    def with_markers(self, k: int, cols) -> "ArrayWindow":
-        new = list(self.markers)
-        new[k - 1] = tuple(sorted(set(cols)))
-        return replace(self, markers=tuple(new))
-
-    def with_note(self, note: str) -> "ArrayWindow":
-        return replace(self, notes=self.notes + (note,))
-
     def interior_gaps(self, k: int):
         """(start, end, length) per gap; cyclic when the boundary wraps."""
         ms = self.row_markers(k)
@@ -108,15 +100,6 @@ class MarkerSchedule:
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.n, self.n[1:])):
             raise ArgumentError("n_k must be strictly increasing")
-
-    def check_separated(self) -> None:
-        """n_{k+1} >= 3(2 n_k + 1): rows code independently enough to recode."""
-        for a, b in zip(self.n, self.n[1:]):
-            if b < 3 * (2 * a + 1):
-                raise ArgumentError(f"schedule too tight: {b} < 3*(2*{a}+1)")
-
-    def displacement_bound(self, k: int) -> int:
-        return sum(self.n[: k - 1])
 
     def subdivided_bounds(self, k: int) -> tuple:
         """Gap bounds after subdividing row k and adjusting upward."""

@@ -133,6 +133,8 @@ def pickupsticks_data() -> ScenarioData:
 
 
 def scenario_data(name: str, h0: Fraction | None = None) -> ScenarioData:
+    if h0 is not None and name in ("example1", "pickupsticks"):
+        raise ArgumentError(f"scenario {name!r} takes no h0")
     if name == "example1":
         return example1_data()
     if name == "example2":

@@ -55,7 +55,7 @@ BOX = 60  # brute-force verification box
 
 
 def brute_feasible(atoms, mins, box=BOX):
-    vars_ = sorted({a.var for a in atoms} | set(mins))
+    vars_ = sorted({a.var for a in atoms} | {p for a in atoms for p in a.rhs.params} | set(mins))
     if not vars_:
         return {}
     if len(vars_) == 1:
@@ -95,6 +95,32 @@ def test_feasibility_against_bruteforce():
             assert all(a.holds(got) for a in atoms)
             agreements += 1
     assert agreements > 300  # the brute box resolves most draws
+
+
+def test_right_hand_side_parameters_are_variables():
+    # guards over m that name j, with only m in mins: j ranges from 1
+    rng = random.Random(8)
+    found = 0
+    for _ in range(400):
+        mins = {"m": rng.choice([1, 1, 2, 5])}
+        atoms = [Atom("m", rng.random() < 0.5, rand_lin(rng, ["j"])) for _ in range(rng.randrange(1, 4))]
+        got = feasible(atoms, mins)
+        ref = brute_feasible(atoms, mins)
+        if ref is None:
+            assert got is None or all(a.holds(got) for a in atoms)
+        else:
+            found += 1
+            assert list(got.items()) == list(ref.items())
+    assert found > 250  # the box resolves most draws
+
+
+def test_a_guard_on_a_second_variable_is_solved():
+    assert feasible([Atom("m", True, lin(0, t=1))], {"m": 1}) == {"m": 1, "t": 2}
+
+
+def test_empty_guard_sets_sit_at_the_mins():
+    assert list(feasible((), {"m": 3, "j": 2}).items()) == [("j", 2), ("m", 3)]
+    assert feasible((), {}) == {}
 
 
 def test_feasible_unbounded_against_sampling():
@@ -534,15 +560,18 @@ def test_least_point_of_a_large_constant_set():
 
 
 def test_three_variables_are_refused_alike():
-    atoms = [Atom("m", True, lin(4, j=1)), Atom("t", False, lin(2))]
     mins = {"m": 1, "j": 1}
     message = "^feasibility supports at most two variables$"
-    with pytest.raises(ArgumentError, match=message):
-        feasible(atoms, mins)
-    with pytest.raises(ArgumentError, match=message):
-        feasible_unbounded(atoms, mins, "m")
-    with pytest.raises(ArgumentError, match=message):
-        tau_unbounded_along(atoms, mins, "m", lin(0, j=1))
+    for atoms in (
+        [Atom("m", True, lin(4, j=1)), Atom("t", False, lin(2))],
+        [Atom("m", True, lin(0, t=1))],  # t only on a right-hand side
+    ):
+        with pytest.raises(ArgumentError, match=message):
+            feasible(atoms, mins)
+        with pytest.raises(ArgumentError, match=message):
+            feasible_unbounded(atoms, mins, "m")
+        with pytest.raises(ArgumentError, match=message):
+            tau_unbounded_along(atoms, mins, "m", lin(0, j=1))
 
 
 def rand_piecewise(rng, mins):

@@ -17,7 +17,6 @@ from symdyn.extension import (
     build_families,
     build_strips,
     embed_selector,
-    extension_alphabet_report,
     hall_match,
     normalize_oracle,
     prefix_allocate,
@@ -219,11 +218,6 @@ def test_selector_injective_across_tops():
         rid: embed_selector(["B1", rid], table, h) for rid in ("R1", "R2")
     }
     assert words["R1"] != words["R2"]
-
-
-def test_alphabet_report():
-    rep = extension_alphabet_report(3, EntropyValue(1))
-    assert rep == {"built_alphabet": 6, "recoding_bound": 3}
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,17 @@ def rand_row(rng, width):
 # passes were first written; the bisect-based passes must match them
 
 
+def with_markers(w, k, cols):
+    """w with row k's markers replaced by the sorted distinct `cols`."""
+    new = list(w.markers)
+    new[k - 1] = tuple(sorted(set(cols)))
+    return replace(w, markers=tuple(new))
+
+
+def with_note(w, note):
+    return replace(w, notes=w.notes + (note,))
+
+
 def naive_upward_adjust(w):
     cur = w
     notes = []
@@ -51,7 +62,7 @@ def naive_upward_adjust(w):
             else:
                 moved.append(target)
                 relocation[c] = target
-        cur = cur.with_markers(k, moved)
+        cur = with_markers(cur, k, moved)
         for idx, f in enumerate(flags):
             if f is None or f.row != k:
                 continue
@@ -64,7 +75,7 @@ def naive_upward_adjust(w):
                 flags[idx] = LongGapFlag(k, lo, hi, f.period)
     cur = replace(cur, flags=tuple(f for f in flags if f is not None))
     for note in notes:
-        cur = cur.with_note(note)
+        cur = with_note(cur, note)
     return cur
 
 
@@ -93,19 +104,19 @@ def naive_subdivide_balance(w, schedule):
                 new_cols.append(pos)
             new_cols.pop()
         if k == 1:
-            cur = cur.with_markers(1, cur.row_markers(1) + tuple(new_cols))
+            cur = with_markers(cur, 1, cur.row_markers(1) + tuple(new_cols))
         else:
             above = cur.row_markers(k - 1)
             adjusted = []
             for c in new_cols:
                 target = next((x for x in above if x >= c), None)
                 if target is None:
-                    cur = cur.with_note(
-                        f"row {k}: subdivision marker at {c} dropped (no anchor)"
+                    cur = with_note(
+                        cur, f"row {k}: subdivision marker at {c} dropped (no anchor)"
                     )
                 else:
                     adjusted.append(target)
-            cur = cur.with_markers(k, cur.row_markers(k) + tuple(adjusted))
+            cur = with_markers(cur, k, cur.row_markers(k) + tuple(adjusted))
     return cur
 
 
@@ -129,7 +140,7 @@ def naive_periodic_markers(w, row):
                 existing.add(c)
                 added.append(c)
         if added:
-            cur = cur.with_markers(p, cur.row_markers(p) + tuple(added))
+            cur = with_markers(cur, p, cur.row_markers(p) + tuple(added))
     return cur
 
 
@@ -143,7 +154,7 @@ def naive_upward_stretch(w):
                 marks[l - 1].add(c)
     cur = w
     for k in range(1, w.depth + 1):
-        cur = cur.with_markers(k, tuple(sorted(marks[k - 1])))
+        cur = with_markers(cur, k, tuple(sorted(marks[k - 1])))
     return cur
 
 
@@ -156,7 +167,7 @@ def naive_leftward_stretch(w):
             while c >= 0 and all(abs(c - e) >= k for e in marks):
                 marks.add(c)
                 c -= k
-        cur = cur.with_markers(k, tuple(sorted(marks)))
+        cur = with_markers(cur, k, tuple(sorted(marks)))
     return cur
 
 
@@ -235,7 +246,7 @@ def naive_place_krieger(w, row, n):
             last = i
             i += n
     merged = tuple(sorted(set(w.row_markers(row)) | set(cols)))
-    out = w.with_markers(row, merged)
+    out = with_markers(w, row, merged)
     return replace(out, flags=out.flags + tuple(flags))
 
 
@@ -628,7 +639,7 @@ def test_adjustment_displacement_bound():
             for c in before:
                 moved = min((a for a in after if a >= c), default=None)
                 if moved is not None:
-                    assert moved - c <= sched.displacement_bound(k)
+                    assert moved - c <= sum(sched.n[: k - 1])
         assert verify_invariants(out, ("B",)).verdict("B").passed
 
 
@@ -963,8 +974,3 @@ def test_c_ratio_rule():
     rep_tight = verify_invariants(out, ("C-ratio",), ratio_target=Fraction(99, 100))
     assert not rep_tight.verdict("C-ratio").passed
 
-
-def test_schedule_separation_check():
-    MarkerSchedule((5, 33)).check_separated()  # 33 >= 3*(2*5+1)
-    with pytest.raises(ArgumentError):
-        MarkerSchedule((5, 32)).check_separated()

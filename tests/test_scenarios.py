@@ -58,6 +58,9 @@ def test_h0_required():
         run_scenario("example2")
     with pytest.raises(ArgumentError):
         scenario_data("nosuch")
+    for name in ("example1", "pickupsticks"):
+        with pytest.raises(ArgumentError, match=f"^scenario {name!r} takes no h0$"):
+            scenario_data(name, Fraction(3, 2))
 
 
 def test_scenario_names_exported():

@@ -628,6 +628,10 @@ BAD_KIND = [{"id": "top"}, {"id": "arm", "params": ["m"], "kind": "x"}]
             {"kind": "window", "version": 1, "rows": ["01", "0"], "markers": [[], []]},
             "window: all rows must have the same width",
         ),
+        (
+            with_h({"lo": "0", "hi": "1", "tau": {"t": 1}}),
+            "diagram: arm: threshold parameter 't' not a node parameter",
+        ),
     ],
 )
 def test_spec_errors_name_the_field_path(tmp_path, payload, message):
@@ -648,6 +652,10 @@ def test_cli_scenario_exit_codes(tmp_path):
     assert code == 0
     code, _, err = run_cli(["scenario", "example2"])  # missing h0
     assert code == 3
+    for name in ("example1", "pickupsticks"):  # an h0 the scenario does not take
+        assert run_cli(["scenario", name, "--h0", "3/2"]) == (
+            3, "", f"error: scenario {name!r} takes no h0\n"
+        )
 
 
 def failing_e_window(tmp_path):
