@@ -2,39 +2,55 @@
 
 For two periodic orbits the distance reduces to a minimum over relative
 phases of the per-column disagreement density on the common period; this is
-exact.  Between rational mixtures of orbit measures only the optimal-coupling
-upper bound from the ergodic-decomposition convexity inequality is computed,
-and it is reported as a bound, not as the distance.
+exact.  The phases are not scanned: the agreements at a phase depend on it
+only modulo the gcd of the periods, through the symbol counts per residue
+class, so the cost does not grow with the common period.  Between rational
+mixtures of orbit measures only the optimal-coupling upper bound from the
+ergodic-decomposition convexity inequality is computed, and it is reported
+as a bound, not as the distance.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ArgumentError
 from .sft import PeriodicOrbit
 
 
 def dbar_periodic(a: PeriodicOrbit, b: PeriodicOrbit) -> Fraction:
-    """Exact distance between the uniform measures on two periodic orbits."""
+    """Exact distance between the uniform measures on two periodic orbits.
+
+    On the common period L = lcm(p, q), phase r sets letter x of a against
+    letter y of b for exactly one column of L whenever y = x + r (mod g),
+    g = gcd(p, q), by the Chinese remainder theorem, and never otherwise.  So
+    the agreements at phase r are the sum over residues rho and symbols s of
+    A[rho][s] * B[rho + r][s], where A and B count each word's symbols per
+    residue class mod g: O(p + q + g^2 |A|) time, not O(L^2).
+    """
     ta = any(isinstance(s, tuple) for s in a.representative)
     tb = any(isinstance(s, tuple) for s in b.representative)
     if ta != tb:
         raise ArgumentError("orbit alphabets are incompatible")
     p, q = a.period, b.period
-    L = p * q // gcd(p, q)
-    wa = a.representative * (L // p)
-    wb = b.representative * (L // q)
-    best = None
-    for r in range(L):
-        mism = sum(1 for i in range(L) if wa[i] != wb[(i + r) % L])
-        if best is None or mism < best:
-            best = mism
-            if best == 0:
-                break
-    return Fraction(best, L)
+    g = gcd(p, q)
+    A, B = _residue_counts(a.representative, g), _residue_counts(b.representative, g)
+    agree = max(
+        sum(n * B[(rho + r) % g][s] for rho in range(g) for s, n in A[rho].items()) for r in range(g)
+    )
+    L = p * q // g
+    return Fraction(L - agree, L)
+
+
+def _residue_counts(w: tuple, g: int) -> list:
+    """counts[rho][s]: the positions i = rho (mod g) with w[i] = s."""
+    counts = [Counter() for _ in range(g)]
+    for i, s in enumerate(w):
+        counts[i % g][s] += 1
+    return counts
 
 
 @dataclass(frozen=True)
@@ -59,12 +75,13 @@ def _negative_cycle(n: int, m: int, cost, flow):
     """A negative-cost residual cycle as [(i, j, forward?), ...], or None.
 
     Residual edges: L_i -> R_j at cost c_ij (always usable), R_j -> L_i at
-    -c_ij whenever flow[i][j] > 0.  Bellman-Ford from all nodes at once.
+    -c_ij whenever flow[i][j] > 0.  Bellman-Ford from all nodes at once; a
+    pass that updates nothing leaves every later pass quiet too, so it ends
+    the search.
     """
     V = n + m  # nodes: 0..n-1 left, n..n+m-1 right
-    dist = [Fraction(0)] * V
+    dist = [0] * V
     pred = [None] * V  # (node, edge) with edge = (i, j, forward?)
-    last_updated = None
     for _ in range(V + 1):
         last_updated = None
         for i in range(n):
@@ -78,8 +95,8 @@ def _negative_cycle(n: int, m: int, cost, flow):
                     dist[u] = dist[v] - cost[i][j]
                     pred[u] = (v, (i, j, False))
                     last_updated = u
-    if last_updated is None:
-        return None
+        if last_updated is None:
+            return None
     node = last_updated
     for _ in range(V):  # walk back to guarantee landing on the cycle
         node = pred[node][0]
@@ -97,11 +114,16 @@ def _negative_cycle(n: int, m: int, cost, flow):
 def _min_cost_transport(supply: list, demand: list, cost: list) -> Fraction:
     """Exact min-cost transportation by cycle canceling.
 
-    supply/demand are positive integers with equal totals; cost entries are
-    Fractions.  Starts from the northwest-corner feasible flow and cancels
-    negative residual cycles until none remain; instances here are tiny.
+    supply/demand are nonnegative integers with equal totals; cost entries
+    are Fractions.  The costs are scaled once by the lcm of their
+    denominators, so the search runs on integers and the total comes back
+    over that one scale.  Starts from the northwest-corner feasible flow and
+    cancels negative residual cycles until a Bellman-Ford pass finds none;
+    instances here are tiny.
     """
     n, m = len(supply), len(demand)
+    scale = lcm(*(c.denominator for row in cost for c in row))
+    cost = [[c.numerator * (scale // c.denominator) for c in row] for row in cost]
     left, right = list(supply), list(demand)
     flow = [[0] * m for _ in range(n)]
     i = j = 0
@@ -121,9 +143,7 @@ def _min_cost_transport(supply: list, demand: list, cost: list) -> Fraction:
         bottleneck = min(flow[i][j] for i, j, fwd in cycle if not fwd)
         for i, j, fwd in cycle:
             flow[i][j] += bottleneck if fwd else -bottleneck
-    return sum(
-        flow[i][j] * cost[i][j] for i in range(n) for j in range(m) if flow[i][j]
-    )
+    return Fraction(sum(flow[i][j] * cost[i][j] for i in range(n) for j in range(m)), scale)
 
 
 def dbar_mixture(mu: OrbitMixture, nu: OrbitMixture) -> Fraction:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import ArgumentError
-from .sft import DEFAULT_WORD_CAP, SftSpec, _check_word_cap, count_words, prefix_walk, word_counts, words_of_length
+from .sft import DEFAULT_WORD_CAP, SftSpec, _check_word_cap, count_words, word_counts, words_of_length
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,9 @@ def _check_depth(depth: int, center_radius: int = 0) -> None:
 
 
 class _Names:
-    """Label names as integers: a name (l_1, ..., l_m) is the number with
-    base-B digits code(l_1) ... code(l_m), where the codes run 1..B-1."""
+    """Words and label names as integers.  A word is the base-|A| number of
+    its symbol indices; a name (l_1, ..., l_m) is the number with base-B
+    digits code(l_1) ... code(l_m), where the codes run 1..B-1."""
 
     def __init__(self, sft: SftSpec, code: BlockCode):
         self.sft = sft
@@ -97,20 +98,28 @@ class _Names:
             out.append(self.labels[digit - 1])
         return tuple(reversed(out))
 
-    def walk(self, n: int):
-        """(L, path, name) for every admissible word of length L = 1..n, in
-        prefix_walk's order: path[:L] holds the word's symbol indices and
-        name codes the labels of its windows, left to right."""
-        size, width, base, window_code = self.size, self.width, self.base, self.window_code
-        keep = size ** (width - 1)
-        path = [0] * n
-        tail = [0] * (n + 1)  # tail[L]: the last min(L, width) symbols as a number
-        names = [0] * (n + 1)
-        for L, k in prefix_walk(self.sft, n):
-            path[L - 1] = k
-            tail[L] = wid = tail[L - 1] % keep * size + k
-            names[L] = names[L - 1] * base + window_code[wid] if L >= width else 0
-            yield L, path, names[L]
+    def levels(self, n: int):
+        """(L, words, names) for L = 1..n: every admissible word of length L,
+        dead ends included, and in the same order its name, which codes the
+        labels of its windows left to right (0 while L < width).  Each level
+        grows from the one before along the automaton's edges and replaces
+        it; the lists are parallel, so a word costs no tuple."""
+        size, base, window_code = self.size, self.base, self.window_code
+        span = size**self.width
+        edges = [[(k, t) for k, t in enumerate(row) if t >= 0] for row in self.sft._automaton.delta]
+        states, words, names = [0], [0], [0]  # the empty word at the root
+        for L in range(1, n + 1):
+            if L >= self.width:
+                names = [
+                    m * base + window_code[(w * size + k) % span]
+                    for s, w, m in zip(states, words, names)
+                    for k, _ in edges[s]
+                ]
+            words = [w * size + k for s, w in zip(states, words) for k, _ in edges[s]]
+            if L < self.width:
+                names = [0] * len(words)
+            states = [t for s in states for _, t in edges[s]]
+            yield L, words, names
 
 
 @dataclass(frozen=True)
@@ -143,16 +152,22 @@ def extract_generator(
     c = center_radius
     lengths = range(2 * c + 1, 2 * depth + 2, 2)
     _check_word_cap(word_counts(sft, 2 * depth + 1), lengths, word_cap)
-    pairs = [set() if L in lengths else None for L in range(2 * depth + 2)]  # (name, center) per length
-    for L, path, name in _Names(sft, code).walk(2 * depth + 1):
-        found = pairs[L]
-        if found is not None:
-            n = L // 2
-            found.add((name, tuple(path[n - c : n + c + 1])))
-    mult = tuple(
-        (L // 2, max(Counter(name for name, _ in pairs[L]).values(), default=0)) for L in lengths
-    )
-    return GeneratorReport(c, mult)
+    size = sft.alphabet.size
+    mult = []
+    for L, words, names in _Names(sft, code).levels(2 * depth + 1):
+        if L in lengths:  # the center block: letters L//2 - c .. L//2 + c
+            mult.append((L // 2, _multiplicity(words, names, size ** (L // 2 - c), size ** (2 * c + 1))))
+    return GeneratorReport(c, tuple(mult))
+
+
+def _multiplicity(words: list, names: list, shift: int, block: int) -> int:
+    """The most distinct center blocks under one name.  A word's center
+    block is its digits word // shift % block; the keys of pairs are the
+    distinct (name, center) pairs as numbers name * block + center, and its
+    values their names, so a dict holds them: more compact than a set, and
+    no quotient is built per pair."""
+    pairs = {m * block + w // shift % block: m for w, m in zip(words, names)}
+    return max(Counter(pairs.values()).values(), default=0)
 
 
 @dataclass(frozen=True)
@@ -178,7 +193,7 @@ def partition_to_extension(
     (each word's center among its name's candidates) holds by construction,
     since each word's center goes into its own name's set.  L, like each
     image length, is refused when it has more than word_cap words.  One
-    depth-first walk to L sees every shorter word on the way.
+    level-by-level walk to L sees every shorter word on the way.
     """
     _check_depth(depth)
     _check_total(code, sft)
@@ -187,13 +202,11 @@ def partition_to_extension(
     _check_word_cap(word_counts(sft, check_len), range(2 * r + 1, check_len + 1), word_cap)
     names = _Names(sft, code)
     image = [set() for _ in range(depth + 1)]  # image[L]: the names of length L
-    centers = set()  # (name, center) at the decode-check length
-    for L, path, name in names.walk(check_len):
+    for L, words, named in names.levels(check_len):
         if 2 * r < L <= depth + 2 * r:
-            image[L - 2 * r].add(name)
-        if L == check_len:
-            centers.add((name, path[L // 2]))
+            image[L - 2 * r] = set(named)
+    # words and named now hold the decode-check length
+    unique = _multiplicity(words, named, names.size ** (check_len // 2), names.size) <= 1
     by_len = tuple((L, tuple(sorted(map(names.decode, image[L])))) for L in range(1, depth + 1))
     sizes = tuple((L, len(image[L])) for L in range(1, depth + 1))
-    unique = len(centers) == len({name for name, _ in centers})
     return ImageLanguageReport(sizes, by_len, depth, True, unique)

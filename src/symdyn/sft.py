@@ -9,8 +9,8 @@ Aho-Corasick automaton (Aho & Corasick 1975), whose states are the proper
 prefixes of the forbidden words and whose transitions stop (-1) where a
 forbidden word would be completed.  Reading a word from the root decides
 ``admits``; depth-first walks along its edges in alphabet order give
-``words_of_length`` in lexicographic order (``prefix_walk`` is that walk,
-shared with the generator checks); walks from the root counted by one
+``words_of_length`` in lexicographic order (``prefix_walk`` is that
+walk); walks from the root counted by one
 vector pass give ``count_words``.  After L-1 symbols (L the longest
 forbidden word) the state is a function of those symbols, so on the
 essential part of the automaton -- the states on bi-infinite paths -- the

@@ -1,5 +1,7 @@
 import itertools
 import random
+from collections import Counter
+from dataclasses import astuple
 
 import pytest
 
@@ -12,7 +14,7 @@ from symdyn.generator import (
     top_row_code,
     zero_coordinate_code,
 )
-from symdyn.sft import Alphabet, SftSpec, full_shift, golden_mean, words_of_length
+from symdyn.sft import Alphabet, SftSpec, full_shift, golden_mean, prefix_walk, words_of_length
 
 
 def delayed_copy_system(d: int) -> SftSpec:
@@ -192,3 +194,88 @@ def test_roundtrip_name_decode():
     assert all(len(v) == 1 for v in decode.values())
     for name, centers in decode.items():
         assert len(centers) == 1
+
+
+def naive_walk(names, n):
+    """The depth-first walk the level frontier replaced: (L, path, name) for
+    every admissible word of length L = 1..n in prefix_walk's order, where
+    path[:L] holds the word's symbol indices."""
+    size, width, base, window_code = names.size, names.width, names.base, names.window_code
+    keep = size ** (width - 1)
+    path = [0] * n
+    tail = [0] * (n + 1)  # tail[L]: the last min(L, width) symbols as a number
+    named = [0] * (n + 1)
+    for L, k in prefix_walk(names.sft, n):
+        path[L - 1] = k
+        tail[L] = wid = tail[L - 1] % keep * size + k
+        named[L] = named[L - 1] * base + window_code[wid] if L >= width else 0
+        yield L, path, named[L]
+
+
+def naive_extract_generator(sft, code, depth, c):
+    """extract_generator on the depth-first walk, with (name, center) tuples
+    kept per length; no argument checks and no word cap."""
+    lengths = range(2 * c + 1, 2 * depth + 2, 2)
+    pairs = [set() if L in lengths else None for L in range(2 * depth + 2)]
+    for L, path, name in naive_walk(generator._Names(sft, code), 2 * depth + 1):
+        if pairs[L] is not None:
+            n = L // 2
+            pairs[L].add((name, tuple(path[n - c : n + c + 1])))
+    mult = tuple((L // 2, max(Counter(name for name, _ in pairs[L]).values(), default=0)) for L in lengths)
+    return c, mult
+
+
+def naive_partition_to_extension(sft, code, depth):
+    """partition_to_extension on the depth-first walk; no argument checks and
+    no word cap."""
+    r = code.radius
+    check_len = (depth + 2 * r) | 1
+    names = generator._Names(sft, code)
+    image = [set() for _ in range(depth + 1)]
+    centers = set()
+    for L, path, name in naive_walk(names, check_len):
+        if 2 * r < L <= depth + 2 * r:
+            image[L - 2 * r].add(name)
+        if L == check_len:
+            centers.add((name, path[L // 2]))
+    by_len = tuple((L, tuple(sorted(map(names.decode, image[L])))) for L in range(1, depth + 1))
+    sizes = tuple((L, len(image[L])) for L in range(1, depth + 1))
+    unique = len(centers) == len({name for name, _ in centers})
+    return sizes, by_len, depth, True, unique
+
+
+def random_specs(rng, count):
+    """Specs over 2-3 symbols with 1-4 forbidden words of length 1-4: among
+    them dead ends, since a forbidden word may cut every extension of a
+    word without forbidding the word itself."""
+    specs = []
+    for _ in range(count):
+        symbols = rng.choice(("01", "012"))
+        forbidden = {
+            tuple(rng.choice(symbols) for _ in range(rng.randint(1, 4))) for _ in range(rng.randint(1, 4))
+        }
+        specs.append(SftSpec(Alphabet(tuple(symbols)), frozenset(forbidden)))
+    return specs
+
+
+def random_total_code(rng, sft, radius):
+    labels = "xyz"[: rng.randint(1, 3)]
+    windows = itertools.product(sft.alphabet.symbols, repeat=2 * radius + 1)
+    return block_code(radius, {w: rng.choice(labels) for w in windows})
+
+
+def test_level_frontier_matches_the_depth_first_walk():
+    rng = random.Random(18)
+    specs = random_specs(rng, 60) + [delayed_copy_system(2), delayed_copy_system(3)]
+    dead_ends = [s for s in specs if 0 < len(s._core.states) < len(s._automaton.states)]
+    assert len(dead_ends) >= 5
+    for sft in specs:
+        max_depth = 3 if sft.alphabet.size > 2 else 4
+        for radius in (0, 1):
+            code = random_total_code(rng, sft, radius)
+            for depth in range(max_depth + 1):
+                for c in range(depth + 1):
+                    expected = naive_extract_generator(sft, code, depth, c)
+                    assert astuple(extract_generator(sft, code, depth, c)) == expected
+                expected = naive_partition_to_extension(sft, code, depth)
+                assert astuple(partition_to_extension(sft, code, depth)) == expected
