@@ -58,10 +58,10 @@ from .sft import (
     PeriodicOrbit,
     SftSpec,
     capacities,
-    enumerate_periodic,
     full_shift,
     golden_mean,
     per_table,
+    periodic_orbits,
     top_entropy,
     word,
 )

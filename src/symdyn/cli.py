@@ -45,9 +45,9 @@ from .scenarios import SCENARIO_NAMES, run_scenario
 from .sft import (
     DEFAULT_PERIOD_CAP,
     PeriodicOrbit,
-    _orbits_by_period,
     capacities,
     per_table,
+    periodic_orbits,
     top_entropy,
     word,
 )
@@ -65,7 +65,7 @@ def _cmd_per(args) -> Report:
     sft = _load(args.spec, "sft")
     orbits = {
         n: ["".join(map(str, o.representative)) for o in found]
-        for n, found in _orbits_by_period(sft, args.n, args.cap).items()
+        for n, found in periodic_orbits(sft, args.n, args.cap).items()
     }
     return Report(
         "per",
@@ -119,6 +119,8 @@ def _parse_mixture(text: str, sft, flag: str) -> OrbitMixture:
 
 def _cmd_dbar(args) -> Report:
     sft = _load(args.spec, "sft")
+    if (args.a or args.b) and (args.mix_a or args.mix_b):
+        raise ArgumentError("give --a and --b or --mix-a and --mix-b, not both")
     if args.mix_a or args.mix_b:
         if not (args.mix_a and args.mix_b):
             raise ArgumentError("mixtures need both --mix-a and --mix-b")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .entropy import EntropyValue
 from .errors import ArgumentError, ConstructionError
-from .sft import PeriodicOrbit, Word, minimal_period, rotations
+from .sft import PeriodicOrbit, Word, necklace, rotations
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +372,7 @@ def build_strips(orbits, n: int):
     for orbit in orbits:
         if not isinstance(orbit, PeriodicOrbit):
             raise ArgumentError("build_strips expects PeriodicOrbit inputs")
-        if orbit.period != n or minimal_period(orbit.representative) != n:
+        if orbit.period != n or necklace(orbit.representative)[1] != n:
             raise ArgumentError(
                 f"orbit {orbit.representative!r} does not have minimal period {n}"
             )

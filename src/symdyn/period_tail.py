@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .entropy import EntropyValue
 from .errors import ArgumentError
-from .sft import PeriodicOrbit, SftSpec, enumerate_periodic, rotations
+from .sft import PeriodicOrbit, SftSpec, periodic_orbits, rotations
 
 
 def _project(word, k: int):
@@ -76,11 +76,14 @@ def period_tail_from_system(
     R = len(sft.rows)
     if K < 1 or K > R:
         raise ArgumentError(f"depth must lie in 1..{R}")
+    wanted = sorted(set(periods))
+    if selection is None and wanted:
+        if wanted[0] < 1:
+            raise ArgumentError("period must be >= 1")
+        selection = periodic_orbits(sft, wanted[-1])
     out = []
-    for n in sorted(set(periods)):
-        orbits = (
-            selection.get(n, []) if selection is not None else enumerate_periodic(sft, n)
-        )
+    for n in wanted:
+        orbits = selection.get(n, [])
         for o in orbits:
             if o.period != n:
                 raise ArgumentError("selection lists an orbit under the wrong period")

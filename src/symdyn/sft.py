@@ -8,18 +8,18 @@ Each spec is compiled once, on first use, and cached on the spec: its
 Aho-Corasick automaton (Aho & Corasick 1975), whose states are the proper
 prefixes of the forbidden words and whose transitions stop (-1) where a
 forbidden word would be completed.  Reading a word from the root decides
-``admits``; depth-first walks along its edges in alphabet order give
-``words_of_length`` in lexicographic order (``prefix_walk`` is that
-walk); walks from the root counted by one
-vector pass give ``count_words``.  After L-1 symbols (L the longest
-forbidden word) the state is a function of those symbols, so on the
+``admits``; one depth-first walk along its edges in alphabet order,
+``words_up_to``, meets each word before its extensions; walks from the
+root counted by one vector pass give ``count_words``.  After L-1 symbols
+(L the longest forbidden word) the state is a function of them, so on the
 essential part of the automaton -- the states on bi-infinite paths -- the
 labelling is a conjugacy onto the subshift (Lind & Marcus, ch. 2-3):
 ``transfer_graph`` and ``validate`` read that part, ``per_table`` takes
 the traces tr(A**n) of its adjacency matrix and Moebius-inverts them into
 minimal-period counts, and ``top_entropy`` brackets the growth of its row
-sums.  Orbits are enumerated word by word (``enumerate_periodic``) only
-where their names are wanted.
+sums.  Orbits are named, by Lyndon words, only where their names are
+wanted: ``periodic_orbits`` keeps the Lyndon words of that walk, found by
+Duval's linear scan (Duval 1983).
 """
 
 from __future__ import annotations
@@ -49,16 +49,31 @@ def rotations(w: Word):
         yield w[r:] + w[:r]
 
 
-def least_rotation(w: Word) -> Word:
-    return min(rotations(w))
+def _duval(s, i: int, end: int) -> tuple[int, int]:
+    """Duval's inner loop (Duval 1983): (j, k) such that s[i:j] is the
+    longest prefix of s[i:end] that is a power of a Lyndon word of length
+    j - k followed by a prefix of that word.  Symbols compare with ``<``."""
+    j, k = i + 1, i
+    while j < end and s[k] <= s[j]:
+        k = i if s[k] < s[j] else k + 1
+        j += 1
+    return j, k
 
 
-def minimal_period(w: Word) -> int:
+def necklace(w: Word) -> tuple[int, int]:
+    """(r, p): w[r:] + w[:r] is the least rotation of w and p its least
+    cyclic period.  In the Lyndon factorization of w + w, the last run of
+    equal factors to start inside w starts at r, and its factor has length p."""
     n = len(w)
-    for d in range(1, n):
-        if n % d == 0 and w == w[d:] + w[:d]:
-            return d
-    return n
+    s = w + w
+    i = r = p = 0
+    while i < n:
+        r = i
+        j, k = _duval(s, i, 2 * n)
+        p = j - k
+        while i <= k:
+            i += p
+    return r, p
 
 
 @dataclass(frozen=True)
@@ -244,25 +259,25 @@ def validate(sft: SftSpec) -> None:
         raise ArgumentError("subshift language is empty")
 
 
-def prefix_walk(sft: SftSpec, n: int):
+def words_up_to(sft: SftSpec, n: int):
     """Every admissible word of length 1..n, dead ends included, depth-first
-    along the automaton's edges in alphabet order, so in lexicographic order.
-
-    Yields (d, k) as the current word grows to length d with the k-th symbol
-    as its last letter; its first d - 1 letters are those of the last word
-    yielded at length d - 1.  The walk keeps one iterator per letter, so its
-    depth is not bounded by the recursion limit.
+    along the automaton's edges in alphabet order: each word comes before
+    its extensions, and the words of one length come in lexicographic order.
+    The walk keeps one iterator per letter, so its depth is not bounded by
+    the recursion limit.
     """
     if n < 1:
         return
-    delta = sft._automaton.delta
-    branches = [iter(enumerate(delta[0]))]  # branches[d]: the edges still to try after d letters
+    symbols, delta = sft.alphabet.symbols, sft._automaton.delta
+    branches = [((), iter(zip(symbols, delta[0])))]  # (a word, the edges still to try after it)
     while branches:
-        for k, t in branches[-1]:
+        prefix, edges = branches[-1]
+        for s, t in edges:
             if t >= 0:
-                yield len(branches), k
-                if len(branches) < n:
-                    branches.append(iter(enumerate(delta[t])))
+                w = prefix + (s,)
+                yield w
+                if len(w) < n:
+                    branches.append((w, iter(zip(symbols, delta[t]))))
                     break
         else:  # position exhausted: back up one letter
             branches.pop()
@@ -270,15 +285,7 @@ def prefix_walk(sft: SftSpec, n: int):
 
 def words_of_length(sft: SftSpec, n: int):
     """All admissible words of length n, lexicographic."""
-    if n == 0:
-        yield ()
-        return
-    symbols = sft.alphabet.symbols
-    letters = [None] * n
-    for d, k in prefix_walk(sft, n):
-        letters[d - 1] = symbols[k]
-        if d == n:
-            yield tuple(letters)
+    return iter([()]) if n == 0 else (w for w in words_up_to(sft, n) if len(w) == n)
 
 
 def word_counts(sft: SftSpec, n: int) -> list:
@@ -313,7 +320,7 @@ def _check_word_cap(counts: list, lengths: range, cap: int) -> None:
 
 @dataclass(frozen=True, order=True)
 class PeriodicOrbit:
-    """A periodic orbit, canonicalized by the lexicographically least rotation."""
+    """A periodic orbit, named by its least rotation: a Lyndon word."""
 
     representative: Word
 
@@ -326,32 +333,12 @@ class PeriodicOrbit:
 
     @staticmethod
     def of(w: Word) -> "PeriodicOrbit":
-        if minimal_period(w) != len(w):
+        if not w:
+            raise ArgumentError("an orbit needs a nonempty word")
+        r, p = necklace(w)
+        if p != len(w):
             raise ArgumentError(f"word {w!r} does not have minimal period {len(w)}")
-        return PeriodicOrbit(least_rotation(w))
-
-
-def enumerate_periodic(sft: SftSpec, n: int, cap: int = DEFAULT_PERIOD_CAP) -> list[PeriodicOrbit]:
-    """All orbits of minimal period n, sorted by representative.
-
-    Walks only the admissible words of length n (the forbidden-word
-    pruning makes this linear in the language, not the symbol cube) and
-    keeps each orbit at its representative, which the walk meets because
-    every rotation of a cyclically admissible word is admissible.  The
-    walk obeys the word cap at every length up to n.
-    """
-    if n < 1:
-        raise ArgumentError("period must be >= 1")
-    if n > cap:
-        raise ResourceCapError(f"period {n} exceeds cap {cap}")
-    _check_word_cap(word_counts(sft, n), range(1, n + 1), DEFAULT_WORD_CAP)
-    out = [
-        PeriodicOrbit(w)
-        for w in words_of_length(sft, n)
-        if minimal_period(w) == n and w == least_rotation(w) and sft.admits_cyclic(w)
-    ]
-    out.sort()
-    return out
+        return PeriodicOrbit(w[r:] + w[:r])
 
 
 @dataclass(frozen=True)
@@ -379,19 +366,25 @@ class PerTable:
 
 
 def _check_horizon(N: int, cap: int) -> None:
-    """The errors enumerate_periodic would raise over periods 1..N, up front."""
+    """Refuse a table horizon N below 1 or above the period cap."""
     if N < 1:
         raise ArgumentError("table horizon must be >= 1")
     if N > cap:
         raise ResourceCapError(f"period {max(1, cap + 1)} exceeds cap {cap}")
 
 
-def _orbits_by_period(sft: SftSpec, N: int, cap: int) -> dict:
-    """{n: enumerate_periodic(sft, n, cap)} for n = 1..N; each walk over
-    the words of length n obeys the word cap."""
+def periodic_orbits(sft: SftSpec, N: int, cap: int = DEFAULT_PERIOD_CAP) -> dict:
+    """{n: the orbits of minimal period n, sorted} for n = 1..N, from one
+    walk that keeps each Lyndon word that repeats admissibly: the walk meets
+    every orbit at its representative, as every rotation of such a word is
+    admissible.  The horizon obeys the period cap, and the walk the word cap."""
     _check_horizon(N, cap)
     _check_word_cap(word_counts(sft, N), range(1, N + 1), DEFAULT_WORD_CAP)
-    return {n: enumerate_periodic(sft, n, cap=cap) for n in range(1, N + 1)}
+    out = {n: [] for n in range(1, N + 1)}
+    for w in words_up_to(sft, N):
+        if _duval(w, 0, len(w)) == (len(w), 0) and sft.admits_cyclic(w):
+            out[len(w)].append(PeriodicOrbit(w))
+    return {n: sorted(orbits) for n, orbits in out.items()}
 
 
 def _mobius(n: int) -> int:
@@ -413,7 +406,7 @@ def per_table(sft: SftSpec, N: int, cap: int = DEFAULT_PERIOD_CAP) -> PerTable:
     tr(A**n) on the essential automaton counts the points x with
     sigma**n(x) = x, and Moebius inversion keeps those of minimal period n:
     p_n = sum over d | n of mu(n/d) * tr(A**d).  The horizon obeys the same
-    cap as ``enumerate_periodic``.
+    cap as ``periodic_orbits``.
     """
     _check_horizon(N, cap)
     tr = sft._core.traces(N)

@@ -44,9 +44,9 @@ from symdyn.randgen import (
 from symdyn.scenarios import run_scenario, scenario_data
 from symdyn.sft import (
     PeriodicOrbit,
-    enumerate_periodic,
     full_shift,
     golden_mean,
+    periodic_orbits,
     top_entropy,
     word,
 )
@@ -165,13 +165,13 @@ def test_criterion_06_periodic_counts():
     with Budget("6 periodic counts vs necklace and Lucas oracles", 10.0):
         fs = full_shift("01")
         for n in range(1, 13):
-            points = n * len(enumerate_periodic(fs, n))
+            points = n * len(periodic_orbits(fs, n)[n])
             assert points == necklace_count(2, n)
         gm = golden_mean()
         lucas = {1: 1, 2: 3}
         for n in range(3, 17):
             lucas[n] = lucas[n - 1] + lucas[n - 2]
-        counts = {n: n * len(enumerate_periodic(gm, n)) for n in range(1, 17)}
+        counts = {n: n * len(periodic_orbits(gm, n)[n]) for n in range(1, 17)}
         for n in range(1, 17):
             # brute force: admissible cyclic words of length n
             brute = sum(
@@ -322,7 +322,7 @@ def test_criterion_11_dbar_suite():
     with Budget("11 dbar pseudometric and convexity", 30.0):
         pool = []
         for n in range(1, 7):
-            pool.extend(enumerate_periodic(full_shift("01"), n))
+            pool.extend(periodic_orbits(full_shift("01"), n)[n])
         pool = pool[:30]
         dist = {}
         for i, j in itertools.combinations_with_replacement(range(len(pool)), 2):

@@ -8,7 +8,8 @@ import pytest
 
 from symdyn.dbar import OrbitMixture, _min_cost_transport, dbar_mixture, dbar_periodic
 from symdyn.errors import ArgumentError
-from symdyn.sft import PeriodicOrbit, full_shift, enumerate_periodic, minimal_period, word
+from symdyn.sft import PeriodicOrbit, full_shift, periodic_orbits, word
+from test_sft import naive_minimal_period
 
 
 def naive_dbar_periodic(a, b):
@@ -52,7 +53,7 @@ def test_same_orbit_distance_zero():
 def _orbit_pool(max_period=6, limit=30):
     pool = []
     for n in range(1, max_period + 1):
-        pool.extend(enumerate_periodic(full_shift("01"), n))
+        pool.extend(periodic_orbits(full_shift("01"), n)[n])
     return pool[:limit]
 
 
@@ -152,7 +153,7 @@ def test_weight_validation():
 def random_orbit(rng, symbols, max_period):
     while True:
         w = tuple(rng.choice(symbols) for _ in range(rng.randint(1, max_period)))
-        if minimal_period(w) == len(w):
+        if naive_minimal_period(w) == len(w):
             return PeriodicOrbit.of(w)
 
 

@@ -14,7 +14,7 @@ from symdyn.generator import (
     top_row_code,
     zero_coordinate_code,
 )
-from symdyn.sft import Alphabet, SftSpec, full_shift, golden_mean, prefix_walk, words_of_length
+from symdyn.sft import Alphabet, SftSpec, full_shift, golden_mean, words_of_length, words_up_to
 
 
 def delayed_copy_system(d: int) -> SftSpec:
@@ -198,14 +198,16 @@ def test_roundtrip_name_decode():
 
 def naive_walk(names, n):
     """The depth-first walk the level frontier replaced: (L, path, name) for
-    every admissible word of length L = 1..n in prefix_walk's order, where
+    every admissible word of length L = 1..n in words_up_to's order, where
     path[:L] holds the word's symbol indices."""
     size, width, base, window_code = names.size, names.width, names.base, names.window_code
+    index = {s: k for k, s in enumerate(names.sft.alphabet.symbols)}
     keep = size ** (width - 1)
     path = [0] * n
     tail = [0] * (n + 1)  # tail[L]: the last min(L, width) symbols as a number
     named = [0] * (n + 1)
-    for L, k in prefix_walk(names.sft, n):
+    for w in words_up_to(names.sft, n):
+        L, k = len(w), index[w[-1]]
         path[L - 1] = k
         tail[L] = wid = tail[L - 1] % keep * size + k
         named[L] = named[L - 1] * base + window_code[wid] if L >= width else 0

@@ -6,10 +6,12 @@ import pytest
 
 from conftest import necklace_count
 from symdyn.entropy import EntropyValue
-from symdyn.errors import ArgumentError
+from symdyn import period_tail
+from symdyn.errors import ArgumentError, ResourceCapError
 from symdyn.period_tail import PeriodTailSample, period_tail_from_system
-from symdyn.sft import Alphabet, SftSpec, enumerate_periodic, rotations
+from symdyn.sft import Alphabet, SftSpec, periodic_orbits, rotations
 from test_generator import delayed_copy_system
+from test_sft import naive_enumerate_periodic
 
 
 def two_row_toy() -> SftSpec:
@@ -31,7 +33,7 @@ def naive_period_tail(sft, periods, K):
     """Reference: for each orbit and depth, rescan every point of its period."""
     out = []
     for n in sorted(set(periods)):
-        orbits = enumerate_periodic(sft, n)
+        orbits = naive_enumerate_periodic(sft, n)
         points = []
         for o in orbits:
             points.extend(rotations(o.representative))
@@ -73,7 +75,7 @@ def test_values_against_direct_count():
     sft = two_row_toy()
     n = 4
     sample = period_tail_from_system(sft, [n], K=2)
-    orbits = enumerate_periodic(sft, n)
+    orbits = periodic_orbits(sft, n)[n]
     points = []
     for o in orbits:
         points.extend(o.points())
@@ -116,7 +118,7 @@ def test_harmonic_mixture():
 
 def test_selection_override_and_errors():
     sft = two_row_toy()
-    orbits = enumerate_periodic(sft, 3)
+    orbits = periodic_orbits(sft, 3)[3]
     assert len(orbits) == 4  # two top rows times two period-3 bottom orbits
     chosen = {3: orbits[:2]}
     sample = period_tail_from_system(sft, [3], K=1, selection=chosen)
@@ -128,6 +130,31 @@ def test_selection_override_and_errors():
     flat = SftSpec(Alphabet(("0", "1")))
     with pytest.raises(ArgumentError):
         period_tail_from_system(flat, [1], K=1)
+
+
+def test_one_walk_at_the_largest_period(monkeypatch):
+    sft = two_row_toy()
+    expected = period_tail_from_system(sft, (5, 1, 3), K=2)
+    horizons = []
+
+    def counted(spec, N):
+        horizons.append(N)
+        return periodic_orbits(spec, N)
+
+    monkeypatch.setattr(period_tail, "periodic_orbits", counted)
+    assert period_tail_from_system(sft, (5, 1, 3), K=2) == expected
+    assert horizons == [5]
+    assert period_tail_from_system(sft, (), K=2) == PeriodTailSample(2, ())
+    assert horizons == [5]  # an empty selection walks nothing
+
+
+def test_period_checks_come_before_any_walk():
+    sft = two_row_toy()
+    with pytest.raises(ResourceCapError, match="^period 21 exceeds cap 20$"):
+        period_tail_from_system(sft, (3, 25), K=1)
+    for periods in ((0, 3), (-2,)):
+        with pytest.raises(ArgumentError, match="^period must be >= 1$"):
+            period_tail_from_system(sft, periods, K=1)
 
 
 def test_mixture_weights_validated():
@@ -154,7 +181,7 @@ def test_indexed_lookup_over_every_orbit():
 
 def test_lookup_misses_and_first_pair_wins():
     sft = two_row_toy()
-    orbits = enumerate_periodic(sft, 3)
+    orbits = periodic_orbits(sft, 3)[3]
     a, b = orbits[0], orbits[1]
     sample = PeriodTailSample(1, ((a, (EntropyValue(1),)), (a, (EntropyValue(2),))))
     assert sample.value(a, 1) == EntropyValue(1)

@@ -11,23 +11,28 @@ from conftest import necklace_count
 from symdyn.entropy import EntropyValue
 from symdyn.errors import ArgumentError, ResourceCapError
 from symdyn.sft import (
+    _duval,
     _log2_bracket,
     Alphabet,
     PeriodicOrbit,
     SftSpec,
     capacities,
+    DEFAULT_PERIOD_CAP,
+    DEFAULT_WORD_CAP,
+    _check_word_cap,
     count_words,
-    enumerate_periodic,
     full_shift,
     golden_mean,
     language_nonempty,
-    least_rotation,
-    minimal_period,
+    necklace,
     per_table,
+    periodic_orbits,
     top_entropy,
     validate,
     word,
+    word_counts,
     words_of_length,
+    words_up_to,
 )
 
 
@@ -47,11 +52,42 @@ def naive_admits_cyclic(sft, w):
     return len(w) > 0 and naive_admits(sft, w * (memory + 1))
 
 
+def naive_least_rotation(w):
+    """Reference: the least of all rotations, quadratic in the length."""
+    return min(w[r:] + w[:r] for r in range(len(w)))
+
+
+def naive_minimal_period(w):
+    """Reference: the least divisor d of len(w) with w equal to its rotation by d."""
+    n = len(w)
+    for d in range(1, n):
+        if n % d == 0 and w == w[d:] + w[:d]:
+            return d
+    return n
+
+
+def naive_enumerate_periodic(sft, n, cap=DEFAULT_PERIOD_CAP):
+    """Reference: the orbits of minimal period n from one walk over the
+    words of length n, each tested with the quadratic references above."""
+    if n < 1:
+        raise ArgumentError("period must be >= 1")
+    if n > cap:
+        raise ResourceCapError(f"period {n} exceeds cap {cap}")
+    _check_word_cap(word_counts(sft, n), range(1, n + 1), DEFAULT_WORD_CAP)
+    out = [
+        PeriodicOrbit(w)
+        for w in words_of_length(sft, n)
+        if naive_minimal_period(w) == n and w == naive_least_rotation(w) and sft.admits_cyclic(w)
+    ]
+    out.sort()
+    return out
+
+
 def brute_force_minimal_period_count(sft, n):
     """Independent oracle: scan all words, test cyclic admissibility."""
     count = 0
     for w in itertools.product(sft.alphabet.symbols, repeat=n):
-        if minimal_period(w) == n and naive_admits_cyclic(sft, w):
+        if naive_minimal_period(w) == n and naive_admits_cyclic(sft, w):
             count += 1
     return count
 
@@ -105,21 +141,21 @@ def test_compiled_form_matches_naive_scan(spec):
             assert spec.admits_cyclic(w) == naive_admits_cyclic(spec, w)
         assert list(words_of_length(spec, n)) == [w for w in words if naive_admits(spec, w)]
         if n >= 1:
-            reps = [o.representative for o in enumerate_periodic(spec, n)]
-            cyclic = {least_rotation(w) for w in words if minimal_period(w) == n and naive_admits_cyclic(spec, w)}
+            reps = [o.representative for o in periodic_orbits(spec, n)[n]]
+            cyclic = {naive_least_rotation(w) for w in words if naive_minimal_period(w) == n and naive_admits_cyclic(spec, w)}
             assert reps == sorted(cyclic)
             assert n * len(reps) == brute_force_minimal_period_count(spec, n)
 
 
 def test_full_shift_fixed_points():
-    orbits = enumerate_periodic(full_shift("01"), 1)
+    orbits = periodic_orbits(full_shift("01"), 1)[1]
     assert [o.representative for o in orbits] == [("0",), ("1",)]
 
 
 def test_full_shift_period_three():
     # oracle: brute force over all 2^3 words, filter minimal period
     assert brute_force_minimal_period_count(full_shift("01"), 3) == 6
-    orbits = enumerate_periodic(full_shift("01"), 3)
+    orbits = periodic_orbits(full_shift("01"), 3)[3]
     assert len(orbits) == 2 and all(o.period == 3 for o in orbits)
 
 
@@ -136,7 +172,7 @@ def test_per_table_full_shift_matches_necklace_oracle():
     table = per_table(full_shift("01"), 3)
     assert dict(table.counts) == {1: 2, 2: 2, 3: 6}
     for n in range(1, 13):
-        assert necklace_count(2, n) == n * len(enumerate_periodic(full_shift("01"), n))
+        assert necklace_count(2, n) == n * len(periodic_orbits(full_shift("01"), n)[n])
 
 
 def test_per_table_golden_mean():
@@ -160,7 +196,7 @@ def test_aperiodic_truncation_all_zero():
 
 def test_period_cap():
     with pytest.raises(ResourceCapError):
-        enumerate_periodic(full_shift("01"), 21)
+        periodic_orbits(full_shift("01"), 21)[21]
 
 
 def test_enumerate_periodic_obeys_the_word_cap():
@@ -169,7 +205,7 @@ def test_enumerate_periodic_obeys_the_word_cap():
     spec = SftSpec(Alphabet(tuple("01234567")), frozenset({word("0123456")}))
     start = time.perf_counter()
     with pytest.raises(ResourceCapError, match="^more than 2000000 admissible words of length 7$"):
-        enumerate_periodic(spec, 20)
+        periodic_orbits(spec, 20)[20]
     assert time.perf_counter() - start < 5.0
 
 
@@ -279,11 +315,28 @@ def recursive_words_of_length(sft, n):
     yield from extend(())
 
 
+def naive_words_up_to(sft, n):
+    """Reference: the recursive preorder walk, each extension checked by the
+    offset scan."""
+
+    def extend(prefix):
+        for s in sft.alphabet.symbols:
+            cand = prefix + (s,)
+            if naive_admits(sft, cand):
+                yield cand
+                if len(cand) < n:
+                    yield from extend(cand)
+
+    return extend(()) if n >= 1 else iter(())
+
+
 def test_iterative_walk_matches_recursive_walk():
     dead_end = SftSpec(Alphabet(("0", "1", "2")), frozenset({word("20"), word("21"), word("22")}))
-    for spec in (full_shift("01"), golden_mean(), dead_end, *random_specs(5, 40), *trace_specs(9, 40)):
+    unsorted = SftSpec(Alphabet(("b", "a", "c")), frozenset({word("ab"), word("cc")}))
+    for spec in (full_shift("01"), golden_mean(), dead_end, unsorted, *random_specs(5, 40), *trace_specs(9, 40)):
         for n in range(0, 9):
             assert list(words_of_length(spec, n)) == list(recursive_words_of_length(spec, n))
+            assert list(words_up_to(spec, n)) == list(naive_words_up_to(spec, n))
 
 
 def test_walk_deeper_than_the_recursion_limit():
@@ -310,19 +363,84 @@ def test_orbit_canonical_form(n):
 
     rng = random.Random(n)
     w = tuple(rng.choice("01") for _ in range(n))
-    canon = least_rotation(w)
-    assert canon == min(w[i:] + w[:i] for i in range(n))
+    r, _ = necklace(w)
+    assert w[r:] + w[:r] == min(w[i:] + w[:i] for i in range(n))
 
 
 def test_periodic_orbit_rejects_non_minimal():
     with pytest.raises(ArgumentError):
         PeriodicOrbit.of(word("0101"))
+    with pytest.raises(ArgumentError, match="^an orbit needs a nonempty word$"):
+        PeriodicOrbit.of(())
+
+
+def test_periodic_orbits_match_the_per_period_walks():
+    from test_generator import delayed_copy_system
+
+    dead_end = SftSpec(Alphabet(("0", "1", "2")), frozenset({word("20"), word("21"), word("22")}))
+    rng = random.Random(19)
+    unsorted = [full_shift(("b", "a", "c"))]
+    for _ in range(12):  # symbols not in sorted order, so alphabet order is not `<` order
+        symbols = tuple(rng.sample(("c", "b", "a"), 3))
+        forbidden = {tuple(rng.choice(symbols) for _ in range(rng.randint(1, 3))) for _ in range(rng.randint(1, 3))}
+        unsorted.append(SftSpec(Alphabet(symbols), frozenset(forbidden)))
+    specs = [
+        full_shift("01"),
+        golden_mean(),
+        dead_end,
+        delayed_copy_system(2),
+        *unsorted,
+        *random_specs(17, 40),
+        *trace_specs(23, 40),
+    ]
+    assert any(len(spec._core.states) < len(spec._automaton.states) for spec in specs)  # dead ends
+    for spec in specs:
+        N = 6 if spec.alphabet.size > 3 else 8
+        table = periodic_orbits(spec, N)
+        assert list(table) == list(range(1, N + 1))
+        for n, orbits in table.items():
+            assert orbits == naive_enumerate_periodic(spec, n)
+
+
+def assert_necklace(w):
+    r, p = necklace(w)
+    assert w[r:] + w[:r] == naive_least_rotation(w)
+    assert p == naive_minimal_period(w)
+    lyndon = naive_minimal_period(w) == len(w) and naive_least_rotation(w) == w
+    assert (_duval(w, 0, len(w)) == (len(w), 0)) == lyndon
+
+
+def test_necklace_matches_the_quadratic_references():
+    for n in range(1, 10):  # every word of length <= 9 over 3 symbols
+        for w in itertools.product("abc", repeat=n):
+            assert_necklace(w)
+    rng = random.Random(2)
+    for _ in range(400):
+        symbols = rng.choice(("01", "012", "0001"))
+        assert_necklace(tuple(rng.choice(symbols) for _ in range(rng.randint(1, 200))))
+    for _ in range(400):  # powers u^k, and u^k followed by a prefix of u
+        u = tuple(rng.choice("012") for _ in range(rng.randint(1, 8)))
+        w = u * rng.randint(1, 25)
+        assert_necklace(w)
+        assert_necklace(w + u[: rng.randint(0, len(u))])
+    pairs = tuple(itertools.product("ab", "01"))  # symbols of a two-row system
+    for _ in range(400):
+        assert_necklace(tuple(rng.choice(pairs) for _ in range(rng.randint(1, 40))))
+
+
+def test_periodic_orbit_of_a_long_word_is_linear():
+    # comparing all 80,000 rotations of 80,000 symbols would take about 90 s
+    w = tuple("1" + "0" * 79_999)
+    start = time.perf_counter()
+    orbit = PeriodicOrbit.of(w)
+    assert time.perf_counter() - start < 5.0
+    assert orbit.representative == tuple("0" * 79_999 + "1")
 
 
 def test_per_table_full_three_shift_matches_necklace_oracle():
     fs3 = full_shift("abc")
     for n in range(1, 9):
-        assert necklace_count(3, n) == n * len(enumerate_periodic(fs3, n))
+        assert necklace_count(3, n) == n * len(periodic_orbits(fs3, n)[n])
 
 
 def test_per_table_matches_enumeration():
@@ -337,7 +455,7 @@ def test_per_table_matches_enumeration():
     assert sum(not language_nonempty(spec) for spec in specs) > 1
     for spec in specs:
         table = per_table(spec, 14)
-        assert table.counts == tuple((n, n * len(enumerate_periodic(spec, n))) for n in range(1, 15))
+        assert table.counts == tuple((n, n * len(periodic_orbits(spec, n)[n])) for n in range(1, 15))
     assert per_table(two_rows, 14).count(14) == necklace_count(2, 14)
 
 
@@ -348,11 +466,12 @@ def test_per_table_full_shift_at_the_cap_matches_necklace_oracle():
 
 
 def test_per_table_cap_message_unchanged():
-    for spec, N, cap in ((full_shift("01"), 21, 20), (golden_mean(), 6, 5), (golden_mean(), 3, 0)):
-        with pytest.raises(ResourceCapError, match=f"^period {cap + 1} exceeds cap {cap}$"):
-            per_table(spec, N, cap=cap)
-    with pytest.raises(ArgumentError, match="table horizon must be >= 1"):
-        per_table(golden_mean(), 0)
+    for table in (per_table, periodic_orbits):  # the same horizon checks, before any walk
+        for spec, N, cap in ((full_shift("01"), 21, 20), (golden_mean(), 6, 5), (golden_mean(), 3, 0)):
+            with pytest.raises(ResourceCapError, match=f"^period {cap + 1} exceeds cap {cap}$"):
+                table(spec, N, cap=cap)
+        with pytest.raises(ArgumentError, match="table horizon must be >= 1"):
+            table(golden_mean(), 0)
 
 
 @st.composite

@@ -147,6 +147,22 @@ def test_cli_dbar_rejects_orbits_outside_spec(tmp_path):
         assert "not in the subshift" in err
 
 
+@pytest.mark.parametrize(
+    "orbits, mixtures",
+    [
+        (["--a", "0", "--b", "01"], ["--mix-a", "0:1", "--mix-b", "01:1"]),
+        (["--a", "0"], ["--mix-a", "0:1", "--mix-b", "01:1"]),
+        (["--b", "01"], ["--mix-a", "0:1"]),
+    ],
+)
+def test_cli_dbar_refuses_orbits_beside_mixtures(tmp_path, orbits, mixtures):
+    # the mixture bound alone was printed, and --a and --b were dropped unread
+    full2 = write(tmp_path, "full2.json", {"kind": "sft", "version": 1, "alphabet": ["0", "1"], "forbidden": []})
+    code, out, err = run_cli(["dbar", "--spec", full2, *orbits, *mixtures])
+    assert (code, out) == (3, "")
+    assert "give --a and --b or --mix-a and --mix-b, not both" in err
+
+
 def _parsers(parser, path=()):
     yield " ".join(path), parser
     for action in parser._actions:
