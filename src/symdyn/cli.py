@@ -155,25 +155,27 @@ _PASSES = {
 
 
 def _cmd_markers(args) -> Report:
+    rules = tuple(args.rules.split(",")) if args.rules else ()
+    for flag, value, rule in (("--gap-bounds", args.gap_bounds, "A"), ("--ratio", args.ratio, "C-ratio")):
+        if value is not None and rule not in rules:
+            raise ArgumentError(f"{flag}: read only by rule {rule}, which --rules does not name")
+    bounds = None
+    if args.gap_bounds is not None:
+        bounds = {}
+        for part in args.gap_bounds.split(";"):
+            row, lo, hi = integers(part, "--gap-bounds", "row,lo,hi", 3)
+            if row in bounds:  # "1" and "01" alike: a later triple must not replace an earlier one
+                raise ArgumentError(f"--gap-bounds: row {row} given twice")
+            bounds[row] = (lo, hi)
+    ratio = rational(args.ratio, "--ratio") if args.ratio is not None else None
     w = _load(args.spec, "window")
     name = args.pass_name
     if name not in _PASSES:
         raise ArgumentError(f"unknown pass {name!r}")
     out = _PASSES[name](w, args)
-    bounds = None
-    if args.gap_bounds:
-        bounds = {}
-        for part in args.gap_bounds.split(";"):
-            row, lo, hi = integers(part, "--gap-bounds", "row,lo,hi", 3)
-            bounds[row] = (lo, hi)
     verdicts = {}
-    if args.rules:
-        report = verify_invariants(
-            out,
-            tuple(args.rules.split(",")),
-            gap_bounds=bounds,
-            ratio_target=rational(args.ratio, "--ratio") if args.ratio is not None else None,
-        )
+    if rules:
+        report = verify_invariants(out, rules, gap_bounds=bounds, ratio_target=ratio)
         verdicts = {v.rule: v.passed for v in report.verdicts}
     return Report(
         f"markers run --pass {name}",

@@ -132,11 +132,14 @@ def periodic_stretches(w: ArrayWindow, depth: int, max_period: int, min_len: int
     hold a sample.
     """
     W = w.width
-    mask = [0] * W  # bit r set: row r+1 (of rows 1..depth-1) has a marker here
-    for r in range(depth - 1):
-        for c in w.markers[r]:
-            mask[c] |= 1 << r
-    cols = list(zip(mask, *w.rows[:depth]))
+    if depth == 1:  # no row above carries markers into the pattern
+        cols = w.rows[0]
+    else:
+        mask = [0] * W  # bit r set: row r+1 (of rows 1..depth-1) has a marker here
+        for r in range(depth - 1):
+            for c in w.markers[r]:
+                mask[c] |= 1 << r
+        cols = list(zip(mask, *w.rows[:depth]))
     out = []
     for p in range(1, min(max_period, W)):
         m = max(1, min_len - p + 1)

@@ -185,8 +185,36 @@ def _random_bump(rng: random.Random, params: tuple) -> FnSpec:
 # windows
 
 
+# choice("01") is _randbelow(2): the top two bits of one 32-bit Mersenne
+# Twister word, redrawn while they are >= 2.  So a word whose top byte is
+# >= 128 is rejected, and an accepted one gives "1" iff that byte is >= 64.
+_TOP_BYTE_SYMBOL = b"0" * 64 + b"1" * 64 + bytes(128)
+_TOP_BYTE_REJECTED = bytes(range(128, 256))
+
+
+def binary_symbols(rng: random.Random, n: int) -> str:
+    """The n symbols `"".join(rng.choice("01") for _ in range(n))` draws,
+    leaving rng in the state that loop leaves it in.
+
+    getrandbits(32 k) holds the next k words, the first in its lowest 32
+    bits, so its little-endian bytes [3::4] are their top bytes in order.
+    Each word gives at most one symbol, so drawing one word per missing
+    symbol never reads past where the choice loop stops.
+    """
+    out = []
+    while n > 0:
+        top = rng.getrandbits(32 * n).to_bytes(4 * n, "little")[3::4]
+        got = top.translate(_TOP_BYTE_SYMBOL, _TOP_BYTE_REJECTED)
+        out.append(got)
+        n -= len(got)
+    return b"".join(out).decode()
+
+
 def random_aperiodic_window(rng: random.Random, width: int, depth: int, scales) -> ArrayWindow:
     """Random binary rows with no flaggable periodic stretch at any scale.
+
+    The rows are the symbols `rng.choice("01")` would draw, row after row,
+    and rng ends in the state that loop leaves it in.
 
     scales: one or more marker parameters n; a stretch is scrubbed when its
     period p < n and its length exceeds 2n+1 for some scale n (exactly the
@@ -202,10 +230,8 @@ def random_aperiodic_window(rng: random.Random, width: int, depth: int, scales) 
     if isinstance(scales, int):
         scales = (scales,)
     scales = sorted(set(scales))
-    rows = [
-        "".join(rng.choice("01") for _ in range(width)) for _ in range(depth)
-    ]
-    w = window_from_rows(rows)
+    cells = binary_symbols(rng, width * depth)
+    w = window_from_rows(cells[k * width : (k + 1) * width] for k in range(depth))
     for _ in range(600):
         for n in scales:
             stretches = periodic_stretches(w, 1, n, 2 * n + 1)

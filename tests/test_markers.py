@@ -23,11 +23,23 @@ from symdyn.markers import (
     verify_invariants,
     window_from_rows,
 )
-from symdyn.randgen import random_aperiodic_window
+from symdyn.randgen import binary_symbols, random_aperiodic_window
 
 
 def rand_row(rng, width):
     return "".join(rng.choice("01") for _ in range(width))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 31, 32, 33, 10_000])
+def test_binary_symbols_are_the_choice_draws(n):
+    # whole-word draws give the symbols of the choice loop and leave the
+    # Mersenne Twister where it does, from any offset in its 624-word block
+    for seed in range(200):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for r in (rng, ref):
+            r.getrandbits(32 * (seed * 7 % 624))
+        assert binary_symbols(rng, n) == rand_row(ref, n), seed
+        assert rng.getstate() == ref.getstate(), seed
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +501,32 @@ def test_scan_and_sweep_match_on_seeded_windows():
     assert reported > 1000  # the plants make the scans report stretches
 
 
+def test_depth_one_scan_on_other_symbols_and_marked_rows():
+    # at depth 1 the scan compares the bare row: any symbols compare as
+    # characters, and markers, row 1's included, do not enter the pattern
+    rng = random.Random(59)
+    reported = 0
+    for _ in range(200):
+        width = rng.choice((12, 40, 80, 160, 400))
+        alphabet = rng.choice(("abc", "xyz#", "0123456789", "01"))
+        depth = rng.randint(1, 3)
+        rows = ["".join(rng.choice(alphabet) for _ in range(width)) for _ in range(depth)]
+        for _ in range(rng.randint(1, 3)):  # overlapping plants of periods 1-9
+            at = rng.randrange(width)
+            length = rng.randint(1, width - at)
+            pattern = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 9)))
+            rows[0] = planted(rows[0], at, length, pattern)
+        markers = [sorted(rng.sample(range(width), rng.randint(1, width // 2))) for _ in range(depth)]
+        w = window_from_rows(rows, markers)
+        bare = window_from_rows(rows[:1])
+        for max_period, min_len in ((2, 5), (rng.randint(1, 12), rng.randint(0, 30))):
+            got = periodic_stretches(w, 1, max_period, min_len)
+            assert got == naive_periodic_stretches(w, 1, max_period, min_len)
+            assert got == periodic_stretches(bare, 1, max_period, min_len)
+            reported += len(got)
+    assert reported > 500  # the plants make the scans report stretches
+
+
 @st.composite
 def unmarked_periodic_windows(draw):
     """Unmarked windows of width 20-100 and depth 2-4 with one block of
@@ -538,8 +576,10 @@ SCRUB_SHAPES = [
 @pytest.mark.parametrize("width, depth, scales, count", SCRUB_SHAPES)
 def test_row_one_scrubber_matches_product_scrubber(width, depth, scales, count):
     for seed in range(count):
-        got = random_aperiodic_window(random.Random(seed), width, depth, scales)
-        assert got == naive_random_aperiodic_window(random.Random(seed), width, depth, scales), seed
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = random_aperiodic_window(rng, width, depth, scales)
+        assert got == naive_random_aperiodic_window(ref, width, depth, scales), seed
+        assert rng.getstate() == ref.getstate(), seed  # later draws from rng stay as they were
 
 
 # ---------------------------------------------------------------------------

@@ -757,6 +757,20 @@ def two_row_window(tmp_path):
             ["--pass", "verify", "--rules", "A", "--gap-bounds", "1,1,2;2,1,2,3"],
             "--gap-bounds: expected row,lo,hi, not '2,1,2,3'",
         ),
+        # a row named twice is refused, not judged by its last triple
+        (["--pass", "krieger", "-n", "2", "--rules", "A", "--gap-bounds", "1,2,5;1,3,4"], "--gap-bounds: row 1 given twice"),
+        (["--pass", "verify", "--rules", "A", "--gap-bounds", "2,1,9;1,2,5;02,3,4"], "--gap-bounds: row 2 given twice"),
+        # a rule flag that no requested rule reads is refused, not dropped
+        (["--pass", "verify", "--gap-bounds", "1,2,5"], "--gap-bounds: read only by rule A, which --rules does not name"),
+        (
+            ["--pass", "verify", "--rules", "B,C-ratio", "--ratio", "1/2", "--gap-bounds", "1,2,5"],
+            "--gap-bounds: read only by rule A, which --rules does not name",
+        ),
+        (["--pass", "verify", "--ratio", "1/2"], "--ratio: read only by rule C-ratio, which --rules does not name"),
+        (
+            ["--pass", "pipeline", "--rules", "A,D,E", "--gap-bounds", "1,1,9", "--ratio", "1/2"],
+            "--ratio: read only by rule C-ratio, which --rules does not name",
+        ),
     ],
 )
 def test_markers_flags_outside_their_range_exit_3(tmp_path, flags, message):
@@ -772,6 +786,15 @@ def test_markers_integer_flags_in_the_grammar(tmp_path):
         assert (code, err, json.loads(out)["verdicts"]) == (0 if passed else 2, "", {"A": passed}), bounds
     code, _, err = run_cli(["markers", "run", "--pass", "subdivide", "--spec", two_row_window(tmp_path), "--schedule-m", "3,04"])
     assert (code, err) == (0, "")
+
+
+def test_markers_rule_flags_read_by_their_rules(tmp_path):
+    window = failing_e_window(tmp_path)  # row 1 has gaps of 3
+    for ratio, passed in (("1", True), ("1/2", True), ("3/2", False)):
+        argv = ["markers", "run", "--pass", "verify", "--spec", window]
+        argv += ["--rules", "C-ratio,A", "--ratio", ratio, "--gap-bounds", "1,3,3"]
+        code, out, err = run_cli(argv)
+        assert (code, err, json.loads(out)["verdicts"]) == (0 if passed else 2, "", {"C-ratio": passed, "A": True}), ratio
 
 
 @pytest.mark.parametrize(
