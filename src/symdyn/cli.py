@@ -143,18 +143,36 @@ def _schedule(args) -> MarkerSchedule:
 
 
 _PASSES = {
-    "krieger": lambda w, args: place_krieger(w, args.row, args.n),
+    "krieger": lambda w, args: place_krieger(w, _or(args.row, 1), _or(args.n, 5)),
     "adjust": lambda w, args: upward_adjust(w),
     "subdivide": lambda w, args: subdivide_balance(w, _schedule(args)),
-    "periodic": lambda w, args: periodic_markers(w, args.row),
+    "periodic": lambda w, args: periodic_markers(w, _or(args.row, 1)),
     "upstretch": lambda w, args: upward_stretch(w),
     "leftstretch": lambda w, args: leftward_stretch(w),
     "pipeline": lambda w, args: aperiodicize(w),
     "verify": lambda w, args: w,
 }
 
+# the flags that only some passes read, and those passes
+_PASS_FLAGS = (
+    ("-n", "n", ("krieger",)),
+    ("--row", "row", ("krieger", "periodic")),
+    ("--schedule-m", "schedule_m", ("subdivide",)),
+)
+
+
+def _or(value, default):
+    return default if value is None else value
+
 
 def _cmd_markers(args) -> Report:
+    name = args.pass_name
+    if name not in _PASSES:
+        raise ArgumentError(f"unknown pass {name!r}")
+    for flag, dest, passes in _PASS_FLAGS:
+        if getattr(args, dest) is not None and name not in passes:
+            readers = f"pass {passes[0]}" if len(passes) == 1 else f"passes {' and '.join(passes)}"
+            raise ArgumentError(f"{flag}: read only by {readers}, not {name}")
     rules = tuple(args.rules.split(",")) if args.rules else ()
     for flag, value, rule in (("--gap-bounds", args.gap_bounds, "A"), ("--ratio", args.ratio, "C-ratio")):
         if value is not None and rule not in rules:
@@ -169,9 +187,6 @@ def _cmd_markers(args) -> Report:
             bounds[row] = (lo, hi)
     ratio = rational(args.ratio, "--ratio") if args.ratio is not None else None
     w = _load(args.spec, "window")
-    name = args.pass_name
-    if name not in _PASSES:
-        raise ArgumentError(f"unknown pass {name!r}")
     out = _PASSES[name](w, args)
     verdicts = {}
     if rules:
@@ -348,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     mp = msub.add_parser("run", help="run a pass and verify invariants")
     common(mp)
     mp.add_argument("--pass", dest="pass_name", required=True)
-    mp.add_argument("--row", type=_integer, default=1)
-    mp.add_argument("-n", type=_integer, default=5)
+    mp.add_argument("--row", type=_integer, help="krieger and periodic; default 1")
+    mp.add_argument("-n", type=_integer, help="krieger; default 5")
     mp.add_argument("--schedule-m", dest="schedule_m")
     mp.add_argument("--rules", help="comma list from A,B,C-ratio,D,E")
     mp.add_argument("--gap-bounds", dest="gap_bounds", help="row,lo,hi;row,lo,hi")

@@ -16,11 +16,20 @@ satisfiability is decided in closed form, one integer interval per residue
 class of a parameter mod 6, never by floats.  The one infinity is
 EntropyValue.infinity() (exported here as INF): `+` and `-` absorb it, and
 `v is INF` tests for it.
+
+The algebra only adds, subtracts, takes maxima and compares values, so it
+runs unchanged on any common multiple of them.  An analysis (the entry
+points of `envelope`) writes every value it receives as an integer
+numerator over one scale D, the lcm of their denominators, and divides
+back where a value leaves: values are Fractions at every boundary.  Inside
+one analysis, `feasibility_memo` remembers each guard set's answer.
 """
 
 from __future__ import annotations
 
 import operator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -186,10 +195,44 @@ def _classes(x_lo: int, x_hi, pairs):
     yield from sorted(raised)
 
 
+_MEMO: ContextVar = ContextVar("feasibility_memo", default=None)
+
+
+@contextmanager
+def feasibility_memo():
+    """Remember `feasible`'s answers inside the block, keyed by the atoms
+    and the mins.  An enclosing block's memo is reused; the block's own
+    memo is dropped when it exits, by return or by raise."""
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
 def feasible(atoms, mins: dict):
     """The satisfying integer assignment with every var >= its min (1 when
     `mins` has no entry) that has the least first var, and the least second
-    var there; or None."""
+    var there; or None.
+
+    Inside a `feasibility_memo` block, equal guard sets share one answer,
+    env dict included: no caller in the algebra modifies it.
+    """
+    memo = _MEMO.get()
+    if memo is None:
+        return _feasible(atoms, mins)
+    key = (atoms, tuple(mins.items()))
+    try:
+        return memo[key]
+    except KeyError:
+        env = memo[key] = _feasible(atoms, mins)
+        return env
+
+
+def _feasible(atoms, mins: dict):
     vars_ = _vars(atoms, mins)
     if not atoms:
         return {v: mins.get(v, 1) for v in vars_}
@@ -259,23 +302,30 @@ class FnSpec:
 
 
 def const_fn(v) -> FnSpec:
-    return FnSpec((((), as_val(v)),))
+    return _const(as_val(v))
 
 
 def step_fn(var: str, tau: Lin, lo, hi) -> FnSpec:
     """Value lo while var < tau, hi afterwards."""
-    return FnSpec(
-        (
-            ((Atom(var, True, tau),), as_val(lo)),
-            ((Atom(var, False, tau),), as_val(hi)),
-        )
-    )
+    return _step(var, tau, as_val(lo), as_val(hi))
+
+
+# const_fn and step_fn without the normalisation, for values that already
+# are Fractions, INF or scaled integer numerators
+
+
+def _const(v) -> FnSpec:
+    return FnSpec((((), v),))
+
+
+def _step(var: str, tau: Lin, lo, hi) -> FnSpec:
+    return FnSpec((((Atom(var, True, tau),), lo), ((Atom(var, False, tau),), hi)))
 
 
 def _collapse(pieces) -> FnSpec:
     """One constant piece when all values agree, else the pieces as given."""
     if all(v == pieces[0][1] for _, v in pieces):
-        return FnSpec((((), pieces[0][1]),))
+        return _const(pieces[0][1])
     return FnSpec(tuple(pieces))
 
 
@@ -390,6 +440,16 @@ class SeqSpec:
         object.__setattr__(self, "lo", as_val(self.lo))
         object.__setattr__(self, "hi", as_val(self.hi))
 
+    @classmethod
+    def _of(cls, lo, tau: Lin, hi) -> "SeqSpec":
+        """The spec with lo and hi kept as given: already Fractions or INF,
+        or scaled integer numerators that the constructor would turn back
+        into Fractions."""
+        s = cls.__new__(cls)
+        for name, v in (("lo", lo), ("tau", tau), ("hi", hi)):
+            object.__setattr__(s, name, v)
+        return s
+
     @property
     def limit(self):
         """Pointwise limit in k at any fixed parameters."""
@@ -403,19 +463,19 @@ class SeqSpec:
         which is enumerated one outer value at a time.
         """
         if not self.tau.coeffs:
-            return const_fn(self.lo if k < self.tau.const else self.hi)
+            return _const(self.lo if k < self.tau.const else self.hi)
         if len(self.tau.coeffs) == 1:
             p, c = self.tau.coeffs[0]
             # k < c*p + const  <=>  p > (k - const)/c  <=>  p >= floor(...) + 1
             thr = (k - self.tau.const) // c + 1
-            return step_fn(p, lin(max(thr, 0)), self.hi, self.lo)  # p < thr: k >= tau
+            return _step(p, lin(max(thr, 0)), self.hi, self.lo)  # p < thr: k >= tau
         (p, a), (q, b) = self.tau.coeffs
         mins = mins or {}
         p_min, q_min = mins.get(p, 1), mins.get(q, 1)
         bound = k - self.tau.const  # settled (hi) region: a*p + b*q <= bound
         p_max = (bound - b * q_min) // a
         if p_max < p_min:
-            return const_fn(self.lo)
+            return _const(self.lo)
         pieces = []
         for p0 in range(p_min, p_max + 1):
             q_thr = (bound - a * p0) // b + 1  # q < q_thr: settled
@@ -457,12 +517,14 @@ class Node:
             raise ArgumentError("nodes carry at most two parameters (depth <= 2)")
         if self.param_mins and len(self.param_mins) != len(self.params):
             raise ArgumentError("param_mins must match params")
+        # built once and shared by every caller, kept off the dataclass fields
+        mins = self.param_mins or (1,) * len(self.params)
+        object.__setattr__(self, "_mins", dict(zip(self.params, mins)))
 
     @property
     def mins(self) -> dict:
-        if self.param_mins:
-            return dict(zip(self.params, self.param_mins))
-        return {p: 1 for p in self.params}
+        """Each parameter's least value; callers read it and never modify it."""
+        return self._mins
 
 
 @dataclass(frozen=True)
@@ -571,23 +633,17 @@ class FnOnDiagram:
     def evaluate(self, node_id: str, env: dict):
         return self.spec(node_id).evaluate(env)
 
-    def mixture_value(self, parts):
-        """Harmonic (weighted-average) value on a rational mixture.
+    def values(self) -> list:
+        return [v for _, f in self.specs for _, v in f.pieces]
 
-        parts: list of (node_id, env, weight) with weights summing to 1.
-        """
-        total = sum((w for _, _, w in parts), Fraction(0))
-        if total != 1:
-            raise ArgumentError("mixture weights must sum to 1")
-        acc = Fraction(0)
-        for nid, env, w in parts:
-            v = self.evaluate(nid, env)
-            if v is INF:
-                if w > 0:
-                    return INF
-                continue
-            acc += w * v
-        return acc
+    def map_values(self, g) -> "FnOnDiagram":
+        """The same pieces with every value v replaced by g(v)."""
+        return FnOnDiagram(
+            tuple(
+                (nid, FnSpec(tuple((atoms, g(v)) for atoms, v in f.pieces)))
+                for nid, f in self.specs
+            )
+        )
 
 
 def fn_on(diagram: MeasureDiagram, mapping: dict) -> FnOnDiagram:
@@ -625,7 +681,15 @@ class SeqOnDiagram:
 
     def limit_fn(self, diagram: MeasureDiagram) -> FnOnDiagram:
         """The recorded pointwise limit, constant per class."""
-        return fn_on(diagram, {nid: const_fn(s.limit) for nid, s in self.specs})
+        return fn_on(diagram, {nid: _const(s.limit) for nid, s in self.specs})
+
+    def values(self) -> list:
+        return [v for _, s in self.specs for v in (s.lo, s.hi)]
+
+    def map_values(self, g) -> "SeqOnDiagram":
+        """The same thresholds with every lo and hi value v replaced by g(v)."""
+        specs = tuple((nid, SeqSpec._of(g(s.lo), s.tau, g(s.hi))) for nid, s in self.specs)
+        return SeqOnDiagram(specs, self.monotone)
 
 
 def seq_on(diagram: MeasureDiagram, mapping: dict, monotone: str) -> SeqOnDiagram:
@@ -652,5 +716,6 @@ def tails_of(hseq: SeqOnDiagram, diagram: MeasureDiagram) -> SeqOnDiagram:
     specs = {}
     for nid, s in hseq.specs:
         h = s.limit
-        specs[nid] = SeqSpec(h - s.lo, s.tau, h - s.hi)
+        specs[nid] = SeqSpec._of(h - s.lo, s.tau, h - s.hi)
     return seq_on(diagram, specs, "nonincreasing")
+

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .diagram import (
     INF,
@@ -34,7 +36,9 @@ from .diagram import (
     FnSpec,
     MeasureDiagram,
     SeqOnDiagram,
+    _const,
     const_fn,
+    feasibility_memo,
     feasible_unbounded,
     fn_add,
     fn_compare,
@@ -101,7 +105,7 @@ def envelope_limit(
                 if best is None or cand > best:
                     best = cand
             if best is not None:
-                term = fn_max(term, const_fn(best), mins)
+                term = fn_max(term, _const(best), mins)
         out[nid] = term
     return fn_on(diagram, out)
 
@@ -132,27 +136,12 @@ def _equal(f: FnOnDiagram, g: FnOnDiagram, diagram: MeasureDiagram) -> bool:
     return _witness(f, g, diagram, fn_compare) is None
 
 
-def usc_envelope(f: FnOnDiagram, diagram: MeasureDiagram) -> FnOnDiagram:
-    """The upper semicontinuous envelope of f on the diagram."""
-    return envelope_limit(f, zero_seq(diagram), diagram)
-
-
-def is_usc(f: FnOnDiagram, diagram: MeasureDiagram) -> bool:
-    return _equal(usc_envelope(f, diagram), f, diagram)
-
-
 def _require_vanishing_tails(theta: SeqOnDiagram):
     for nid, s in theta.specs:
         if s.hi != 0 or s.lo < 0:
             raise ArgumentError(
                 f"{nid}: tail sequences must be nonnegative with pointwise limit 0"
             )
-
-
-def u_one(theta: SeqOnDiagram, diagram: MeasureDiagram) -> FnOnDiagram:
-    """The limit of the usc envelopes of the tails: the first repair floor."""
-    _require_vanishing_tails(theta)
-    return envelope_limit(zero_fn(diagram), theta, diagram)
 
 
 @dataclass(frozen=True)
@@ -170,18 +159,126 @@ class RepairVerdict:
         return f"repairs: no (witness {where}, residual {self.residual})"
 
 
+class _Scaled:
+    """One entry point's call: its values as integer numerators over one
+    scale D, and the steps that the entry points share, run on those
+    numerators.
+
+    D is the lcm of the denominators of every finite value of the inputs.
+    `num` writes a value as its numerator over D and `out` divides back,
+    so a value leaves as a Fraction (or INF) whatever it was inside; values
+    leave only through `out` and `fn_out`.  Sums, differences, maxima and
+    comparisons commute with both, which is all the algebra does with
+    values.
+    """
+
+    def __init__(self, diagram: MeasureDiagram, *inputs):
+        self.diagram = diagram
+        self.D = lcm(1, *{v.denominator for p in inputs for v in p.values() if v is not INF})
+
+    def num(self, v):
+        return v if v is INF else v.numerator * (self.D // v.denominator)
+
+    def out(self, v):
+        return v if v is INF else Fraction(v, self.D)
+
+    def fn(self, f: FnOnDiagram) -> FnOnDiagram:
+        return f.map_values(self.num)
+
+    def seq(self, s: SeqOnDiagram) -> SeqOnDiagram:
+        return s.map_values(self.num)
+
+    def fn_out(self, f: FnOnDiagram) -> FnOnDiagram:
+        return f.map_values(self.out)
+
+    @cached_property
+    def zero(self) -> FnOnDiagram:
+        return self.fn(zero_fn(self.diagram))
+
+    @cached_property
+    def zero_seq(self) -> SeqOnDiagram:
+        return self.seq(zero_seq(self.diagram))
+
+    def usc_envelope(self, f: FnOnDiagram) -> FnOnDiagram:
+        return envelope_limit(f, self.zero_seq, self.diagram)
+
+    def u_one(self, theta: SeqOnDiagram) -> FnOnDiagram:
+        """u_one of tails the caller has checked."""
+        return envelope_limit(self.zero, theta, self.diagram)
+
+    def check_floor(self, floor: FnOnDiagram):
+        if _witness(self.zero, floor, self.diagram, fn_le) is not None:
+            raise ArgumentError("floor must be nonnegative")
+        if not _equal(self.usc_envelope(floor), floor, self.diagram):
+            raise ArgumentError("floor must be upper semicontinuous")
+
+    def repair_witness(self, u: FnOnDiagram, theta: SeqOnDiagram, limit=None):
+        """is_repair's check of checked tails: the first witness where the
+        envelope limit of u + theta_k (`limit`, when the caller holds it)
+        differs from u, or None."""
+        if _witness(self.zero, u, self.diagram, fn_le) is not None:
+            raise ArgumentError("repair candidates must be nonnegative")
+        if limit is None:
+            limit = envelope_limit(u, theta, self.diagram)
+        return _witness(limit, u, self.diagram, fn_compare)
+
+    def repair_verdict(self, w) -> RepairVerdict:
+        if w is None:
+            return RepairVerdict(True)
+        nid, env, lv, uv = w
+        return RepairVerdict(False, nid, env, self.out(lv - uv))
+
+    def minimal_repair(
+        self, theta: SeqOnDiagram, floor: FnOnDiagram, u_theta: FnOnDiagram
+    ) -> FnOnDiagram:
+        """minimal_repair for checked tails and a checked floor, given
+        u_theta = u_one(theta)."""
+        diagram = self.diagram
+        u = _pointwise(fn_max, floor, u_theta, diagram)
+        for _ in range(diagram.depth + 1):
+            limit = envelope_limit(u, theta, diagram)
+            nxt = _pointwise(fn_max, floor, limit, diagram)
+            if _equal(nxt, u, diagram):
+                verdict = self.repair_verdict(self.repair_witness(u, theta, limit))
+                if not verdict.repairs:
+                    raise ConstructionError(
+                        f"fixpoint fails re-verification: {verdict.render()}"
+                    )
+                return u
+            u = nxt
+        raise ConstructionError(
+            f"no repair fixpoint within {diagram.depth + 1} iterations: "
+            "accumulation deeper than the declared diagram depth"
+        )
+
+
+def usc_envelope(f: FnOnDiagram, diagram: MeasureDiagram) -> FnOnDiagram:
+    """The upper semicontinuous envelope of f on the diagram."""
+    run = _Scaled(diagram, f)
+    with feasibility_memo():
+        return run.fn_out(run.usc_envelope(run.fn(f)))
+
+
+def is_usc(f: FnOnDiagram, diagram: MeasureDiagram) -> bool:
+    return _equal(usc_envelope(f, diagram), f, diagram)
+
+
+def u_one(theta: SeqOnDiagram, diagram: MeasureDiagram) -> FnOnDiagram:
+    """The limit of the usc envelopes of the tails: the first repair floor."""
+    _require_vanishing_tails(theta)
+    run = _Scaled(diagram, theta)
+    with feasibility_memo():
+        return run.fn_out(run.u_one(run.seq(theta)))
+
+
 def is_repair(
     u: FnOnDiagram, theta: SeqOnDiagram, diagram: MeasureDiagram
 ) -> RepairVerdict:
     """Whether the envelopes of u + theta_k settle back down to u."""
     _require_vanishing_tails(theta)
-    if _witness(zero_fn(diagram), u, diagram, fn_le) is not None:
-        raise ArgumentError("repair candidates must be nonnegative")
-    w = _witness(envelope_limit(u, theta, diagram), u, diagram, fn_compare)
-    if w is not None:
-        nid, env, lv, uv = w
-        return RepairVerdict(False, nid, env, lv - uv)
-    return RepairVerdict(True)
+    run = _Scaled(diagram, u, theta)
+    with feasibility_memo():
+        return run.repair_verdict(run.repair_witness(run.fn(u), run.seq(theta)))
 
 
 def minimal_repair(
@@ -195,24 +292,11 @@ def minimal_repair(
     fixpoint is the smallest one this iteration scheme can produce.
     """
     _require_vanishing_tails(theta)
-    if _witness(zero_fn(diagram), floor, diagram, fn_le) is not None:
-        raise ArgumentError("floor must be nonnegative")
-    if not is_usc(floor, diagram):
-        raise ArgumentError("floor must be upper semicontinuous")
-
-    u = _pointwise(fn_max, floor, u_one(theta, diagram), diagram)
-    for _ in range(diagram.depth + 1):
-        nxt = _pointwise(fn_max, floor, envelope_limit(u, theta, diagram), diagram)
-        if _equal(nxt, u, diagram):
-            verdict = is_repair(u, theta, diagram)
-            if not verdict.repairs:
-                raise ConstructionError(f"fixpoint fails re-verification: {verdict.render()}")
-            return u
-        u = nxt
-    raise ConstructionError(
-        f"no repair fixpoint within {diagram.depth + 1} iterations: "
-        "accumulation deeper than the declared diagram depth"
-    )
+    run = _Scaled(diagram, theta, floor)
+    with feasibility_memo():
+        theta, floor = run.seq(theta), run.fn(floor)
+        run.check_floor(floor)
+        return run.fn_out(run.minimal_repair(theta, floor, run.u_one(theta)))
 
 
 @dataclass(frozen=True)
@@ -247,38 +331,47 @@ def is_superenvelope(
     beyond it the fixed-k slices repeat their shape, shifted along the
     parameters.  The repair-function route through the tails is the
     independent formulation; the two are asserted to agree in the tests.
+    Each k builds new guard sets, so each k step has a memo of its own.
     """
     if hseq.monotone != "nondecreasing":
         raise ArgumentError("entropy sequences must be nondecreasing")
-    w = _witness(hseq.limit_fn(diagram), E, diagram, fn_le)
+    run = _Scaled(diagram, E, hseq)
+    out = run.out
+    scaled_E, scaled_h = run.fn(E), run.seq(hseq)
+    with feasibility_memo():
+        w = _witness(scaled_h.limit_fn(diagram), scaled_E, diagram, fn_le)
     if w is not None:
         nid, env, hv, ev = w
-        return SuperenvelopeVerdict(False, (), nid, env, f"E = {ev} < h = {hv}")
+        return SuperenvelopeVerdict(False, (), nid, env, f"E = {out(ev)} < h = {out(hv)}")
     if k_horizon is None:
         k_horizon = _k_horizon(hseq, E, diagram)
     checked = tuple(range(1, k_horizon + 1))
-    zero = zero_fn(diagram)
     for k in checked:
-        diff = {}
-        for node in diagram.nodes:
-            hk = hseq.spec(node.node_id).as_fn(k, node.mins)
-            if any(v is INF for _, v in hk.pieces):
-                raise ArgumentError("entropy sequences must take finite values")
-            minus = FnSpec(tuple((atoms, -v) for atoms, v in hk.pieces))
-            diff[node.node_id] = fn_add(E.spec(node.node_id), minus, node.mins)
-        g = fn_on(diagram, diff)
-        w = _witness(zero, g, diagram, fn_le)
-        if w is not None:
-            nid, env, _, gv = w
-            return SuperenvelopeVerdict(
-                False, checked[:k], nid, env, f"E - h_{k} = {gv} < 0"
-            )
-        w = _witness(usc_envelope(g, diagram), g, diagram, fn_compare)
-        if w is not None:
-            nid, env, ev, gv = w
-            return SuperenvelopeVerdict(
-                False, checked[:k], nid, env, f"E - h_{k} not usc: envelope {ev} > {gv}"
-            )
+        with feasibility_memo():
+            diff = {}
+            for node in diagram.nodes:
+                hk = scaled_h.spec(node.node_id).as_fn(k, node.mins)
+                if any(v is INF for _, v in hk.pieces):
+                    raise ArgumentError("entropy sequences must take finite values")
+                minus = FnSpec(tuple((atoms, -v) for atoms, v in hk.pieces))
+                diff[node.node_id] = fn_add(scaled_E.spec(node.node_id), minus, node.mins)
+            g = fn_on(diagram, diff)
+            w = _witness(run.zero, g, diagram, fn_le)
+            if w is not None:
+                nid, env, _, gv = w
+                return SuperenvelopeVerdict(
+                    False, checked[:k], nid, env, f"E - h_{k} = {out(gv)} < 0"
+                )
+            w = _witness(run.usc_envelope(g), g, diagram, fn_compare)
+            if w is not None:
+                nid, env, ev, gv = w
+                return SuperenvelopeVerdict(
+                    False,
+                    checked[:k],
+                    nid,
+                    env,
+                    f"E - h_{k} not usc: envelope {out(ev)} > {out(gv)}",
+                )
     return SuperenvelopeVerdict(True, checked)
 
 
@@ -326,30 +419,40 @@ def analyze_diagram(
     h_sex adds the minimal repair of the entropy tails; h_emb repeats the
     repair above the floor u1 drawn from the period tails; p_star is the
     supremum of u1 over the diagram.  The two-sided bounds between these
-    quantities are re-checked pointwise, never assumed.
+    quantities are re-checked pointwise, never assumed.  Both repairs start
+    from one u_one of the entropy tails.
     """
     warnings = []
     _require_vanishing_tails_perseq(perseq, diagram)
-    theta = tails_of(hseq, diagram)
-    h = hseq.limit_fn(diagram)
-    u_sex = minimal_repair(theta, zero_fn(diagram), diagram)
-    u1 = u_one(perseq, diagram)
-    u_emb = minimal_repair(theta, u1, diagram)
+    run = _Scaled(diagram, hseq, perseq)
+    with feasibility_memo():
+        hseq, perseq = run.seq(hseq), run.seq(perseq)
+        theta = tails_of(hseq, diagram)
+        h = hseq.limit_fn(diagram)
+        _require_vanishing_tails(theta)
+        run.check_floor(run.zero)
+        u_theta = run.u_one(theta)
+        u_sex = run.minimal_repair(theta, run.zero, u_theta)
+        u1 = run.u_one(perseq)
+        run.check_floor(u1)
+        u_emb = run.minimal_repair(theta, u1, u_theta)
 
-    h_sex = _pointwise(fn_add, h, u_sex, diagram)
-    h_emb = _pointwise(fn_add, h, u_emb, diagram)
-    h_plus_u1 = _pointwise(fn_add, h, u1, diagram)
-    lower = _pointwise(fn_max, h_sex, h_plus_u1, diagram)
-    upper = _pointwise(fn_add, h_sex, u1, diagram)
-    p_star = _sup_over(u1, diagram)
-    sup_h_sex = _sup_over(h_sex, diagram)
-    sup_h_emb = _sup_over(h_emb, diagram)
-    bounds = BoundVerdicts(
-        _witness(lower, h_emb, diagram, fn_le) is None,
-        _witness(h_emb, upper, diagram, fn_le) is None,
-        max(sup_h_sex, p_star) <= sup_h_emb,
-        sup_h_emb <= sup_h_sex + p_star,
-    )
+        h_sex = _pointwise(fn_add, h, u_sex, diagram)
+        h_emb = _pointwise(fn_add, h, u_emb, diagram)
+        h_plus_u1 = _pointwise(fn_add, h, u1, diagram)
+        lower = _pointwise(fn_max, h_sex, h_plus_u1, diagram)
+        upper = _pointwise(fn_add, h_sex, u1, diagram)
+        p_star = _sup_over(u1, diagram)
+        sup_h_sex = _sup_over(h_sex, diagram)
+        sup_h_emb = _sup_over(h_emb, diagram)
+        bounds = BoundVerdicts(
+            _witness(lower, h_emb, diagram, fn_le) is None,
+            _witness(h_emb, upper, diagram, fn_le) is None,
+            max(sup_h_sex, p_star) <= sup_h_emb,
+            sup_h_emb <= sup_h_sex + p_star,
+        )
+    out = run.out
+    p_star, sup_h_sex, sup_h_emb = out(p_star), out(sup_h_sex), out(sup_h_emb)
     cardinality = None
     p_sup = diagram.p_sup
     if sup_h_emb is not INF:
@@ -364,10 +467,10 @@ def analyze_diagram(
     else:
         warnings.append("sup h_emb is infinite: no finite-alphabet extension")
     return DiagramReport(
-        h,
-        h_sex,
-        u1,
-        h_emb,
+        run.fn_out(h),
+        run.fn_out(h_sex),
+        run.fn_out(u1),
+        run.fn_out(h_emb),
         p_star,
         sup_h_sex,
         sup_h_emb,

@@ -127,8 +127,11 @@ class SftSpec:
         return max(map(len, self.forbidden), default=1)
 
     def admits(self, w: Word) -> bool:
-        """Whether w is a word of the language.  A symbol outside the
-        alphabet occurs in no such word, so a word holding one is refused."""
+        """Whether w contains no forbidden word.  That is weaker than being
+        a word of the language: a word that no point of the subshift
+        contains, say one that runs into a dead end, is admitted all the
+        same.  A symbol outside the alphabet occurs in no admitted word, so
+        a word holding one is refused."""
         auto = self._automaton
         state = 0
         for s in w:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from symdyn import diagram as diagram_module
 from symdyn.diagram import (
     INF,
     FamilyLink,
@@ -11,6 +12,7 @@ from symdyn.diagram import (
     Node,
     SeqSpec,
     const_fn,
+    feasibility_memo,
     fn_add,
     fn_compare,
     fn_le,
@@ -39,9 +41,11 @@ from symdyn.envelope import (
     zero_fn,
     zero_seq,
 )
-from symdyn.errors import ArgumentError
+from symdyn.entropy import EntropyValue, max_entropy, optimal_alphabet_size
+from symdyn.errors import ArgumentError, ConstructionError
 from symdyn.randgen import random_candidate_envelope, random_diagram
 from symdyn.report import jsonable
+from symdyn.scenarios import scenario_data
 from test_diagram_algebra import naive_fn_compare, naive_fn_le
 
 
@@ -364,6 +368,25 @@ def test_envelope_of_fixed_k_period_tail_slice():
         assert env.evaluate("top", {}) == 1
 
 
+def mixture_value(f, parts):
+    """Harmonic (weighted-average) value of f on a rational mixture.
+
+    parts: list of (node_id, env, weight) with weights summing to 1.
+    """
+    total = sum((w for _, _, w in parts), Fraction(0))
+    if total != 1:
+        raise ArgumentError("mixture weights must sum to 1")
+    acc = Fraction(0)
+    for nid, env, w in parts:
+        v = f.evaluate(nid, env)
+        if v is INF:
+            if w > 0:
+                return INF
+            continue
+        acc += w * v
+    return acc
+
+
 def test_harmonic_mixture_evaluation():
     # functions on the diagram average over rational mixtures of instances
     D = chain2()
@@ -382,9 +405,9 @@ def test_harmonic_mixture_evaluation():
         ("mid", {"m": 3}, Fraction(1, 4)),
         ("deep", {"m": 3, "j": 5}, Fraction(1, 4)),
     ]
-    assert u2.mixture_value(parts) == Fraction(1, 2) * 2 + Fraction(1, 4) * 1
+    assert mixture_value(u2, parts) == Fraction(1, 2) * 2 + Fraction(1, 4) * 1
     with pytest.raises(ArgumentError):
-        u2.mixture_value(parts[:2])
+        mixture_value(u2, parts[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -595,3 +618,289 @@ def test_witness_env_is_sorted_items():
     assert envelope._witness(f, f, D, unsorted_compare) == (
         "deep", (("j", 1), ("m", 3)), 1, 0
     )
+
+
+# ---------------------------------------------------------------------------
+# the Fraction path that integer numerators over one scale replaced, kept as
+# the reference: the entry points as they ran before, on the generic algebra
+
+
+def naive_fraction_u_one(theta, diagram):
+    _require_vanishing_tails(theta)
+    return envelope_limit(zero_fn(diagram), theta, diagram)
+
+
+def naive_fraction_is_repair(u, theta, diagram):
+    _require_vanishing_tails(theta)
+    if envelope._witness(zero_fn(diagram), u, diagram, fn_le) is not None:
+        raise ArgumentError("repair candidates must be nonnegative")
+    w = envelope._witness(envelope_limit(u, theta, diagram), u, diagram, fn_compare)
+    if w is not None:
+        nid, env, lv, uv = w
+        return RepairVerdict(False, nid, env, lv - uv)
+    return RepairVerdict(True)
+
+
+def naive_fraction_minimal_repair(theta, floor, diagram):
+    _require_vanishing_tails(theta)
+    if envelope._witness(zero_fn(diagram), floor, diagram, fn_le) is not None:
+        raise ArgumentError("floor must be nonnegative")
+    if not envelope._equal(envelope_limit(floor, zero_seq(diagram), diagram), floor, diagram):
+        raise ArgumentError("floor must be upper semicontinuous")
+    pointwise = envelope._pointwise
+    u = pointwise(fn_max, floor, naive_fraction_u_one(theta, diagram), diagram)
+    for _ in range(diagram.depth + 1):
+        nxt = pointwise(fn_max, floor, envelope_limit(u, theta, diagram), diagram)
+        if envelope._equal(nxt, u, diagram):
+            verdict = naive_fraction_is_repair(u, theta, diagram)
+            if not verdict.repairs:
+                raise ConstructionError(f"fixpoint fails re-verification: {verdict.render()}")
+            return u
+        u = nxt
+    raise ConstructionError(f"no repair fixpoint within {diagram.depth + 1} iterations")
+
+
+def naive_fraction_is_superenvelope(E, hseq, diagram, k_horizon=None):
+    witness = envelope._witness
+    if hseq.monotone != "nondecreasing":
+        raise ArgumentError("entropy sequences must be nondecreasing")
+    w = witness(hseq.limit_fn(diagram), E, diagram, fn_le)
+    if w is not None:
+        nid, env, hv, ev = w
+        return SuperenvelopeVerdict(False, (), nid, env, f"E = {ev} < h = {hv}")
+    if k_horizon is None:
+        k_horizon = _k_horizon(hseq, E, diagram)
+    checked = tuple(range(1, k_horizon + 1))
+    zero = zero_fn(diagram)
+    for k in checked:
+        diff = {}
+        for node in diagram.nodes:
+            hk = hseq.spec(node.node_id).as_fn(k, node.mins)
+            if any(v is INF for _, v in hk.pieces):
+                raise ArgumentError("entropy sequences must take finite values")
+            minus = FnSpec(tuple((atoms, -v) for atoms, v in hk.pieces))
+            diff[node.node_id] = fn_add(E.spec(node.node_id), minus, node.mins)
+        g = fn_on(diagram, diff)
+        w = witness(zero, g, diagram, fn_le)
+        if w is not None:
+            nid, env, _, gv = w
+            return SuperenvelopeVerdict(False, checked[:k], nid, env, f"E - h_{k} = {gv} < 0")
+        w = witness(envelope_limit(g, zero_seq(diagram), diagram), g, diagram, fn_compare)
+        if w is not None:
+            nid, env, ev, gv = w
+            return SuperenvelopeVerdict(
+                False, checked[:k], nid, env, f"E - h_{k} not usc: envelope {ev} > {gv}"
+            )
+    return SuperenvelopeVerdict(True, checked)
+
+
+def naive_fraction_analyze_diagram(diagram, hseq, perseq):
+    pointwise, witness, sup_over = envelope._pointwise, envelope._witness, envelope._sup_over
+    warnings = []
+    envelope._require_vanishing_tails_perseq(perseq, diagram)
+    theta = tails_of(hseq, diagram)
+    h = hseq.limit_fn(diagram)
+    u_sex = naive_fraction_minimal_repair(theta, zero_fn(diagram), diagram)
+    u1 = naive_fraction_u_one(perseq, diagram)
+    u_emb = naive_fraction_minimal_repair(theta, u1, diagram)
+    h_sex = pointwise(fn_add, h, u_sex, diagram)
+    h_emb = pointwise(fn_add, h, u_emb, diagram)
+    lower = pointwise(fn_max, h_sex, pointwise(fn_add, h, u1, diagram), diagram)
+    upper = pointwise(fn_add, h_sex, u1, diagram)
+    p_star, sup_h_sex, sup_h_emb = (sup_over(f, diagram) for f in (u1, h_sex, h_emb))
+    bounds = envelope.BoundVerdicts(
+        witness(lower, h_emb, diagram, fn_le) is None,
+        witness(h_emb, upper, diagram, fn_le) is None,
+        max(sup_h_sex, p_star) <= sup_h_emb,
+        sup_h_emb <= sup_h_sex + p_star,
+    )
+    cardinality = None
+    p_sup = diagram.p_sup
+    if sup_h_emb is not INF:
+        emb_val = EntropyValue(Fraction(sup_h_emb))
+        if p_sup is None:
+            warnings.append("cardinality computed from sup h_emb only: no periodic-capacity input")
+            cardinality = optimal_alphabet_size(emb_val)
+        else:
+            cardinality = optimal_alphabet_size(max_entropy(p_sup, emb_val))
+    else:
+        warnings.append("sup h_emb is infinite: no finite-alphabet extension")
+    return envelope.DiagramReport(
+        h, h_sex, u1, h_emb, p_star, sup_h_sex, sup_h_emb, bounds, cardinality, p_sup, tuple(warnings)
+    )
+
+
+def _times(x, c):
+    return x if x is INF else x * c
+
+
+def rescaled_seq(seq, diagram, c):
+    """seq with every lo and hi multiplied by c > 0: still monotone, and
+    tails stay nonnegative with limit 0."""
+    specs = {nid: SeqSpec(_times(s.lo, c), s.tau, _times(s.hi, c)) for nid, s in seq.specs}
+    return seq_on(diagram, specs, seq.monotone)
+
+
+def rescaled_fn(f, diagram, c):
+    return fn_on(
+        diagram,
+        {nid: FnSpec(tuple((a, _times(v, c)) for a, v in s.pieces)) for nid, s in f.specs},
+    )
+
+
+def odd_factor(rng):
+    """A positive rational whose denominator is neither 1 nor 2."""
+    while True:
+        c = Fraction(rng.randrange(1, 40), rng.randrange(3, 13))
+        if c.denominator > 2:
+            return c
+
+
+def same(got, want):
+    """Equal, and equal as written: an int where a Fraction was shows in repr."""
+    return got == want and repr(got) == repr(want)
+
+
+def test_scaled_entry_points_match_the_fraction_path():
+    rng = random.Random(71)
+    seen = {"repairs": 0, "fails": 0, "superenvelope": 0, "not": 0, "odd": 0}
+    for i in range(150):
+        D, hseq, perseq = random_diagram(rng)
+        hseq = rescaled_seq(hseq, D, odd_factor(rng))
+        perseq = rescaled_seq(perseq, D, odd_factor(rng))
+        if rng.random() < 0.2:
+            perseq = with_infinite_tails(rng, perseq, D)
+        seen["odd"] += any(v is not INF and v.denominator > 2 for v in hseq.values() + perseq.values())
+        assert same(outcome(analyze_diagram, D, hseq, perseq), outcome(naive_fraction_analyze_diagram, D, hseq, perseq))
+        theta = rng.choice([perseq, tails_of(hseq, D)])
+        floor = rescaled_fn(random_candidate(rng, D, negative=i % 4 == 0), D, odd_factor(rng))
+        assert same(outcome(minimal_repair, theta, floor, D), outcome(naive_fraction_minimal_repair, theta, floor, D))
+        assert same(outcome(u_one, theta, D), outcome(naive_fraction_u_one, theta, D))
+        for u in (
+            naive_fraction_u_one(theta, D),
+            naive_fraction_minimal_repair(theta, zero_fn(D), D),
+            rescaled_fn(random_candidate(rng, D, negative=i % 5 == 0), D, odd_factor(rng)),
+        ):
+            got = outcome(is_repair, u, theta, D)
+            assert same(got, outcome(naive_fraction_is_repair, u, theta, D))
+            if isinstance(got, RepairVerdict):
+                seen["repairs" if got.repairs else "fails"] += 1
+        E = random_candidate_envelope(rng, D, hseq, None)
+        if rng.random() < 0.3:
+            E = rescaled_fn(E, D, odd_factor(rng))
+        horizon = None if i % 3 == 0 else 6
+        got = outcome(is_superenvelope, E, hseq, D, horizon)
+        assert same(got, outcome(naive_fraction_is_superenvelope, E, hseq, D, horizon))
+        seen["superenvelope" if got.is_superenvelope else "not"] += 1
+    # both verdicts of each check occur, on values with denominators past 2
+    assert min(seen.values()) > 10, seen
+
+
+def boundary_values(result):
+    """Every value an entry point's result carries out."""
+    if isinstance(result, envelope.DiagramReport):
+        fns = (result.h, result.h_sex, result.u1, result.h_emb)
+        return [v for f in fns for v in f.values()] + [result.p_star, result.sup_h_sex, result.sup_h_emb]
+    if isinstance(result, RepairVerdict):
+        return [] if result.repairs else [result.residual]
+    return result.values()
+
+
+def assert_fraction_values(result):
+    for v in boundary_values(result):
+        assert v is INF or type(v) is Fraction, (v, type(v))
+
+
+def test_values_leave_the_entry_points_as_fractions():
+    cases = [scenario_data("example1"), scenario_data("pickupsticks")]
+    cases += [scenario_data(name, h0) for name in ("example2", "example3") for h0 in (Fraction(1, 2), 2)]
+    cases = [(c.diagram, c.hseq, c.perseq) for c in cases]
+    rng = random.Random(73)
+    cases += [random_diagram(rng) for _ in range(100)]
+    residuals = 0
+    for D, hseq, perseq in cases:
+        assert_fraction_values(analyze_diagram(D, hseq, perseq))
+        theta = tails_of(hseq, D)
+        u1 = u_one(perseq, D)
+        assert_fraction_values(u1)
+        assert_fraction_values(minimal_repair(theta, zero_fn(D), D))
+        assert_fraction_values(minimal_repair(theta, u1, D))
+        E = random_candidate_envelope(rng, D, hseq, None)
+        assert_fraction_values(usc_envelope(E, D))
+        for u, th in ((u1, perseq), (zero_fn(D), theta), (random_candidate(rng, D), theta)):
+            verdict = is_repair(u, th, D)
+            assert_fraction_values(verdict)
+            residuals += not verdict.repairs
+        v = is_superenvelope(E, hseq, D, 6)
+        assert v == naive_fraction_is_superenvelope(E, hseq, D, 6)  # its detail renders Fractions
+    assert residuals > 50
+
+
+def test_memo_scopes_nest_and_leave_nothing_behind():
+    assert diagram_module._MEMO.get() is None
+    with feasibility_memo():
+        outer = diagram_module._MEMO.get()
+        assert outer == {}
+        with pytest.raises(ArgumentError):
+            with feasibility_memo():  # a nested analysis reuses the memo
+                assert diagram_module._MEMO.get() is outer
+                raise ArgumentError("partway")
+        assert diagram_module._MEMO.get() is outer  # the inner raise kept it
+    assert diagram_module._MEMO.get() is None
+    with pytest.raises(ArgumentError):
+        with feasibility_memo():
+            assert diagram_module._MEMO.get() == {}
+            raise ArgumentError("partway")
+    assert diagram_module._MEMO.get() is None
+
+
+def test_an_analysis_that_raises_leaves_no_memo():
+    D = chain2()
+    ptail = seq_on(
+        D,
+        {"deep": seq_step(1, lin(j=1), 0), "mid": seq_step(1, lin(m=1), 0), "top": 0},
+        "nonincreasing",
+    )
+    fresh = minimal_repair(ptail, zero_fn(D), D)
+    not_usc = fn_on(D, {"deep": const_fn(0), "mid": const_fn(1), "top": const_fn(0)})
+    with pytest.raises(ArgumentError, match="upper semicontinuous"):
+        minimal_repair(ptail, not_usc, D)
+    assert diagram_module._MEMO.get() is None
+    assert same(minimal_repair(ptail, zero_fn(D), D), fresh)
+
+    # an infinite h_k raises inside a k step
+    top, arm = Node("top", (), "periodic", "1"), Node("arm", ("m",), "periodic")
+    D2 = MeasureDiagram((top, arm), (FamilyLink("arm", "m", "top"),))
+    hseq = seq_on(D2, {"top": INF, "arm": seq_step(0, lin(m=1), INF)}, "nondecreasing")
+    E = fn_on(D2, {"top": const_fn(INF), "arm": const_fn(INF)})
+    with pytest.raises(ArgumentError, match="finite values"):
+        is_superenvelope(E, hseq, D2)
+    assert diagram_module._MEMO.get() is None
+    finite = seq_on(D2, {"top": 1, "arm": seq_step(0, lin(m=1), 1)}, "nondecreasing")
+    assert is_superenvelope(E, finite, D2) == naive_fraction_is_superenvelope(E, finite, D2)
+
+
+def test_no_envelope_limit_is_computed_twice(monkeypatch):
+    # the fixpoint's re-verification reuses the limit the loop just took, and
+    # both repairs of an analysis start from one u_one of the entropy tails
+    calls = []
+
+    def counted(u, theta, diagram):
+        calls.append(1)
+        return real(u, theta, diagram)
+
+    real = envelope.envelope_limit
+    monkeypatch.setattr(envelope, "envelope_limit", counted)
+    monkeypatch.setitem(globals(), "envelope_limit", counted)
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    rng = random.Random(79)
+    for _ in range(40):
+        D, hseq, perseq = random_diagram(rng)
+        theta = tails_of(hseq, D)
+        assert count(minimal_repair, theta, zero_fn(D), D) == count(naive_fraction_minimal_repair, theta, zero_fn(D), D) - 1
+        assert count(analyze_diagram, D, hseq, perseq) == count(naive_fraction_analyze_diagram, D, hseq, perseq) - 3

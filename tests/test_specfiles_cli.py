@@ -771,6 +771,14 @@ def two_row_window(tmp_path):
             ["--pass", "pipeline", "--rules", "A,D,E", "--gap-bounds", "1,1,9", "--ratio", "1/2"],
             "--ratio: read only by rule C-ratio, which --rules does not name",
         ),
+        # a pass flag that the chosen pass does not read is refused, not dropped
+        (["--pass", "verify", "--schedule-m", "3", "--row", "1", "-n", "7"], "-n: read only by pass krieger, not verify"),
+        (["--pass", "adjust", "-n", "9"], "-n: read only by pass krieger, not adjust"),
+        (["--pass", "periodic", "--row", "2", "-n", "5"], "-n: read only by pass krieger, not periodic"),
+        (["--pass", "subdivide", "--row", "1"], "--row: read only by passes krieger and periodic, not subdivide"),
+        (["--pass", "pipeline", "--row", "2", "--rules", "D"], "--row: read only by passes krieger and periodic, not pipeline"),
+        (["--pass", "krieger", "--schedule-m", "3,4"], "--schedule-m: read only by pass subdivide, not krieger"),
+        (["--pass", "verify", "--schedule-m", "3"], "--schedule-m: read only by pass subdivide, not verify"),
     ],
 )
 def test_markers_flags_outside_their_range_exit_3(tmp_path, flags, message):
@@ -786,6 +794,23 @@ def test_markers_integer_flags_in_the_grammar(tmp_path):
         assert (code, err, json.loads(out)["verdicts"]) == (0 if passed else 2, "", {"A": passed}), bounds
     code, _, err = run_cli(["markers", "run", "--pass", "subdivide", "--spec", two_row_window(tmp_path), "--schedule-m", "3,04"])
     assert (code, err) == (0, "")
+
+
+def test_markers_pass_flags_default_where_read(tmp_path):
+    # -n and --row are read by the passes that take them, 5 and 1 when not given
+    thue_morse = "".join(str(bin(i).count("1") % 2) for i in range(41))  # no long periodic stretch
+    rows = [thue_morse[:40], thue_morse[1:]]
+    window = write(tmp_path, "wide.json", {"kind": "window", "version": 1, "rows": rows, "markers": [[], []]})
+    for name, given in (("krieger", ["-n", "5", "--row", "1"]), ("periodic", ["--row", "1"])):
+        argv = ["markers", "run", "--pass", name, "--spec", window]
+        bare, explicit = run_cli(argv), run_cli(argv + given)
+        assert bare == explicit and bare[0] == 0, name
+    argv = ["markers", "run", "--pass", "krieger", "--spec", window]
+    assert run_cli(argv + ["-n", "3"]) != run_cli(argv)
+    assert run_cli(argv + ["--row", "2"]) != run_cli(argv)
+    # the one-row window of the CI smoke step, with no pass flag
+    w2 = write(tmp_path, "w2.json", {"kind": "window", "version": 1, "rows": ["0" * 10], "markers": [[0, 3, 6, 9]]})
+    assert run_cli(["markers", "run", "--pass", "verify", "--spec", w2])[0] == 0
 
 
 def test_markers_rule_flags_read_by_their_rules(tmp_path):
