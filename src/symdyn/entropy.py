@@ -267,10 +267,6 @@ class EntropyBracket:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains(self, x: float | Fraction) -> bool:
-        # Fraction compares exactly with ints, Fractions and floats
-        return self.lo <= x <= self.hi
-
     def render(self) -> str:
         flag = "" if self.tolerance_met else " (tolerance not met)"
         return f"[{self.lo} ({float(self.lo):.6g}), {self.hi} ({float(self.hi):.6g})]{flag}"

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .entropy import EntropyValue
 from .errors import ArgumentError
@@ -44,16 +43,6 @@ class PeriodTailSample:
             raise ArgumentError(
                 f"orbit {orbit.representative!r} not in the selection"
             ) from None
-
-    def mixture_value(self, parts, k: int) -> EntropyValue:
-        """Weighted average over (orbit, weight) pairs summing to 1."""
-        total = sum((Fraction(w) for _, w in parts), Fraction(0))
-        if total != 1:
-            raise ArgumentError("mixture weights must sum to 1")
-        acc = EntropyValue(0)
-        for orbit, w in parts:
-            acc = acc + self.value(orbit, k) * Fraction(w)
-        return acc
 
     def orbits(self):
         return [o for o, _ in self.values]

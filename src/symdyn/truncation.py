@@ -13,14 +13,22 @@ numerically point by point:
     every threshold the point itself can reach, but below the tail windows
     of the families above it.
 
-The scan lists and horizons depend only on the space, so they are
-compiled once per space; each sequence is then evaluated once per
-analysis at every (scanned point, scanning horizon) pair, and every
-envelope pass reads those values.  Values are exact integers: numerators
-over D, the lcm of the denominators of the finite sequence values, with
-the one infinity mixed in as is; only the results are divided by D.  The
-oracle still evaluates every point of the box and every tail-window
-point, so it stays brute force and independent of the threshold algebra.
+Each class's points form one box, listed row-major from its first index,
+so the space is compiled once per class rather than once per point.  The
+scan list of a point is arithmetic on the boxes of the classes that flow
+into it, and thresholds and horizons are linear in a point's parameter
+values, evaluated over a whole box at once.  Each sequence is evaluated
+once per analysis at every (scanned point, scanning horizon) pair; a
+point's own term is kept apart from the rest of its scan, which most
+points lack.  The repair runs in Jacobi rounds: the first evaluates every
+point, each later round only the points whose scan holds a point that the
+round before changed, so the iterates, the fixpoint and the failure to
+stabilize are those of full passes.  Values are exact integers: numerators
+over D, the lcm of the denominators of the finite sequence values, with the
+one infinity mixed in as is; only the results are divided by D, and the
+comparison with the exact report reads the safe points alone.  The oracle
+still evaluates every point of the box and every tail-window point, so it
+stays brute force and independent of the threshold algebra.
 
 With the truncation at least twice the largest constant threshold, the
 values agree exactly with the threshold algebra on every supported
@@ -32,8 +40,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import add
+from functools import cached_property
+from itertools import compress, count, product, repeat
+from math import lcm, prod
+from operator import add, ne, sub
 
 from .diagram import INF, MeasureDiagram, SeqOnDiagram
 from .errors import ArgumentError
@@ -45,6 +55,7 @@ class TruncatedSpace:
     truncations: dict  # node_id -> tuple of per-position parameter caps
     points: tuple  # (node_id, tuple of (param, value)) in deterministic order
     horizon_base: int
+    boxes: dict  # node_id -> (index of its first point, per-position value ranges)
 
 
 def _tau_const_budget(*seqs) -> int:
@@ -60,34 +71,62 @@ def build_space(diagram: MeasureDiagram, T: int, *seqs) -> TruncatedSpace:
 
     Outer parameters run to T, inner parameters to 6T + 2C + 4 so that the
     inner tail windows clear every evaluation horizon reachable from outer
-    parameter values.
+    parameter values.  A class's points are its box, row-major.  Every
+    point a scan reads must lie in a box: a parameter may not start past
+    its tail window, nor a member's outer parameter above its limit's.
     """
     if T < 4:
         raise ArgumentError("truncation too small to carry tail windows")
     C = _tau_const_budget(*seqs)
-    truncs = {}
-    points = []
+    truncs, boxes, points = {}, {}, []
     for node in diagram.nodes:
         caps = tuple(
             T if pos == 0 else 6 * T + 2 * C + 4 for pos in range(len(node.params))
         )
+        ranges = tuple(range(node.mins[p], cap + 1) for p, cap in zip(node.params, caps))
+        for p, cap in zip(node.params, caps):
+            if node.mins[p] > _tail_window(cap).start:
+                raise ArgumentError(
+                    f"{node.node_id}: parameter {p} starts past its tail window at T={T}"
+                )
         truncs[node.node_id] = caps
-        if not node.params:
-            points.append((node.node_id, ()))
-        elif len(node.params) == 1:
-            p = node.params[0]
-            for v in range(node.mins[p], caps[0] + 1):
-                points.append((node.node_id, ((p, v),)))
-        else:
-            p0, p1 = node.params
-            for v0 in range(node.mins[p0], caps[0] + 1):
-                for v1 in range(node.mins[p1], caps[1] + 1):
-                    points.append((node.node_id, ((p0, v0), (p1, v1))))
-    return TruncatedSpace(diagram, truncs, tuple(points), C)
+        boxes[node.node_id] = (len(points), ranges)
+        pairs = [[(p, v) for v in r] for p, r in zip(node.params, ranges)]
+        points += zip(repeat(node.node_id), product(*pairs))
+    for fam in diagram.families:
+        member, limit = diagram.node(fam.member), diagram.node(fam.limit)
+        for p in limit.params:
+            if member.mins[p] > limit.mins[p]:
+                raise ArgumentError(
+                    f"{fam.member}: parameter {p} starts above its limit {fam.limit}'s"
+                )
+    return TruncatedSpace(diagram, truncs, tuple(points), C, boxes)
 
 
 def _tail_window(cap: int):
     return range(cap // 2 + 1, cap + 1)
+
+
+def _offset(ranges, values) -> int:
+    """The row-major position of the point `values` in the box of `ranges`."""
+    off = 0
+    for r, v in zip(ranges, values):
+        off = off * len(r) + v - r.start
+    return off
+
+
+def _linear(const: int, coeffs, ranges) -> list:
+    """const + the sum of coeffs times values, at each point of the box of
+    `ranges` in row-major order."""
+    out = [const]
+    for c, r in zip(coeffs, ranges):
+        out = [x + c * v for x in out for v in r]
+    return out
+
+
+def _max(a: list, b: list) -> list:
+    """The pointwise max of two lists of values."""
+    return [y if y > x else x for x, y in zip(a, b)]
 
 
 def _scaled(v, D: int):
@@ -105,109 +144,200 @@ def _exact_by_point(values: list, D: int, points) -> dict:
     return dict(zip(points, map(exact.__getitem__, values)))
 
 
+def _sups(values: dict, D: int) -> dict:
+    return {
+        "p_star": _exact(max(values["u1"]), D),
+        "sup_h_sex": _exact(max(values["h_sex"]), D),
+        "sup_h_emb": _exact(max(values["h_emb"]), D),
+    }
+
+
 class TruncatedOps:
     """Numeric envelope and repair operators on a truncated space.
 
     The space fixes, for every point, its horizon and its scan list: the
     point itself, the tail-window points of every family into its class
     and the diagonal points of every depth-2 chain into it.  Both are
-    built here once, with points as indices into ``space.points``; a
-    sequence is then a list, per scanning point, of its values at the
-    scanned points and the scanning point's horizon.
+    compiled here once per class from the boxes.  Each family or chain into
+    a class is one run of consecutive indices in the box it comes from,
+    which moves one row of that box per step of the class's outer
+    parameter.  `wide` maps each point whose scan holds more than itself
+    to the rest of its scan.  A sequence is then evaluated at each point
+    and its own horizon, and at the rest of each wide point's scan and that
+    point's horizon.  A repair round after the first evaluates only the
+    points whose scan holds a point the round before changed (`deps` is
+    the reverse of `wide`), and `safe_points` finds the points compared
+    with the exact report by the same box arithmetic.
     """
 
     def __init__(self, space: TruncatedSpace):
         self.space = space
         self.diagram = space.diagram
-        index = {pt: i for i, pt in enumerate(space.points)}
-        self.node_ids = [nid for nid, _ in space.points]
-        self.envs = [dict(env) for _, env in space.points]
-        self.horizons = [space.horizon_base + 3 * sum(e.values()) + 1 for e in self.envs]
-        self.scans = []
-        for i, (node_id, env) in enumerate(space.points):
-            scan = [i]
-            pos = len(env)  # members and grandchildren extend env by one or two params
-            for fam in self.diagram.families_into(node_id):
-                cap = space.truncations[fam.member][pos]
-                scan += [index[fam.member, env + ((fam.parameter, t),)] for t in _tail_window(cap)]
-            for deep_fam, mid_fam in self.diagram.chains_into(node_id):
-                grand = self.diagram.node(deep_fam.member)
-                outer_cap, inner_cap = space.truncations[grand.node_id][pos : pos + 2]
-                inner_p = deep_fam.parameter
-                scan += [
-                    index[grand.node_id, env + ((mid_fam.parameter, t0), (inner_p, t1))]
-                    for t0 in _tail_window(outer_cap)
-                    for t1 in range(grand.mins[inner_p], inner_cap + 1)
-                ]
-            self.scans.append(scan)
+        self.horizons = []
+        self.wide = {}
+        for node in self.diagram.nodes:
+            start, ranges = space.boxes[node.node_id]
+            self.horizons += _linear(space.horizon_base + 1, (3,) * len(ranges), ranges)
+            runs = list(self._runs(node.node_id, ranges))
+            if not runs:
+                continue
+            for o in range(prod(map(len, ranges))):
+                rest = []
+                for first, stride, length in runs:
+                    rest += range(first + o * stride, first + o * stride + length)
+                self.wide[start + o] = rest
 
-    def seq_values(self, seq: SeqOnDiagram, D: int, minuend=None) -> list:
-        """Per scanning point, seq at (scanned point, scanning horizon) over D.
+    def _runs(self, node_id: str, ranges: tuple):
+        """(first, stride, length) for each family and each chain into
+        node_id, in scan order: the point at offset o of its box scans the
+        `length` indices from first + o * stride."""
+        space = self.space
+        pos = len(ranges)
+        lows = [r.start for r in ranges]
+        for fam in self.diagram.families_into(node_id):
+            first, box = space.boxes[fam.member]
+            window = _tail_window(space.truncations[fam.member][pos])
+            yield first + _offset(box, lows + [window.start]), len(box[-1]), len(window)
+        for deep_fam, _mid in self.diagram.chains_into(node_id):
+            first, box = space.boxes[deep_fam.member]
+            window = _tail_window(space.truncations[deep_fam.member][pos])
+            inner = box[pos + 1]
+            yield first + _offset(box, lows + [window.start, inner.start]), 0, len(window) * len(inner)
+
+    @cached_property
+    def scans(self) -> list:
+        """Each point's scan list, in the order the naive oracle visits it."""
+        scans = [[i] for i in range(len(self.horizons))]
+        for i, rest in self.wide.items():
+            scans[i] += rest
+        return scans
+
+    @cached_property
+    def deps(self) -> dict:
+        """Each point in the rest of some scan -> the points whose scan holds it."""
+        deps = {}
+        for i, rest in self.wide.items():
+            for q in rest:
+                deps.setdefault(q, []).append(i)
+        return deps
+
+    def _per_point(self, value_of) -> list:
+        """value_of(node) at every point of the node's box, node by node."""
+        out = []
+        for node in self.diagram.nodes:
+            out += [value_of(node)] * prod(map(len, self.space.boxes[node.node_id][1]))
+        return out
+
+    def seq_values(self, seq: SeqOnDiagram, D: int, minuend=None) -> tuple:
+        """seq over D at each point and its own horizon, and per wide point,
+        at the rest of its scan and that point's horizon.
 
         With ``minuend`` (one numerator per point) the values are
         minuend[q] - seq(q, k) instead, subtracted entry by entry so that
         an infinite limit fails exactly where a pointwise tail would.
         """
-        specs = {n.node_id: seq.spec(n.node_id) for n in self.diagram.nodes}
-        lo_of = {nid: _scaled(s.lo, D) for nid, s in specs.items()}
-        hi_of = {nid: _scaled(s.hi, D) for nid, s in specs.items()}
-        lo = [lo_of[nid] for nid in self.node_ids]
-        hi = [hi_of[nid] for nid in self.node_ids]
-        tau = [specs[nid].tau.evaluate(e) for nid, e in zip(self.node_ids, self.envs)]
-        if minuend is None:
-            return [
-                [lo[q] if k < tau[q] else hi[q] for q in scan]
-                for k, scan in zip(self.horizons, self.scans)
-            ]
-        return [
-            [minuend[q] - (lo[q] if k < tau[q] else hi[q]) for q in scan]
-            for k, scan in zip(self.horizons, self.scans)
-        ]
+        tau = []
+        for node in self.diagram.nodes:
+            s = seq.spec(node.node_id)
+            ranges = self.space.boxes[node.node_id][1]
+            tau += _linear(s.tau.const, map(s.tau.coeff, node.params), ranges)
+        lo = self._per_point(lambda n: _scaled(seq.spec(n.node_id).lo, D))
+        hi = self._per_point(lambda n: _scaled(seq.spec(n.node_id).hi, D))
+        horizons = self.horizons
+        own = [a if k < t else b for k, t, a, b in zip(horizons, tau, lo, hi)]
+        rows = {}
+        for i, rest in self.wide.items():
+            k = horizons[i]
+            rows[i] = [lo[q] if k < tau[q] else hi[q] for q in rest]
+        if minuend is not None:
+            own = list(map(sub, minuend, own))
+            for i, row in rows.items():
+                rows[i] = list(map(sub, map(minuend.__getitem__, self.wide[i]), row))
+        return own, rows
 
-    def envelope_at(self, values: list, rows: list, i: int):
-        """max over the scan of point i of values[q] + the sequence at q."""
-        return max(map(add, map(values.__getitem__, self.scans[i]), rows[i]))
+    def envelope_at(self, u: list, own: list, rows: dict, i: int):
+        """max over the scan of point i of u[q] + the sequence at q."""
+        best = u[i] + own[i]
+        row = rows.get(i)
+        if row is None:
+            return best
+        return max(best, max(map(add, map(u.__getitem__, self.wide[i]), row)))
 
-    def minimal_repair(self, rows: list, floor: list) -> list:
-        """The least fixpoint above floor of u -> max(floor, envelope of u + seq)."""
-        u = list(map(max, floor, map(max, rows)))
-        for _ in range(self.diagram.depth + 1):
-            nxt = [max(f, self.envelope_at(u, rows, i)) for i, f in enumerate(floor)]
-            if nxt == u:
-                return u
-            u = nxt
-        raise ArgumentError("truncated repair iteration did not stabilize")
+    def envelope(self, u: list, own: list, rows: dict) -> list:
+        """envelope_at every point, in one pass."""
+        out = list(map(add, u, own))
+        for i in rows:
+            out[i] = self.envelope_at(u, own, rows, i)
+        return out
 
-    def analyze(self, hseq: SeqOnDiagram, perseq: SeqOnDiagram) -> dict:
+    @staticmethod
+    def u_one(own: list, rows: dict) -> list:
+        """The envelope of zero plus the sequence: its max over each scan."""
+        out = own.copy()
+        for i, row in rows.items():
+            out[i] = max(out[i], max(row))
+        return out
+
+    def minimal_repair(self, own: list, rows: dict, floor: list) -> list:
+        """The least fixpoint above floor of u -> max(floor, envelope of u + seq).
+
+        Round 1 evaluates every point.  A point's next value can differ
+        from its last only if its scan holds a point that changed, so each
+        later round evaluates just those points: the rounds give the Jacobi
+        iterates of full passes, and stop or fail where they would.
+        """
+        u = _max(floor, self.u_one(own, rows))
+        nxt = _max(floor, self.envelope(u, own, rows))
+        changed = list(compress(count(), map(ne, nxt, u)))
+        for _ in range(self.diagram.depth):
+            if not changed:
+                break
+            todo = set(changed)
+            for q in changed:
+                todo.update(self.deps.get(q, ()))
+            u, nxt = nxt, nxt.copy()
+            for i in todo:
+                nxt[i] = max(floor[i], self.envelope_at(u, own, rows, i))
+            changed = [i for i in todo if nxt[i] != u[i]]
+        if changed:
+            raise ArgumentError("truncated repair iteration did not stabilize")
+        return u
+
+    def safe_points(self, bound: int) -> list:
+        """The indices of the points whose parameters are all at most bound."""
+        out = []
+        for node in self.diagram.nodes:
+            start, ranges = self.space.boxes[node.node_id]
+            safe = [range(r.start, min(r.stop, bound + 1)) for r in ranges]
+            out += [start + _offset(ranges, v) for v in product(*safe)]
+        return out
+
+    def analyze(self, hseq: SeqOnDiagram, perseq: SeqOnDiagram) -> tuple:
+        """Per point, the numerators over D of h, h_sex, u1 and h_emb; and D."""
         specs = [seq.spec(n.node_id) for seq in (hseq, perseq) for n in self.diagram.nodes]
         # one denominator for every finite lo and hi (each limit is a hi)
         D = lcm(*(v.denominator for s in specs for v in (s.lo, s.hi) if v is not INF))
-        points = self.space.points
-        h_of = {n.node_id: _scaled(hseq.spec(n.node_id).limit, D) for n in self.diagram.nodes}
-        h = [h_of[nid] for nid in self.node_ids]
+        h = self._per_point(lambda n: _scaled(hseq.spec(n.node_id).limit, D))
         tails = self.seq_values(hseq, D, minuend=h)
-        u_sex = self.minimal_repair(tails, [0] * len(points))
-        u1 = list(map(max, self.seq_values(perseq, D)))
-        u_emb = self.minimal_repair(tails, u1)
-        h_sex = list(map(add, h, u_sex))
-        h_emb = list(map(add, h, u_emb))
-        return {
-            "h": _exact_by_point(h, D, points),
-            "h_sex": _exact_by_point(h_sex, D, points),
-            "u1": _exact_by_point(u1, D, points),
-            "h_emb": _exact_by_point(h_emb, D, points),
-            "p_star": _exact(max(u1), D),
-            "sup_h_sex": _exact(max(h_sex), D),
-            "sup_h_emb": _exact(max(h_emb), D),
+        u_sex = self.minimal_repair(*tails, [0] * len(h))
+        u1 = self.u_one(*self.seq_values(perseq, D))
+        u_emb = self.minimal_repair(*tails, u1)
+        values = {
+            "h": h,
+            "h_sex": list(map(add, h, u_sex)),
+            "u1": u1,
+            "h_emb": list(map(add, h, u_emb)),
         }
+        return values, D
 
 
 def truncated_analyze(
     diagram: MeasureDiagram, hseq: SeqOnDiagram, perseq: SeqOnDiagram, T: int
 ) -> dict:
     space = build_space(diagram, T, hseq, perseq)
-    ops = TruncatedOps(space)
-    out = ops.analyze(hseq, perseq)
+    values, D = TruncatedOps(space).analyze(hseq, perseq)
+    out = {key: _exact_by_point(v, D, space.points) for key, v in values.items()}
+    out.update(_sups(values, D))
     out["space"] = space
     return out
 
@@ -226,18 +356,20 @@ def compare_with_exact(
     are at most safe_bound; the scaffolding points near the truncation
     boundary are not compared (their role is to realize the limsups).
     """
-    result = truncated_analyze(diagram, hseq, perseq, T)
+    space = build_space(diagram, T, hseq, perseq)
+    ops = TruncatedOps(space)
+    values, D = ops.analyze(hseq, perseq)
     mismatches = []
-    for pt in result["space"].points:
-        if any(v > safe_bound for _, v in pt[1]):
-            continue
+    for i in ops.safe_points(safe_bound):
+        pt = space.points[i]
         env = dict(pt[1])
         for key in ("h_sex", "u1", "h_emb"):
+            got = _exact(values[key][i], D)
             exact_val = exact_report.value(key, pt[0], env)
-            if result[key][pt] != exact_val:
-                mismatches.append((key, pt, result[key][pt], exact_val))
-    for key in ("p_star", "sup_h_sex", "sup_h_emb"):
+            if got != exact_val:
+                mismatches.append((key, pt, got, exact_val))
+    for key, got in _sups(values, D).items():
         exact_q = getattr(exact_report, key)
-        if result[key] != exact_q:
-            mismatches.append((key, None, result[key], exact_q))
+        if got != exact_q:
+            mismatches.append((key, None, got, exact_q))
     return mismatches

@@ -4,6 +4,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 
+def bracket_contains(bracket, x) -> bool:
+    """Whether x lies in the bracket; its Fraction endpoints compare exactly
+    with ints, Fractions and floats."""
+    return bracket.lo <= x <= bracket.hi
+
+
 def necklace_count(s: int, n: int) -> int:
     """Points of minimal period n in the full s-shift, by Moebius inversion."""
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from symdyn.diagram import INF, seq_on, seq_step, lin
+from symdyn.diagram import INF, MeasureDiagram, Node, lin, seq_on, seq_step
 from symdyn.envelope import analyze_diagram
 from symdyn.errors import ArgumentError
 from symdyn.randgen import random_diagram
@@ -155,6 +155,134 @@ def test_compiled_oracle_matches_naive_on_random_diagrams(T):
     rng = random.Random(2017)
     for _ in range(60):
         assert_matches_naive(*random_diagram(rng), T)
+
+
+def _with_mins(diagram, mins_of):
+    """The diagram with each node's parameters starting at mins_of(node)."""
+    nodes = tuple(
+        Node(n.node_id, n.params, n.kind, n.period, mins_of(n)) for n in diagram.nodes
+    )
+    return MeasureDiagram(nodes, diagram.families, diagram.p_sup)
+
+
+@pytest.mark.parametrize("T", [10, 20])
+def test_compiled_oracle_matches_naive_on_shifted_boxes(T):
+    # boxes that start at 0 or 3: a member's outer parameter starts no
+    # higher than its limit's, and may start lower
+    rng = random.Random(31)
+    shapes = set()
+    for _ in range(12):
+        D, hseq, perseq = random_diagram(rng)
+        picked = {}
+        for n in sorted(D.nodes, key=lambda n: len(n.params)):
+            limit = next((f.limit for f in D.families if f.member == n.node_id), None)
+            highest = picked[limit][0] if len(n.params) == 2 else 3
+            picked[n.node_id] = tuple(
+                rng.choice([m for m in (0, 3) if pos or m <= highest])
+                for pos in range(len(n.params))
+            )
+        shifted = _with_mins(D, lambda n: picked[n.node_id])
+        got = assert_matches_naive(shifted, hseq, perseq, T)
+        for n in shifted.nodes:
+            _, ranges = got["space"].boxes[n.node_id]
+            assert [r.start for r in ranges] == list(picked[n.node_id])
+            shapes.add(picked[n.node_id])
+    assert {(0,), (3,), (0, 0), (0, 3), (3, 0), (3, 3)} <= shapes
+
+
+def test_boxes_that_miss_a_scanned_point_are_refused():
+    data = scenario_data("example1")
+    args = (data.hseq, data.perseq)
+    # the outer tail window at T = 10 is 6..10
+    late = _with_mins(data.diagram, lambda n: (7,) * len(n.params))
+    with pytest.raises(ArgumentError, match="mu_bottom: parameter m starts past its tail window"):
+        build_space(late, 10, *args)
+    # mu_middle(1) and mu_middle(2) would scan mu_bottom(1, j) and mu_bottom(2, j)
+    above = _with_mins(data.diagram, lambda n: (3, 1) if len(n.params) == 2 else (1,) * len(n.params))
+    with pytest.raises(ArgumentError, match="mu_bottom: parameter m starts above its limit mu_middle's"):
+        build_space(above, 10, *args)
+
+
+class _Disagrees:
+    """An exact report that agrees with nothing."""
+
+    p_star = sup_h_sex = sup_h_emb = None
+
+    def value(self, key, node_id, env):
+        return None
+
+
+@pytest.mark.parametrize("bound", [2, 4, 7])
+def test_compare_reads_exactly_the_safe_points(bound):
+    data = scenario_data("example2", Fraction(1, 2))
+    for mins in (None, (0, 3), (3, 0)):
+        D = data.diagram
+        if mins:
+            D = _with_mins(D, lambda n: mins[: len(n.params)])
+        space = build_space(D, 10, data.hseq, data.perseq)
+        mismatches = compare_with_exact(D, data.hseq, data.perseq, 10, _Disagrees(), bound)
+        want = [
+            (key, pt)
+            for pt in space.points
+            if all(v <= bound for _, v in pt[1])
+            for key in ("h_sex", "u1", "h_emb")
+        ]
+        assert [(key, pt) for key, pt, _, _ in mismatches[: len(want)]] == want
+        assert [m[0] for m in mismatches[len(want) :]] == ["p_star", "sup_h_sex", "sup_h_emb"]
+
+
+def _crafted(ops, seq):
+    """The own terms and scan rows TruncatedOps.minimal_repair reads, for a
+    sequence given as seq(point, k) like the naive oracle's."""
+    points, horizons = ops.space.points, ops.horizons
+    own = [seq(pt, k) for pt, k in zip(points, horizons)]
+    rows = {i: [seq(points[q], horizons[i]) for q in rest] for i, rest in ops.wide.items()}
+    return own, rows
+
+
+def _example1_oracles():
+    data = scenario_data("example1")
+    space = build_space(data.diagram, 10, data.hseq, data.perseq)
+    assert data.diagram.depth == 2
+    return space, NaiveTruncatedOps(space), TruncatedOps(space)
+
+
+def test_repairs_fail_to_stabilize_after_the_same_rounds():
+    # a self term of -1 lowers every point by 1 a round down to the floor:
+    # from -1 a floor of -3 is reached in round 2 and kept in round 3, the
+    # last of depth + 1 = 3; a floor of -4 is still moving in round 3.  A
+    # self term of +1 never stops.
+    space, naive, ops = _example1_oracles()
+    for step, bottom, stable in [(-1, -3, True), (-1, -4, False), (1, 0, False)]:
+        seq = lambda pt, k: step
+        floor = dict.fromkeys(space.points, bottom)
+        args = _crafted(ops, seq) + ([bottom] * len(space.points),)
+        if stable:
+            want = naive.minimal_repair(seq, floor)
+            assert set(want.values()) == {bottom}
+            assert ops.minimal_repair(*args) == [want[pt] for pt in space.points]
+            continue
+        with pytest.raises(ArgumentError, match="^truncated repair iteration did not stabilize$"):
+            naive.minimal_repair(seq, floor)
+        with pytest.raises(ArgumentError, match="^truncated repair iteration did not stabilize$"):
+            ops.minimal_repair(*args)
+
+
+def test_repair_rounds_revisit_points_whose_scan_changed():
+    # the floor lifts the bottom to 1; the middle follows in round 1, and
+    # the top, which reads the bottom at -5 and the middle at 0, unchanged
+    # in round 1, follows in round 2
+    space, naive, ops = _example1_oracles()
+    top_k = space.horizon_base + 1  # the horizon of the one parameterless point
+
+    def seq(pt, k):
+        return -5 if pt[0] == "mu_bottom" and k == top_k else 0
+
+    floor = {pt: int(pt[0] == "mu_bottom") for pt in space.points}
+    want = naive.minimal_repair(seq, floor)
+    assert set(want.values()) == {1}
+    got = ops.minimal_repair(*_crafted(ops, seq), [floor[pt] for pt in space.points])
+    assert got == [want[pt] for pt in space.points]
 
 
 class _Visits(dict):
