@@ -565,6 +565,11 @@ class MeasureDiagram:
                 raise ArgumentError(
                     f"limit {f.limit} must carry the outer parameters of {f.member}"
                 )
+            for p, least in l.mins.items():  # every limit instance has members converging to it
+                if m.mins[p] > least:
+                    raise ArgumentError(
+                        f"{f.member}: parameter {p} starts above its limit {f.limit}'s"
+                    )
         for n in self.nodes:
             if n.params and n.node_id not in member_of:
                 raise ArgumentError(

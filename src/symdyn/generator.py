@@ -76,7 +76,7 @@ class _Names:
 
     def __init__(self, sft: SftSpec, code: BlockCode):
         self.sft = sft
-        index = {s: k for k, s in enumerate(sft.alphabet.symbols)}
+        index = sft._index
         self.labels = list(dict.fromkeys(label for _, label in code.table))
         label_code = {label: i for i, label in enumerate(self.labels, 1)}
         self.base = len(self.labels) + 1
@@ -102,23 +102,24 @@ class _Names:
         """(L, words, names) for L = 1..n: every admissible word of length L,
         dead ends included, and in the same order its name, which codes the
         labels of its windows left to right (0 while L < width).  Each level
-        grows from the one before along the automaton's edges and replaces
-        it; the lists are parallel, so a word costs no tuple."""
+        grows from the one before along the automaton's edges, in symbol
+        order, and replaces it; the lists are parallel, so a word costs no
+        tuple."""
         size, base, window_code = self.size, self.base, self.window_code
         span = size**self.width
-        edges = [[(k, t) for k, t in enumerate(row) if t >= 0] for row in self.sft._automaton.delta]
+        succ = self.sft._automaton.succ
         states, words, names = [0], [0], [0]  # the empty word at the root
         for L in range(1, n + 1):
             if L >= self.width:
                 names = [
                     m * base + window_code[(w * size + k) % span]
                     for s, w, m in zip(states, words, names)
-                    for k, _ in edges[s]
+                    for k in succ[s]
                 ]
-            words = [w * size + k for s, w in zip(states, words) for k, _ in edges[s]]
+            words = [w * size + k for s, w in zip(states, words) for k in succ[s]]
             if L < self.width:
                 names = [0] * len(words)
-            states = [t for s in states for _, t in edges[s]]
+            states = [t for s in states for t in succ[s].values()]
             yield L, words, names
 
 

@@ -4,22 +4,23 @@ A subshift is given by an alphabet and a finite set of forbidden words.
 Symbols are strings; for array systems truncated to K rows a symbol is a
 K-tuple of per-row symbols and the spec carries the row structure.
 
-Each spec is compiled once, on first use, and cached on the spec: its
-Aho-Corasick automaton (Aho & Corasick 1975), whose states are the proper
-prefixes of the forbidden words and whose transitions stop (-1) where a
-forbidden word would be completed.  Reading a word from the root decides
-``admits``; one depth-first walk along its edges in alphabet order,
-``words_up_to``, meets each word before its extensions; walks from the
-root counted by one vector pass give ``count_words``.  After L-1 symbols
-(L the longest forbidden word) the state is a function of them, so on the
-essential part of the automaton -- the states on bi-infinite paths -- the
-labelling is a conjugacy onto the subshift (Lind & Marcus, ch. 2-3):
-``transfer_graph`` and ``validate`` read that part, ``per_table`` takes
-the traces tr(A**n) of its adjacency matrix and Moebius-inverts them into
-minimal-period counts, and ``top_entropy`` brackets the growth of its row
-sums.  Orbits are named, by Lyndon words, only where their names are
-wanted: ``periodic_orbits`` keeps the Lyndon words of that walk, found by
-Duval's linear scan (Duval 1983).
+Each spec is compiled once, on first use, and cached on the spec: one
+labelled graph, the Aho-Corasick automaton of its forbidden words (Aho &
+Corasick 1975).  Its states are the proper prefixes of the forbidden words,
+and each state maps a symbol's index to the state one edge later; a symbol
+that would complete a forbidden word has no edge.  Reading a word from the
+root decides ``admits``; one depth-first walk along its edges in alphabet
+order, ``words_up_to``, meets each word before its extensions; walks from
+the root counted by one vector pass give ``count_words``.  After L-1
+symbols (L the longest forbidden word) the state is a function of them, so
+on the essential part of the graph -- the states on bi-infinite paths,
+with their edges and labels -- the labelling is a conjugacy onto the
+subshift (Lind & Marcus, ch. 2-3): ``validate`` reads that part,
+``per_table`` takes the traces tr(A**n) of its adjacency matrix and
+Moebius-inverts them into minimal-period counts, and ``top_entropy``
+brackets the growth of its row sums.  Orbits are named, by Lyndon words,
+only where their names are wanted: ``periodic_orbits`` keeps the Lyndon
+words of that walk, found by Duval's linear scan (Duval 1983).
 """
 
 from __future__ import annotations
@@ -112,14 +113,19 @@ class SftSpec:
                 raise ArgumentError("alphabet inconsistent with row structure")
 
     @cached_property
-    def _automaton(self) -> _Automaton:
-        return _aho_corasick(self.alphabet.symbols, self.forbidden)
+    def _index(self) -> dict:
+        """Each symbol's index k in the alphabet."""
+        return {s: k for k, s in enumerate(self.alphabet.symbols)}
+
+    @cached_property
+    def _automaton(self) -> _Graph:
+        return _aho_corasick(self._index, self.forbidden)
 
     @cached_property
     def _core(self) -> _Graph:
-        """The essential part of the automaton: the states on bi-infinite paths."""
-        auto = self._automaton
-        return _Graph(auto.states, tuple(tuple(t for t in row if t >= 0) for row in auto.delta)).essential()
+        """The essential part of the automaton: the states on bi-infinite
+        paths, with their labelled edges."""
+        return self._automaton.essential()
 
     @cached_property
     def memory(self) -> int:
@@ -132,14 +138,11 @@ class SftSpec:
         contains, say one that runs into a dead end, is admitted all the
         same.  A symbol outside the alphabet occurs in no admitted word, so
         a word holding one is refused."""
-        auto = self._automaton
+        succ, index = self._automaton.succ, self._index
         state = 0
         for s in w:
-            k = auto.index.get(s)
-            if k is None:
-                return False
-            state = auto.delta[state][k]
-            if state < 0:
+            state = succ[state].get(index.get(s))
+            if state is None:
                 return False
         return True
 
@@ -162,29 +165,18 @@ def golden_mean() -> SftSpec:
 
 
 # ---------------------------------------------------------------------------
-# the pattern automaton and its transfer graphs
+# the pattern automaton
 
 
-class _Automaton(NamedTuple):
-    """The Aho-Corasick automaton of a set of forbidden words.
-
-    states[0] is the root (); the others are the proper prefixes of
-    forbidden words reachable from it, in breadth-first order.
-    delta[i][k] is the state reached from states[i] by the k-th symbol --
-    the longest suffix of states[i] + (symbol,) that is a state -- or -1
-    when a suffix of that word is forbidden.  index maps symbols to k.
-    """
-
-    states: tuple
-    delta: tuple
-    index: dict
-
-
-def _aho_corasick(symbols: tuple, forbidden: frozenset) -> _Automaton:
-    """The trie of the forbidden words with failure links folded into the
-    transitions (Aho & Corasick 1975), cut down to the live states that the
-    root reaches."""
-    index = {s: k for k, s in enumerate(symbols)}
+def _aho_corasick(index: dict, forbidden: frozenset) -> _Graph:
+    """The Aho-Corasick automaton of the forbidden words (Aho & Corasick
+    1975) over the symbols of index, in their order: the trie with failure
+    links folded into the transitions, cut down to the live states that the
+    root reaches.  states[0] is the root (); the others are the proper
+    prefixes of forbidden words, in breadth-first order.  The k-edge of a
+    state leads to the longest suffix of state + (symbol k,) that is a
+    state, and is missing when a suffix of that word is forbidden."""
+    symbols = tuple(index)
     nodes = sorted({f[:i] for f in forbidden for i in range(len(f) + 1)} | {()}, key=len)
     trie = set(nodes)
     # row[p][k]: longest suffix of p + (symbols[k],) in the trie; fail[p]:
@@ -202,20 +194,21 @@ def _aho_corasick(symbols: tuple, forbidden: frozenset) -> _Automaton:
             if not dead[t] and t not in number:
                 number[t] = len(states)
                 states.append(t)
-    delta = tuple(tuple(-1 if dead[t] else number[t] for t in row[p]) for p in states)
-    return _Automaton(tuple(states), delta, index)
+    succ = tuple({k: number[t] for k, t in enumerate(row[p]) if not dead[t]} for p in states)
+    return _Graph(tuple(states), succ)
 
 
 class _Graph(NamedTuple):
-    """States with successor lists: succ[i] holds, with multiplicity, the
-    indices of the states one edge after states[i]."""
+    """A labelled graph: succ[i] maps each symbol index k to the state one
+    k-edge after states[i], in symbol order; a symbol with no edge has no
+    entry.  Two symbols may lead to the same state: each edge counts."""
 
     states: tuple
     succ: tuple
 
     def step(self, vec: list) -> list:
         """The adjacency matrix times vec."""
-        return [sum([vec[j] for j in outs]) for outs in self.succ]
+        return [sum([vec[j] for j in outs.values()]) for outs in self.succ]
 
     def traces(self, N: int) -> list:
         """[tr(A**n) for n = 0..N], each closed walk counted from its start:
@@ -226,35 +219,30 @@ class _Graph(NamedTuple):
             for n in range(1, N + 1):
                 nxt = {}
                 for j, c in vec.items():
-                    for k in self.succ[j]:
+                    for k in self.succ[j].values():
                         nxt[k] = nxt.get(k, 0) + c
                 vec = nxt
                 tr[n] += vec.get(i, 0)
         return tr
 
     def essential(self) -> "_Graph":
-        """The subgraph on the states that lie on bi-infinite paths."""
+        """The subgraph on the states that lie on bi-infinite paths, with
+        the labels of the edges between them."""
         alive, keep = None, set(range(len(self.states)))
         while keep != alive:
             alive = keep
-            entered = {j for i in alive for j in self.succ[i]}
-            keep = {i for i in alive & entered if not alive.isdisjoint(self.succ[i])}
+            entered = {j for i in alive for j in self.succ[i].values()}
+            keep = {i for i in alive & entered if not alive.isdisjoint(self.succ[i].values())}
         order = sorted(alive)
         new = {old: i for i, old in enumerate(order)}
         return _Graph(
             tuple(self.states[i] for i in order),
-            tuple(tuple(new[j] for j in self.succ[i] if j in alive) for i in order),
+            tuple({k: new[j] for k, j in self.succ[i].items() if j in alive} for i in order),
         )
 
 
-def transfer_graph(sft: SftSpec) -> _Graph:
-    """The essential part of the spec's automaton, computed once per spec:
-    its closed walks of length n are the points of period n."""
-    return sft._core
-
-
 def language_nonempty(sft: SftSpec) -> bool:
-    return len(transfer_graph(sft).states) > 0
+    return len(sft._core.states) > 0
 
 
 def validate(sft: SftSpec) -> None:
@@ -271,17 +259,16 @@ def words_up_to(sft: SftSpec, n: int):
     """
     if n < 1:
         return
-    symbols, delta = sft.alphabet.symbols, sft._automaton.delta
-    branches = [((), iter(zip(symbols, delta[0])))]  # (a word, the edges still to try after it)
+    symbols, succ = sft.alphabet.symbols, sft._automaton.succ
+    branches = [((), iter(succ[0].items()))]  # (a word, the edges still to try after it)
     while branches:
         prefix, edges = branches[-1]
-        for s, t in edges:
-            if t >= 0:
-                w = prefix + (s,)
-                yield w
-                if len(w) < n:
-                    branches.append((w, iter(zip(symbols, delta[t]))))
-                    break
+        for k, t in edges:
+            w = prefix + (symbols[k],)
+            yield w
+            if len(w) < n:
+                branches.append((w, iter(succ[t].items())))
+                break
         else:  # position exhausted: back up one letter
             branches.pop()
 
@@ -295,11 +282,11 @@ def word_counts(sft: SftSpec, n: int) -> list:
     """The numbers of admissible words of lengths 0..n, in one vector pass:
     after m steps vec[i] counts the walks of length m from state i, and the
     root's entry counts the words of length m."""
-    delta = sft._automaton.delta
-    vec = [1] * len(delta)
+    auto = sft._automaton
+    vec = [1] * len(auto.states)
     counts = [1]
     for _ in range(n):
-        vec = [sum([vec[t] for t in row if t >= 0]) for row in delta]
+        vec = auto.step(vec)
         counts.append(vec[0])
     return counts
 

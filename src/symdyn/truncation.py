@@ -72,8 +72,9 @@ def build_space(diagram: MeasureDiagram, T: int, *seqs) -> TruncatedSpace:
     Outer parameters run to T, inner parameters to 6T + 2C + 4 so that the
     inner tail windows clear every evaluation horizon reachable from outer
     parameter values.  A class's points are its box, row-major.  Every
-    point a scan reads must lie in a box: a parameter may not start past
-    its tail window, nor a member's outer parameter above its limit's.
+    point a scan reads must lie in a box, so a parameter may not start past
+    its tail window; a member's outer parameter starts no higher than its
+    limit's, as ``MeasureDiagram`` requires.
     """
     if T < 4:
         raise ArgumentError("truncation too small to carry tail windows")
@@ -93,13 +94,6 @@ def build_space(diagram: MeasureDiagram, T: int, *seqs) -> TruncatedSpace:
         boxes[node.node_id] = (len(points), ranges)
         pairs = [[(p, v) for v in r] for p, r in zip(node.params, ranges)]
         points += zip(repeat(node.node_id), product(*pairs))
-    for fam in diagram.families:
-        member, limit = diagram.node(fam.member), diagram.node(fam.limit)
-        for p in limit.params:
-            if member.mins[p] > limit.mins[p]:
-                raise ArgumentError(
-                    f"{fam.member}: parameter {p} starts above its limit {fam.limit}'s"
-                )
     return TruncatedSpace(diagram, truncs, tuple(points), C, boxes)
 
 

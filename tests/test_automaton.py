@@ -37,7 +37,8 @@ from symdyn.sft import (
     word,
     words_of_length,
 )
-from test_sft import naive_admits
+from test_generator import delayed_copy_system
+from test_sft import naive_admits, random_specs, trace_specs
 
 
 class BlockGraph(NamedTuple):
@@ -241,6 +242,37 @@ def test_automaton_matches_block_graph_and_scans():
         for n in range(0, 5):
             for w in itertools.product(spec.alphabet.symbols, repeat=n):
                 assert spec.admits(w) == naive_admits(spec, w)
+
+
+def closed_walk_labels(graph, symbols, n):
+    """The label sequences of the closed walks of n edges, one per walk and
+    its start state."""
+    labels = []
+    for start in range(len(graph.states)):
+        frontier = [(start, ())]
+        for _ in range(n):
+            frontier = [(t, w + (symbols[k],)) for s, w in frontier for k, t in graph.succ[s].items()]
+        labels += [w for s, w in frontier if s == start]
+    return labels
+
+
+def test_core_edges_carry_the_labels_of_the_periodic_points():
+    dead_end = SftSpec(Alphabet(("0", "1", "2")), frozenset({word("20"), word("21"), word("22")}))
+    specs = [
+        full_shift("01"),
+        dead_end,
+        delayed_copy_system(2),
+        *random_specs(17, 40),
+        *trace_specs(23, 40),
+        *(spec for spec in SPECS if 0 < len(spec._core.states) < len(spec._automaton.states)),
+    ]
+    for spec in specs:
+        symbols = spec.alphabet.symbols
+        for graph in (spec._automaton, spec._core):
+            assert all(list(outs) == sorted(outs) for outs in graph.succ)  # edges in symbol order
+        for n in range(1, 7):
+            periodic = [w for w in itertools.product(symbols, repeat=n) if spec.admits_cyclic(w)]
+            assert sorted(closed_walk_labels(spec._core, symbols, n)) == sorted(periodic)
 
 
 @pytest.mark.parametrize("tolerance", [Fraction(1, 20), Fraction(1, 100), Fraction(1, 1000)])

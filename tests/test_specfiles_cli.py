@@ -655,6 +655,40 @@ def test_spec_errors_name_the_field_path(tmp_path, payload, message):
         load_spec(write(tmp_path, "spec.json", payload))
 
 
+def example1_with_mins(middle, bottom):
+    """Example 1's shape, with zero entropies and the given parameter minima."""
+    return {
+        "kind": "diagram",
+        "version": 1,
+        "nodes": [
+            {"id": "mu0"},
+            {"id": "mu_middle", "params": ["m"], "param_mins": middle},
+            {"id": "mu_bottom", "params": ["m", "j"], "param_mins": bottom},
+        ],
+        "families": [
+            {"member": "mu_bottom", "parameter": "j", "limit": "mu_middle"},
+            {"member": "mu_middle", "parameter": "m", "limit": "mu0"},
+        ],
+        "h": {"mu0": "0", "mu_middle": "0", "mu_bottom": "0"},
+        "ptail": {
+            "mu0": "0",
+            "mu_middle": {"lo": "1", "tau": {"m": 1}, "hi": "0"},
+            "mu_bottom": {"lo": "1", "tau": {"j": 1}, "hi": "0"},
+        },
+    }
+
+
+def test_a_member_starting_above_its_limit_exits_3(tmp_path):
+    # no member converges to mu_middle(1) or mu_middle(2), so the family envelope has nothing to read there
+    path = write(tmp_path, "above.json", example1_with_mins([1], [3, 1]))
+    assert run_cli(["diagram", "analyze", "--spec", path]) == (
+        3, "", "error: diagram: mu_bottom: parameter m starts above its limit mu_middle's\n"
+    )
+    # a member may start lower than its limit
+    path = write(tmp_path, "lower.json", example1_with_mins([3], [1, 1]))
+    assert run_cli(["diagram", "analyze", "--spec", path])[0] == 0
+
+
 def test_scenario_spec_kind_is_unknown(tmp_path):
     path = write(tmp_path, "s.json", {"kind": "scenario", "version": 1, "name": "example1"})
     code, _, err = run_cli(["diagram", "analyze", "--spec", path])

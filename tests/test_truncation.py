@@ -197,10 +197,10 @@ def test_boxes_that_miss_a_scanned_point_are_refused():
     late = _with_mins(data.diagram, lambda n: (7,) * len(n.params))
     with pytest.raises(ArgumentError, match="mu_bottom: parameter m starts past its tail window"):
         build_space(late, 10, *args)
-    # mu_middle(1) and mu_middle(2) would scan mu_bottom(1, j) and mu_bottom(2, j)
-    above = _with_mins(data.diagram, lambda n: (3, 1) if len(n.params) == 2 else (1,) * len(n.params))
+    # mu_middle(1) and mu_middle(2) would scan mu_bottom(1, j) and mu_bottom(2, j),
+    # which do not exist: the diagram itself is refused
     with pytest.raises(ArgumentError, match="mu_bottom: parameter m starts above its limit mu_middle's"):
-        build_space(above, 10, *args)
+        _with_mins(data.diagram, lambda n: (3, 1) if len(n.params) == 2 else (1,) * len(n.params))
 
 
 class _Disagrees:
