@@ -10,15 +10,17 @@ Corasick 1975).  Its states are the proper prefixes of the forbidden words,
 and each state maps a symbol's index to the state one edge later; a symbol
 that would complete a forbidden word has no edge.  Reading a word from the
 root decides ``admits``; one depth-first walk along its edges in alphabet
-order, ``words_up_to``, meets each word before its extensions; walks from
-the root counted by one vector pass give ``count_words``.  After L-1
-symbols (L the longest forbidden word) the state is a function of them, so
-on the essential part of the graph -- the states on bi-infinite paths,
-with their edges and labels -- the labelling is a conjugacy onto the
-subshift (Lind & Marcus, ch. 2-3): ``validate`` reads that part,
-``per_table`` takes the traces tr(A**n) of its adjacency matrix and
-Moebius-inverts them into minimal-period counts, and ``top_entropy``
-brackets the growth of its row sums.  Orbits are named, by Lyndon words,
+order, ``words_up_to``, meets each word before its extensions; a sparse
+vector of walk counts stepped forward from the root gives ``count_words``.
+After L-1 symbols (L the longest forbidden word) the state is a function
+of them, so on the essential part of the graph -- the states on
+bi-infinite paths, with their edges and labels -- the labelling is a
+conjugacy onto the subshift (Lind & Marcus, ch. 2-3): ``validate`` reads
+that part, ``per_table`` takes the traces tr(A**n) of its adjacency matrix
+and Moebius-inverts them into minimal-period counts, and ``top_entropy``
+brackets the growth of its row sums, on integers: one certified floor of
+a logarithm per endpoint, and the bracket kept as numerator/denominator
+pairs until it is returned.  Orbits are named, by Lyndon words,
 only where their names are wanted: ``periodic_orbits`` keeps the Lyndon
 words of that walk, found by Duval's linear scan (Duval 1983).
 """
@@ -279,15 +281,20 @@ def words_of_length(sft: SftSpec, n: int):
 
 
 def word_counts(sft: SftSpec, n: int) -> list:
-    """The numbers of admissible words of lengths 0..n, in one vector pass:
-    after m steps vec[i] counts the walks of length m from state i, and the
-    root's entry counts the words of length m."""
-    auto = sft._automaton
-    vec = [1] * len(auto.states)
+    """The numbers of admissible words of lengths 0..n: a sparse vector
+    stepped forward from the root, whose entry at a state after m steps
+    counts the words of length m that end there, so the words of length m
+    are its sum.  Only the states the root reaches by then cost."""
+    succ = sft._automaton.succ
+    vec = {0: 1}
     counts = [1]
     for _ in range(n):
-        vec = auto.step(vec)
-        counts.append(vec[0])
+        nxt = {}
+        for j, c in vec.items():
+            for k in succ[j].values():
+                nxt[k] = nxt.get(k, 0) + c
+        vec = nxt
+        counts.append(sum(vec.values()))
     return counts
 
 
@@ -454,37 +461,34 @@ _LOG_SCALE = 1 << _LOG_SQUARINGS
 _MANTISSA_BITS = 64
 
 
-def _mantissa(v: int, up: bool) -> tuple[int, int]:
-    """(m, s) with m <= 2**_MANTISSA_BITS and m * 2**s <= v, or >= v if up."""
-    s = max(0, v.bit_length() - _MANTISSA_BITS)
-    m = v >> s
-    return (m + 1 if up and m << s != v else m), s
+def _floor_log2_power(x: int) -> tuple[int, bool]:
+    """(b, exact) with b = floor(log2(x**_LOG_SCALE)) for an x >= 1, and
+    exact whether x is a power of two, so that log2(x) = b/_LOG_SCALE.
 
-
-def _floor_log2_power_bound(x: int, up: bool) -> int:
-    """floor(log2(y)) for a y <= x**_LOG_SCALE (y >= x**_LOG_SCALE if up),
-    from repeated squaring of a mantissa rounded the same way at every step."""
-    m, e = _mantissa(x, up)
-    for _ in range(_LOG_SQUARINGS):
-        m, s = _mantissa(m * m, up)
-        e = 2 * e + s
-    return m.bit_length() - 1 + e
-
-
-def _log2_bracket(x: int) -> tuple[Fraction, Fraction]:
-    """Rational lo <= log2(x) <= hi with width 1/_LOG_SCALE, certified.
-
-    2**b <= x**K < 2**(b+1) gives b/K <= log2(x) < (b+1)/K.  b is read off
-    a lower and an upper bound of x**K; only when x**K lies so close to a
-    power of two that the two disagree is x**K computed exactly.
+    Otherwise 2**b <= x**K < 2**(b+1) gives b/K <= log2(x) < (b+1)/K.  A
+    lower and an upper mantissa of x, of _MANTISSA_BITS bits, are squared
+    together and shifted by the same amount, rounded down and up, so that
+    lo * 2**e <= x**K <= hi * 2**e at every step; b is read off both, and
+    only when x**K lies so close to a power of two that they disagree is
+    x**K computed exactly.
     """
-    if x & (x - 1) == 0:  # power of two: exact
-        e = x.bit_length() - 1
-        return Fraction(e), Fraction(e)
-    b = _floor_log2_power_bound(x, up=False)
-    if b != _floor_log2_power_bound(x, up=True):
+    if x & (x - 1) == 0:
+        return (x.bit_length() - 1) << _LOG_SQUARINGS, True
+    e = max(0, x.bit_length() - _MANTISSA_BITS)
+    lo, hi = x >> e, -(-x >> e)
+    for _ in range(_LOG_SQUARINGS):
+        lo *= lo
+        hi *= hi
+        e += e
+        s = hi.bit_length() - _MANTISSA_BITS
+        if s > 0:
+            lo >>= s
+            hi = -(-hi >> s)
+            e += s
+    b = lo.bit_length() - 1 + e
+    if b != hi.bit_length() - 1 + e:
         b = (x**_LOG_SCALE).bit_length() - 1
-    return Fraction(b, _LOG_SCALE), Fraction(b + 1, _LOG_SCALE)
+    return b, False
 
 
 def top_entropy(
@@ -497,22 +501,36 @@ def top_entropy(
     For a nonnegative matrix with all row sums in [a, b] the spectral
     radius lies in [a, b]; applying this to powers of the transfer matrix
     gives brackets [log2(min rowsum)/n, log2(max rowsum)/n] whose
-    intersection over n encloses the entropy.  Returns the widest-effort
-    bracket with ``tolerance_met=False`` if the cap depth is reached first.
+    intersection over n encloses the entropy.  Each endpoint is rounded
+    outward to a multiple of 1/(_LOG_SCALE n) by one ``_floor_log2_power``
+    call, and the best endpoints are compared as integer numerator /
+    denominator pairs.  Returns the widest-effort bracket with
+    ``tolerance_met=False`` if the cap depth is reached first.
     """
     if tolerance < 0:
         raise ArgumentError(f"tolerance must be >= 0, got {tolerance}")
+    if depth_cap < 1:
+        raise ArgumentError(f"depth cap must be >= 1, got {depth_cap}")
     core = sft._core
     if not core.states:
         raise ArgumentError("empty subshift has no entropy")
+    try:
+        tn, td = tolerance.as_integer_ratio()
+    except (OverflowError, ValueError):  # an infinite or NaN float
+        raise ArgumentError(f"tolerance must be finite, got {tolerance}") from None
     vec = [1] * len(core.states)  # A**n applied to the ones vector
-    lo_best, hi_best = Fraction(0), None
+    lo, lo_den, hi, hi_den = 0, 1, None, 1  # the best bracket: lo/lo_den, hi/hi_den
     for n in range(1, depth_cap + 1):
         vec = core.step(vec)
-        lo_n = _log2_bracket(min(vec))[0] / n
-        hi_n = _log2_bracket(max(vec))[1] / n
-        lo_best = max(lo_best, lo_n)
-        hi_best = hi_n if hi_best is None else min(hi_best, hi_n)
-        if hi_best - lo_best <= tolerance:
-            return EntropyBracket(lo_best, hi_best, True)
-    return EntropyBracket(lo_best, hi_best, False)
+        den = n << _LOG_SQUARINGS
+        b, _ = _floor_log2_power(min(vec))
+        if b * lo_den > lo * den:
+            lo, lo_den = b, den
+        b, exact = _floor_log2_power(max(vec))
+        if not exact:
+            b += 1  # log2 < (b + 1)/_LOG_SCALE
+        if hi is None or b * hi_den < hi * den:
+            hi, hi_den = b, den
+        if (hi * lo_den - lo * hi_den) * td <= tn * hi_den * lo_den:
+            return EntropyBracket(Fraction(lo, lo_den), Fraction(hi, hi_den), True)
+    return EntropyBracket(Fraction(lo, lo_den), Fraction(hi, hi_den), False)

@@ -4,7 +4,9 @@ The references below are the earlier implementations, kept verbatim in
 substance: the (L-1)-block graph with its sparse-vector traces and its
 row-sum entropy bracket, the iterative prefix walk that tested each new
 suffix with the forbidden-word scan, and the generator checks that built
-every label name as a tuple.
+every label name as a tuple.  The Fraction entropy loop and the word
+counts over every automaton state, from ``test_sft``, are checked here on
+the pools of both files.
 """
 
 import itertools
@@ -18,6 +20,7 @@ import pytest
 
 from symdyn.entropy import EntropyBracket
 from symdyn.errors import ArgumentError, ResourceCapError
+from symdyn import generator, sft
 from symdyn.generator import (
     DEFAULT_WORD_CAP,
     block_code,
@@ -27,18 +30,27 @@ from symdyn.generator import (
 from symdyn.sft import (
     Alphabet,
     SftSpec,
-    _log2_bracket,
     _mobius,
     count_words,
     full_shift,
+    golden_mean,
     language_nonempty,
     per_table,
+    periodic_orbits,
     top_entropy,
     word,
+    word_counts,
     words_of_length,
 )
 from test_generator import delayed_copy_system
-from test_sft import naive_admits, random_specs, trace_specs
+from test_sft import (
+    naive_admits,
+    naive_log2_bracket,
+    naive_top_entropy,
+    naive_word_counts,
+    random_specs,
+    trace_specs,
+)
 
 
 class BlockGraph(NamedTuple):
@@ -146,8 +158,8 @@ def block_top_entropy(spec, tolerance, depth_cap):
     lo_best, hi_best = Fraction(0), None
     for n in range(1, depth_cap + 1):
         vec = core.step(vec)
-        lo_n = _log2_bracket(min(vec))[0] / n
-        hi_n = _log2_bracket(max(vec))[1] / n
+        lo_n = naive_log2_bracket(min(vec))[0] / n
+        hi_n = naive_log2_bracket(max(vec))[1] / n
         lo_best = max(lo_best, lo_n)
         hi_best = hi_n if hi_best is None else min(hi_best, hi_n)
         if hi_best - lo_best <= tolerance:
@@ -284,6 +296,105 @@ def test_entropy_bracket_matches_block_graph(tolerance):
             else:
                 with pytest.raises(ArgumentError, match="empty subshift has no entropy"):
                     top_entropy(spec, tolerance, depth_cap)
+
+
+# the 12 primitive specs of the orbits benchmark at seed 1 (six distinct)
+BENCH_PRIMITIVES = [
+    SftSpec(Alphabet(("0", "1")), frozenset(map(word, forbidden)))
+    for forbidden in (
+        ["11"], ["11"], ["11"], ["010"], ["11"], ["010"],
+        ["111"], ["00", "000"], ["010"], ["101", "11", "111"], ["11"], ["101", "11", "111"],
+    )
+]
+EMPTY = SftSpec(Alphabet(("0", "1")), frozenset({word("0"), word("1")}))
+DEAD_END = SftSpec(Alphabet(("0", "1", "2")), frozenset({word("20"), word("21"), word("22")}))
+POOL = [
+    full_shift("01"),  # every row sum a power of two: hi is exact
+    full_shift("0123"),
+    golden_mean(),
+    DEAD_END,  # its core is the full 2-shift
+    EMPTY,
+    delayed_copy_system(2),
+    delayed_copy_system(3),
+    *random_specs(17, 40),
+    *trace_specs(23, 40),
+    *SPECS,
+    *BENCH_PRIMITIVES,
+]
+
+
+def test_pool_covers_exact_hi_dead_ends_and_empty_languages():
+    assert sum(not language_nonempty(spec) for spec in POOL) >= 10
+    assert sum(0 < len(spec._core.states) < len(spec._automaton.states) for spec in POOL) >= 10
+    assert top_entropy(full_shift("01"), 0, 5) == EntropyBracket(Fraction(1), Fraction(1), True)
+    assert top_entropy(DEAD_END, 0, 5) == EntropyBracket(Fraction(1), Fraction(1), True)
+
+
+@pytest.mark.parametrize(
+    "tolerance", [Fraction(0), Fraction(1, 1000), Fraction(1, 100), Fraction(1, 20), Fraction(1, 2), 0.01]
+)
+def test_entropy_bracket_matches_the_fraction_loop(tolerance):
+    for spec in POOL:
+        for depth_cap in (1, 40, 160):
+            if language_nonempty(spec):
+                assert top_entropy(spec, tolerance, depth_cap) == naive_top_entropy(spec, tolerance, depth_cap)
+            else:
+                with pytest.raises(ArgumentError, match="empty subshift has no entropy"):
+                    top_entropy(spec, tolerance, depth_cap)
+
+
+def test_word_counts_match_the_all_states_pass():
+    for spec in POOL:
+        for n in range(0, 9):
+            assert word_counts(spec, n) == naive_word_counts(spec, n)
+    assert word_counts(EMPTY, 8) == [1] + [0] * 8
+
+
+def refusal(run):
+    try:
+        run()
+    except ResourceCapError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("cap", [0, 3, 10, 60])
+def test_word_cap_refusals_match_the_all_states_counts(cap, monkeypatch):
+    """Each check refuses with the same message at the same length when its
+    counts come from the all-states pass, and refuses before it builds a
+    level of its walk."""
+    rng = random.Random(cap)
+    walked = []
+
+    def walks(method):
+        def counted(*args, **kwargs):
+            walked.append(method)
+            return method(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(generator._Names, "levels", walks(generator._Names.levels))
+    monkeypatch.setattr(sft, "words_up_to", walks(sft.words_up_to))
+    monkeypatch.setattr(sft, "DEFAULT_WORD_CAP", cap)  # periodic_orbits reads the module's cap
+    outcomes = []
+    for spec in POOL:
+        code = random_code(rng, spec, rng.randint(0, 1))
+        runs = [
+            lambda: extract_generator(spec, code, 3, 1, cap),
+            lambda: partition_to_extension(spec, code, 3, cap),
+            lambda: periodic_orbits(spec, 6),
+        ]
+        for run in runs:
+            with monkeypatch.context() as parent:
+                parent.setattr(generator, "word_counts", naive_word_counts)
+                parent.setattr(sft, "word_counts", naive_word_counts)
+                expected = refusal(run)
+            del walked[:]
+            outcomes.append(refusal(run))
+            assert outcomes[-1] == expected
+            if expected is not None:
+                assert not walked
+    assert any(o is None for o in outcomes) and any(o is not None for o in outcomes)
 
 
 def test_symbols_outside_the_alphabet_are_refused():

@@ -1,18 +1,22 @@
 import itertools
+import math
 import random
 import sys
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import bracket_contains, necklace_count
-from symdyn.entropy import EntropyValue
+from symdyn.entropy import EntropyBracket, EntropyValue
 from symdyn.errors import ArgumentError, ResourceCapError
 from symdyn.sft import (
     _duval,
-    _log2_bracket,
+    _floor_log2_power,
+    _LOG_SCALE,
+    _LOG_SQUARINGS,
+    _MANTISSA_BITS,
     Alphabet,
     PeriodicOrbit,
     SftSpec,
@@ -81,6 +85,73 @@ def naive_enumerate_periodic(sft, n, cap=DEFAULT_PERIOD_CAP):
     ]
     out.sort()
     return out
+
+
+def naive_step(graph, vec):
+    """Reference: the adjacency matrix times vec, one sum per state."""
+    return [sum([vec[j] for j in outs.values()]) for outs in graph.succ]
+
+
+def naive_word_counts(sft, n):
+    """Reference: the numbers of words of lengths 0..n from a vector over
+    every automaton state, stepped n times; after m steps vec[i] counts the
+    walks of length m from state i, and the root's entry the words."""
+    auto = sft._automaton
+    vec = [1] * len(auto.states)
+    counts = [1]
+    for _ in range(n):
+        vec = naive_step(auto, vec)
+        counts.append(vec[0])
+    return counts
+
+
+def naive_mantissa(v, up):
+    """(m, s) with m <= 2**_MANTISSA_BITS and m * 2**s <= v, or >= v if up."""
+    s = max(0, v.bit_length() - _MANTISSA_BITS)
+    m = v >> s
+    return (m + 1 if up and m << s != v else m), s
+
+
+def naive_floor_log2_power_bound(x, up):
+    """floor(log2(y)) for a y <= x**_LOG_SCALE (y >= x**_LOG_SCALE if up),
+    from repeated squaring of a mantissa rounded the same way at every step."""
+    m, e = naive_mantissa(x, up)
+    for _ in range(_LOG_SQUARINGS):
+        m, s = naive_mantissa(m * m, up)
+        e = 2 * e + s
+    return m.bit_length() - 1 + e
+
+
+def naive_log2_bracket(x):
+    """Reference: rational lo <= log2(x) <= hi with width 1/_LOG_SCALE, from
+    a lower and an upper bound of x**_LOG_SCALE squared apart, and the exact
+    power where they disagree."""
+    if x & (x - 1) == 0:
+        e = x.bit_length() - 1
+        return Fraction(e), Fraction(e)
+    b = naive_floor_log2_power_bound(x, up=False)
+    if b != naive_floor_log2_power_bound(x, up=True):
+        b = (x**_LOG_SCALE).bit_length() - 1
+    return Fraction(b, _LOG_SCALE), Fraction(b + 1, _LOG_SCALE)
+
+
+def naive_top_entropy(sft, tolerance, depth_cap):
+    """Reference: the row-sum bracket on the essential automaton in Fraction
+    arithmetic, two log brackets per depth step."""
+    core = sft._core
+    if not core.states:
+        raise ArgumentError("empty subshift has no entropy")
+    vec = [1] * len(core.states)
+    lo_best, hi_best = Fraction(0), None
+    for n in range(1, depth_cap + 1):
+        vec = naive_step(core, vec)
+        lo_n = naive_log2_bracket(min(vec))[0] / n
+        hi_n = naive_log2_bracket(max(vec))[1] / n
+        lo_best = max(lo_best, lo_n)
+        hi_best = hi_n if hi_best is None else min(hi_best, hi_n)
+        if hi_best - lo_best <= tolerance:
+            return EntropyBracket(lo_best, hi_best, True)
+    return EntropyBracket(lo_best, hi_best, False)
 
 
 def brute_force_minimal_period_count(sft, n):
@@ -260,8 +331,6 @@ def test_top_entropy_examples():
     assert top_entropy(full_shift("01")) == EntropyBracket_exact(1)
     single = SftSpec(Alphabet(("0",)))
     assert top_entropy(single) == EntropyBracket_exact(0)
-    import math
-
     bracket = top_entropy(golden_mean())
     phi = math.log2((1 + math.sqrt(5)) / 2)
     assert bracket.tolerance_met and bracket.width <= Fraction(1, 100)
@@ -482,12 +551,36 @@ def log_bracket_inputs(draw):
     return draw(st.one_of(st.integers(1, 2**k), st.sampled_from([2**k - 1, 2**k + 1])))
 
 
+def least_root_above(m):
+    """The least x with x**1024 >= 2**m: ten nested ceilings of square roots."""
+    x = 1 << m
+    for _ in range(10):
+        x = math.isqrt(x - 1) + 1
+    return x
+
+
 @given(log_bracket_inputs())
+@example(2**4096 - 1)  # 2**k - 1, k > 64: the mantissa bounds disagree, so the exact power is taken
+@example(2**1000 - 1)
+@example(2**4096 + 1)
+@example(2**1000 + 1)
+@example(least_root_above(1024 * 200 + 1))  # x**1024 just above 2**m: the lower bound misses
+@example(least_root_above(1024 * 90 + 500))  # it, and only the exact power finds b = m
 @settings(max_examples=120, deadline=None)
 def test_log2_bracket_matches_exact_power(x):
-    lo, hi = _log2_bracket(x)
-    if x & (x - 1) == 0:
-        assert lo == hi == x.bit_length() - 1
-    else:
-        b = (x**1024).bit_length() - 1  # the exact 1024th power
-        assert (lo, hi) == (Fraction(b, 1024), Fraction(b + 1, 1024))
+    b, exact = _floor_log2_power(x)
+    assert exact == (x & (x - 1) == 0)
+    assert b == (x**1024).bit_length() - 1  # the exact 1024th power
+    assert naive_log2_bracket(x) == (Fraction(b, 1024), Fraction(b + (not exact), 1024))
+
+
+def test_top_entropy_refuses_a_depth_cap_below_one():
+    for cap in (0, -1, -160):
+        with pytest.raises(ArgumentError, match=f"^depth cap must be >= 1, got {cap}$"):
+            top_entropy(golden_mean(), Fraction(1, 100), depth_cap=cap)
+    assert top_entropy(golden_mean(), Fraction(1, 100), depth_cap=1) == EntropyBracket(
+        Fraction(0), Fraction(1), False
+    )
+    for tol in (float("inf"), float("nan")):
+        with pytest.raises(ArgumentError, match="^tolerance must be finite"):
+            top_entropy(golden_mean(), tol)
