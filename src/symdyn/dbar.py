@@ -157,9 +157,7 @@ def dbar_mixture(mu: OrbitMixture, nu: OrbitMixture) -> Fraction:
     orbits_b = [o for o, _ in nu.parts]
     weights_a = [w for _, w in mu.parts]
     weights_b = [w for _, w in nu.parts]
-    denom = 1
-    for w in weights_a + weights_b:
-        denom = denom * w.denominator // gcd(denom, w.denominator)
+    denom = lcm(*(w.denominator for w in weights_a + weights_b))
     supply = [int(w * denom) for w in weights_a]
     demand = [int(w * denom) for w in weights_b]
     cost = [[dbar_periodic(a, b) for b in orbits_b] for a in orbits_a]

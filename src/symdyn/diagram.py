@@ -11,18 +11,14 @@ A(m_r, j_r) with m_r -> infinity converges to z, whatever j_r does.
 Functions on a diagram are piecewise constant with guards comparing one
 parameter against a linear expression in the others; sequences indexed by
 k take one value below a linear threshold in the parameters and another
-above.  Everything is exact: values are Fractions (or +infinity), guard
-satisfiability is decided in closed form, one integer interval per residue
-class of a parameter mod 6, never by floats.  The one infinity is
-EntropyValue.infinity() (exported here as INF): `+` and `-` absorb it, and
-`v is INF` tests for it.
-
-The algebra only adds, subtracts, takes maxima and compares values, so it
-runs unchanged on any common multiple of them.  An analysis (the entry
-points of `envelope`) writes every value it receives as an integer
-numerator over one scale D, the lcm of their denominators, and divides
-back where a value leaves: values are Fractions at every boundary.  Inside
-one analysis, `feasibility_memo` remembers each guard set's answer.
+above.  Everything is exact: guard satisfiability is decided in closed
+form, one integer interval per residue class of a parameter mod 6, never
+by floats.  Values are exact numbers, ints or Fractions, or +infinity,
+kept as given: no constructor converts them, and `exact` refuses any
+other value where a sequence or an analysis first reads it.  The one
+infinity is EntropyValue.infinity() (exported here as INF): `+` and `-`
+absorb it, and `v is INF` tests for it.  Inside one analysis,
+`feasibility_memo` remembers each guard set's answer.
 """
 
 from __future__ import annotations
@@ -42,8 +38,11 @@ MAX_COEFF = 3
 _SLOPE_STEP = 6  # lcm of admissible coefficient denominators 1..3
 
 
-def as_val(x):
-    return x if x is INF else Fraction(x)
+def exact(v):
+    """v itself when it is an exact value: an int, a Fraction or INF."""
+    if v is INF or isinstance(v, (int, Fraction)) and not isinstance(v, bool):
+        return v
+    raise ArgumentError(f"diagram values must be exact (int, Fraction or INF), not {v!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -302,30 +301,18 @@ class FnSpec:
 
 
 def const_fn(v) -> FnSpec:
-    return _const(as_val(v))
+    return FnSpec((((), v),))
 
 
 def step_fn(var: str, tau: Lin, lo, hi) -> FnSpec:
     """Value lo while var < tau, hi afterwards."""
-    return _step(var, tau, as_val(lo), as_val(hi))
-
-
-# const_fn and step_fn without the normalisation, for values that already
-# are Fractions, INF or scaled integer numerators
-
-
-def _const(v) -> FnSpec:
-    return FnSpec((((), v),))
-
-
-def _step(var: str, tau: Lin, lo, hi) -> FnSpec:
     return FnSpec((((Atom(var, True, tau),), lo), ((Atom(var, False, tau),), hi)))
 
 
 def _collapse(pieces) -> FnSpec:
     """One constant piece when all values agree, else the pieces as given."""
     if all(v == pieces[0][1] for _, v in pieces):
-        return _const(pieces[0][1])
+        return const_fn(pieces[0][1])
     return FnSpec(tuple(pieces))
 
 
@@ -436,20 +423,6 @@ class SeqSpec:
     tau: Lin
     hi: object
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", as_val(self.lo))
-        object.__setattr__(self, "hi", as_val(self.hi))
-
-    @classmethod
-    def _of(cls, lo, tau: Lin, hi) -> "SeqSpec":
-        """The spec with lo and hi kept as given: already Fractions or INF,
-        or scaled integer numerators that the constructor would turn back
-        into Fractions."""
-        s = cls.__new__(cls)
-        for name, v in (("lo", lo), ("tau", tau), ("hi", hi)):
-            object.__setattr__(s, name, v)
-        return s
-
     @property
     def limit(self):
         """Pointwise limit in k at any fixed parameters."""
@@ -463,19 +436,19 @@ class SeqSpec:
         which is enumerated one outer value at a time.
         """
         if not self.tau.coeffs:
-            return _const(self.lo if k < self.tau.const else self.hi)
+            return const_fn(self.lo if k < self.tau.const else self.hi)
         if len(self.tau.coeffs) == 1:
             p, c = self.tau.coeffs[0]
             # k < c*p + const  <=>  p > (k - const)/c  <=>  p >= floor(...) + 1
             thr = (k - self.tau.const) // c + 1
-            return _step(p, lin(max(thr, 0)), self.hi, self.lo)  # p < thr: k >= tau
+            return step_fn(p, lin(max(thr, 0)), self.hi, self.lo)  # p < thr: k >= tau
         (p, a), (q, b) = self.tau.coeffs
         mins = mins or {}
         p_min, q_min = mins.get(p, 1), mins.get(q, 1)
         bound = k - self.tau.const  # settled (hi) region: a*p + b*q <= bound
         p_max = (bound - b * q_min) // a
         if p_max < p_min:
-            return _const(self.lo)
+            return const_fn(self.lo)
         pieces = []
         for p0 in range(p_min, p_max + 1):
             q_thr = (bound - a * p0) // b + 1  # q < q_thr: settled
@@ -672,9 +645,10 @@ class SeqOnDiagram:
         if self.monotone not in ("nonincreasing", "nondecreasing"):
             raise ArgumentError("declare the monotone direction")
         for nid, s in self.specs:
-            if self.monotone == "nonincreasing" and not s.lo >= s.hi:
+            lo, hi = exact(s.lo), exact(s.hi)
+            if self.monotone == "nonincreasing" and not lo >= hi:
                 raise ArgumentError(f"{nid}: nonincreasing spec needs lo >= hi")
-            if self.monotone == "nondecreasing" and not s.lo <= s.hi:
+            if self.monotone == "nondecreasing" and not lo <= hi:
                 raise ArgumentError(f"{nid}: nondecreasing spec needs lo <= hi")
         object.__setattr__(self, "_by_id", dict(self.specs))
 
@@ -686,14 +660,14 @@ class SeqOnDiagram:
 
     def limit_fn(self, diagram: MeasureDiagram) -> FnOnDiagram:
         """The recorded pointwise limit, constant per class."""
-        return fn_on(diagram, {nid: _const(s.limit) for nid, s in self.specs})
+        return fn_on(diagram, {nid: const_fn(s.limit) for nid, s in self.specs})
 
     def values(self) -> list:
         return [v for _, s in self.specs for v in (s.lo, s.hi)]
 
     def map_values(self, g) -> "SeqOnDiagram":
         """The same thresholds with every lo and hi value v replaced by g(v)."""
-        specs = tuple((nid, SeqSpec._of(g(s.lo), s.tau, g(s.hi))) for nid, s in self.specs)
+        specs = tuple((nid, SeqSpec(g(s.lo), s.tau, g(s.hi))) for nid, s in self.specs)
         return SeqOnDiagram(specs, self.monotone)
 
 
@@ -721,6 +695,6 @@ def tails_of(hseq: SeqOnDiagram, diagram: MeasureDiagram) -> SeqOnDiagram:
     specs = {}
     for nid, s in hseq.specs:
         h = s.limit
-        specs[nid] = SeqSpec._of(h - s.lo, s.tau, h - s.hi)
+        specs[nid] = SeqSpec(h - s.lo, s.tau, h - s.hi)
     return seq_on(diagram, specs, "nonincreasing")
 

@@ -21,6 +21,14 @@ Every verdict that compares two functions on a diagram reports the same
 witness: the first class, in diagram order, where the comparison fails,
 the first failing guard-piece pair in it, and the parameter point found
 for that pair as its sorted (parameter, value) items.
+
+The algebra only adds, subtracts, takes maxima and compares values, so it
+runs unchanged on any common multiple of them.  Each entry point below
+writes every value it receives as an integer numerator over one scale D,
+the lcm of their denominators, and divides back where a value leaves:
+values leave as Fractions (or INF), and a value that is not exact is
+refused where it enters.  Inside one entry point, `feasibility_memo`
+remembers each guard set's answer.
 """
 
 from __future__ import annotations
@@ -36,8 +44,8 @@ from .diagram import (
     FnSpec,
     MeasureDiagram,
     SeqOnDiagram,
-    _const,
     const_fn,
+    exact,
     feasibility_memo,
     feasible_unbounded,
     fn_add,
@@ -105,7 +113,7 @@ def envelope_limit(
                 if best is None or cand > best:
                     best = cand
             if best is not None:
-                term = fn_max(term, _const(best), mins)
+                term = fn_max(term, const_fn(best), mins)
         out[nid] = term
     return fn_on(diagram, out)
 
@@ -164,8 +172,9 @@ class _Scaled:
     scale D, and the steps that the entry points share, run on those
     numerators.
 
-    D is the lcm of the denominators of every finite value of the inputs.
-    `num` writes a value as its numerator over D and `out` divides back,
+    D is the lcm of the denominators of every finite value of the inputs,
+    and `exact` refuses any input value that is not an int, a Fraction or
+    INF.  `num` writes a value as its numerator over D and `out` divides back,
     so a value leaves as a Fraction (or INF) whatever it was inside; values
     leave only through `out` and `fn_out`.  Sums, differences, maxima and
     comparisons commute with both, which is all the algebra does with
@@ -174,7 +183,7 @@ class _Scaled:
 
     def __init__(self, diagram: MeasureDiagram, *inputs):
         self.diagram = diagram
-        self.D = lcm(1, *{v.denominator for p in inputs for v in p.values() if v is not INF})
+        self.D = lcm(1, *{exact(v).denominator for p in inputs for v in p.values() if v is not INF})
 
     def num(self, v):
         return v if v is INF else v.numerator * (self.D // v.denominator)
@@ -456,7 +465,7 @@ def analyze_diagram(
     cardinality = None
     p_sup = diagram.p_sup
     if sup_h_emb is not INF:
-        emb_val = EntropyValue(Fraction(sup_h_emb))
+        emb_val = EntropyValue(sup_h_emb)
         if p_sup is None:
             warnings.append(
                 "cardinality computed from sup h_emb only: no periodic-capacity input"

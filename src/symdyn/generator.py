@@ -3,7 +3,8 @@
 A partition of a subshift with finite coding radius is a sliding block
 code from symbol windows to partition labels.  The two directions checked
 here: how sharply the bilateral label name pins down the central symbols
-(atom multiplicity), and what language the label names generate.
+(atom multiplicity), and how many label names of each length occur
+(the size of the image language).
 """
 
 from __future__ import annotations
@@ -77,9 +78,9 @@ class _Names:
     def __init__(self, sft: SftSpec, code: BlockCode):
         self.sft = sft
         index = sft._index
-        self.labels = list(dict.fromkeys(label for _, label in code.table))
-        label_code = {label: i for i, label in enumerate(self.labels, 1)}
-        self.base = len(self.labels) + 1
+        labels = dict.fromkeys(label for _, label in code.table)
+        label_code = {label: i for i, label in enumerate(labels, 1)}
+        self.base = len(labels) + 1
         self.size = len(index)
         self.width = 2 * code.radius + 1
         # windows as base-|A| numbers of their symbol indices
@@ -90,13 +91,6 @@ class _Names:
                 for s in w:
                     wid = wid * self.size + index[s]
                 self.window_code[wid] = label_code[label]
-
-    def decode(self, name: int) -> tuple:
-        out = []
-        while name:
-            name, digit = divmod(name, self.base)
-            out.append(self.labels[digit - 1])
-        return tuple(reversed(out))
 
     def levels(self, n: int):
         """(L, words, names) for L = 1..n: every admissible word of length L,
@@ -174,7 +168,6 @@ def _multiplicity(words: list, names: list, shift: int, block: int) -> int:
 @dataclass(frozen=True)
 class ImageLanguageReport:
     lengths: tuple  # (length, word count) pairs
-    words_by_length: tuple  # (length, sorted words)
     decode_checked_depth: int
     decode_consistent: bool  # every word's center among its name's candidates
     decode_unique: bool  # every name at this depth pins down the center
@@ -186,7 +179,8 @@ def partition_to_extension(
     depth: int,
     word_cap: int = DEFAULT_WORD_CAP,
 ) -> ImageLanguageReport:
-    """The label-name image language to the given length, with a decode check.
+    """How many label names the image language has at each length up to
+    depth, with a decode check.
 
     The decode check groups the admissible words of odd length
     L >= depth + 2r by their label name: ``decode_unique`` says whether
@@ -202,12 +196,10 @@ def partition_to_extension(
     check_len = (depth + 2 * r) | 1  # odd, so the word has a center
     _check_word_cap(word_counts(sft, check_len), range(2 * r + 1, check_len + 1), word_cap)
     names = _Names(sft, code)
-    image = [set() for _ in range(depth + 1)]  # image[L]: the names of length L
+    sizes = []  # (L, the number of distinct names of length L)
     for L, words, named in names.levels(check_len):
         if 2 * r < L <= depth + 2 * r:
-            image[L - 2 * r] = set(named)
+            sizes.append((L - 2 * r, len(set(named))))
     # words and named now hold the decode-check length
     unique = _multiplicity(words, named, names.size ** (check_len // 2), names.size) <= 1
-    by_len = tuple((L, tuple(sorted(map(names.decode, image[L])))) for L in range(1, depth + 1))
-    sizes = tuple((L, len(image[L])) for L in range(1, depth + 1))
-    return ImageLanguageReport(sizes, by_len, depth, True, unique)
+    return ImageLanguageReport(tuple(sizes), depth, True, unique)

@@ -100,6 +100,9 @@ class MarkerSchedule:
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.n, self.n[1:])):
             raise ArgumentError("n_k must be strictly increasing")
+        for m in self.m:
+            if m < 1:
+                raise ArgumentError(f"m_k must be >= 1, got {m}")
 
     def subdivided_bounds(self, k: int) -> tuple:
         """Gap bounds after subdividing row k and adjusting upward."""

@@ -188,10 +188,9 @@ def tuple_extract_generator(spec, code, depth, c, cap):
 
 def tuple_partition_to_extension(spec, code, depth, cap):
     table, r = code.as_dict(), code.radius
-    by_len, counts = [], []
+    counts = []
     for L in range(1, depth + 1):
         names = {tuple(table[w[i : i + 2 * r + 1]] for i in range(L)) for w in capped_words(spec, L + 2 * r, cap)}
-        by_len.append((L, tuple(sorted(names))))
         counts.append((L, len(names)))
     consistent, unique = True, True
     L = depth + 2 * r
@@ -208,7 +207,7 @@ def tuple_partition_to_extension(spec, code, depth, cap):
     for w, name in zip(all_words, names):
         consistent &= w[mid] in centers[name]
         unique &= len(centers[name]) == 1
-    return tuple(counts), tuple(by_len), depth, consistent, unique
+    return tuple(counts), depth, consistent, unique
 
 
 def reference_specs(seed, count):

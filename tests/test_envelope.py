@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -834,6 +835,68 @@ def test_values_leave_the_entry_points_as_fractions():
         v = is_superenvelope(E, hseq, D, 6)
         assert v == naive_fraction_is_superenvelope(E, hseq, D, 6)  # its detail renders Fractions
     assert residuals > 50
+
+
+def as_int(v):
+    """A whole Fraction as the int it equals; any other value as it is."""
+    return int(v) if isinstance(v, Fraction) and v.denominator == 1 else v
+
+
+def test_int_values_give_the_results_of_equal_fractions():
+    rng = random.Random(79)
+    ints = 0
+    for i in range(80):
+        D, hseq, perseq = random_diagram(rng)
+        # doubled, every value of the random pool is whole: 0, 1, 2, 3 or 4
+        hseq, perseq = rescaled_seq(hseq, D, 2), rescaled_seq(perseq, D, 2)
+        if i % 4 == 0:
+            perseq = with_infinite_tails(rng, perseq, D)
+        theta = rng.choice([perseq, tails_of(hseq, D)])
+        u = rescaled_fn(random_candidate(rng, D, negative=i % 5 == 0), D, 2)
+        E = rescaled_fn(random_candidate_envelope(rng, D, hseq, None), D, 2)
+        calls = (
+            (analyze_diagram, D, hseq, perseq),
+            (u_one, theta, D),
+            (is_repair, u, theta, D),
+            (minimal_repair, theta, u, D),
+            (usc_envelope, u, D),
+            (is_superenvelope, E, hseq, D, 6),
+        )
+        for fn, *args in calls:
+            int_args = [a.map_values(as_int) if hasattr(a, "map_values") else a for a in args]
+            ints += sum(type(v) is int for a in int_args if hasattr(a, "values") for v in a.values())
+            got, want = outcome(fn, *int_args), outcome(fn, *args)
+            assert same(got, want), fn.__name__
+            if not isinstance(got, (tuple, SuperenvelopeVerdict)):
+                assert_fraction_values(got)
+    assert ints > 1000
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, "1/2", True, EntropyValue(1)])
+def test_values_that_are_not_exact_are_refused(bad):
+    D = chain2()
+    message = "^" + re.escape(f"diagram values must be exact (int, Fraction or INF), not {bad!r}") + "$"
+    assert diagram_module.exact(Fraction(1, 2)) == Fraction(1, 2)
+    assert diagram_module.exact(2) == 2 and diagram_module.exact(INF) is INF
+    with pytest.raises(ArgumentError, match=message):
+        diagram_module.exact(bad)
+    # fn_on keeps the value, and an analysis refuses it before any answer
+    f = fn_on(D, {"deep": 0, "mid": step_fn("m", lin(3), 0, bad), "top": 0})
+    zero = zero_seq(D)
+    for run in (
+        lambda: usc_envelope(f, D),
+        lambda: is_usc(f, D),
+        lambda: is_repair(f, zero, D),
+        lambda: minimal_repair(zero, f, D),
+        lambda: is_superenvelope(f, seq_on(D, {"deep": 0, "mid": 0, "top": 0}, "nondecreasing"), D),
+    ):
+        with pytest.raises(ArgumentError, match=message):
+            run()
+    # a sequence refuses it as a SeqSpec lo or hi, or as a bare value
+    for spec in (SeqSpec(bad, lin(0, m=1), 0), SeqSpec(1, lin(0, m=1), bad), bad):
+        for monotone in ("nonincreasing", "nondecreasing"):
+            with pytest.raises(ArgumentError, match=message):
+                seq_on(D, {"deep": 0, "mid": spec, "top": 0}, monotone)
 
 
 def test_memo_scopes_nest_and_leave_nothing_behind():

@@ -14,7 +14,7 @@ from symdyn.generator import (
     top_row_code,
     zero_coordinate_code,
 )
-from symdyn.sft import Alphabet, SftSpec, full_shift, golden_mean, words_of_length, words_up_to
+from symdyn.sft import Alphabet, SftSpec, count_words, full_shift, golden_mean, words_of_length, words_up_to
 
 
 def delayed_copy_system(d: int) -> SftSpec:
@@ -146,19 +146,14 @@ def test_decode_check_length_obeys_the_word_cap():
 def test_image_language_identity():
     fs = full_shift("01")
     rep = partition_to_extension(fs, zero_coordinate_code(fs), depth=5)
-    for L, words in rep.words_by_length:
-        assert set(words) == {
-            tuple("".join(w)) for w in itertools.product("01", repeat=L)
-        }
+    assert rep.lengths == tuple((L, 2**L) for L in range(1, 6))
     assert rep.decode_consistent and rep.decode_unique
 
 
 def test_image_language_golden_mean():
     gm = golden_mean()
     rep = partition_to_extension(gm, zero_coordinate_code(gm), depth=6)
-    for L, words in rep.words_by_length:
-        expected = {w for w in words_of_length(gm, L)}
-        assert set(words) == expected
+    assert rep.lengths == tuple((L, count_words(gm, L)) for L in range(1, 7))
     assert rep.decode_consistent and rep.decode_unique
 
 
@@ -167,8 +162,7 @@ def test_image_language_top_row_projection():
     sft = delayed_copy_system(d)
     rep = partition_to_extension(sft, top_row_code(sft), depth=3)
     # the top row ranges over the full binary shift
-    for L, words in rep.words_by_length:
-        assert len(words) == 2**L
+    assert rep.lengths == tuple((L, 2**L) for L in range(1, 4))
     assert rep.decode_consistent
     # at this depth the delayed row-2 center cell reads row-1 outside the
     # name window, so the decode cannot be unique
@@ -240,10 +234,9 @@ def naive_partition_to_extension(sft, code, depth):
             image[L - 2 * r].add(name)
         if L == check_len:
             centers.add((name, path[L // 2]))
-    by_len = tuple((L, tuple(sorted(map(names.decode, image[L])))) for L in range(1, depth + 1))
     sizes = tuple((L, len(image[L])) for L in range(1, depth + 1))
     unique = len(centers) == len({name for name, _ in centers})
-    return sizes, by_len, depth, True, unique
+    return sizes, depth, True, unique
 
 
 def random_specs(rng, count):

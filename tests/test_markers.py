@@ -786,6 +786,14 @@ def test_subdivide_precondition_error():
         subdivide_balance(w, MarkerSchedule((99,), (3,)))  # 5 < 3*4
 
 
+def test_schedule_refuses_a_subdivision_base_below_1():
+    # a gap cannot be split into blocks of m and m + 1 with m < 1, nor bounded by subdivided_bounds
+    for m in ((0,), (3, 0), (2, -1)):
+        with pytest.raises(ArgumentError, match=f"^m_k must be >= 1, got {min(m)}$"):
+            MarkerSchedule((), m)
+    assert MarkerSchedule((), (1,)).subdivided_bounds(1) == (1, 2)
+
+
 # ---------------------------------------------------------------------------
 # periodic markers / stretches
 

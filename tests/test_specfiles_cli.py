@@ -813,6 +813,9 @@ def two_row_window(tmp_path):
         (["--pass", "pipeline", "--row", "2", "--rules", "D"], "--row: read only by passes krieger and periodic, not pipeline"),
         (["--pass", "krieger", "--schedule-m", "3,4"], "--schedule-m: read only by pass subdivide, not krieger"),
         (["--pass", "verify", "--schedule-m", "3"], "--schedule-m: read only by pass subdivide, not verify"),
+        # a subdivision base below 1 is refused as such, not reported as a gap with no split
+        (["--pass", "subdivide", "--schedule-m", "0,0"], "m_k must be >= 1, got 0"),
+        (["--pass", "subdivide", "--schedule-m", "3,0"], "m_k must be >= 1, got 0"),
     ],
 )
 def test_markers_flags_outside_their_range_exit_3(tmp_path, flags, message):
