@@ -41,7 +41,6 @@ from math import lcm
 from .diagram import (
     INF,
     FnOnDiagram,
-    FnSpec,
     MeasureDiagram,
     SeqOnDiagram,
     const_fn,
@@ -268,10 +267,6 @@ def usc_envelope(f: FnOnDiagram, diagram: MeasureDiagram) -> FnOnDiagram:
         return run.fn_out(run.usc_envelope(run.fn(f)))
 
 
-def is_usc(f: FnOnDiagram, diagram: MeasureDiagram) -> bool:
-    return _equal(usc_envelope(f, diagram), f, diagram)
-
-
 def u_one(theta: SeqOnDiagram, diagram: MeasureDiagram) -> FnOnDiagram:
     """The limit of the usc envelopes of the tails: the first repair floor."""
     _require_vanishing_tails(theta)
@@ -311,36 +306,23 @@ def minimal_repair(
 @dataclass(frozen=True)
 class SuperenvelopeVerdict:
     is_superenvelope: bool
-    checked_k: tuple = ()
     witness_node: str | None = None
     witness_env: tuple = ()
     detail: str = ""
 
 
-def _k_horizon(hseq: SeqOnDiagram, E: FnOnDiagram, diagram: MeasureDiagram) -> int:
-    consts = [3]
-    for _, s in hseq.specs:
-        consts.append(abs(s.tau.const) + sum(c for _, c in s.tau.coeffs) * 4)
-    for _, f in E.specs:
-        for atoms, _ in f.pieces:
-            for a in atoms:
-                consts.append(abs(a.rhs.const))
-    return max(consts) + 4
-
-
 def is_superenvelope(
-    E: FnOnDiagram,
-    hseq: SeqOnDiagram,
-    diagram: MeasureDiagram,
-    k_horizon: int | None = None,
+    E: FnOnDiagram, hseq: SeqOnDiagram, diagram: MeasureDiagram
 ) -> SuperenvelopeVerdict:
-    """Direct check: E - h_k is nonnegative and usc for each k.
+    """Whether E >= h and E - h_k is upper semicontinuous for every k.
 
-    The check runs over every k up to a horizon past all guard constants;
-    beyond it the fixed-k slices repeat their shape, shifted along the
-    parameters.  The repair-function route through the tails is the
-    independent formulation; the two are asserted to agree in the tests.
-    Each k builds new guard sets, so each k step has a memo of its own.
+    By the duality of Boyle and Downarowicz, this holds exactly when E >= h
+    and E - h repairs the tails theta_k = h - h_k, and that is the check
+    made: `envelope_limit` takes the limit in k in closed form, so no k is
+    visited and nothing depends on a horizon or on the parameter minimums.
+    A failing verdict names a witness of E < h, or else the first point
+    where the envelope limit of E - h_k exceeds E - h.  Once E >= h holds,
+    an infinite value of h is refused.
     """
     if hseq.monotone != "nondecreasing":
         raise ArgumentError("entropy sequences must be nondecreasing")
@@ -349,39 +331,21 @@ def is_superenvelope(
     scaled_E, scaled_h = run.fn(E), run.seq(hseq)
     with feasibility_memo():
         w = _witness(scaled_h.limit_fn(diagram), scaled_E, diagram, fn_le)
-    if w is not None:
-        nid, env, hv, ev = w
-        return SuperenvelopeVerdict(False, (), nid, env, f"E = {out(ev)} < h = {out(hv)}")
-    if k_horizon is None:
-        k_horizon = _k_horizon(hseq, E, diagram)
-    checked = tuple(range(1, k_horizon + 1))
-    for k in checked:
-        with feasibility_memo():
-            diff = {}
-            for node in diagram.nodes:
-                hk = scaled_h.spec(node.node_id).as_fn(k, node.mins)
-                if any(v is INF for _, v in hk.pieces):
-                    raise ArgumentError("entropy sequences must take finite values")
-                minus = FnSpec(tuple((atoms, -v) for atoms, v in hk.pieces))
-                diff[node.node_id] = fn_add(scaled_E.spec(node.node_id), minus, node.mins)
-            g = fn_on(diagram, diff)
-            w = _witness(run.zero, g, diagram, fn_le)
-            if w is not None:
-                nid, env, _, gv = w
-                return SuperenvelopeVerdict(
-                    False, checked[:k], nid, env, f"E - h_{k} = {out(gv)} < 0"
-                )
-            w = _witness(run.usc_envelope(g), g, diagram, fn_compare)
-            if w is not None:
-                nid, env, ev, gv = w
-                return SuperenvelopeVerdict(
-                    False,
-                    checked[:k],
-                    nid,
-                    env,
-                    f"E - h_{k} not usc: envelope {out(ev)} > {out(gv)}",
-                )
-    return SuperenvelopeVerdict(True, checked)
+        if w is not None:
+            nid, env, hv, ev = w
+            return SuperenvelopeVerdict(False, nid, env, f"E = {out(ev)} < h = {out(hv)}")
+        if any(v is INF for v in hseq.values()):
+            raise ArgumentError("entropy sequences must take finite values")
+        u = fn_on(
+            diagram, {nid: fn_shift(scaled_E.spec(nid), -s.limit) for nid, s in scaled_h.specs}
+        )
+        w = run.repair_witness(u, tails_of(scaled_h, diagram))
+    if w is None:
+        return SuperenvelopeVerdict(True)
+    nid, env, lv, uv = w
+    return SuperenvelopeVerdict(
+        False, nid, env, f"E - h does not repair the tails: envelope limit {out(lv)} > {out(uv)}"
+    )
 
 
 # ---------------------------------------------------------------------------

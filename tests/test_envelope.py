@@ -1,3 +1,4 @@
+import functools
 import random
 import re
 from fractions import Fraction
@@ -29,13 +30,11 @@ from symdyn import envelope
 from symdyn.envelope import (
     RepairVerdict,
     SuperenvelopeVerdict,
-    _k_horizon,
     _require_vanishing_tails,
     analyze_diagram,
     envelope_limit,
     is_repair,
     is_superenvelope,
-    is_usc,
     minimal_repair,
     u_one,
     usc_envelope,
@@ -47,6 +46,7 @@ from symdyn.errors import ArgumentError, ConstructionError
 from symdyn.randgen import random_candidate_envelope, random_diagram
 from symdyn.report import jsonable
 from symdyn.scenarios import scenario_data
+from conftest import Budget, with_drawn_mins
 from test_diagram_algebra import naive_fn_compare, naive_fn_le
 
 
@@ -253,7 +253,7 @@ def test_duality_on_random_instances():
         theta = tails_of(hseq, D)
         h = hseq.limit_fn(D)
         E = random_candidate_envelope(rng, D, hseq, None)
-        direct = is_superenvelope(E, hseq, D).is_superenvelope
+        direct = naive_is_superenvelope(E, hseq, D).is_superenvelope
         ge = all(
             fn_le(h.spec(n.node_id), E.spec(n.node_id), n.mins) is None
             for n in D.nodes
@@ -275,7 +275,7 @@ def test_duality_on_random_instances():
             via_repair = is_repair(diff, theta, D).repairs
         else:
             via_repair = False
-        assert direct == via_repair
+        assert direct == via_repair == is_superenvelope(E, hseq, D).is_superenvelope
 
 
 def test_analyze_trivial_diagram():
@@ -429,51 +429,82 @@ def naive_is_repair(u, theta, diagram):
     return RepairVerdict(True)
 
 
-def naive_is_superenvelope(E, hseq, diagram, k_horizon=None):
+def is_usc(f, diagram):
+    return envelope._equal(usc_envelope(f, diagram), f, diagram)
+
+
+def k_horizon(hseq, E, diagram):
+    """How far the direct check below runs: past every guard and threshold
+    constant, and further by the largest threshold at its class's minimums.
+    It suffices for the random pools here, not for every input."""
+    consts = [3]
+    for _, s in hseq.specs:
+        consts.append(abs(s.tau.const) + sum(c for _, c in s.tau.coeffs) * 4)
+    for _, f in E.specs:
+        for atoms, _ in f.pieces:
+            for a in atoms:
+                consts.append(abs(a.rhs.const))
+    at_mins = max(hseq.spec(n.node_id).tau.evaluate(n.mins) for n in diagram.nodes)
+    return max(consts) + 4 + at_mins
+
+
+def naive_is_superenvelope(E, hseq, diagram):
+    """The direct check the repair duality replaced, on the values as given:
+    E >= h, then E - h_k upper semicontinuous for k = 1..k_horizon.  E - h_k
+    is nonnegative for every k once E >= h, since h_k <= h.  The witness is
+    the first class in diagram order that fails at some k, at its least
+    failing k."""
+    if hseq.monotone != "nondecreasing":
+        raise ArgumentError("entropy sequences must be nondecreasing")
     h = hseq.limit_fn(diagram)
     for node in diagram.nodes:
         w = naive_fn_le(h.spec(node.node_id), E.spec(node.node_id), node.mins)
         if w is not None:
             env, hv, ev = w
             return SuperenvelopeVerdict(
-                False, (), node.node_id, tuple(sorted(env.items())), f"E = {ev} < h = {hv}"
+                False, node.node_id, tuple(sorted(env.items())), f"E = {ev} < h = {hv}"
             )
-    if k_horizon is None:
-        k_horizon = _k_horizon(hseq, E, diagram)
-    checked = tuple(range(1, k_horizon + 1))
-    for k in checked:
+    zero = zero_seq(diagram)
+
+    @functools.cache
+    def slice_at(k):
+        """E - h_k and its usc envelope."""
         diff = {}
         for node in diagram.nodes:
             hk = hseq.spec(node.node_id).as_fn(k, node.mins)
+            if any(v is INF for _, v in hk.pieces):
+                raise ArgumentError("entropy sequences must take finite values")
             minus = FnSpec(tuple((atoms, -v) for atoms, v in hk.pieces))
             diff[node.node_id] = fn_add(E.spec(node.node_id), minus, node.mins)
         g = fn_on(diagram, diff)
+        return g, envelope_limit(g, zero, diagram)
+
+    horizon = k_horizon(hseq, E, diagram)
+    with feasibility_memo():
+        slice_at(horizon)  # every value of h shows here, so it refuses an infinite one
         for node in diagram.nodes:
-            lowest = min(v for _, v in g.spec(node.node_id).pieces)
-            if lowest < 0:
-                w = naive_fn_le(const_fn(0), g.spec(node.node_id), node.mins)
+            for k in range(1, horizon + 1):
+                g, env_g = slice_at(k)
+                w = fn_compare(env_g.spec(node.node_id), g.spec(node.node_id), node.mins)
                 if w is not None:
-                    env, _, gv = w
+                    env, ev, gv = w
                     return SuperenvelopeVerdict(
                         False,
-                        checked[:k],
                         node.node_id,
                         tuple(sorted(env.items())),
-                        f"E - h_{k} = {gv} < 0",
+                        f"E - h_{k} not usc: envelope {ev} > {gv}",
                     )
-        env_g = usc_envelope(g, diagram)
-        for node in diagram.nodes:
-            w = naive_fn_compare(env_g.spec(node.node_id), g.spec(node.node_id), node.mins)
-            if w is not None:
-                envv, ev_, gv = w
-                return SuperenvelopeVerdict(
-                    False,
-                    checked[:k],
-                    node.node_id,
-                    tuple(sorted(envv.items())),
-                    f"E - h_{k} not usc: envelope {ev_} > {gv}",
-                )
-    return SuperenvelopeVerdict(True, checked)
+    return SuperenvelopeVerdict(True)
+
+
+def k_loop_view(verdict):
+    """What is_superenvelope shares with the direct check: the whole verdict
+    where E < h somewhere (or on a refusal), else the answer and the witness
+    class.  The duality's witness point and detail need not be the first
+    failing k's."""
+    if isinstance(verdict, SuperenvelopeVerdict) and verdict.detail.startswith("E - h"):
+        return verdict.is_superenvelope, verdict.witness_node
+    return verdict
 
 
 def naive_pointwise_bounds(rep, diagram):
@@ -565,14 +596,12 @@ def test_floor_guard_matches_the_reference():
 def test_superenvelope_verdicts_match_the_reference():
     rng = random.Random(59)
     failing = 0
-    for i in range(80):
+    for _ in range(80):
         D, hseq, _ = random_diagram(rng)
-        # the default horizon on every third instance, a short one elsewhere
-        horizon = None if i % 3 == 0 else 6
         if rng.random() < 0.25:  # often below h somewhere
             E = random_candidate(rng, D)
-            got = is_superenvelope(E, hseq, D, horizon)
-            assert got == naive_is_superenvelope(E, hseq, D, horizon)
+            got = is_superenvelope(E, hseq, D)
+            assert k_loop_view(got) == k_loop_view(naive_is_superenvelope(E, hseq, D))
             failing += not got.is_superenvelope
             continue
         h_sex = None
@@ -591,10 +620,52 @@ def test_superenvelope_verdicts_match_the_reference():
         if rng.random() < 0.2:
             nid = rng.choice(D.nodes).node_id
             E = fn_on(D, {**dict(E.specs), nid: const_fn(INF)})
-        got = is_superenvelope(E, hseq, D, horizon)
-        assert got == naive_is_superenvelope(E, hseq, D, horizon)
+        got = is_superenvelope(E, hseq, D)
+        assert k_loop_view(got) == k_loop_view(naive_is_superenvelope(E, hseq, D))
         failing += not got.is_superenvelope
     assert 20 < failing < 70
+
+
+def three_class_diagram(least, v=1):
+    """top; mid(m) and deep(m, p) with m starting at `least`.  h steps from 0
+    to v on mid at k = m and is 0 elsewhere, and E = v everywhere: so E - h_k
+    is 0 at mid(m) for m <= k, below the v its deep members carry, and first
+    fails to be usc at k = least."""
+    top = Node("top", (), "periodic", "1")
+    mid = Node("mid", ("m",), "periodic", None, (least,))
+    deep = Node("deep", ("m", "p"), "periodic", None, (least, 1))
+    D = MeasureDiagram(
+        (top, mid, deep), (FamilyLink("deep", "p", "mid"), FamilyLink("mid", "m", "top"))
+    )
+    hseq = seq_on(D, {"top": 0, "mid": seq_step(0, lin(m=1), v), "deep": 0}, "nondecreasing")
+    return fn_on(D, {n.node_id: const_fn(v) for n in D.nodes}), hseq, D
+
+
+def test_superenvelope_verdicts_see_past_the_parameter_minimums():
+    for least, v in ((1, 1), (100, 1), (100, Fraction(2, 3))):
+        E, hseq, D = three_class_diagram(least, v)
+        got = is_superenvelope(E, hseq, D)
+        assert (got.is_superenvelope, got.witness_node, got.witness_env) == (False, "mid", (("m", least),))
+        assert got.detail == f"E - h does not repair the tails: envelope limit {v} > 0"
+        assert k_loop_view(naive_is_superenvelope(E, hseq, D)) == (False, "mid")
+    # no k is visited, so the answer costs the same at any minimum
+    with Budget("superenvelope verdict with mins 10**9", 1.0):
+        got = is_superenvelope(*three_class_diagram(10**9))
+    assert (got.is_superenvelope, got.witness_node, got.witness_env) == (False, "mid", (("m", 10**9),))
+
+
+def test_superenvelope_verdicts_match_the_k_loop_on_raised_minimums():
+    rng = random.Random(13)
+    failing = 0
+    for choices in ((1, 3, 5), (1, 10, 40)):
+        for _ in range(100):
+            D, hseq, _ = random_diagram(rng)
+            D = with_drawn_mins(rng, D, choices)
+            E = random_candidate_envelope(rng, D, hseq, None)
+            got = is_superenvelope(E, hseq, D)
+            assert k_loop_view(got) == k_loop_view(naive_is_superenvelope(E, hseq, D))
+            failing += not got.is_superenvelope
+    assert 100 < failing < 190
 
 
 def test_pointwise_bounds_match_the_reference():
@@ -659,40 +730,6 @@ def naive_fraction_minimal_repair(theta, floor, diagram):
             return u
         u = nxt
     raise ConstructionError(f"no repair fixpoint within {diagram.depth + 1} iterations")
-
-
-def naive_fraction_is_superenvelope(E, hseq, diagram, k_horizon=None):
-    witness = envelope._witness
-    if hseq.monotone != "nondecreasing":
-        raise ArgumentError("entropy sequences must be nondecreasing")
-    w = witness(hseq.limit_fn(diagram), E, diagram, fn_le)
-    if w is not None:
-        nid, env, hv, ev = w
-        return SuperenvelopeVerdict(False, (), nid, env, f"E = {ev} < h = {hv}")
-    if k_horizon is None:
-        k_horizon = _k_horizon(hseq, E, diagram)
-    checked = tuple(range(1, k_horizon + 1))
-    zero = zero_fn(diagram)
-    for k in checked:
-        diff = {}
-        for node in diagram.nodes:
-            hk = hseq.spec(node.node_id).as_fn(k, node.mins)
-            if any(v is INF for _, v in hk.pieces):
-                raise ArgumentError("entropy sequences must take finite values")
-            minus = FnSpec(tuple((atoms, -v) for atoms, v in hk.pieces))
-            diff[node.node_id] = fn_add(E.spec(node.node_id), minus, node.mins)
-        g = fn_on(diagram, diff)
-        w = witness(zero, g, diagram, fn_le)
-        if w is not None:
-            nid, env, _, gv = w
-            return SuperenvelopeVerdict(False, checked[:k], nid, env, f"E - h_{k} = {gv} < 0")
-        w = witness(envelope_limit(g, zero_seq(diagram), diagram), g, diagram, fn_compare)
-        if w is not None:
-            nid, env, ev, gv = w
-            return SuperenvelopeVerdict(
-                False, checked[:k], nid, env, f"E - h_{k} not usc: envelope {ev} > {gv}"
-            )
-    return SuperenvelopeVerdict(True, checked)
 
 
 def naive_fraction_analyze_diagram(diagram, hseq, perseq):
@@ -789,9 +826,8 @@ def test_scaled_entry_points_match_the_fraction_path():
         E = random_candidate_envelope(rng, D, hseq, None)
         if rng.random() < 0.3:
             E = rescaled_fn(E, D, odd_factor(rng))
-        horizon = None if i % 3 == 0 else 6
-        got = outcome(is_superenvelope, E, hseq, D, horizon)
-        assert same(got, outcome(naive_fraction_is_superenvelope, E, hseq, D, horizon))
+        got = outcome(is_superenvelope, E, hseq, D)
+        assert same(k_loop_view(got), k_loop_view(outcome(naive_is_superenvelope, E, hseq, D)))
         seen["superenvelope" if got.is_superenvelope else "not"] += 1
     # both verdicts of each check occur, on values with denominators past 2
     assert min(seen.values()) > 10, seen
@@ -832,8 +868,8 @@ def test_values_leave_the_entry_points_as_fractions():
             verdict = is_repair(u, th, D)
             assert_fraction_values(verdict)
             residuals += not verdict.repairs
-        v = is_superenvelope(E, hseq, D, 6)
-        assert v == naive_fraction_is_superenvelope(E, hseq, D, 6)  # its detail renders Fractions
+        v = is_superenvelope(E, hseq, D)
+        assert k_loop_view(v) == k_loop_view(naive_is_superenvelope(E, hseq, D))
     assert residuals > 50
 
 
@@ -860,7 +896,7 @@ def test_int_values_give_the_results_of_equal_fractions():
             (is_repair, u, theta, D),
             (minimal_repair, theta, u, D),
             (usc_envelope, u, D),
-            (is_superenvelope, E, hseq, D, 6),
+            (is_superenvelope, E, hseq, D),
         )
         for fn, *args in calls:
             int_args = [a.map_values(as_int) if hasattr(a, "map_values") else a for a in args]
@@ -931,7 +967,7 @@ def test_an_analysis_that_raises_leaves_no_memo():
     assert diagram_module._MEMO.get() is None
     assert same(minimal_repair(ptail, zero_fn(D), D), fresh)
 
-    # an infinite h_k raises inside a k step
+    # an infinite h is refused once E >= h holds
     top, arm = Node("top", (), "periodic", "1"), Node("arm", ("m",), "periodic")
     D2 = MeasureDiagram((top, arm), (FamilyLink("arm", "m", "top"),))
     hseq = seq_on(D2, {"top": INF, "arm": seq_step(0, lin(m=1), INF)}, "nondecreasing")
@@ -940,7 +976,7 @@ def test_an_analysis_that_raises_leaves_no_memo():
         is_superenvelope(E, hseq, D2)
     assert diagram_module._MEMO.get() is None
     finite = seq_on(D2, {"top": 1, "arm": seq_step(0, lin(m=1), 1)}, "nondecreasing")
-    assert is_superenvelope(E, finite, D2) == naive_fraction_is_superenvelope(E, finite, D2)
+    assert is_superenvelope(E, finite, D2) == naive_is_superenvelope(E, finite, D2)
 
 
 def test_no_envelope_limit_is_computed_twice(monkeypatch):

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from symdyn.diagram import INF, MeasureDiagram, Node, lin, seq_on, seq_step
+from conftest import with_drawn_mins, with_mins
+from symdyn.diagram import INF, lin, seq_on, seq_step
 from symdyn.envelope import analyze_diagram
 from symdyn.errors import ArgumentError
 from symdyn.randgen import random_diagram
@@ -157,14 +158,6 @@ def test_compiled_oracle_matches_naive_on_random_diagrams(T):
         assert_matches_naive(*random_diagram(rng), T)
 
 
-def _with_mins(diagram, mins_of):
-    """The diagram with each node's parameters starting at mins_of(node)."""
-    nodes = tuple(
-        Node(n.node_id, n.params, n.kind, n.period, mins_of(n)) for n in diagram.nodes
-    )
-    return MeasureDiagram(nodes, diagram.families, diagram.p_sup)
-
-
 @pytest.mark.parametrize("T", [10, 20])
 def test_compiled_oracle_matches_naive_on_shifted_boxes(T):
     # boxes that start at 0 or 3: a member's outer parameter starts no
@@ -181,7 +174,7 @@ def test_compiled_oracle_matches_naive_on_shifted_boxes(T):
                 rng.choice([m for m in (0, 3) if pos or m <= highest])
                 for pos in range(len(n.params))
             )
-        shifted = _with_mins(D, lambda n: picked[n.node_id])
+        shifted = with_mins(D, lambda n: picked[n.node_id])
         got = assert_matches_naive(shifted, hseq, perseq, T)
         for n in shifted.nodes:
             _, ranges = got["space"].boxes[n.node_id]
@@ -194,13 +187,13 @@ def test_boxes_that_miss_a_scanned_point_are_refused():
     data = scenario_data("example1")
     args = (data.hseq, data.perseq)
     # the outer tail window at T = 10 is 6..10
-    late = _with_mins(data.diagram, lambda n: (7,) * len(n.params))
+    late = with_mins(data.diagram, lambda n: (7,) * len(n.params))
     with pytest.raises(ArgumentError, match="mu_bottom: parameter m starts past its tail window"):
         build_space(late, 10, *args)
     # mu_middle(1) and mu_middle(2) would scan mu_bottom(1, j) and mu_bottom(2, j),
     # which do not exist: the diagram itself is refused
     with pytest.raises(ArgumentError, match="mu_bottom: parameter m starts above its limit mu_middle's"):
-        _with_mins(data.diagram, lambda n: (3, 1) if len(n.params) == 2 else (1,) * len(n.params))
+        with_mins(data.diagram, lambda n: (3, 1) if len(n.params) == 2 else (1,) * len(n.params))
 
 
 class _Disagrees:
@@ -218,7 +211,7 @@ def test_compare_reads_exactly_the_safe_points(bound):
     for mins in (None, (0, 3), (3, 0)):
         D = data.diagram
         if mins:
-            D = _with_mins(D, lambda n: mins[: len(n.params)])
+            D = with_mins(D, lambda n: mins[: len(n.params)])
         space = build_space(D, 10, data.hseq, data.perseq)
         mismatches = compare_with_exact(D, data.hseq, data.perseq, 10, _Disagrees(), bound)
         want = [
@@ -378,6 +371,22 @@ def test_truncation_matches_exact_on_random_diagrams():
         assert mismatches == []
         checked += 1
     assert checked == 60
+
+
+def test_truncation_matches_exact_on_raised_minimums():
+    # one minimum per parameter name, so a member starts where its limit
+    # starts; the safe points reach past every minimum
+    rng = random.Random(79)
+    raised = 0
+    for choices in ((1, 2, 3), (1, 3, 5)):
+        for _ in range(40):
+            D, hseq, perseq = random_diagram(rng)
+            D = with_drawn_mins(rng, D, choices)
+            exact = analyze_diagram(D, hseq, perseq)
+            mismatches = compare_with_exact(D, hseq, perseq, 20, exact, max(choices) + 3)
+            assert mismatches == [], mismatches[:3]
+            raised += any(m > 1 for n in D.nodes for m in n.mins.values())
+    assert raised > 40
 
 
 def test_truncation_space_shape():
