@@ -323,9 +323,22 @@ def is_superenvelope(
     A failing verdict names a witness of E < h, or else the first point
     where the envelope limit of E - h_k exceeds E - h.  Once E >= h holds,
     an infinite value of h is refused.
+
+    The duality needs each increment h_{k+1} - h_k to be upper
+    semicontinuous.  It is when every class whose sequence steps up has a
+    threshold that grows with each of its parameters: then each jump slice
+    {tau = k + 1} is finite in every direction of convergence.  A sequence
+    that steps up on a threshold missing a parameter is refused.
     """
     if hseq.monotone != "nondecreasing":
         raise ArgumentError("entropy sequences must be nondecreasing")
+    for node in diagram.nodes:
+        s = hseq.spec(node.node_id)
+        if s.lo < s.hi and len(s.tau.coeffs) < len(node.params):
+            raise ArgumentError(
+                f"{node.node_id}: an entropy step's threshold {s.tau.render()} must grow "
+                "with every class parameter, or h_(k+1) - h_k need not be usc"
+            )
     run = _Scaled(diagram, E, hseq)
     out = run.out
     scaled_E, scaled_h = run.fn(E), run.seq(hseq)

@@ -464,8 +464,6 @@ def naive_is_superenvelope(E, hseq, diagram):
             return SuperenvelopeVerdict(
                 False, node.node_id, tuple(sorted(env.items())), f"E = {ev} < h = {hv}"
             )
-    zero = zero_seq(diagram)
-
     @functools.cache
     def slice_at(k):
         """E - h_k and its usc envelope."""
@@ -477,7 +475,7 @@ def naive_is_superenvelope(E, hseq, diagram):
             minus = FnSpec(tuple((atoms, -v) for atoms, v in hk.pieces))
             diff[node.node_id] = fn_add(E.spec(node.node_id), minus, node.mins)
         g = fn_on(diagram, diff)
-        return g, envelope_limit(g, zero, diagram)
+        return g, usc_envelope(g, diagram)
 
     horizon = k_horizon(hseq, E, diagram)
     with feasibility_memo():
@@ -485,7 +483,7 @@ def naive_is_superenvelope(E, hseq, diagram):
         for node in diagram.nodes:
             for k in range(1, horizon + 1):
                 g, env_g = slice_at(k)
-                w = fn_compare(env_g.spec(node.node_id), g.spec(node.node_id), node.mins)
+                w = naive_fn_compare(env_g.spec(node.node_id), g.spec(node.node_id), node.mins)
                 if w is not None:
                     env, ev, gv = w
                     return SuperenvelopeVerdict(
@@ -652,6 +650,28 @@ def test_superenvelope_verdicts_see_past_the_parameter_minimums():
     with Budget("superenvelope verdict with mins 10**9", 1.0):
         got = is_superenvelope(*three_class_diagram(10**9))
     assert (got.is_superenvelope, got.witness_node, got.witness_env) == (False, "mid", (("m", 10**9),))
+
+
+def test_superenvelope_verdicts_refuse_steps_that_ignore_a_parameter():
+    # h steps at k = 5 on every arm(m) at once, so h_2 - h_1 = 0 everywhere
+    # but h_5 - h_4 is 1 on each arm(m) and 0 at top: not usc.  E - h_1 is 0
+    # at top and 1 on each arm(m), not usc either, yet E - h repairs the
+    # tails, so the duality would answer True where the k loop says False
+    top, arm = Node("top", (), "periodic", "1"), Node("arm", ("m",), "periodic")
+    D = MeasureDiagram((top, arm), (FamilyLink("arm", "m", "top"),))
+    hseq = seq_on(D, {"top": 0, "arm": seq_step(0, lin(5), 1)}, "nondecreasing")
+    E = fn_on(D, {"top": const_fn(0), "arm": const_fn(1)})
+    direct = naive_is_superenvelope(E, hseq, D)
+    assert (direct.is_superenvelope, direct.witness_node, direct.detail) == (
+        False, "top", "E - h_1 not usc: envelope 1 > 0"
+    )
+    with pytest.raises(ArgumentError, match=r"arm: an entropy step's threshold 5 must grow"):
+        is_superenvelope(E, hseq, D)
+    # refused before E >= h is checked, and only where the sequence steps up
+    with pytest.raises(ArgumentError, match="must grow"):
+        is_superenvelope(zero_fn(D), hseq, D)
+    flat = seq_on(D, {"top": 0, "arm": seq_step(1, lin(5), 1)}, "nondecreasing")
+    assert is_superenvelope(E, flat, D).is_superenvelope
 
 
 def test_superenvelope_verdicts_match_the_k_loop_on_raised_minimums():
