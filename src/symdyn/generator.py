@@ -5,16 +5,50 @@ code from symbol windows to partition labels.  The two directions checked
 here: how sharply the bilateral label name pins down the central symbols
 (atom multiplicity), and how many label names of each length occur
 (the size of the image language).
+
+Neither table needs the words.  A name is a label word, and the words that
+share a name are the paths that carry it in the code's labelled graph, so
+both tables come from the subset construction (Lind & Marcus, *An
+Introduction to Symbolic Dynamics and Coding*, sec. 3.3).  A state of that
+graph is a state of the spec's automaton with the last 2r symbols read (r
+the code radius); an edge carries the label of the window it closes, and
+no label while fewer than 2r symbols precede it.  The words are its paths
+from the root, dead ends included, which is the language the tables count.
+- **Image counts.**  A vector of name counts, keyed by the state sets that
+  the names reach from the root, steps one label at a time.  Each name
+  reaches exactly one nonempty set, so the vector's sum counts the names.
+- **Multiplicities.**  A word of length 2n+1 is a prefix of m = n - c
+  symbols, a centre block of 2c+1 and a suffix of m.  Its name gives the set
+  S its prefix's labels reach from the root, the block's labels, and the
+  set R of states that can read its suffix's labels.  So the blocks under
+  one name are those read from S with its labels into R, and the
+  multiplicity at depth n is the most blocks over the sets S of level m of
+  the forward pass and the sets R of level m of one backward pass.  Each
+  depth combines the two passes once, and a set is stepped only the first
+  time it appears, so the work grows linearly in the depth while the sets
+  per level stay bounded.
+
+One cap, ``set_cap``, bounds the reachable sets stepped, summed over all
+levels, each counted by what it costs.  The graph counts its nodes.  Each
+level counts the forward and backward sets it holds, at least one each, and
+a depth the (S, R) pairs it combines.  A set stepped for the first time
+counts the states of the sets it yields, and a centre table its (state,
+block) pairs, as they are formed and again when a new pair reads them.  So
+the work and the memory stay within the cap times factors of the alphabet
+size, whatever the depth, the centre radius or the size of the sets.  This cap replaces the
+word cap of the enumeration; past it, ``ResourceCapError`` names the level,
+the number of symbols each pass has stepped.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 
-from .errors import ArgumentError
-from .sft import DEFAULT_WORD_CAP, SftSpec, _check_word_cap, count_words, word_counts, words_of_length
+from .errors import ArgumentError, ResourceCapError
+from .sft import SftSpec, count_words, words_of_length
+
+DEFAULT_SET_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -25,6 +59,8 @@ class BlockCode:
     table: tuple  # sorted (window, label) pairs
 
     def __post_init__(self):
+        if self.radius < 0:
+            raise ArgumentError(f"code radius must be >= 0, got {self.radius}")
         for w, _ in self.table:
             if len(w) != 2 * self.radius + 1:
                 raise ArgumentError("code window of wrong length")
@@ -70,51 +106,132 @@ def _check_depth(depth: int, center_radius: int = 0) -> None:
         raise ArgumentError(f"center radius must lie in 0..depth = 0..{depth}, got {center_radius}")
 
 
-class _Names:
-    """Words and label names as integers.  A word is the base-|A| number of
-    its symbol indices; a name (l_1, ..., l_m) is the number with base-B
-    digits code(l_1) ... code(l_m), where the codes run 1..B-1."""
+class _Subsets:
+    """The code's labelled graph, its subset steps and their cap.
 
-    def __init__(self, sft: SftSpec, code: BlockCode):
-        self.sft = sft
-        index = sft._index
-        labels = dict.fromkeys(label for _, label in code.table)
-        label_code = {label: i for i, label in enumerate(labels, 1)}
-        self.base = len(labels) + 1
-        self.size = len(index)
-        self.width = 2 * code.radius + 1
-        # windows as base-|A| numbers of their symbol indices
-        self.window_code = {}
-        for w, label in code.table:
-            if all(s in index for s in w):
-                wid = 0
-                for s in w:
-                    wid = wid * self.size + index[s]
-                self.window_code[wid] = label_code[label]
+    Node 0 is the root.  A node is an automaton state with the indices of
+    the last min(L, 2r) symbols read, and out[x] lists its edges as
+    (symbol index, label, node) triples: the labels are numbered 1..B-1,
+    and an edge has label 0 while fewer than 2r symbols precede it.  Each
+    set's successors, predecessors and centre table are kept, so a set that
+    recurs costs a lookup.  Centre blocks are width symbols long.
+    ``spend`` counts toward the cap, and ``level`` is the level a refusal
+    names."""
 
-    def levels(self, n: int):
-        """(L, words, names) for L = 1..n: every admissible word of length L,
-        dead ends included, and in the same order its name, which codes the
-        labels of its windows left to right (0 while L < width).  Each level
-        grows from the one before along the automaton's edges, in symbol
-        order, and replaces it; the lists are parallel, so a word costs no
-        tuple."""
-        size, base, window_code = self.size, self.base, self.window_code
-        span = size**self.width
-        succ = self.sft._automaton.succ
-        states, words, names = [0], [0], [0]  # the empty word at the root
-        for L in range(1, n + 1):
-            if L >= self.width:
-                names = [
-                    m * base + window_code[(w * size + k) % span]
-                    for s, w, m in zip(states, words, names)
-                    for k in succ[s]
-                ]
-            words = [w * size + k for s, w in zip(states, words) for k in succ[s]]
-            if L < self.width:
-                names = [0] * len(words)
-            states = [t for s in states for t in succ[s].values()]
-            yield L, words, names
+    def __init__(self, sft: SftSpec, code: BlockCode, width: int, cap: int):
+        self.width, self.cap, self.spent, self.level = width, cap, 0, 0
+        index, succ, keep = sft._index, sft._automaton.succ, 2 * code.radius
+        names = {label: i for i, label in enumerate(dict.fromkeys(label for _, label in code.table), 1)}
+        labels = {  # windows as tuples of symbol indices, labels as 1, 2, ...
+            tuple(index[s] for s in w): names[label] for w, label in code.table if all(s in index for s in w)
+        }
+        if not keep:  # the automaton itself, each edge labelled by its symbol: no tails to key
+            self.out = [[(k, labels[k,], t) for k, t in outs.items()] for outs in succ]
+            self.spend(len(self.out))
+        else:
+            number, nodes, self.out = {(0, ()): 0}, [(0, ())], []
+            for s, tail in nodes:  # grows while iterated: breadth-first from the root
+                self.spend(1)
+                edges = []
+                for k, t in succ[s].items():
+                    window = tail + (k,)
+                    label = labels[window] if len(window) > keep else 0
+                    node = (t, window[-keep:])
+                    if node not in number:
+                        number[node] = len(nodes)
+                        nodes.append(node)
+                    edges.append((k, label, number[node]))
+                self.out.append(edges)
+        self.into = [[] for _ in self.out]
+        for x, edges in enumerate(self.out):
+            for _, label, y in edges:
+                self.into[y].append((label, x))
+        self.base, self.size = len(names) + 1, len(index)
+        self.root, self.everywhere = frozenset({0}), frozenset(range(len(self.out)))
+        self._after, self._before, self._centres, self._most = {}, {}, {}, {}
+
+    def spend(self, n: int) -> None:
+        self.spent += n
+        if self.spent > self.cap:
+            raise ResourceCapError(f"more than {self.cap} reachable sets stepped by level {self.level}")
+
+    def _split(self, pairs) -> list:
+        """The sets of second entries, one per first entry (a label)."""
+        groups = {}
+        for label, y in pairs:
+            if label in groups:
+                groups[label].add(y)
+            else:
+                groups[label] = {y}
+        found = [frozenset(g) for g in groups.values()]
+        self.spend(sum(map(len, found)))
+        return found
+
+    def after(self, S: frozenset) -> list:
+        """The nonempty sets one label after S, one per label."""
+        if S not in self._after:
+            self._after[S] = self._split((label, y) for x in S for _, label, y in self.out[x])
+        return self._after[S]
+
+    def before(self, R: frozenset) -> list:
+        """The nonempty sets of nodes one label before R, one per label."""
+        if R not in self._before:
+            self._before[R] = self._split(p for y in R for p in self.into[y])
+        return self._before[R]
+
+    def hold(self, family) -> None:
+        """Count a level's family of sets, at least one."""
+        self.spend(max(1, len(family)))
+
+    def forward(self, family) -> set:
+        """The sets one label after those of family, held."""
+        found = {T for S in family for T in self.after(S)}
+        self.hold(found)
+        return found
+
+    def backward(self, family) -> set:
+        """The sets one label before those of family, held."""
+        found = {T for R in family for T in self.before(R)}
+        self.hold(found)
+        return found
+
+    def centre(self, S: frozenset) -> list:
+        """For each label word of length width that a path from S carries,
+        the set of (end node, block) pairs of those paths.  The pair sets,
+        keyed by their label word as a base-B number, step one symbol at a
+        time; a block is the base-|A| number of its symbol indices."""
+        if S not in self._centres:
+            out, base, size = self.out, self.base, self.size
+            level = {0: {(x, 0) for x in S}}
+            for _ in range(self.width):
+                nxt = {}
+                for name, pairs in level.items():
+                    name *= base
+                    for x, block in pairs:
+                        block *= size
+                        for k, label, y in out[x]:
+                            if name + label in nxt:
+                                nxt[name + label].add((y, block + k))
+                            else:
+                                nxt[name + label] = {(y, block + k)}
+                self.spend(sum(map(len, nxt.values())))
+                level = nxt
+            self._centres[S] = list(level.values())
+        return self._centres[S]
+
+    def multiplicity(self, forward, backward) -> int:
+        """The most distinct centre blocks under one name: read from a
+        forward set with one label word into a backward set."""
+        self.spend(len(forward) * len(backward))
+        best = 0
+        for S in forward:
+            for R in backward:
+                if (S, R) not in self._most:
+                    table = self.centre(S)
+                    self.spend(sum(map(len, table)))
+                    self._most[S, R] = max((len({b for y, b in pairs if y in R}) for pairs in table), default=0)
+                best = max(best, self._most[S, R])
+        return best
 
 
 @dataclass(frozen=True)
@@ -132,7 +249,7 @@ def extract_generator(
     code: BlockCode,
     depth: int,
     center_radius: int = 0,
-    word_cap: int = DEFAULT_WORD_CAP,
+    set_cap: int = DEFAULT_SET_CAP,
 ) -> GeneratorReport:
     """Pull the label partition back and measure how fast atoms shrink.
 
@@ -141,28 +258,25 @@ def extract_generator(
     number of distinct central blocks within one group.  Multiplicity 1 at
     depth n means the name determines the center: the finite-depth shadow
     of a shrinking-diameter generator.
+
+    No word is listed.  At level m the forward pass holds the state sets
+    that the prefix names of m symbols reach, and the backward pass the
+    sets of states that can read a suffix name of m symbols; depth m + c
+    combines the two through the centre blocks (see the module docstring).
+    The sets stepped, summed over the levels, obey set_cap.
     """
     _check_depth(depth, center_radius)
     _check_total(code, sft)
     c = center_radius
-    lengths = range(2 * c + 1, 2 * depth + 2, 2)
-    _check_word_cap(word_counts(sft, 2 * depth + 1), lengths, word_cap)
-    size = sft.alphabet.size
+    g = _Subsets(sft, code, 2 * c + 1, set_cap)
+    forward, backward = {g.root}, {g.everywhere}
     mult = []
-    for L, words, names in _Names(sft, code).levels(2 * depth + 1):
-        if L in lengths:  # the center block: letters L//2 - c .. L//2 + c
-            mult.append((L // 2, _multiplicity(words, names, size ** (L // 2 - c), size ** (2 * c + 1))))
+    for m in range(depth - c + 1):
+        g.level = m
+        if m:
+            forward, backward = g.forward(forward), g.backward(backward)
+        mult.append((m + c, g.multiplicity(forward, backward)))
     return GeneratorReport(c, tuple(mult))
-
-
-def _multiplicity(words: list, names: list, shift: int, block: int) -> int:
-    """The most distinct center blocks under one name.  A word's center
-    block is its digits word // shift % block; the keys of pairs are the
-    distinct (name, center) pairs as numbers name * block + center, and its
-    values their names, so a dict holds them: more compact than a set, and
-    no quotient is built per pair."""
-    pairs = {m * block + w // shift % block: m for w, m in zip(words, names)}
-    return max(Counter(pairs.values()).values(), default=0)
 
 
 @dataclass(frozen=True)
@@ -177,29 +291,43 @@ def partition_to_extension(
     sft: SftSpec,
     code: BlockCode,
     depth: int,
-    word_cap: int = DEFAULT_WORD_CAP,
+    set_cap: int = DEFAULT_SET_CAP,
 ) -> ImageLanguageReport:
     """How many label names the image language has at each length up to
     depth, with a decode check.
 
-    The decode check groups the admissible words of odd length
+    The names of length L label the words of length L + 2r.  A vector of
+    name counts, keyed by the state sets the names reach from the root,
+    steps one symbol at a time, and its sum at word length L + 2r is the
+    count at L.  The decode check groups the admissible words of odd length
     L >= depth + 2r by their label name: ``decode_unique`` says whether
-    every name determines the word's center symbol.  ``decode_consistent``
-    (each word's center among its name's candidates) holds by construction,
-    since each word's center goes into its own name's set.  L, like each
-    image length, is refused when it has more than word_cap words.  One
-    level-by-level walk to L sees every shorter word on the way.
+    every name determines the word's center symbol, from the forward sets
+    and one backward pass at half that length, as in ``extract_generator``.
+    ``decode_consistent`` (each word's center among its name's candidates)
+    holds by construction, since each word's center goes into its own
+    name's set.  Both passes step level by level, and the sets they step,
+    summed over the levels, obey set_cap.
     """
     _check_depth(depth)
     _check_total(code, sft)
     r = code.radius
-    check_len = (depth + 2 * r) | 1  # odd, so the word has a center
-    _check_word_cap(word_counts(sft, check_len), range(2 * r + 1, check_len + 1), word_cap)
-    names = _Names(sft, code)
+    half = ((depth + 2 * r) | 1) // 2  # the decode check's word is odd, so it has a center
+    g = _Subsets(sft, code, 1, set_cap)
+    counts, backward = {g.root: 1}, {g.everywhere}
     sizes = []  # (L, the number of distinct names of length L)
-    for L, words, named in names.levels(check_len):
-        if 2 * r < L <= depth + 2 * r:
-            sizes.append((L - 2 * r, len(set(named))))
-    # words and named now hold the decode-check length
-    unique = _multiplicity(words, named, names.size ** (check_len // 2), names.size) <= 1
+    for level in range(depth + 2 * r + 1):
+        g.level = level
+        if level:
+            nxt = {}
+            for S, n in counts.items():
+                for T in g.after(S):
+                    nxt[T] = nxt.get(T, 0) + n
+            counts = nxt
+            g.hold(counts)
+        if level > 2 * r:
+            sizes.append((level - 2 * r, sum(counts.values())))
+        if 0 < level <= half:
+            backward = g.backward(backward)
+        if level == half:
+            unique = g.multiplicity(counts, backward) <= 1
     return ImageLanguageReport(tuple(sizes), depth, True, unique)

@@ -20,14 +20,15 @@ import pytest
 
 from symdyn.entropy import EntropyBracket
 from symdyn.errors import ArgumentError, ResourceCapError
-from symdyn import generator, sft
+from symdyn import sft
 from symdyn.generator import (
-    DEFAULT_WORD_CAP,
+    DEFAULT_SET_CAP,
     block_code,
     extract_generator,
     partition_to_extension,
 )
 from symdyn.sft import (
+    DEFAULT_WORD_CAP,
     Alphabet,
     SftSpec,
     _mobius,
@@ -42,7 +43,14 @@ from symdyn.sft import (
     word_counts,
     words_of_length,
 )
-from test_generator import delayed_copy_system
+from test_generator import (
+    dead_end_spec,
+    delayed_copy_system,
+    naive_extract_generator,
+    naive_partition_to_extension,
+    refusal_at,
+    spend_trace,
+)
 from test_sft import (
     naive_admits,
     naive_log2_bracket,
@@ -359,9 +367,11 @@ def refusal(run):
 
 @pytest.mark.parametrize("cap", [0, 3, 10, 60])
 def test_word_cap_refusals_match_the_all_states_counts(cap, monkeypatch):
-    """Each check refuses with the same message at the same length when its
-    counts come from the all-states pass, and refuses before it builds a
-    level of its walk."""
+    """periodic_orbits refuses with the same message at the same length when
+    its counts come from the all-states pass, and refuses before it walks.
+    The generator checks obey the set cap instead: each refuses at the first
+    level where the count of its uncapped run passes the cap, and steps no
+    set past that level."""
     rng = random.Random(cap)
     walked = []
 
@@ -372,27 +382,30 @@ def test_word_cap_refusals_match_the_all_states_counts(cap, monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(generator._Names, "levels", walks(generator._Names.levels))
     monkeypatch.setattr(sft, "words_up_to", walks(sft.words_up_to))
     monkeypatch.setattr(sft, "DEFAULT_WORD_CAP", cap)  # periodic_orbits reads the module's cap
     outcomes = []
     for spec in POOL:
         code = random_code(rng, spec, rng.randint(0, 1))
-        runs = [
-            lambda: extract_generator(spec, code, 3, 1, cap),
-            lambda: partition_to_extension(spec, code, 3, cap),
-            lambda: periodic_orbits(spec, 6),
+        with monkeypatch.context() as parent:
+            parent.setattr(sft, "word_counts", naive_word_counts)
+            expected = refusal(lambda: periodic_orbits(spec, 6))
+        del walked[:]
+        outcomes.append(refusal(lambda: periodic_orbits(spec, 6)))
+        assert outcomes[-1] == expected
+        if expected is not None:
+            assert not walked
+        checks = [
+            lambda set_cap: extract_generator(spec, code, 3, 1, set_cap),
+            lambda set_cap: partition_to_extension(spec, code, 3, set_cap),
         ]
-        for run in runs:
-            with monkeypatch.context() as parent:
-                parent.setattr(generator, "word_counts", naive_word_counts)
-                parent.setattr(sft, "word_counts", naive_word_counts)
-                expected = refusal(run)
-            del walked[:]
-            outcomes.append(refusal(run))
+        for check in checks:
+            expected = refusal_at(spend_trace(monkeypatch, lambda: check(DEFAULT_SET_CAP)), cap)
+            stepped = spend_trace(monkeypatch, lambda: outcomes.append(refusal(lambda: check(cap))))
             assert outcomes[-1] == expected
             if expected is not None:
-                assert not walked
+                named = int(expected.rsplit(" ", 1)[1])
+                assert all(level <= named for level, _ in stepped)
     assert any(o is None for o in outcomes) and any(o is not None for o in outcomes)
 
 
@@ -429,20 +442,48 @@ def outcome(run):
 
 
 @pytest.mark.parametrize("cap", [0, 3, 10])
-def test_word_cap_fails_at_the_same_length(cap):
+def test_word_cap_fails_at_the_same_length(cap, monkeypatch):
+    """Under a set cap each check gives the tuple-name reference's answer,
+    or refuses at the first level where the count of its uncapped run passes
+    the cap.  A cap of 0 refuses every check at level 0, where the graph's
+    root is counted."""
     rng = random.Random(cap)
     outcomes = []
     for spec in SPECS[:120]:
         code = random_code(rng, spec, rng.randint(0, 1))
-        for depth in (2, 3):  # at depth 2 and radius 0 the decode-check length alone may be refused
+        for depth in (2, 3):
             runs = [
-                (lambda: astuple(extract_generator(spec, code, depth, 1, cap)),
-                 lambda: tuple_extract_generator(spec, code, depth, 1, cap)),
-                (lambda: astuple(partition_to_extension(spec, code, depth, cap)),
-                 lambda: tuple_partition_to_extension(spec, code, depth, cap)),
+                (lambda set_cap: astuple(extract_generator(spec, code, depth, 1, set_cap)),
+                 lambda: tuple_extract_generator(spec, code, depth, 1, DEFAULT_WORD_CAP)),
+                (lambda set_cap: astuple(partition_to_extension(spec, code, depth, set_cap)),
+                 lambda: tuple_partition_to_extension(spec, code, depth, DEFAULT_WORD_CAP)),
             ]
             for new, old in runs:
-                outcomes.append(outcome(new))
-                assert outcomes[-1] == outcome(old)
-    assert any(isinstance(o, str) for o in outcomes)
-    assert any(not isinstance(o, str) for o in outcomes)
+                expected = refusal_at(spend_trace(monkeypatch, lambda: new(DEFAULT_SET_CAP)), cap)
+                outcomes.append(outcome(lambda: new(cap)))
+                assert outcomes[-1] == (old() if expected is None else f"cap: {expected}")
+    refused = [o for o in outcomes if isinstance(o, str)]
+    assert refused
+    if cap == 0:
+        assert set(refused) == {"cap: more than 0 reachable sets stepped by level 0"}
+        assert len(refused) == len(outcomes)
+    else:  # refused at more than one level
+        assert len({o.rsplit(" ", 1)[1] for o in refused}) > 1
+    if cap == 10:
+        assert len(refused) < len(outcomes)
+
+
+def test_generator_reports_match_the_word_enumeration():
+    """The subset steps against the word enumeration they replaced, on the
+    pool, the dead-end spec and random radius-0 and radius-1 codes."""
+    rng = random.Random(14)
+    for spec in [*POOL, dead_end_spec()]:
+        for radius in (0, 1):
+            code = random_code(rng, spec, radius)
+            for depth in range(3 if spec.alphabet.size > 3 else 4):
+                for c in (0, 1):
+                    if c <= depth:
+                        expected = naive_extract_generator(spec, code, depth, c)
+                        assert astuple(extract_generator(spec, code, depth, c)) == expected
+                expected = naive_partition_to_extension(spec, code, depth)
+                assert astuple(partition_to_extension(spec, code, depth)) == expected

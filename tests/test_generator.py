@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 from dataclasses import astuple
 
@@ -135,12 +136,65 @@ def test_bad_depth_and_center_rejected():
 
 
 def test_decode_check_length_obeys_the_word_cap():
-    # the image lengths 1 and 2 have 2 and 4 words; the decode check at length 3 has 8
+    # the set cap counts the decode check's sets too.  The full 2-shift at
+    # depth 2 spends 13: its one node; at level 1 two sets after the root,
+    # one held, two before it, one held, and the decode check's one pair with
+    # a centre table of two (state, block) pairs, counted when it is built
+    # and when it is combined; at level 2 one set held
     fs = full_shift("01")
     code = zero_coordinate_code(fs)
-    assert partition_to_extension(fs, code, depth=2, word_cap=8).decode_unique
-    with pytest.raises(ResourceCapError, match="^more than 4 admissible words of length 3$"):
-        partition_to_extension(fs, code, depth=2, word_cap=4)
+    assert partition_to_extension(fs, code, depth=2, set_cap=13).decode_unique
+    with pytest.raises(ResourceCapError, match="^more than 12 reachable sets stepped by level 2$"):
+        partition_to_extension(fs, code, depth=2, set_cap=12)
+    with pytest.raises(ResourceCapError, match="^more than 11 reachable sets stepped by level 1$"):
+        partition_to_extension(fs, code, depth=2, set_cap=11)
+
+
+def test_the_set_cap_refuses_deep_and_wide_checks_quickly():
+    fs = full_shift("01")
+    code = zero_coordinate_code(fs)
+    start = time.perf_counter()
+    assert {m for _, m in extract_generator(fs, code, 2000).multiplicities} == {1}
+    # past level 1 each level holds one forward set and one backward set and
+    # combines one pair: the default cap of a million passes at level 333331
+    with pytest.raises(ResourceCapError, match="^more than 1000000 reachable sets stepped by level 333331$"):
+        extract_generator(fs, code, 10**7)
+    # a name that says nothing leaves 2**31 centre blocks of 31 symbols
+    lossy = block_code(0, {("0",): "x", ("1",): "x"})
+    with pytest.raises(ResourceCapError, match="^more than 1000000 reachable sets stepped by level 0$"):
+        extract_generator(fs, lossy, 15, center_radius=15)
+    assert time.perf_counter() - start < 10
+
+
+def test_negative_radius_refused():
+    # windows have 2r + 1 >= 1 symbols
+    with pytest.raises(ArgumentError, match="^code radius must be >= 0, got -1$"):
+        block_code(-1, {})
+
+
+def spend_trace(monkeypatch, run):
+    """Run a generator check and return its spends toward the set cap, as
+    (level, running count) pairs."""
+    trace = []
+    real = generator._Subsets.spend
+
+    def spend(self, n):
+        real(self, n)
+        trace.append((self.level, self.spent))
+
+    with monkeypatch.context() as patched:
+        patched.setattr(generator._Subsets, "spend", spend)
+        run()
+    return trace
+
+
+def refusal_at(trace, cap):
+    """The refusal a cap of cap gives a run with this uncapped trace: at the
+    first level where the running count passes the cap, or None."""
+    for level, spent in trace:
+        if spent > cap:
+            return f"more than {cap} reachable sets stepped by level {level}"
+    return None
 
 
 def test_image_language_identity():
@@ -190,17 +244,93 @@ def test_roundtrip_name_decode():
         assert len(centers) == 1
 
 
-def naive_walk(names, n):
+def naive_names(sft, code):
+    """The integer coding of the word enumerations below: a word is the
+    base-|A| number of its symbol indices, and a name (l_1, ..., l_m) the
+    number with base-B digits code(l_1) ... code(l_m), where the codes run
+    1..B-1.  Returns |A|, the window width, B and {window: label code}."""
+    index = {s: k for k, s in enumerate(sft.alphabet.symbols)}
+    labels = dict.fromkeys(label for _, label in code.table)
+    label_code = {label: i for i, label in enumerate(labels, 1)}
+    size, width = len(index), 2 * code.radius + 1
+    window_code = {}
+    for w, label in code.table:
+        if all(s in index for s in w):
+            wid = 0
+            for s in w:
+                wid = wid * size + index[s]
+            window_code[wid] = label_code[label]
+    return size, width, len(labels) + 1, window_code
+
+
+def naive_levels(sft, code, n):
+    """The word enumeration the subset steps replaced: (L, words, names) for
+    L = 1..n, every admissible word of length L, dead ends included, and in
+    the same order its name, which codes the labels of its windows left to
+    right (0 while L < width).  Each level grows from the one before along
+    the automaton's edges, in symbol order, and replaces it."""
+    size, width, base, window_code = naive_names(sft, code)
+    span = size**width
+    succ = sft._automaton.succ
+    states, words, names = [0], [0], [0]  # the empty word at the root
+    for L in range(1, n + 1):
+        if L >= width:
+            names = [
+                m * base + window_code[(w * size + k) % span]
+                for s, w, m in zip(states, words, names)
+                for k in succ[s]
+            ]
+        words = [w * size + k for s, w in zip(states, words) for k in succ[s]]
+        if L < width:
+            names = [0] * len(words)
+        states = [t for s in states for t in succ[s].values()]
+        yield L, words, names
+
+
+def naive_multiplicity(words, names, shift, block):
+    """The most distinct center blocks, the digits word // shift % block,
+    under one name."""
+    pairs = {m * block + w // shift % block: m for w, m in zip(words, names)}
+    return max(Counter(pairs.values()).values(), default=0)
+
+
+def naive_extract_generator(sft, code, depth, c):
+    """extract_generator on the word enumeration; no argument checks and no
+    cap."""
+    size = sft.alphabet.size
+    lengths = range(2 * c + 1, 2 * depth + 2, 2)
+    mult = []
+    for L, words, names in naive_levels(sft, code, 2 * depth + 1):
+        if L in lengths:  # the center block: letters L//2 - c .. L//2 + c
+            mult.append((L // 2, naive_multiplicity(words, names, size ** (L // 2 - c), size ** (2 * c + 1))))
+    return c, tuple(mult)
+
+
+def naive_partition_to_extension(sft, code, depth):
+    """partition_to_extension on the word enumeration; no argument checks
+    and no cap."""
+    r = code.radius
+    check_len = (depth + 2 * r) | 1
+    sizes = []
+    for L, words, names in naive_levels(sft, code, check_len):
+        if 2 * r < L <= depth + 2 * r:
+            sizes.append((L - 2 * r, len(set(names))))
+    size = sft.alphabet.size
+    unique = naive_multiplicity(words, names, size ** (check_len // 2), size) <= 1
+    return tuple(sizes), depth, True, unique
+
+
+def naive_walk(sft, code, n):
     """The depth-first walk the level frontier replaced: (L, path, name) for
     every admissible word of length L = 1..n in words_up_to's order, where
     path[:L] holds the word's symbol indices."""
-    size, width, base, window_code = names.size, names.width, names.base, names.window_code
-    index = {s: k for k, s in enumerate(names.sft.alphabet.symbols)}
+    size, width, base, window_code = naive_names(sft, code)
+    index = {s: k for k, s in enumerate(sft.alphabet.symbols)}
     keep = size ** (width - 1)
     path = [0] * n
     tail = [0] * (n + 1)  # tail[L]: the last min(L, width) symbols as a number
     named = [0] * (n + 1)
-    for w in words_up_to(names.sft, n):
+    for w in words_up_to(sft, n):
         L, k = len(w), index[w[-1]]
         path[L - 1] = k
         tail[L] = wid = tail[L - 1] % keep * size + k
@@ -208,12 +338,12 @@ def naive_walk(names, n):
         yield L, path, named[L]
 
 
-def naive_extract_generator(sft, code, depth, c):
+def walk_extract_generator(sft, code, depth, c):
     """extract_generator on the depth-first walk, with (name, center) tuples
-    kept per length; no argument checks and no word cap."""
+    kept per length; no argument checks and no cap."""
     lengths = range(2 * c + 1, 2 * depth + 2, 2)
     pairs = [set() if L in lengths else None for L in range(2 * depth + 2)]
-    for L, path, name in naive_walk(generator._Names(sft, code), 2 * depth + 1):
+    for L, path, name in naive_walk(sft, code, 2 * depth + 1):
         if pairs[L] is not None:
             n = L // 2
             pairs[L].add((name, tuple(path[n - c : n + c + 1])))
@@ -221,15 +351,14 @@ def naive_extract_generator(sft, code, depth, c):
     return c, mult
 
 
-def naive_partition_to_extension(sft, code, depth):
+def walk_partition_to_extension(sft, code, depth):
     """partition_to_extension on the depth-first walk; no argument checks and
-    no word cap."""
+    no cap."""
     r = code.radius
     check_len = (depth + 2 * r) | 1
-    names = generator._Names(sft, code)
     image = [set() for _ in range(depth + 1)]
     centers = set()
-    for L, path, name in naive_walk(names, check_len):
+    for L, path, name in naive_walk(sft, code, check_len):
         if 2 * r < L <= depth + 2 * r:
             image[L - 2 * r].add(name)
         if L == check_len:
@@ -260,6 +389,8 @@ def random_total_code(rng, sft, radius):
 
 
 def test_level_frontier_matches_the_depth_first_walk():
+    """The subset steps, the word enumeration they replaced and the
+    depth-first walk before it give the same tables."""
     rng = random.Random(18)
     specs = random_specs(rng, 60) + [delayed_copy_system(2), delayed_copy_system(3)]
     dead_ends = [s for s in specs if 0 < len(s._core.states) < len(s._automaton.states)]
@@ -271,6 +402,64 @@ def test_level_frontier_matches_the_depth_first_walk():
             for depth in range(max_depth + 1):
                 for c in range(depth + 1):
                     expected = naive_extract_generator(sft, code, depth, c)
+                    assert walk_extract_generator(sft, code, depth, c) == expected
                     assert astuple(extract_generator(sft, code, depth, c)) == expected
                 expected = naive_partition_to_extension(sft, code, depth)
+                assert walk_partition_to_extension(sft, code, depth) == expected
                 assert astuple(partition_to_extension(sft, code, depth)) == expected
+
+
+def test_radius_two_codes_match_the_enumeration():
+    # a radius-2 code's nodes carry tails of 1, 2, 3 and 4 symbols before
+    # its first label
+    rng = random.Random(22)
+    specs = random_specs(rng, 25) + [full_shift("01"), golden_mean()]
+    for sft in specs:
+        if sft.alphabet.size > 2:
+            continue
+        code = random_total_code(rng, sft, 2)
+        for depth in range(6):
+            for c in (0, 1):
+                if c <= depth:
+                    expected = naive_extract_generator(sft, code, depth, c)
+                    assert astuple(extract_generator(sft, code, depth, c)) == expected
+            assert astuple(partition_to_extension(sft, code, depth)) == naive_partition_to_extension(sft, code, depth)
+
+
+def dead_end_spec():
+    """Symbols 0-4: 0 and 1 follow each other and go to 2, then 2 -> 3 -> 4,
+    and 4 has no successor; its points are those of the full 2-shift on
+    {0, 1}, but the tables count the words that run into 2, 3 and 4 too."""
+    allowed = {("0", "0"), ("0", "1"), ("0", "2"), ("1", "0"), ("1", "1"), ("1", "2"), ("2", "3"), ("3", "4")}
+    pairs = itertools.product("01234", repeat=2)
+    return SftSpec(Alphabet(tuple("01234")), frozenset(p for p in pairs if p not in allowed))
+
+
+def test_dead_end_spec_matches_the_enumeration():
+    sft = dead_end_spec()
+    code = block_code(0, {(s,): "a" if s == "0" else "b" for s in "01234"})
+    assert extract_generator(sft, code, 4).multiplicities == ((0, 4), (1, 3), (2, 2), (3, 1), (4, 1))
+    assert not partition_to_extension(sft, code, 4).decode_unique
+    rng = random.Random(10)
+    codes = [code, zero_coordinate_code(sft), random_total_code(rng, sft, 0), random_total_code(rng, sft, 1)]
+    for code in codes:
+        for depth in range(4):
+            for c in (0, 1):
+                if c <= depth:
+                    expected = naive_extract_generator(sft, code, depth, c)
+                    assert astuple(extract_generator(sft, code, depth, c)) == expected
+            assert astuple(partition_to_extension(sft, code, depth)) == naive_partition_to_extension(sft, code, depth)
+
+
+def test_known_tables_past_the_old_word_cap():
+    # at depth 30 the enumeration would list 2**61 words of the full 2-shift
+    fs, gm = full_shift("01"), golden_mean()
+    for sft in (fs, gm):
+        code = zero_coordinate_code(sft)
+        assert extract_generator(sft, code, 30).multiplicities == tuple((n, 1) for n in range(31))
+        assert partition_to_extension(sft, code, 30).decode_unique
+    assert partition_to_extension(fs, zero_coordinate_code(fs), 30).lengths == tuple((L, 2**L) for L in range(1, 31))
+    fib = [1, 2]  # words of the golden mean of length 0 and 1
+    while len(fib) <= 30:
+        fib.append(fib[-1] + fib[-2])
+    assert partition_to_extension(gm, zero_coordinate_code(gm), 30).lengths == tuple((L, fib[L]) for L in range(1, 31))
