@@ -30,8 +30,8 @@ from the root, dead ends included, which is the language the tables count.
 
 One cap, ``set_cap``, bounds the reachable sets stepped, summed over all
 levels, each counted by what it costs.  The graph counts its nodes.  Each
-level counts the forward and backward sets it holds, at least one each, and
-a depth the (S, R) pairs it combines.  A set stepped for the first time
+level from 1 on counts the forward and backward sets it holds, at least one
+each, and a depth the (S, R) pairs it combines.  A set stepped for the first time
 counts the states of the sets it yields, and a centre table its (state,
 block) pairs, as they are formed and again when a new pair reads them.  So
 the work and the memory stay within the cap times factors of the alphabet
