@@ -71,6 +71,8 @@ class EntropyValue:
     __slots__ = ("_kind", "_rat", "_c", "_n")
 
     def __init__(self, value: Fraction | int | str = 0):
+        if isinstance(value, (float, bool)):  # a float is not the value it was written as
+            raise ArgumentError(f"entropy values must be exact (int, Fraction or str), not {value!r}")
         self._kind = "rat"
         self._rat = Fraction(value)
         self._c = self._n = None
@@ -151,6 +153,8 @@ class EntropyValue:
 
     def __add__(self, other) -> "EntropyValue":
         other = _coerce(other)
+        if other is None:
+            return NotImplemented
         if self._kind == "inf" or other._kind == "inf":
             return _INFINITY
         if self._kind == "rat" and other._kind == "rat":
@@ -185,7 +189,10 @@ class EntropyValue:
 
     def __mul__(self, other) -> "EntropyValue":
         """Scale by a nonnegative rational weight (harmonic averaging)."""
-        w = Fraction(other)
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        w = other.as_fraction()
         if w < 0:
             raise ValueError("entropy values scale by nonnegative weights only")
         if self._kind == "inf":
@@ -237,7 +244,7 @@ _INFINITY._kind, _INFINITY._rat, _INFINITY._c, _INFINITY._n = "inf", None, None,
 def _coerce(x) -> EntropyValue | None:
     if isinstance(x, EntropyValue):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return EntropyValue(x)
     return None
 

@@ -9,11 +9,13 @@ here: how sharply the bilateral label name pins down the central symbols
 Neither table needs the words.  A name is a label word, and the words that
 share a name are the paths that carry it in the code's labelled graph, so
 both tables come from the subset construction (Lind & Marcus, *An
-Introduction to Symbolic Dynamics and Coding*, sec. 3.3).  A state of that
-graph is a state of the spec's automaton with the last 2r symbols read (r
-the code radius); an edge carries the label of the window it closes, and
-no label while fewer than 2r symbols precede it.  The words are its paths
-from the root, dead ends included, which is the language the tables count.
+Introduction to Symbolic Dynamics and Coding*, sec. 3.3).  The graph is
+compiled once per spec and code, by one breadth-first path for every radius,
+after the code is checked total.  A node is a state of the spec's automaton
+with the last 2r symbols read (r the code radius); an edge carries the label
+of the window it closes, and no label while fewer than 2r symbols precede
+it.  The words are its paths from the root, dead ends included, which is
+the language the tables count.  One level stepper serves both tables:
 - **Image counts.**  A vector of name counts, keyed by the state sets that
   the names reach from the root, steps one label at a time.  Each name
   reaches exactly one nonempty set, so the vector's sum counts the names.
@@ -29,20 +31,21 @@ from the root, dead ends included, which is the language the tables count.
   per level stay bounded.
 
 One cap, ``set_cap``, bounds the reachable sets stepped, summed over all
-levels, each counted by what it costs.  The graph counts its nodes.  Each
-level from 1 on counts the forward and backward sets it holds, at least one
-each, and a depth the (S, R) pairs it combines.  A set stepped for the first time
-counts the states of the sets it yields, and a centre table its (state,
-block) pairs, as they are formed and again when a new pair reads them.  So
-the work and the memory stay within the cap times factors of the alphabet
-size, whatever the depth, the centre radius or the size of the sets.  This cap replaces the
-word cap of the enumeration; past it, ``ResourceCapError`` names the level,
-the number of symbols each pass has stepped.
+levels, each counted by what it costs.  The graph counts its nodes on every
+call, compiled or cached.  Each level from 1 on counts the forward and
+backward sets it holds, at least one each, and a depth the (S, R) pairs it
+combines.  A set stepped for the first time counts the states of the sets
+it yields, and a centre table its (state, block) pairs, as they are formed
+and again when a new pair reads them.  So the work and the memory stay
+within the cap times factors of the alphabet size, whatever the depth, the
+centre radius or the size of the sets.  Past the cap, ``ResourceCapError``
+names the level, the number of symbols each pass has stepped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 
 from .errors import ArgumentError, ResourceCapError
@@ -106,47 +109,56 @@ def _check_depth(depth: int, center_radius: int = 0) -> None:
         raise ArgumentError(f"center radius must lie in 0..depth = 0..{depth}, got {center_radius}")
 
 
-class _Subsets:
-    """The code's labelled graph, its subset steps and their cap.
+@lru_cache(maxsize=8)
+def _labelled_graph(sft: SftSpec, code: BlockCode, cap: int) -> tuple:
+    """The code's labelled graph (out, into, B), built once per spec and
+    code after the totality check.  Past cap nodes it refuses as the set cap
+    does at level 0; a refusal is not cached.
 
     Node 0 is the root.  A node is an automaton state with the indices of
     the last min(L, 2r) symbols read, and out[x] lists its edges as
     (symbol index, label, node) triples: the labels are numbered 1..B-1,
-    and an edge has label 0 while fewer than 2r symbols precede it.  Each
-    set's successors, predecessors and centre table are kept, so a set that
-    recurs costs a lookup.  Centre blocks are width symbols long.
+    and an edge has label 0 while fewer than 2r symbols precede it.
+    into[y] lists the (label, node) pairs of the edges into y."""
+    _check_total(code, sft)
+    index, succ, keep = sft._index, sft._automaton.succ, 2 * code.radius
+    names = {label: i for i, label in enumerate(dict.fromkeys(label for _, label in code.table), 1)}
+    labels = {  # windows as tuples of symbol indices, labels as 1, 2, ...
+        tuple(index[s] for s in w): names[label] for w, label in code.table if all(s in index for s in w)
+    }
+    number, nodes, out = {(0, ()): 0}, [(0, ())], []
+    for s, tail in nodes:  # grows while iterated: breadth-first from the root
+        if len(nodes) > cap:
+            raise ResourceCapError(f"more than {cap} reachable sets stepped by level 0")
+        edges = []
+        for k, t in succ[s].items():
+            window = tail + (k,)
+            node = (t, window[-keep:] if keep else ())
+            if node not in number:
+                number[node] = len(nodes)
+                nodes.append(node)
+            edges.append((k, labels[window] if len(window) > keep else 0, number[node]))
+        out.append(tuple(edges))
+    into = [[] for _ in out]
+    for x, edges in enumerate(out):
+        for _, label, y in edges:
+            into[y].append((label, x))
+    return tuple(out), tuple(map(tuple, into)), len(names) + 1
+
+
+class _Subsets:
+    """Subset steps over the code's labelled graph, and their cap.
+
+    Each set's successors, predecessors and centre table are kept, so a set
+    that recurs costs a lookup.  Centre blocks are width symbols long.
     ``spend`` counts toward the cap, and ``level`` is the level a refusal
-    names."""
+    names; the graph's nodes count at level 0 on every call."""
 
     def __init__(self, sft: SftSpec, code: BlockCode, width: int, cap: int):
         self.width, self.cap, self.spent, self.level = width, cap, 0, 0
-        index, succ, keep = sft._index, sft._automaton.succ, 2 * code.radius
-        names = {label: i for i, label in enumerate(dict.fromkeys(label for _, label in code.table), 1)}
-        labels = {  # windows as tuples of symbol indices, labels as 1, 2, ...
-            tuple(index[s] for s in w): names[label] for w, label in code.table if all(s in index for s in w)
-        }
-        if not keep:  # the automaton itself, each edge labelled by its symbol: no tails to key
-            self.out = [[(k, labels[k,], t) for k, t in outs.items()] for outs in succ]
-            self.spend(len(self.out))
-        else:
-            number, nodes, self.out = {(0, ()): 0}, [(0, ())], []
-            for s, tail in nodes:  # grows while iterated: breadth-first from the root
-                self.spend(1)
-                edges = []
-                for k, t in succ[s].items():
-                    window = tail + (k,)
-                    label = labels[window] if len(window) > keep else 0
-                    node = (t, window[-keep:])
-                    if node not in number:
-                        number[node] = len(nodes)
-                        nodes.append(node)
-                    edges.append((k, label, number[node]))
-                self.out.append(edges)
-        self.into = [[] for _ in self.out]
-        for x, edges in enumerate(self.out):
-            for _, label, y in edges:
-                self.into[y].append((label, x))
-        self.base, self.size = len(names) + 1, len(index)
+        self.out, self.into, self.base = _labelled_graph(sft, code, cap)
+        self.spend(len(self.out))
+        self.size = sft.alphabet.size
         self.root, self.everywhere = frozenset({0}), frozenset(range(len(self.out)))
         self._after, self._before, self._centres, self._most = {}, {}, {}, {}
 
@@ -179,21 +191,26 @@ class _Subsets:
             self._before[R] = self._split(p for y in R for p in self.into[y])
         return self._before[R]
 
-    def hold(self, family) -> None:
-        """Count a level's family of sets, at least one."""
-        self.spend(max(1, len(family)))
-
-    def forward(self, family) -> set:
-        """The sets one label after those of family, held."""
-        found = {T for S in family for T in self.after(S)}
-        self.hold(found)
-        return found
-
-    def backward(self, family) -> set:
-        """The sets one label before those of family, held."""
-        found = {T for R in family for T in self.before(R)}
-        self.hold(found)
-        return found
+    def levels(self, n: int, back: int):
+        """For each level 0..n, the name counts keyed by the sets the names
+        of that many symbols reach from the root, and the family of sets of
+        nodes that can read a name of that many symbols, which steps up to
+        level back and then stays.  Each level from 1 on holds the sets of
+        both, at least one each."""
+        counts, family = {self.root: 1}, {self.everywhere}
+        for level in range(n + 1):
+            self.level = level
+            if level:
+                nxt = {}
+                for S, k in counts.items():
+                    for T in self.after(S):
+                        nxt[T] = nxt.get(T, 0) + k
+                counts = nxt
+                self.spend(max(1, len(counts)))
+                if level <= back:
+                    family = {T for R in family for T in self.before(R)}
+                    self.spend(max(1, len(family)))
+            yield counts, family
 
     def centre(self, S: frozenset) -> list:
         """For each label word of length width that a path from S carries,
@@ -266,17 +283,10 @@ def extract_generator(
     The sets stepped, summed over the levels, obey set_cap.
     """
     _check_depth(depth, center_radius)
-    _check_total(code, sft)
     c = center_radius
     g = _Subsets(sft, code, 2 * c + 1, set_cap)
-    forward, backward = {g.root}, {g.everywhere}
-    mult = []
-    for m in range(depth - c + 1):
-        g.level = m
-        if m:
-            forward, backward = g.forward(forward), g.backward(backward)
-        mult.append((m + c, g.multiplicity(forward, backward)))
-    return GeneratorReport(c, tuple(mult))
+    levels = g.levels(depth - c, depth - c)
+    return GeneratorReport(c, tuple((m + c, g.multiplicity(*both)) for m, both in enumerate(levels)))
 
 
 @dataclass(frozen=True)
@@ -309,25 +319,13 @@ def partition_to_extension(
     summed over the levels, obey set_cap.
     """
     _check_depth(depth)
-    _check_total(code, sft)
-    r = code.radius
-    half = ((depth + 2 * r) | 1) // 2  # the decode check's word is odd, so it has a center
+    keep = 2 * code.radius
+    half = ((depth + keep) | 1) // 2  # the decode check's word is odd, so it has a center
     g = _Subsets(sft, code, 1, set_cap)
-    counts, backward = {g.root: 1}, {g.everywhere}
     sizes = []  # (L, the number of distinct names of length L)
-    for level in range(depth + 2 * r + 1):
-        g.level = level
-        if level:
-            nxt = {}
-            for S, n in counts.items():
-                for T in g.after(S):
-                    nxt[T] = nxt.get(T, 0) + n
-            counts = nxt
-            g.hold(counts)
-        if level > 2 * r:
-            sizes.append((level - 2 * r, sum(counts.values())))
-        if 0 < level <= half:
-            backward = g.backward(backward)
+    for level, (counts, family) in enumerate(g.levels(depth + keep, half)):
+        if level > keep:
+            sizes.append((level - keep, sum(counts.values())))
         if level == half:
-            unique = g.multiplicity(counts, backward) <= 1
+            unique = g.multiplicity(counts, family) <= 1
     return ImageLanguageReport(tuple(sizes), depth, True, unique)

@@ -201,3 +201,41 @@ def test_every_kind_copies():
             assert dup == value and dup.render() == value.render()
             assert hash(dup) == hash(value)
     assert copy.copy(INF) is INF and copy.deepcopy([INF])[0] is INF
+
+
+def test_floats_and_bools_are_refused():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not a tenth
+    for value in (0.1, 1.0, True, False):
+        with pytest.raises(ArgumentError, match="^entropy values must be exact"):
+            EntropyValue(value)
+    assert EntropyValue("1/10") == EntropyValue(Fraction(1, 10))
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        lambda: EntropyValue(1) * 0.1,
+        lambda: 0.1 * EntropyValue(1),
+        lambda: EntropyValue.log2_of(3) * 0.1,  # not a power of 3 past the bit cap
+        lambda: INF * 0.5,
+        lambda: INF * None,
+        lambda: EntropyValue.infinity() + None,  # the infinity does not absorb what is no number
+        lambda: None + INF,
+        lambda: INF + 0.5,
+        lambda: EntropyValue(1) + 0.5,
+        lambda: 0.5 + EntropyValue(1),
+        lambda: EntropyValue.log2_of(3) + 0.5,
+        lambda: EntropyValue(1) + True,
+        lambda: EntropyValue(1) * True,
+    ],
+)
+def test_inexact_operands_are_type_errors(probe):
+    with pytest.raises(TypeError, match="unsupported operand"):
+        probe()
+
+
+def test_exact_operands_still_combine():
+    assert EntropyValue(1) + 1 == EntropyValue(2) and 1 + EntropyValue(1) == EntropyValue(2)
+    assert EntropyValue(3) * EntropyValue(Fraction(1, 3)) == EntropyValue(1)
+    assert 2 * EntropyValue.log2_of(3) == EntropyValue.log2_of(9)
+    assert INF + 0 is INF and INF * EntropyValue(2) is INF

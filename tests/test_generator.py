@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import time
 from collections import Counter
@@ -7,6 +8,7 @@ from dataclasses import astuple
 import pytest
 
 from symdyn import generator
+from symdyn.cli import main
 from symdyn.errors import ArgumentError, ResourceCapError
 from symdyn.generator import (
     block_code,
@@ -15,6 +17,7 @@ from symdyn.generator import (
     top_row_code,
     zero_coordinate_code,
 )
+from symdyn.specfiles import load_spec
 from symdyn.sft import Alphabet, SftSpec, count_words, full_shift, golden_mean, words_of_length, words_up_to
 
 
@@ -463,3 +466,66 @@ def test_known_tables_past_the_old_word_cap():
     while len(fib) <= 30:
         fib.append(fib[-1] + fib[-2])
     assert partition_to_extension(gm, zero_coordinate_code(gm), 30).lengths == tuple((L, fib[L]) for L in range(1, 31))
+
+
+def test_a_cached_graph_still_counts_its_nodes():
+    """The labelled graph is built once per spec, code and cap, and every
+    call charges its nodes at level 0, so a refusal keeps its message and
+    its level whether the graph was built or found."""
+    toy = delayed_copy_system(2)
+    code = top_row_code(toy)
+    graph = generator._labelled_graph
+    graph.cache_clear()
+    expected = extract_generator(toy, code, 3, 1)
+    nodes = len(graph(toy, code, generator.DEFAULT_SET_CAP)[0])
+    assert nodes > 1
+    for cap in (0, nodes - 1):  # below the node count: the build refuses, every time
+        for _ in range(2):
+            with pytest.raises(ResourceCapError, match=f"^more than {cap} reachable sets stepped by level 0$"):
+                extract_generator(toy, code, 3, 1, set_cap=cap)
+    for _ in range(2):  # at the node count: built once, and charged on each call
+        with pytest.raises(ResourceCapError, match=f"^more than {nodes} reachable sets stepped by level 1$"):
+            partition_to_extension(toy, code, 4, set_cap=nodes)
+    assert extract_generator(toy, code, 3, 1) == expected
+    assert graph.cache_info()[:2] == (3, 6)  # hits, misses: four refused builds are not cached
+
+
+def test_a_code_that_is_not_total_is_refused_on_every_call():
+    gm = golden_mean()
+    partial = block_code(0, {("0",): "0"})
+    generator._labelled_graph.cache_clear()
+    for _ in range(2):
+        for run in (extract_generator, partition_to_extension):
+            with pytest.raises(ArgumentError, match=r"^code not total on the language; uncovered: \[\('1',\)\]$"):
+                run(gm, partial, 2)
+    assert generator._labelled_graph.cache_info().currsize == 0
+
+
+def write_spec(tmp_path, name, body):
+    path = tmp_path / name
+    path.write_text(json.dumps({"version": 1, **body}))
+    return str(path)
+
+
+def test_one_extend_generator_builds_the_graph_once(tmp_path, capsys):
+    spec = write_spec(tmp_path, "gm.json", {"kind": "sft", "alphabet": ["0", "1"], "forbidden": ["11"]})
+    table = {"000": "a", "001": "b", "010": "a", "100": "b", "101": "a"}
+    code = write_spec(tmp_path, "code.json", {"kind": "blockcode", "radius": 1, "table": table})
+    generator._labelled_graph.cache_clear()
+    assert main(["extend", "generator", "--spec", spec, "--code", code, "--depth", "4", "--center", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["image_language_counts"]
+    info = generator._labelled_graph.cache_info()
+    assert (info.misses, info.hits) == (1, 1)  # the multiplicities build it, the image counts find it
+
+
+def test_equal_specs_loaded_twice_share_one_build(tmp_path):
+    spec = write_spec(tmp_path, "spec.json", {"kind": "sft", "alphabet": ["0", "1", "2"], "forbidden": ["00", "12"]})
+    table = {"0": "a", "1": "b", "2": "b"}
+    code = write_spec(tmp_path, "code.json", {"kind": "blockcode", "radius": 0, "table": table})
+    (s1, c1), (s2, c2) = [(load_spec(spec)["payload"], load_spec(code)["payload"]) for _ in range(2)]
+    assert s1 == s2 and s1 is not s2 and c1 == c2 and c1 is not c2
+    generator._labelled_graph.cache_clear()
+    assert astuple(extract_generator(s1, c1, 3)) == naive_extract_generator(s1, c1, 3, 0)
+    assert astuple(partition_to_extension(s2, c2, 3)) == naive_partition_to_extension(s2, c2, 3)
+    info = generator._labelled_graph.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
