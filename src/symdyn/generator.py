@@ -109,11 +109,11 @@ def _check_depth(depth: int, center_radius: int = 0) -> None:
         raise ArgumentError(f"center radius must lie in 0..depth = 0..{depth}, got {center_radius}")
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _labelled_graph(sft: SftSpec, code: BlockCode, cap: int) -> tuple:
-    """The code's labelled graph (out, into, B), built once per spec and
-    code after the totality check.  Past cap nodes it refuses as the set cap
-    does at level 0; a refusal is not cached.
+    """The code's labelled graph (out, into, B), checked total.  One graph is
+    kept, until another spec, code or cap is built, so both tables share it.
+    Past cap nodes it refuses as the set cap does at level 0, uncached.
 
     Node 0 is the root.  A node is an automaton state with the indices of
     the last min(L, 2r) symbols read, and out[x] lists its edges as

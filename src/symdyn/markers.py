@@ -422,15 +422,11 @@ class RuleVerdict:
 class MarkerInvariantReport:
     verdicts: tuple
 
-    def __post_init__(self):
-        # lookup index, kept off the dataclass fields; the first verdict per rule wins
-        object.__setattr__(self, "_by_rule", {v.rule: v for v in reversed(self.verdicts)})
-
     def verdict(self, rule: str) -> RuleVerdict:
-        try:
-            return self._by_rule[rule]
-        except KeyError:
-            raise ArgumentError(f"no verdict for rule {rule!r}") from None
+        for v in self.verdicts:
+            if v.rule == rule:
+                return v
+        raise ArgumentError(f"no verdict for rule {rule!r}")
 
     @property
     def passed(self) -> bool:

@@ -487,7 +487,10 @@ def test_a_cached_graph_still_counts_its_nodes():
         with pytest.raises(ResourceCapError, match=f"^more than {nodes} reachable sets stepped by level 1$"):
             partition_to_extension(toy, code, 4, set_cap=nodes)
     assert extract_generator(toy, code, 3, 1) == expected
-    assert graph.cache_info()[:2] == (3, 6)  # hits, misses: four refused builds are not cached
+    # hits, misses: the four refused builds are not cached, and one graph is kept,
+    # so the default cap's graph is built again after the cap-nodes one
+    assert graph.cache_info()[:2] == (2, 7)
+    assert graph.cache_info().currsize == 1
 
 
 def test_a_code_that_is_not_total_is_refused_on_every_call():

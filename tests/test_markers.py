@@ -1,5 +1,5 @@
 import random
-from dataclasses import fields, replace
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -10,9 +10,7 @@ from symdyn.errors import ArgumentError, ConstructionError
 from symdyn.markers import (
     ArrayWindow,
     LongGapFlag,
-    MarkerInvariantReport,
     MarkerSchedule,
-    RuleVerdict,
     aperiodicize,
     decompose_gap,
     leftward_stretch,
@@ -1024,14 +1022,3 @@ def test_c_ratio_rule():
     rep_tight = verify_invariants(out, ("C-ratio",), ratio_target=Fraction(99, 100))
     assert not rep_tight.verdict("C-ratio").passed
 
-
-def test_verdict_lookup_is_keyed_and_the_first_per_rule_wins():
-    a, b, a2 = RuleVerdict("A", True), RuleVerdict("B", False), RuleVerdict("A", False)
-    report = MarkerInvariantReport((a, b, a2))
-    assert report.verdict("A") is a and report.verdict("B") is b
-    with pytest.raises(ArgumentError, match="^no verdict for rule 'C'$"):
-        report.verdict("C")
-    # the index is no field: equality, replace and the fields see the verdicts only
-    assert report == MarkerInvariantReport((a, b, a2))
-    assert replace(report, verdicts=(b,)).verdict("B") is b
-    assert [f.name for f in fields(report)] == ["verdicts"]
