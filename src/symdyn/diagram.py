@@ -428,36 +428,6 @@ class SeqSpec:
         """Pointwise limit in k at any fixed parameters."""
         return self.hi
 
-    def as_fn(self, k: int, mins: dict | None = None) -> FnSpec:
-        """The k-th function of the sequence, as a piecewise spec.
-
-        A single-parameter threshold becomes one step; a two-parameter
-        threshold has a finite settled region {a*p + b*q <= k - const},
-        which is enumerated one outer value at a time.
-        """
-        if not self.tau.coeffs:
-            return const_fn(self.lo if k < self.tau.const else self.hi)
-        if len(self.tau.coeffs) == 1:
-            p, c = self.tau.coeffs[0]
-            # k < c*p + const  <=>  p > (k - const)/c  <=>  p >= floor(...) + 1
-            thr = (k - self.tau.const) // c + 1
-            return step_fn(p, lin(max(thr, 0)), self.hi, self.lo)  # p < thr: k >= tau
-        (p, a), (q, b) = self.tau.coeffs
-        mins = mins or {}
-        p_min, q_min = mins.get(p, 1), mins.get(q, 1)
-        bound = k - self.tau.const  # settled (hi) region: a*p + b*q <= bound
-        p_max = (bound - b * q_min) // a
-        if p_max < p_min:
-            return const_fn(self.lo)
-        pieces = []
-        for p0 in range(p_min, p_max + 1):
-            q_thr = (bound - a * p0) // b + 1  # q < q_thr: settled
-            at_p0 = (Atom(p, False, lin(p0)), Atom(p, True, lin(p0 + 1)))
-            pieces.append((at_p0 + (Atom(q, True, lin(q_thr)),), self.hi))
-            pieces.append((at_p0 + (Atom(q, False, lin(q_thr)),), self.lo))
-        pieces.append(((Atom(p, False, lin(p_max + 1)),), self.lo))
-        return FnSpec(tuple(pieces))
-
 
 def seq_step(lo, tau: Lin, hi) -> SeqSpec:
     return SeqSpec(lo, tau, hi)
@@ -560,6 +530,8 @@ class MeasureDiagram:
             level[n.node_id] = 1 + max(members, default=-1)
         if max(level.values(), default=0) > 2:
             raise ArgumentError("accumulation depth exceeds 2")
+        if self.p_sup is not None and not isinstance(self.p_sup, EntropyValue):
+            raise ArgumentError(f"p_sup must be an EntropyValue or None, not {self.p_sup!r}")
         # lookup indexes, kept off the dataclass fields
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_into", {k: tuple(v) for k, v in into.items()})

@@ -85,6 +85,9 @@ class EntropyValue:
     @classmethod
     def log2_of(cls, c: int, n: int = 1) -> "EntropyValue":
         """The value (1/n) * log2(c), kept exact."""
+        for x in (c, n):
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ArgumentError(f"log2_of takes ints c and n, not {x!r}")
         if c < 1 or n < 1:
             raise ValueError("log2_of requires c >= 1, n >= 1")
         e = _log2_exact(c)
@@ -247,10 +250,6 @@ def _coerce(x) -> EntropyValue | None:
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return EntropyValue(x)
     return None
-
-
-def max_entropy(*values: EntropyValue) -> EntropyValue:
-    return max(map(_coerce, values))
 
 
 def optimal_alphabet_size(value: EntropyValue) -> int:

@@ -59,7 +59,7 @@ from .diagram import (
     tails_of,
     tau_unbounded_along,
 )
-from .entropy import EntropyValue, max_entropy, optimal_alphabet_size
+from .entropy import EntropyValue, optimal_alphabet_size
 from .errors import ArgumentError, ConstructionError
 
 
@@ -221,11 +221,9 @@ class _Scaled:
             raise ArgumentError("floor must be upper semicontinuous")
 
     def repair_witness(self, u: FnOnDiagram, theta: SeqOnDiagram, limit=None):
-        """is_repair's check of checked tails: the first witness where the
-        envelope limit of u + theta_k (`limit`, when the caller holds it)
-        differs from u, or None."""
-        if _witness(self.zero, u, self.diagram, fn_le) is not None:
-            raise ArgumentError("repair candidates must be nonnegative")
+        """is_repair's check of checked tails and a nonnegative u: the first
+        witness where the envelope limit of u + theta_k (`limit`, when the
+        caller holds it) differs from u, or None."""
         if limit is None:
             limit = envelope_limit(u, theta, self.diagram)
         return _witness(limit, u, self.diagram, fn_compare)
@@ -282,7 +280,10 @@ def is_repair(
     _require_vanishing_tails(theta)
     run = _Scaled(diagram, u, theta)
     with feasibility_memo():
-        return run.repair_verdict(run.repair_witness(run.fn(u), run.seq(theta)))
+        u = run.fn(u)
+        if _witness(run.zero, u, diagram, fn_le) is not None:
+            raise ArgumentError("repair candidates must be nonnegative")
+        return run.repair_verdict(run.repair_witness(u, run.seq(theta)))
 
 
 def minimal_repair(
@@ -415,8 +416,6 @@ def analyze_diagram(
         hseq, perseq = run.seq(hseq), run.seq(perseq)
         theta = tails_of(hseq, diagram)
         h = hseq.limit_fn(diagram)
-        _require_vanishing_tails(theta)
-        run.check_floor(run.zero)
         u_theta = run.u_one(theta)
         u_sex = run.minimal_repair(theta, run.zero, u_theta)
         u1 = run.u_one(perseq)
@@ -449,7 +448,7 @@ def analyze_diagram(
             )
             cardinality = optimal_alphabet_size(emb_val)
         else:
-            cardinality = optimal_alphabet_size(max_entropy(p_sup, emb_val))
+            cardinality = optimal_alphabet_size(max(p_sup, emb_val))
     else:
         warnings.append("sup h_emb is infinite: no finite-alphabet extension")
     return DiagramReport(

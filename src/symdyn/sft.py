@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .entropy import EntropyBracket, EntropyValue, max_entropy
+from .entropy import EntropyBracket, EntropyValue
 from .errors import ArgumentError, ResourceCapError
 
 Word = tuple  # tuple of symbols
@@ -448,7 +448,7 @@ def capacities(table: PerTable, tail_window: int | None = None) -> Capacities:
         if n >= tail_start:
             lim_terms.append(term)
             window.append(n)
-    return Capacities(max_entropy(*sup_terms), max_entropy(*lim_terms), tuple(window))
+    return Capacities(max(sup_terms), max(lim_terms), tuple(window))
 
 
 # ---------------------------------------------------------------------------

@@ -199,14 +199,6 @@ class TruncatedOps:
             yield first + _offset(box, lows + [window.start, inner.start]), 0, len(window) * len(inner)
 
     @cached_property
-    def scans(self) -> list:
-        """Each point's scan list, in the order the naive oracle visits it."""
-        scans = [[i] for i in range(len(self.horizons))]
-        for i, rest in self.wide.items():
-            scans[i] += rest
-        return scans
-
-    @cached_property
     def deps(self) -> dict:
         """Each point in the rest of some scan -> the points whose scan holds it."""
         deps = {}

@@ -29,6 +29,7 @@ from symdyn.diagram import (
     step_fn,
     tau_unbounded_along,
 )
+from symdyn.entropy import EntropyValue
 from symdyn.errors import ArgumentError
 from symdyn.scenarios import scenario_data
 
@@ -230,14 +231,16 @@ def value_at(s, env, k):
 
 
 def test_seq_as_fn_slices():
+    from test_envelope import seq_slice  # test_envelope imports this module
+
     s = seq_step(Fraction(1), lin(2, m=1), Fraction(0))
     for k in (1, 2, 5, 9):
-        fk = s.as_fn(k, {"m": 1})
+        fk = seq_slice(s, k, {"m": 1})
         for m in range(1, 12):
             assert fk.evaluate({"m": m}) == value_at(s, {"m": m}, k)
     two = seq_step(Fraction(1), lin(1, m=1, j=1), Fraction(0))
     for k in (1, 3, 6, 11):
-        fk = two.as_fn(k, {"m": 1, "j": 1})
+        fk = seq_slice(two, k, {"m": 1, "j": 1})
         for m in range(1, 10):
             for j in range(1, 10):
                 assert fk.evaluate({"m": m, "j": j}) == value_at(
@@ -269,6 +272,15 @@ def test_diagram_validation():
             (top, mid, deep),
             (FamilyLink("deep", "j", "mid"), FamilyLink("mid", "x", "top")),
         )
+
+
+def test_p_sup_is_an_entropy_value_or_none():
+    top = Node("top")
+    for p_sup in (None, EntropyValue(Fraction(1, 2)), INF):
+        assert MeasureDiagram((top,), (), p_sup).p_sup is p_sup
+    for bad in (Fraction(1, 2), 1, 0.5):
+        with pytest.raises(ArgumentError, match="^p_sup must be an EntropyValue or None, not "):
+            MeasureDiagram((top,), (), bad)
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from symdyn.entropy import (
     EntropyValue,
     _perfect_power,
     int_nthroot,
-    max_entropy,
     optimal_alphabet_size,
 )
 from symdyn.errors import ArgumentError, ResourceCapError
@@ -114,7 +113,7 @@ def test_floor_two_pow():
 def test_infinity_ordering():
     inf = EntropyValue.infinity()
     assert inf > EntropyValue(10**9)
-    assert max_entropy(EntropyValue(1), inf).is_infinite
+    assert max(EntropyValue(1), inf).is_infinite
     with pytest.raises(ValueError):
         inf.floor_two_pow()
 
@@ -162,7 +161,7 @@ def test_infinity_absorbs_sums_and_differences(x, q):
 
 def test_infinity_is_one_instance():
     assert INF * 3 is INF
-    assert max_entropy(EntropyValue(1), INF) is INF
+    assert max(EntropyValue(1), INF) is INF
     assert copy.deepcopy(INF) is INF
     assert pickle.loads(pickle.dumps(INF)) is INF
     log_form = pickle.loads(pickle.dumps(EntropyValue.log2_of(9, 2)))
@@ -209,6 +208,12 @@ def test_floats_and_bools_are_refused():
         with pytest.raises(ArgumentError, match="^entropy values must be exact"):
             EntropyValue(value)
     assert EntropyValue("1/10") == EntropyValue(Fraction(1, 10))
+
+
+@pytest.mark.parametrize("c, n", [(3, 1.5), (3.0, 1), (True, 2), (3, True), (Fraction(3), 1)])
+def test_log2_of_takes_ints_only(c, n):
+    with pytest.raises(ArgumentError, match="^log2_of takes ints c and n, not "):
+        EntropyValue.log2_of(c, n)
 
 
 @pytest.mark.parametrize(

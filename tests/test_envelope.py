@@ -8,6 +8,7 @@ import pytest
 from symdyn import diagram as diagram_module
 from symdyn.diagram import (
     INF,
+    Atom,
     FamilyLink,
     FnSpec,
     MeasureDiagram,
@@ -41,7 +42,7 @@ from symdyn.envelope import (
     zero_fn,
     zero_seq,
 )
-from symdyn.entropy import EntropyValue, max_entropy, optimal_alphabet_size
+from symdyn.entropy import EntropyValue, optimal_alphabet_size
 from symdyn.errors import ArgumentError, ConstructionError
 from symdyn.randgen import random_candidate_envelope, random_diagram
 from symdyn.report import jsonable
@@ -201,6 +202,15 @@ def test_is_repair_zero_cases():
     assert is_repair(zero_fn(D), zero_seq(D), D).repairs
 
 
+def test_negative_candidates_and_floors_are_refused_where_they_enter():
+    D = chain2()
+    negative = fn_on(D, {"deep": const_fn(0), "mid": const_fn(0), "top": const_fn(Fraction(-1, 2))})
+    with pytest.raises(ArgumentError, match="^repair candidates must be nonnegative$"):
+        is_repair(negative, zero_seq(D), D)
+    with pytest.raises(ArgumentError, match="^floor must be nonnegative$"):
+        minimal_repair(zero_seq(D), negative, D)
+
+
 def test_infinite_values_render_as_inf():
     top = Node("top", (), "periodic", "1")
     arm = Node("arm", ("j",), "periodic")
@@ -316,7 +326,7 @@ def test_monotone_theta_gives_monotone_envelopes():
         node = D.node(nid)
         prev = None
         for k in (1, 2, 3, 5, 8):
-            fk = s.as_fn(k, node.mins)
+            fk = seq_slice(s, k, node.mins)
             if prev is not None:
                 assert fn_le(fk, prev, node.mins) is None
             prev = fk
@@ -337,7 +347,7 @@ def test_envelope_slices_nonincreasing_in_k():
     prev = None
     for k in (1, 2, 3, 5, 8, 13):
         slice_k = fn_on(
-            D, {n.node_id: ptail.spec(n.node_id).as_fn(k, n.mins) for n in D.nodes}
+            D, {n.node_id: seq_slice(ptail.spec(n.node_id), k, n.mins) for n in D.nodes}
         )
         env_k = usc_envelope(slice_k, D)
         if prev is not None:
@@ -361,7 +371,7 @@ def test_envelope_of_fixed_k_period_tail_slice():
     )
     for k in (1, 3, 7):
         slice_k = fn_on(
-            D, {n.node_id: ptail.spec(n.node_id).as_fn(k, n.mins) for n in D.nodes}
+            D, {n.node_id: seq_slice(ptail.spec(n.node_id), k, n.mins) for n in D.nodes}
         )
         env = usc_envelope(slice_k, D)
         for m in (1, 2, 5, 11):
@@ -448,6 +458,37 @@ def k_horizon(hseq, E, diagram):
     return max(consts) + 4 + at_mins
 
 
+def seq_slice(s, k, mins=None):
+    """The k-th function of the threshold sequence s, as a piecewise spec.
+
+    A single-parameter threshold becomes one step; a two-parameter
+    threshold has a finite settled region {a*p + b*q <= k - const},
+    which is enumerated one outer value at a time.
+    """
+    if not s.tau.coeffs:
+        return const_fn(s.lo if k < s.tau.const else s.hi)
+    if len(s.tau.coeffs) == 1:
+        p, c = s.tau.coeffs[0]
+        # k < c*p + const  <=>  p > (k - const)/c  <=>  p >= floor(...) + 1
+        thr = (k - s.tau.const) // c + 1
+        return step_fn(p, lin(max(thr, 0)), s.hi, s.lo)  # p < thr: k >= tau
+    (p, a), (q, b) = s.tau.coeffs
+    mins = mins or {}
+    p_min, q_min = mins.get(p, 1), mins.get(q, 1)
+    bound = k - s.tau.const  # settled (hi) region: a*p + b*q <= bound
+    p_max = (bound - b * q_min) // a
+    if p_max < p_min:
+        return const_fn(s.lo)
+    pieces = []
+    for p0 in range(p_min, p_max + 1):
+        q_thr = (bound - a * p0) // b + 1  # q < q_thr: settled
+        at_p0 = (Atom(p, False, lin(p0)), Atom(p, True, lin(p0 + 1)))
+        pieces.append((at_p0 + (Atom(q, True, lin(q_thr)),), s.hi))
+        pieces.append((at_p0 + (Atom(q, False, lin(q_thr)),), s.lo))
+    pieces.append(((Atom(p, False, lin(p_max + 1)),), s.lo))
+    return FnSpec(tuple(pieces))
+
+
 def naive_is_superenvelope(E, hseq, diagram):
     """The direct check the repair duality replaced, on the values as given:
     E >= h, then E - h_k upper semicontinuous for k = 1..k_horizon.  E - h_k
@@ -469,7 +510,7 @@ def naive_is_superenvelope(E, hseq, diagram):
         """E - h_k and its usc envelope."""
         diff = {}
         for node in diagram.nodes:
-            hk = hseq.spec(node.node_id).as_fn(k, node.mins)
+            hk = seq_slice(hseq.spec(node.node_id), k, node.mins)
             if any(v is INF for _, v in hk.pieces):
                 raise ArgumentError("entropy sequences must take finite values")
             minus = FnSpec(tuple((atoms, -v) for atoms, v in hk.pieces))
@@ -780,7 +821,7 @@ def naive_fraction_analyze_diagram(diagram, hseq, perseq):
             warnings.append("cardinality computed from sup h_emb only: no periodic-capacity input")
             cardinality = optimal_alphabet_size(emb_val)
         else:
-            cardinality = optimal_alphabet_size(max_entropy(p_sup, emb_val))
+            cardinality = optimal_alphabet_size(max(p_sup, emb_val))
     else:
         warnings.append("sup h_emb is infinite: no finite-alphabet extension")
     return envelope.DiagramReport(
@@ -1000,8 +1041,9 @@ def test_an_analysis_that_raises_leaves_no_memo():
 
 
 def test_no_envelope_limit_is_computed_twice(monkeypatch):
-    # the fixpoint's re-verification reuses the limit the loop just took, and
-    # both repairs of an analysis start from one u_one of the entropy tails
+    # the fixpoint's re-verification reuses the limit the loop just took,
+    # both repairs of an analysis start from one u_one of the entropy tails,
+    # and an analysis takes no usc envelope of its own floor 0
     calls = []
 
     def counted(u, theta, diagram):
@@ -1022,4 +1064,4 @@ def test_no_envelope_limit_is_computed_twice(monkeypatch):
         D, hseq, perseq = random_diagram(rng)
         theta = tails_of(hseq, D)
         assert count(minimal_repair, theta, zero_fn(D), D) == count(naive_fraction_minimal_repair, theta, zero_fn(D), D) - 1
-        assert count(analyze_diagram, D, hseq, perseq) == count(naive_fraction_analyze_diagram, D, hseq, perseq) - 3
+        assert count(analyze_diagram, D, hseq, perseq) == count(naive_fraction_analyze_diagram, D, hseq, perseq) - 4

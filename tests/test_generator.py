@@ -454,6 +454,24 @@ def test_dead_end_spec_matches_the_enumeration():
             assert astuple(partition_to_extension(sft, code, depth)) == naive_partition_to_extension(sft, code, depth)
 
 
+def test_extend_generator_counts_the_dead_ends(tmp_path, capsys):
+    # reading off "is it 0" leaves 4 centres under one name at depth 0; with
+    # its two neighbours read too, 5 centres at depth 0 and a unique decode
+    sft = dead_end_spec()
+    forbidden = ["".join(w) for w in sorted(sft.forbidden)]
+    spec = write_spec(tmp_path, "dead.json", {"kind": "sft", "alphabet": list("01234"), "forbidden": forbidden})
+    tables = {
+        0: {s: "a" if s == "0" else "b" for s in "01234"},
+        1: {"".join(w): "ab"[w[1] != "0"] for w in itertools.product("01234", repeat=3)},
+    }
+    for radius, multiplicities, unique in ((0, [4, 3, 2, 1, 1], False), (1, [5, 3, 2, 1, 1], True)):
+        code = write_spec(tmp_path, f"dead{radius}.json", {"kind": "blockcode", "radius": radius, "table": tables[radius]})
+        assert main(["extend", "generator", "--spec", spec, "--code", code, "--depth", "4"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert list(result["multiplicities"].values()) == multiplicities
+        assert result["decode_unique"] is unique
+
+
 def test_known_tables_past_the_old_word_cap():
     # at depth 30 the enumeration would list 2**61 words of the full 2-shift
     fs, gm = full_shift("01"), golden_mean()

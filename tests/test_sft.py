@@ -343,17 +343,38 @@ def EntropyBracket_exact(v):
     return EntropyBracket(Fraction(v), Fraction(v))
 
 
-def test_top_entropy_against_power_iteration():
-    import numpy as np
+def lucas_fibonacci(n):
+    """(L_n, F_n), the Lucas and Fibonacci numbers: phi**n = (L_n + F_n sqrt 5) / 2."""
+    L, F = 2, 0
+    for _ in range(n):
+        L, F = (L + 5 * F) // 2, (L + F) // 2
+    return L, F
 
-    A = np.array([[1.0, 1.0], [1.0, 0.0]])
-    v = np.ones(2)
-    for _ in range(200):
-        v = A @ v
-        v /= np.linalg.norm(v)
-    lam = float(v @ A @ v / (v @ v))
-    bracket = top_entropy(golden_mean())
-    assert bracket_contains(bracket, np.log2(lam))
+
+def at_most_log2_phi(r):
+    """a/b <= log2 phi  <=>  2**(a+1) <= L_b + F_b sqrt 5, decided on integers."""
+    a, b = r.numerator, r.denominator
+    L, F = lucas_fibonacci(b)
+    x = 2 ** (a + 1) - L
+    return x <= 0 or x * x <= 5 * F * F
+
+
+def at_least_log2_phi(r):
+    """c/d >= log2 phi  <=>  L_d + F_d sqrt 5 <= 2**(c+1), decided on integers."""
+    c, d = r.numerator, r.denominator
+    L, F = lucas_fibonacci(d)
+    y = 2 ** (c + 1) - L
+    return y >= 0 and 5 * F * F <= y * y
+
+
+def test_top_entropy_against_lucas_numbers():
+    assert [lucas_fibonacci(n) for n in range(6)] == [(2, 0), (1, 1), (3, 1), (4, 2), (7, 3), (11, 5)]
+    # log2 phi = 0.6942...
+    assert at_most_log2_phi(Fraction(69, 100)) and not at_most_log2_phi(Fraction(7, 10))
+    assert at_least_log2_phi(Fraction(7, 10)) and not at_least_log2_phi(Fraction(69, 100))
+    for tol in (Fraction(1, 20), Fraction(1, 100), Fraction(1, 1000)):
+        bracket = top_entropy(golden_mean(), tol)
+        assert at_most_log2_phi(bracket.lo) and at_least_log2_phi(bracket.hi), (tol, bracket)
 
 
 def test_count_words_matches_enumeration():

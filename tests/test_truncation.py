@@ -305,7 +305,7 @@ def test_scan_lists_are_the_points_the_naive_oracle_visits(name):
         for i, pt in enumerate(space.points):
             visits.read = []
             naive.envelope_at(visits, None, pt, 0)
-            assert visits.read == [space.points[q] for q in ops.scans[i]], pt
+            assert visits.read == [space.points[q] for q in [i, *ops.wide.get(i, ())]], pt
             assert ops.horizons[i] == naive.horizon(pt)
 
 
