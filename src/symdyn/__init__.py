@@ -65,7 +65,6 @@ from .sft import (
     top_entropy,
     word,
 )
-from .truncation import truncated_analyze
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

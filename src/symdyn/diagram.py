@@ -543,12 +543,6 @@ class MeasureDiagram:
         except KeyError:
             raise ArgumentError(f"unknown node {node_id!r}") from None
 
-    def level(self, node_id: str) -> int:
-        try:
-            return self._level[node_id]
-        except KeyError:
-            raise ArgumentError(f"unknown node {node_id!r}") from None
-
     @property
     def depth(self) -> int:
         return max(self._level.values(), default=0)

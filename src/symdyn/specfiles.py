@@ -239,10 +239,10 @@ def window_to_json(w: ArrayWindow, doubled: bool = False) -> dict:
     """Serialize a window; doubled renders marked cells as 'a|'."""
     if doubled:
         rows = []
-        for k, row in enumerate(w.rows, start=1):
-            cells = [
-                c + ("|" if i in w.markers[k - 1] else "") for i, c in enumerate(row)
-            ]
+        for row, marks in zip(w.rows, w.markers):  # ArrayWindow keeps marks in range
+            cells = list(row)
+            for i in marks:
+                cells[i] += "|"
             rows.append("".join(cells))
         return {"rows_doubled": rows, "boundary": w.boundary}
     return {

@@ -133,11 +133,6 @@ def _exact(v, D: int):
     return v if v is INF else Fraction(v, D)
 
 
-def _exact_by_point(values: list, D: int, points) -> dict:
-    exact = {v: _exact(v, D) for v in set(values)}
-    return dict(zip(points, map(exact.__getitem__, values)))
-
-
 def _sups(values: dict, D: int) -> dict:
     return {
         "p_star": _exact(max(values["u1"]), D),
@@ -315,17 +310,6 @@ class TruncatedOps:
             "h_emb": list(map(add, h, u_emb)),
         }
         return values, D
-
-
-def truncated_analyze(
-    diagram: MeasureDiagram, hseq: SeqOnDiagram, perseq: SeqOnDiagram, T: int
-) -> dict:
-    space = build_space(diagram, T, hseq, perseq)
-    values, D = TruncatedOps(space).analyze(hseq, perseq)
-    out = {key: _exact_by_point(v, D, space.points) for key, v in values.items()}
-    out.update(_sups(values, D))
-    out["space"] = space
-    return out
 
 
 def compare_with_exact(

@@ -283,6 +283,12 @@ def test_p_sup_is_an_entropy_value_or_none():
             MeasureDiagram((top,), (), bad)
 
 
+def level(D, node_id: str) -> int:
+    """The accumulation level the diagram computed for a class."""
+    D.node(node_id)  # an unknown id is refused by name
+    return D._level[node_id]
+
+
 @pytest.mark.parametrize(
     "name, levels",
     [
@@ -294,10 +300,10 @@ def test_p_sup_is_an_entropy_value_or_none():
 )
 def test_levels_on_the_scenarios(name, levels):
     D = scenario_data(name, Fraction(3, 2) if name in ("example2", "example3") else None).diagram
-    assert {n.node_id: D.level(n.node_id) for n in D.nodes} == levels
+    assert {n.node_id: level(D, n.node_id) for n in D.nodes} == levels
     assert D.depth == max(levels.values())
     with pytest.raises(ArgumentError, match="^unknown node 'nowhere'$"):
-        D.level("nowhere")
+        level(D, "nowhere")
 
 
 def test_accumulation_deeper_than_two_is_refused():

@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import random
 import re
 import subprocess
 import sys
@@ -13,6 +14,8 @@ import pytest
 
 from symdyn.cli import build_parser, main
 from symdyn.errors import SpecFileError
+from symdyn.markers import OPEN, WRAP, window_from_rows
+from symdyn.randgen import random_aperiodic_window
 from symdyn.sft import DEFAULT_PERIOD_CAP
 from symdyn.specfiles import KINDS, load_spec, rational, window_to_json
 
@@ -87,6 +90,35 @@ def test_window_roundtrip(tmp_path):
     assert again["markers"] == payload["markers"]
     doubled = window_to_json(w, doubled=True)
     assert doubled["rows_doubled"][0] == "0|10|1"
+
+
+def naive_doubled(w) -> dict:
+    """The doubled rows cell by cell, each column looked up in its row's markers."""
+    rows = []
+    for k, row in enumerate(w.rows, start=1):
+        cells = [c + ("|" if i in w.markers[k - 1] else "") for i, c in enumerate(row)]
+        rows.append("".join(cells))
+    return {"rows_doubled": rows, "boundary": w.boundary}
+
+
+def test_doubled_rows_match_the_cell_by_cell_rendering():
+    rng = random.Random(31)
+
+    def rows(width, depth):
+        return ["".join(rng.choice("01") for _ in range(width)) for _ in range(depth)]
+
+    windows = [
+        window_from_rows(["0110"], [[0, 3]]),  # markers at both end columns
+        window_from_rows(["0110", "1001"], [[], []]),
+        window_from_rows(["01101"] * 3, [[4], [], [0, 2, 4]], WRAP),
+        window_from_rows(rows(1600, 4), [rng.sample(range(1600), n) for n in (0, 1, 400, 1600)]),
+    ]
+    for _ in range(300):
+        width, depth = rng.randint(1, 25), rng.randint(1, 4)
+        marks = [rng.sample(range(width), rng.randint(0, width)) for _ in range(depth)]
+        windows.append(window_from_rows(rows(width, depth), marks, rng.choice((OPEN, WRAP))))
+    for w in windows:
+        assert window_to_json(w, doubled=True) == naive_doubled(w)
 
 
 def run_cli(args):
@@ -369,31 +401,33 @@ def test_cli_capacities_on_a_long_forbidden_word(tmp_path, args, check):
     check(code, out, err)
 
 
+DIAGRAM = {
+    "kind": "diagram",
+    "version": 1,
+    "nodes": [
+        {"id": "top", "kind": "periodic", "period": "1"},
+        {"id": "mid", "params": ["m"], "kind": "aperiodic"},
+        {"id": "deep", "params": ["m", "p"], "kind": "periodic"},
+    ],
+    "families": [
+        {"member": "deep", "parameter": "p", "limit": "mid"},
+        {"member": "mid", "parameter": "m", "limit": "top"},
+    ],
+    "h": {
+        "top": "0",
+        "mid": {"lo": "0", "tau": {"m": 1}, "hi": "3/2"},
+        "deep": "0",
+    },
+    "ptail": {
+        "top": "0",
+        "mid": "0",
+        "deep": {"lo": "1", "tau": {"m": 1, "p": 1}, "hi": "0"},
+    },
+}
+
+
 def test_cli_diagram_analyze(tmp_path):
-    diag = {
-        "kind": "diagram",
-        "version": 1,
-        "nodes": [
-            {"id": "top", "kind": "periodic", "period": "1"},
-            {"id": "mid", "params": ["m"], "kind": "aperiodic"},
-            {"id": "deep", "params": ["m", "p"], "kind": "periodic"},
-        ],
-        "families": [
-            {"member": "deep", "parameter": "p", "limit": "mid"},
-            {"member": "mid", "parameter": "m", "limit": "top"},
-        ],
-        "h": {
-            "top": "0",
-            "mid": {"lo": "0", "tau": {"m": 1}, "hi": "3/2"},
-            "deep": "0",
-        },
-        "ptail": {
-            "top": "0",
-            "mid": "0",
-            "deep": {"lo": "1", "tau": {"m": 1, "p": 1}, "hi": "0"},
-        },
-    }
-    path = write(tmp_path, "diag.json", diag)
+    path = write(tmp_path, "diag.json", DIAGRAM)
     code, out, _ = run_cli(["diagram", "analyze", "--spec", path])
     assert code == 0
     body = json.loads(out)
@@ -1034,6 +1068,46 @@ def test_cli_diagram_analyze_root_of_huge_degree(tmp_path):
 def test_cli_determinism(tmp_path):
     args = ["per", "--spec", gm_spec(tmp_path), "-n", "4"]
     assert run_cli(args)[1] == run_cli(args)[1]
+
+
+def markers_window(tmp_path):
+    w = random_aperiodic_window(random.Random(3), 60, 2, 2)
+    return write(tmp_path, "wm.json", {"kind": "window", "version": 1, "rows": list(w.rows), "markers": [[], []]})
+
+
+TWO_LEVEL_HIERARCHY = hierarchy(TWO_LEVELS, oracle={"1": {"B1": 2, "B2": 1}, "2": {"R1": 1}})
+NON_ASCII_HALL = {"kind": "hall", "version": 1, "strips": {"σ1": ["ab"], "é\t2": ["ab", "cd"]}}
+# one invocation of each command
+REPORT_COMMANDS = {
+    "per": lambda t: ["per", "--spec", gm_spec(t), "-n", "6"],
+    "capacities": lambda t: ["capacities", "--spec", gm_spec(t), "-n", "10"],
+    "entropy": lambda t: ["entropy", "--spec", gm_spec(t), "--tol", "1/100"],
+    "dbar": lambda t: ["dbar", "--spec", gm_spec(t), "--mix-a", "0:1/2,01:1/2", "--mix-b", "0:1"],
+    "markers run": lambda t: ["markers", "run", "--pass", "pipeline", "--spec", markers_window(t), "--rules", "D,E"],
+    "extend build": lambda t: ["extend", "build", "--spec", write(t, "h.json", TWO_LEVEL_HIERARCHY)],
+    "extend selector": lambda t: [
+        "extend", "selector", "--spec", write(t, "h.json", TWO_LEVEL_HIERARCHY), "--path", "B1,R1"
+    ],
+    "extend hall": lambda t: ["extend", "hall", "--spec", write(t, "hall.json", NON_ASCII_HALL)],
+    "extend generator": lambda t: ["extend", "generator", "--spec", gm_spec(t), "--code", zero_code(t), "--depth", "4"],
+    "diagram analyze": lambda t: ["diagram", "analyze", "--spec", write(t, "diag.json", DIAGRAM)],
+    "scenario": lambda t: ["scenario", "example2", "--h0", "3/2"],
+}
+
+
+def test_report_commands_cover_the_parser():
+    commands = set()
+    for name, parser in _parsers(build_parser()):
+        if not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions):
+            commands.add(name)
+    assert commands == set(REPORT_COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_COMMANDS))
+def test_json_report_is_json_dumps_sorted_with_indent_2(tmp_path, command):
+    code, out, err = run_cli(REPORT_COMMANDS[command](tmp_path))
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 def run_outcome(args):

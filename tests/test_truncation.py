@@ -8,7 +8,7 @@ from symdyn.envelope import analyze_diagram
 from symdyn.errors import ArgumentError
 from symdyn.randgen import random_diagram
 from symdyn.scenarios import SCENARIO_NAMES, scenario_data
-from symdyn.truncation import TruncatedOps, build_space, compare_with_exact, truncated_analyze
+from symdyn.truncation import TruncatedOps, _exact, _sups, build_space, compare_with_exact
 from fractions import Fraction
 
 H0S = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2))
@@ -120,6 +120,21 @@ class NaiveTruncatedOps:
             "sup_h_sex": max(h_sex.values()),
             "sup_h_emb": max(h_emb.values()),
         }
+
+
+def truncated_analyze(diagram, hseq, perseq, T: int) -> dict:
+    """Every value of the numeric operators at every point of the space."""
+    space = build_space(diagram, T, hseq, perseq)
+    values, D = TruncatedOps(space).analyze(hseq, perseq)
+    out = {key: _exact_by_point(v, D, space.points) for key, v in values.items()}
+    out.update(_sups(values, D))
+    out["space"] = space
+    return out
+
+
+def _exact_by_point(values: list, D: int, points) -> dict:
+    exact = {v: _exact(v, D) for v in set(values)}
+    return dict(zip(points, map(exact.__getitem__, values)))
 
 
 def naive_truncated_analyze(diagram, hseq, perseq, T: int) -> dict:
