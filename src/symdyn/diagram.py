@@ -16,9 +16,10 @@ form, one integer interval per residue class of a parameter mod 6, never
 by floats.  Values are exact numbers, ints or Fractions, or +infinity,
 kept as given: no constructor converts them, and `exact` refuses any
 other value where a sequence or an analysis first reads it.  The one
-infinity is EntropyValue.infinity() (exported here as INF): `+` and `-`
-absorb it, and `v is INF` tests for it.  Inside one analysis,
-`feasibility_memo` remembers each guard set's answer.
+infinity is INF, defined here: it is above every number, `+` and `-`
+absorb numbers into it, nothing subtracts it, and `v is INF` tests for
+it.  Inside one analysis, `feasibility_memo` remembers each guard set's
+answer.
 """
 
 from __future__ import annotations
@@ -28,11 +29,55 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 
 from .entropy import EntropyValue
 from .errors import ArgumentError
 
-INF = EntropyValue.infinity()
+
+def _number(v) -> bool:
+    return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+
+
+@total_ordering
+class _Infinity:
+    """+infinity among diagram values.  It combines only with itself, ints
+    and Fractions: any other operand, a float, None or an EntropyValue, is
+    NotImplemented, so Python raises TypeError."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):  # nothing is above infinity
+        return False if other is self or _number(other) else NotImplemented
+
+    def __add__(self, other):
+        return self if other is self or _number(other) else NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if other is self:
+            raise ArgumentError("cannot subtract infinity")
+        return self if _number(other) else NotImplemented
+
+    def __rsub__(self, other):
+        if _number(other):
+            raise ArgumentError("cannot subtract infinity")
+        return NotImplemented
+
+    def __reduce__(self):  # copies and pickles keep the one instance
+        return "INF"
+
+    def render(self) -> str:
+        return "inf"
+
+    __str__ = render
+
+    def __repr__(self):
+        return "INF"
+
+
+INF = _Infinity()
 
 MAX_COEFF = 3
 _SLOPE_STEP = 6  # lcm of admissible coefficient denominators 1..3
@@ -40,7 +85,7 @@ _SLOPE_STEP = 6  # lcm of admissible coefficient denominators 1..3
 
 def exact(v):
     """v itself when it is an exact value: an int, a Fraction or INF."""
-    if v is INF or isinstance(v, (int, Fraction)) and not isinstance(v, bool):
+    if v is INF or _number(v):
         return v
     raise ArgumentError(f"diagram values must be exact (int, Fraction or INF), not {v!r}")
 

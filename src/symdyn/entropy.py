@@ -1,10 +1,12 @@
 """Exact entropy values in bits.
 
-All entropies in this package are base-2 logarithms.  Finite values are
-either exact rationals or exact log-forms log2(c)/n with integer c >= 1,
+All entropies in this package are base-2 logarithms.  A value is either
+an exact rational or an exact log-form log2(c)/n with integer c >= 1,
 n >= 1; comparisons between the two are done by integer exponentiation,
-never through floats.  Irrational entropies that cannot be pinned down
-exactly (spectral radii) are reported as rational brackets.
+never through floats.  Values compare but do not add; the diagram
+algebra's values, its infinity INF included, live in `diagram`.
+Irrational entropies that cannot be pinned down exactly (spectral radii)
+are reported as rational brackets.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from math import inf, isqrt, log2
+from math import isqrt, log2
 
 from .errors import ArgumentError, ResourceCapError
 
@@ -66,7 +68,9 @@ def _log2_exact(c: int) -> int | None:
 
 @total_ordering
 class EntropyValue:
-    """An exact entropy: rational bits, log2(c)/n bits, or +infinity."""
+    """An exact finite entropy: rational bits or log2(c)/n bits.  Values
+    compare exactly with each other, ints and Fractions; they do not add
+    or scale."""
 
     __slots__ = ("_kind", "_rat", "_c", "_n")
 
@@ -76,11 +80,6 @@ class EntropyValue:
         self._kind = "rat"
         self._rat = Fraction(value)
         self._c = self._n = None
-
-    @classmethod
-    def infinity(cls) -> "EntropyValue":
-        """The one +infinity: every infinite result is this instance."""
-        return _INFINITY
 
     @classmethod
     def log2_of(cls, c: int, n: int = 1) -> "EntropyValue":
@@ -99,26 +98,13 @@ class EntropyValue:
         v._c, v._n = c, n
         return v
 
-    @property
-    def is_infinite(self) -> bool:
-        return self._kind == "inf"
-
-    def as_fraction(self) -> Fraction:
-        if self._kind != "rat":
-            raise ValueError(f"{self} is not an exact rational")
-        return self._rat
-
     def approx(self) -> float:
-        if self._kind == "inf":
-            return inf
         if self._kind == "rat":
             return float(self._rat)
         return log2(self._c) / self._n
 
     # comparisons: rational p/q vs log2(c)/n  <=>  2**(p*n) vs c**q
     def _cmp(self, other: "EntropyValue") -> int:
-        if self is _INFINITY or other is _INFINITY:
-            return (self is _INFINITY) - (other is _INFINITY)
         if self._kind == "rat" and other._kind == "rat":
             return (self._rat > other._rat) - (self._rat < other._rat)
         if self._kind == "log" and other._kind == "log":
@@ -147,71 +133,13 @@ class EntropyValue:
     def __hash__(self):
         if self._kind == "rat":
             return hash(self._rat)
-        if self._kind == "inf":
-            return hash("entropy-inf")
         # log2(c)/n == log2(c')/n' exactly when the perfect-power bases agree
         # and so do the exponent ratios
         b, e = _perfect_power(self._c)
         return hash(("entropy-log", b, Fraction(e, self._n)))
 
-    def __add__(self, other) -> "EntropyValue":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if self._kind == "inf" or other._kind == "inf":
-            return _INFINITY
-        if self._kind == "rat" and other._kind == "rat":
-            return EntropyValue(self._rat + other._rat)
-        if self._kind == "log" and other._kind == "log":
-            # log2(c1)/n1 + log2(c2)/n2 = log2(c1^n2 * c2^n1) / (n1*n2)
-            return EntropyValue.log2_of(
-                _pow(self._c, other._n) * _pow(other._c, self._n), self._n * other._n
-            )
-        rat, log = (self, other) if self._kind == "rat" else (other, self)
-        p, q = rat._rat.numerator, rat._rat.denominator
-        if p < 0:
-            raise ValueError("cannot add a negative rational to a log form exactly")
-        return EntropyValue.log2_of(_pow(2, p * log._n) * _pow(log._c, q), q * log._n)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "EntropyValue":
-        """inf - finite is inf; rationals subtract exactly; nothing subtracts inf."""
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if other._kind == "inf":
-            raise ArgumentError("cannot subtract infinity")
-        if self._kind == "inf":
-            return _INFINITY
-        return EntropyValue(self.as_fraction() - other.as_fraction())
-
-    def __rsub__(self, other) -> "EntropyValue":
-        other = _coerce(other)
-        return NotImplemented if other is None else other - self
-
-    def __mul__(self, other) -> "EntropyValue":
-        """Scale by a nonnegative rational weight (harmonic averaging)."""
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        w = other.as_fraction()
-        if w < 0:
-            raise ValueError("entropy values scale by nonnegative weights only")
-        if self._kind == "inf":
-            return EntropyValue(0) if w == 0 else _INFINITY
-        if self._kind == "rat":
-            return EntropyValue(self._rat * w)
-        if w == 0:
-            return EntropyValue(0)
-        return EntropyValue.log2_of(_pow(self._c, w.numerator), self._n * w.denominator)
-
-    __rmul__ = __mul__
-
     def floor_two_pow(self) -> int:
-        """floor(2**value) for a finite value, exactly."""
-        if self._kind == "inf":
-            raise ValueError("floor_two_pow of infinity")
+        """floor(2**value), exactly."""
         if self._kind == "rat":
             p, q = self._rat.numerator, self._rat.denominator
             if p < 0:
@@ -220,8 +148,6 @@ class EntropyValue:
         return int_nthroot(self._c, self._n)
 
     def render(self) -> str:
-        if self._kind == "inf":
-            return "inf"
         if self._kind == "rat":
             return f"{self._rat} ({self.approx():.6g})"
         return f"log2({self._c})/{self._n} ({self.approx():.6g})"
@@ -229,19 +155,10 @@ class EntropyValue:
     def __repr__(self):
         return f"EntropyValue[{self.render()}]"
 
-    def __str__(self):  # bare "inf", like the Fractions it stands beside in diagrams
-        return "inf" if self._kind == "inf" else repr(self)
-
-    def __reduce_ex__(self, protocol):  # any protocol; copies keep the one infinity
-        if self._kind == "inf":
-            return (EntropyValue.infinity, ())
+    def __reduce_ex__(self, protocol):  # any protocol
         if self._kind == "rat":
             return (EntropyValue, (self._rat,))
         return (EntropyValue.log2_of, (self._c, self._n))
-
-
-_INFINITY = object.__new__(EntropyValue)
-_INFINITY._kind, _INFINITY._rat, _INFINITY._c, _INFINITY._n = "inf", None, None, None
 
 
 def _coerce(x) -> EntropyValue | None:

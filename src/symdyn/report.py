@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
+from .diagram import INF
 from .entropy import EntropyBracket, EntropyValue
 
 _INF = float("inf")
@@ -42,7 +43,9 @@ def jsonable(x):
     if isinstance(x, Fraction):
         return {"exact": str(x), "approx": float(x)}
     if isinstance(x, EntropyValue):
-        return {"exact": x.render(), "approx": None if x.is_infinite else x.approx()}
+        return {"exact": x.render(), "approx": x.approx()}
+    if x is INF:
+        return {"exact": "inf", "approx": None}
     if isinstance(x, EntropyBracket):
         return {
             "lo": jsonable(x.lo),

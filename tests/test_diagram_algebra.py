@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -276,11 +278,70 @@ def test_diagram_validation():
 
 def test_p_sup_is_an_entropy_value_or_none():
     top = Node("top")
-    for p_sup in (None, EntropyValue(Fraction(1, 2)), INF):
+    for p_sup in (None, EntropyValue(Fraction(1, 2))):
         assert MeasureDiagram((top,), (), p_sup).p_sup is p_sup
     for bad in (Fraction(1, 2), 1, 0.5):
         with pytest.raises(ArgumentError, match="^p_sup must be an EntropyValue or None, not "):
             MeasureDiagram((top,), (), bad)
+    # an infinite capacity is refused where it enters, not deep in an analysis
+    with pytest.raises(ArgumentError, match="^p_sup must be an EntropyValue or None, not INF$"):
+        MeasureDiagram((top,), (), INF)
+
+
+# ---------------------------------------------------------------------------
+# the one infinity
+
+
+numbers = st.one_of(st.integers(-64, 64), st.fractions(min_value=-64, max_value=64, max_denominator=64))
+
+
+@given(numbers, st.fractions(min_value=-64, max_value=64, max_denominator=64))
+def test_infinity_absorbs_sums_and_differences(x, q):
+    assert INF + x is INF
+    assert x + INF is INF
+    assert INF - x is INF
+    assert INF + INF is INF
+    for probe in (lambda: x - INF, lambda: INF - INF):
+        with pytest.raises(ArgumentError, match="^cannot subtract infinity$"):
+            probe()
+    assert INF > x and x < INF and x != INF
+    assert INF >= INF and INF <= INF and not INF < INF
+    # finite diagram values stay Fractions
+    assert type(q - Fraction(1, 3)) is Fraction
+
+
+def test_infinity_is_one_instance():
+    assert not isinstance(INF, EntropyValue)
+    assert INF + 3 is INF
+    assert max(Fraction(1), INF) is INF and max(INF, 1) is INF
+    assert copy.copy(INF) is INF and copy.deepcopy(INF) is INF and copy.deepcopy([INF])[0] is INF
+    assert str(INF) == "inf" and INF.render() == "inf"
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_infinity_pickles_at_every_protocol(protocol):
+    assert pickle.loads(pickle.dumps(INF, protocol)) is INF
+    log_form = EntropyValue.log2_of(9, 2)
+    assert pickle.loads(pickle.dumps([INF, log_form, INF], protocol))[2] is INF
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        lambda: INF * 0.5,
+        lambda: INF * None,
+        lambda: INF + None,  # the infinity does not absorb what is no number
+        lambda: None + INF,
+        lambda: INF + 0.5,
+        lambda: INF + True,
+        lambda: INF + EntropyValue(1),
+        lambda: EntropyValue(1) + INF,
+        lambda: 0.5 - INF,
+    ],
+)
+def test_infinity_meets_only_exact_numbers(probe):
+    with pytest.raises(TypeError, match="unsupported operand"):
+        probe()
 
 
 def level(D, node_id: str) -> int:

@@ -89,20 +89,6 @@ def test_comparison_matches_floats(c1, n1, c2, n2):
         assert (a < b) == (fa < fb)
 
 
-def test_addition_exact():
-    assert EntropyValue(Fraction(1, 2)) + EntropyValue(Fraction(3, 2)) == EntropyValue(2)
-    s = EntropyValue.log2_of(3) + EntropyValue.log2_of(3)
-    assert s == EntropyValue.log2_of(9)
-    t = EntropyValue(1) + EntropyValue.log2_of(3)
-    assert t == EntropyValue.log2_of(6)
-
-
-def test_scalar_multiplication():
-    assert EntropyValue(1) * Fraction(1, 2) == EntropyValue(Fraction(1, 2))
-    assert EntropyValue.log2_of(9) * Fraction(1, 2) == EntropyValue.log2_of(3)
-    assert EntropyValue.infinity() * 0 == EntropyValue(0)
-
-
 def test_floor_two_pow():
     assert EntropyValue(Fraction(3, 2)).floor_two_pow() == 2  # 2^1.5 ~ 2.83
     assert EntropyValue(2).floor_two_pow() == 4
@@ -111,11 +97,13 @@ def test_floor_two_pow():
 
 
 def test_infinity_ordering():
-    inf = EntropyValue.infinity()
-    assert inf > EntropyValue(10**9)
-    assert max(EntropyValue(1), inf).is_infinite
-    with pytest.raises(ValueError):
-        inf.floor_two_pow()
+    # the one infinity is the diagram algebra's: above every number, but
+    # no entropy value compares with it
+    assert not isinstance(INF, EntropyValue)
+    assert INF > 10**9 and max(Fraction(1), INF) is INF
+    for probe in (lambda: INF > EntropyValue(10**9), lambda: max(EntropyValue(1), INF)):
+        with pytest.raises(TypeError, match="not supported between instances"):
+            probe()
 
 
 def test_bracket_validation():
@@ -136,47 +124,12 @@ def test_bracket_contains_compares_exactly():
     assert bracket_contains(EntropyBracket(Fraction(0), Fraction(1)), 1)
 
 
-entropies = st.one_of(
-    st.fractions(min_value=-64, max_value=64, max_denominator=64),
-    st.fractions(min_value=0, max_value=64, max_denominator=64).map(EntropyValue),
-    st.builds(EntropyValue.log2_of, st.integers(1, 10**6), st.integers(1, 12)),
-)
-
-
-@given(entropies, st.fractions(min_value=-64, max_value=64, max_denominator=64))
-@settings(max_examples=300, deadline=None)
-def test_infinity_absorbs_sums_and_differences(x, q):
-    assert EntropyValue.infinity() is INF
-    assert INF + x is INF
-    assert x + INF is INF
-    assert INF - x is INF
-    with pytest.raises(ArgumentError, match="cannot subtract infinity"):
-        x - INF
-    assert INF > x and x < INF and x != INF
-    # finite diagram values stay Fractions; rational entropies subtract exactly
-    assert type(q - Fraction(1, 3)) is Fraction
-    assert EntropyValue(q) - Fraction(1, 3) == EntropyValue(q - Fraction(1, 3))
-    assert q - EntropyValue(Fraction(1, 3)) == EntropyValue(q - Fraction(1, 3))
-
-
-def test_infinity_is_one_instance():
-    assert INF * 3 is INF
-    assert max(EntropyValue(1), INF) is INF
-    assert copy.deepcopy(INF) is INF
-    assert pickle.loads(pickle.dumps(INF)) is INF
-    log_form = pickle.loads(pickle.dumps(EntropyValue.log2_of(9, 2)))
-    assert log_form.render() == "log2(9)/2 (1.58496)"
-    assert str(INF) == "inf"
-
-
 def test_powers_past_the_bit_cap_are_refused():
     big = EntropyValue(MAX_POWER_BITS + 1)
     with pytest.raises(ResourceCapError):
         big.floor_two_pow()
     with pytest.raises(ResourceCapError):
         big < EntropyValue.log2_of(3)
-    with pytest.raises(ResourceCapError):
-        EntropyValue.log2_of(3) * (MAX_POWER_BITS + 1)
     # just under the cap the powers are still built exactly
     assert EntropyValue(MAX_POWER_BITS - 1).floor_two_pow() == 2 ** (MAX_POWER_BITS - 1)
     # a root of huge degree never builds a huge power
@@ -190,8 +143,6 @@ def test_every_kind_pickles_at_every_protocol(protocol):
     for value in (rational, log_form):
         back = pickle.loads(pickle.dumps(value, protocol))
         assert back == value and back.render() == value.render()
-    assert pickle.loads(pickle.dumps(INF, protocol)) is INF
-    assert pickle.loads(pickle.dumps([INF, log_form, INF], protocol))[2] is INF
 
 
 def test_every_kind_copies():
@@ -199,7 +150,6 @@ def test_every_kind_copies():
         for dup in (copy.copy(value), copy.deepcopy(value)):
             assert dup == value and dup.render() == value.render()
             assert hash(dup) == hash(value)
-    assert copy.copy(INF) is INF and copy.deepcopy([INF])[0] is INF
 
 
 def test_floats_and_bools_are_refused():
@@ -221,26 +171,21 @@ def test_log2_of_takes_ints_only(c, n):
     [
         lambda: EntropyValue(1) * 0.1,
         lambda: 0.1 * EntropyValue(1),
-        lambda: EntropyValue.log2_of(3) * 0.1,  # not a power of 3 past the bit cap
-        lambda: INF * 0.5,
-        lambda: INF * None,
-        lambda: EntropyValue.infinity() + None,  # the infinity does not absorb what is no number
-        lambda: None + INF,
-        lambda: INF + 0.5,
+        lambda: EntropyValue.log2_of(3) * 0.1,
         lambda: EntropyValue(1) + 0.5,
         lambda: 0.5 + EntropyValue(1),
         lambda: EntropyValue.log2_of(3) + 0.5,
         lambda: EntropyValue(1) + True,
         lambda: EntropyValue(1) * True,
+        # values compare but do not add, subtract or scale, exact operands included
+        lambda: EntropyValue(1) + 1,
+        lambda: 1 + EntropyValue(1),
+        lambda: EntropyValue(1) - Fraction(1, 3),
+        lambda: EntropyValue(2) * Fraction(1, 2),
+        lambda: EntropyValue.log2_of(3) + EntropyValue.log2_of(3),
     ],
 )
 def test_inexact_operands_are_type_errors(probe):
     with pytest.raises(TypeError, match="unsupported operand"):
         probe()
 
-
-def test_exact_operands_still_combine():
-    assert EntropyValue(1) + 1 == EntropyValue(2) and 1 + EntropyValue(1) == EntropyValue(2)
-    assert EntropyValue(3) * EntropyValue(Fraction(1, 3)) == EntropyValue(1)
-    assert 2 * EntropyValue.log2_of(3) == EntropyValue.log2_of(9)
-    assert INF + 0 is INF and INF * EntropyValue(2) is INF

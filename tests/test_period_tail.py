@@ -106,25 +106,33 @@ def test_shared_top_row_gives_one_bit_asymptotically():
     assert abs(expected.approx() - 1.0) < 0.35  # approaches 1 bit with n
 
 
-def mixture_value(sample, parts, k: int) -> EntropyValue:
-    """Weighted average of the tail values over (orbit, weight) pairs summing to 1."""
+def rational_bits(v: EntropyValue) -> Fraction:
+    """The rational a rational entropy equals: read off its float, then
+    checked exactly."""
+    q = Fraction(v.approx()).limit_denominator(1 << 20)
+    if v != q:
+        raise ArgumentError(f"{v!r} is not a rational of denominator at most 2**20")
+    return q
+
+
+def mixture_value(sample, parts, k: int) -> Fraction:
+    """Weighted average of the rational tail values over (orbit, weight)
+    pairs summing to 1, computed on Fractions."""
     total = sum((Fraction(w) for _, w in parts), Fraction(0))
     if total != 1:
         raise ArgumentError("mixture weights must sum to 1")
-    acc = EntropyValue(0)
-    for orbit, w in parts:
-        acc = acc + sample.value(orbit, k) * Fraction(w)
-    return acc
+    return sum((Fraction(w) * rational_bits(sample.value(orbit, k)) for orbit, w in parts), Fraction(0))
 
 
 def test_harmonic_mixture():
     sft = two_row_toy()
     sample = period_tail_from_system(sft, [1], K=2)
     orbits = sample.orbits()
+    # four fixed points, two per top row: every value at k=1 is the rational 1
+    assert len(orbits) == 4 and all(sample.value(o, 1) == 1 for o in orbits)
     a, b = orbits[0], orbits[1]
-    va, vb = sample.value(a, 1), sample.value(b, 1)
     mixed = mixture_value(sample, [(a, Fraction(1, 2)), (b, Fraction(1, 2))], 1)
-    assert mixed == va * Fraction(1, 2) + vb * Fraction(1, 2)
+    assert type(mixed) is Fraction and mixed == 1
 
 
 def test_selection_override_and_errors():

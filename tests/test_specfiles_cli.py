@@ -635,6 +635,17 @@ WRONG_SHAPES = [
         "hierarchy: B1: a level-1 rectangle takes no children or bottom",
     ),
     ("build", hierarchy([], oracle={}), "hierarchy: a hierarchy needs at least one rectangle"),
+    # the exit-3 probes that CI ran on the console script, input for input
+    (
+        "build",
+        hierarchy(oracle={"1": {"B1": 2, "B2": 1}, "01": {"B1": 1, "B2": 1}}),
+        "oracle.01: repeats the key 1",
+    ),
+    (
+        "diagram",
+        with_h({"lo": "0", "hi": "1", "tau": {"t": 1}}),
+        "diagram: arm: threshold parameter 't' not a node parameter",
+    ),
 ]
 
 
