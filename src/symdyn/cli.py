@@ -432,7 +432,7 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 4
-    except (ArgumentError, SymdynError, ValueError, ZeroDivisionError) as exc:
+    except (SymdynError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

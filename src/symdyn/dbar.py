@@ -66,10 +66,6 @@ class OrbitMixture:
         if any(w < 0 for _, w in self.parts):
             raise ArgumentError("mixture weights must be nonnegative")
 
-    @staticmethod
-    def point(orbit: PeriodicOrbit) -> "OrbitMixture":
-        return OrbitMixture(((orbit, Fraction(1)),))
-
 
 def _negative_cycle(n: int, m: int, cost, flow):
     """A negative-cost residual cycle as [(i, j, forward?), ...], or None.

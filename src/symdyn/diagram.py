@@ -531,6 +531,8 @@ class MeasureDiagram:
     p_sup: EntropyValue | None = None
 
     def __post_init__(self):
+        if not self.nodes:
+            raise ArgumentError("a diagram needs at least one node class")
         by_id = {}
         for n in self.nodes:
             if n.node_id in by_id:
@@ -573,7 +575,7 @@ class MeasureDiagram:
         for n in sorted(self.nodes, key=lambda n: -len(n.params)):
             members = (level[f.member] for f in into.get(n.node_id, ()))
             level[n.node_id] = 1 + max(members, default=-1)
-        if max(level.values(), default=0) > 2:
+        if max(level.values()) > 2:
             raise ArgumentError("accumulation depth exceeds 2")
         if self.p_sup is not None and not isinstance(self.p_sup, EntropyValue):
             raise ArgumentError(f"p_sup must be an EntropyValue or None, not {self.p_sup!r}")
@@ -590,18 +592,15 @@ class MeasureDiagram:
 
     @property
     def depth(self) -> int:
-        return max(self._level.values(), default=0)
+        return max(self._level.values())
 
     def families_into(self, node_id: str):
         return self._into.get(node_id, ())
 
     def chains_into(self, node_id: str):
-        """Two-step family chains (grandchild, child) converging to node_id."""
-        out = []
-        for f1 in self.families_into(node_id):
-            for f2 in self.families_into(f1.member):
-                out.append((f2, f1))
-        return out
+        """The families two steps below node_id: those whose limit is a
+        member of a family into node_id."""
+        return [f2 for f1 in self.families_into(node_id) for f2 in self.families_into(f1.member)]
 
 
 @dataclass(frozen=True)

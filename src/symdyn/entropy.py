@@ -74,9 +74,11 @@ class EntropyValue:
 
     __slots__ = ("_kind", "_rat", "_c", "_n")
 
-    def __init__(self, value: Fraction | int | str = 0):
-        if isinstance(value, (float, bool)):  # a float is not the value it was written as
-            raise ArgumentError(f"entropy values must be exact (int, Fraction or str), not {value!r}")
+    def __init__(self, value: Fraction | int = 0):
+        # a float is not the value it was written as, and text is parsed
+        # once, by `specfiles.rational`
+        if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
+            raise ArgumentError(f"entropy values must be exact (int or Fraction), not {value!r}")
         self._kind = "rat"
         self._rat = Fraction(value)
         self._c = self._n = None

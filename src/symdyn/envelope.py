@@ -95,7 +95,7 @@ def envelope_limit(
             term = fn_max(
                 term, fn_shift(u_ev, _family_tail(theta, fam.member, fam.parameter)), mins
             )
-        for deep_fam, _mid_fam in diagram.chains_into(nid):
+        for deep_fam in diagram.chains_into(nid):
             grand = diagram.node(deep_fam.member)
             outer = grand.params[0]
             spec = theta.spec(grand.node_id)

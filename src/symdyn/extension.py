@@ -23,13 +23,6 @@ from .sft import PeriodicOrbit, Word, necklace, rotations
 # prefix allocation (canonical Kraft construction)
 
 
-@dataclass(frozen=True)
-class PrefixAllocation:
-    alphabet_size: int
-    length: int
-    entries: tuple  # (prefix: tuple of digit ints, free_count) in input order
-
-
 def _digits(value: int, base: int, width: int) -> tuple:
     out = []
     for _ in range(width):
@@ -40,12 +33,13 @@ def _digits(value: int, base: int, width: int) -> tuple:
     return tuple(reversed(out))
 
 
-def prefix_allocate(s: int, n: int, exponents) -> PrefixAllocation:
-    """Disjoint cylinders [C_i] of sizes s**n_i inside the s**n cube.
+def prefix_allocate(s: int, n: int, exponents) -> tuple:
+    """Disjoint cylinders [C_i] of sizes s**n_i inside the s**n cube, as
+    (prefix, n_i) pairs: the prefix a tuple of digit ints.
 
     Sorts the requested exponents descending, packs cylinders left to right
-    (each start index is automatically aligned), and reports prefixes in the
-    original request order.  Raises with the deficit when the sizes violate
+    (each start index is automatically aligned), and reports the pairs in
+    the original request order.  Raises with the deficit when the sizes violate
     the packing inequality.
     """
     if s < 2 or n < 0:
@@ -67,7 +61,7 @@ def prefix_allocate(s: int, n: int, exponents) -> PrefixAllocation:
         assert start % size == 0  # descending packing keeps starts aligned
         prefixes[i] = _digits(start // size, s, n - e)
         start += size
-    return PrefixAllocation(s, n, tuple((p, exponents[i]) for i, p in enumerate(prefixes)))
+    return tuple((p, exponents[i]) for i, p in enumerate(prefixes))
 
 
 # ---------------------------------------------------------------------------
@@ -253,20 +247,9 @@ class Family:
     def size(self, s: int) -> int:
         return s ** len(self.free)
 
-    def words(self, s: int):
-        base = [None] * self.width
-        for pos, d in self.fixed:
-            base[pos] = d
-        for combo in itertools.product(range(s), repeat=len(self.free)):
-            w = list(base)
-            for pos, d in zip(self.free, combo):
-                w[pos] = d
-            yield tuple(w)
-
 
 @dataclass(frozen=True)
 class FamilyTable:
-    alphabet_size: int
     families: dict  # rect_id -> Family, level by level in construction order
 
     def family(self, rect_id: str) -> Family:
@@ -291,9 +274,8 @@ def build_families(hierarchy: RectangleHierarchy, oracle: OracleTable, s: int) -
     exps = [_exact_log(s, oracle.budget(r.rect_id)) for r in lvl1]
     if any(e > p1 for e in exps):
         raise ConstructionError("a level-1 budget exceeds its rectangle capacity")
-    alloc = prefix_allocate(s, p1, exps)
     families = {}
-    for r, (prefix, e) in zip(lvl1, alloc.entries):
+    for r, (prefix, e) in zip(lvl1, prefix_allocate(s, p1, exps)):
         width = len(r.word)
         fixed = [(i, d) for i, d in enumerate(prefix)]
         fixed += [(i, 0) for i in range(p1, width)]  # terminal padding: zeros
@@ -314,14 +296,13 @@ def build_families(hierarchy: RectangleHierarchy, oracle: OracleTable, s: int) -
                 raise ConstructionError(
                     f"level {level}: a budget exceeds the free positions of {children}"
                 )
-            alloc = prefix_allocate(s, len(free), exps)
-            for r, (prefix, e) in zip(rects, alloc.entries):
+            for r, (prefix, e) in zip(rects, prefix_allocate(s, len(free), exps)):
                 newly_fixed = [(free[i], d) for i, d in enumerate(prefix)]
                 still_free = free[len(prefix) :]
                 families[r.rect_id] = Family(
                     r.rect_id, offset, tuple(sorted(fixed + newly_fixed)), tuple(still_free)
                 )
-    return FamilyTable(s, families)
+    return FamilyTable(families)
 
 
 def embed_selector(rect_path, families: FamilyTable, hierarchy: RectangleHierarchy) -> tuple:

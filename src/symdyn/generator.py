@@ -253,11 +253,10 @@ class _Subsets:
 
 @dataclass(frozen=True)
 class GeneratorReport:
-    """max atom multiplicity per name depth; the center block has radius
-    center_radius and multiplicity counts distinct center blocks whose
-    words share a full label name."""
+    """Max atom multiplicity per name depth: the most distinct center
+    blocks, of the radius `extract_generator` was given, among words that
+    share a full label name."""
 
-    center_radius: int
     multiplicities: tuple  # (depth, max multiplicity) pairs
 
 
@@ -286,13 +285,12 @@ def extract_generator(
     c = center_radius
     g = _Subsets(sft, code, 2 * c + 1, set_cap)
     levels = g.levels(depth - c, depth - c)
-    return GeneratorReport(c, tuple((m + c, g.multiplicity(*both)) for m, both in enumerate(levels)))
+    return GeneratorReport(tuple((m + c, g.multiplicity(*both)) for m, both in enumerate(levels)))
 
 
 @dataclass(frozen=True)
 class ImageLanguageReport:
     lengths: tuple  # (length, word count) pairs
-    decode_checked_depth: int
     decode_consistent: bool  # every word's center among its name's candidates
     decode_unique: bool  # every name at this depth pins down the center
 
@@ -328,4 +326,4 @@ def partition_to_extension(
             sizes.append((level - keep, sum(counts.values())))
         if level == half:
             unique = g.multiplicity(counts, family) <= 1
-    return ImageLanguageReport(tuple(sizes), depth, True, unique)
+    return ImageLanguageReport(tuple(sizes), True, unique)

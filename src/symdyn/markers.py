@@ -422,12 +422,6 @@ class RuleVerdict:
 class MarkerInvariantReport:
     verdicts: tuple
 
-    def verdict(self, rule: str) -> RuleVerdict:
-        for v in self.verdicts:
-            if v.rule == rule:
-                return v
-        raise ArgumentError(f"no verdict for rule {rule!r}")
-
     @property
     def passed(self) -> bool:
         return all(v.passed for v in self.verdicts)

@@ -37,7 +37,8 @@ _WRITE = {
 
 
 def jsonable(x):
-    """Exact values rendered as p/q strings plus a float approximation."""
+    """Exact values rendered as p/q strings plus a float approximation.
+    A type with no rendering here raises TypeError, as `_dump` does."""
     if type(x) in _WRITE:  # an exact scalar stays as it is
         return x
     if isinstance(x, Fraction):
@@ -56,11 +57,7 @@ def jsonable(x):
         return {str(k): jsonable(v) for k, v in sorted(x.items(), key=lambda kv: str(kv[0]))}
     if isinstance(x, (list, tuple)):
         return [v if type(v) in _WRITE else jsonable(v) for v in x]
-    if isinstance(x, (str, int, float, bool)) or x is None:
-        return x
-    if hasattr(x, "render"):
-        return x.render()
-    return str(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _dump(x, indent: str = "\n") -> str:
@@ -152,11 +149,4 @@ class Report:
 
     @property
     def all_passed(self) -> bool:
-        def flatten(v):
-            if isinstance(v, dict):
-                for x in v.values():
-                    yield from flatten(x)
-            else:
-                yield bool(v)
-
-        return all(flatten(self.verdicts))
+        return all(self.verdicts.values())

@@ -325,9 +325,6 @@ class PeriodicOrbit:
     def period(self) -> int:
         return len(self.representative)
 
-    def points(self):
-        return sorted(rotations(self.representative))
-
     @staticmethod
     def of(w: Word) -> "PeriodicOrbit":
         if not w:
@@ -348,18 +345,10 @@ class PerTable:
         for n, c in self.counts:
             if c % n != 0:
                 raise ArgumentError(f"count {c} at period {n} is not a multiple of {n}")
-        # lookup index, kept off the dataclass fields; the first pair per period wins
-        object.__setattr__(self, "_by_period", dict(reversed(self.counts)))
 
     @property
     def horizon(self) -> int:
         return max((n for n, _ in self.counts), default=0)
-
-    def count(self, n: int) -> int:
-        try:
-            return self._by_period[n]
-        except KeyError:
-            raise ArgumentError(f"period {n} outside table range") from None
 
 
 def _check_horizon(N: int, cap: int) -> None:

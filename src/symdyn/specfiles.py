@@ -155,7 +155,8 @@ def _dict(read, key=_str):
 
 
 def load_spec(path: str) -> dict:
-    """Parse, check kind and version, and validate the payload."""
+    """Parse, check kind and version, and validate the payload: the kind
+    and the parsed payload, keyed "kind" and "payload"."""
 
     def members(pairs) -> dict:  # a key written twice is refused, not overwritten
         out = {}
@@ -189,7 +190,7 @@ def load_spec(path: str) -> dict:
         raise
     except ArgumentError as exc:  # a constructor's check of the whole spec
         raise SpecFileError(str(exc), kind)
-    return {"kind": kind, "version": version, "payload": parsed, "raw": raw}
+    return {"kind": kind, "payload": parsed}
 
 
 def _row(value, path: str) -> Alphabet:

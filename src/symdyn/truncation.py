@@ -187,7 +187,7 @@ class TruncatedOps:
             first, box = space.boxes[fam.member]
             window = _tail_window(space.truncations[fam.member][pos])
             yield first + _offset(box, lows + [window.start]), len(box[-1]), len(window)
-        for deep_fam, _mid in self.diagram.chains_into(node_id):
+        for deep_fam in self.diagram.chains_into(node_id):
             first, box = space.boxes[deep_fam.member]
             window = _tail_window(space.truncations[deep_fam.member][pos])
             inner = box[pos + 1]
@@ -318,19 +318,18 @@ def compare_with_exact(
     perseq: SeqOnDiagram,
     T: int,
     exact_report,
-    safe_bound: int = 4,
 ) -> list:
     """Mismatches between truncated and exact values at safe points.
 
     Safe points are the concrete nodes and the instances whose parameters
-    are at most safe_bound; the scaffolding points near the truncation
-    boundary are not compared (their role is to realize the limsups).
+    are at most 4; the scaffolding points near the truncation boundary are
+    not compared (their role is to realize the limsups).
     """
     space = build_space(diagram, T, hseq, perseq)
     ops = TruncatedOps(space)
     values, D = ops.analyze(hseq, perseq)
     mismatches = []
-    for i in ops.safe_points(safe_bound):
+    for i in ops.safe_points(4):
         pt = space.points[i]
         env = dict(pt[1])
         for key in ("h_sex", "u1", "h_emb"):

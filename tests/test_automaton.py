@@ -191,7 +191,7 @@ def tuple_extract_generator(spec, code, depth, c, cap):
             name = tuple(table[w[i - r : i + r + 1]] for i in range(r, L - r))
             groups[name].add(w[n - c : n + c + 1])
         mult.append((n, max((len(v) for v in groups.values()), default=0)))
-    return c, tuple(mult)
+    return (tuple(mult),)
 
 
 def tuple_partition_to_extension(spec, code, depth, cap):
@@ -215,7 +215,7 @@ def tuple_partition_to_extension(spec, code, depth, cap):
     for w, name in zip(all_words, names):
         consistent &= w[mid] in centers[name]
         unique &= len(centers[name]) == 1
-    return tuple(counts), depth, consistent, unique
+    return tuple(counts), consistent, unique
 
 
 def reference_specs(seed, count):

@@ -72,10 +72,10 @@ def test_pseudometric_on_pool():
 def test_mixture_examples():
     zero, one = orbit("0"), orbit("1")
     mix = OrbitMixture(((zero, Fraction(1, 2)), (one, Fraction(1, 2))))
-    point = OrbitMixture.point(zero)
+    point = OrbitMixture(((zero, Fraction(1)),))
     assert dbar_mixture(mix, point) == Fraction(1, 2)
     assert dbar_mixture(mix, mix) == 0
-    assert dbar_mixture(point, OrbitMixture.point(orbit("01"))) == dbar_periodic(
+    assert dbar_mixture(point, OrbitMixture(((orbit("01"), Fraction(1)),))) == dbar_periodic(
         zero, orbit("01")
     )
 

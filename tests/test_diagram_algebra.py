@@ -260,6 +260,8 @@ def test_lin_validation():
 def test_diagram_validation():
     top = Node("top")
     arm = Node("arm", ("t",))
+    with pytest.raises(ArgumentError, match="^a diagram needs at least one node class$"):
+        MeasureDiagram((), ())
     with pytest.raises(ArgumentError):  # parameterized class must converge
         MeasureDiagram((top, arm), ())
     with pytest.raises(ArgumentError):  # family parameter must be innermost
@@ -274,6 +276,14 @@ def test_diagram_validation():
             (top, mid, deep),
             (FamilyLink("deep", "j", "mid"), FamilyLink("mid", "x", "top")),
         )
+
+
+def test_chains_into_lists_the_families_two_steps_below():
+    D = scenario_data("example1").diagram
+    bottom_into_middle, middle_into_top = D.families
+    assert (bottom_into_middle.limit, middle_into_top.limit) == ("mu_middle", "mu0")
+    assert D.chains_into("mu0") == [bottom_into_middle]
+    assert D.chains_into("mu_middle") == D.chains_into("mu_bottom") == []
 
 
 def test_p_sup_is_an_entropy_value_or_none():

@@ -35,10 +35,9 @@ def cylinder_words(prefix, n, s):
         yield prefix + tail
 
 
-def check_allocation_by_enumeration(alloc):
-    s, n = alloc.alphabet_size, alloc.length
+def check_allocation_by_enumeration(entries, s, n):
     seen = {}
-    for prefix, e in alloc.entries:
+    for prefix, e in entries:
         assert len(prefix) == n - e
         count = 0
         for w in cylinder_words(prefix, n, s):
@@ -46,23 +45,23 @@ def check_allocation_by_enumeration(alloc):
             seen[w] = prefix
             count += 1
         assert count == s**e
-    assert len(seen) == sum(s**e for _, e in alloc.entries)
+    assert len(seen) == sum(s**e for _, e in entries)
 
 
 def test_prefix_allocate_example():
-    alloc = prefix_allocate(2, 3, (2, 1, 1))
-    assert [p for p, _ in alloc.entries] == [(0,), (1, 0), (1, 1)]
-    check_allocation_by_enumeration(alloc)
+    entries = prefix_allocate(2, 3, (2, 1, 1))
+    assert type(entries) is tuple
+    assert entries == (((0,), 2), ((1, 0), 1), ((1, 1), 1))
+    check_allocation_by_enumeration(entries, 2, 3)
 
 
 def test_prefix_full_partition_into_singletons():
-    alloc = prefix_allocate(2, 2, (0, 0, 0, 0))
-    assert [p for p, _ in alloc.entries] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    entries = prefix_allocate(2, 2, (0, 0, 0, 0))
+    assert entries == (((0, 0), 0), ((0, 1), 0), ((1, 0), 0), ((1, 1), 0))
 
 
 def test_prefix_whole_space():
-    alloc = prefix_allocate(2, 3, (3,))
-    assert alloc.entries == (((), 3),)
+    assert prefix_allocate(2, 3, (3,)) == (((), 3),)
 
 
 def test_prefix_kraft_violation_reports_deficit():
@@ -87,12 +86,24 @@ def test_prefix_allocate_random_instances(data):
             break
     if not exponents:
         exponents = [0]
-    alloc = prefix_allocate(s, n, exponents)
-    check_allocation_by_enumeration(alloc)
+    check_allocation_by_enumeration(prefix_allocate(s, n, exponents), s, n)
 
 
 # ---------------------------------------------------------------------------
 # oracle and families
+
+
+def family_words(fam, s):
+    """Every word of the family: its fixed digits, and each digit string of
+    an s-letter alphabet on its free positions."""
+    base = [None] * fam.width
+    for pos, d in fam.fixed:
+        base[pos] = d
+    for combo in itertools.product(range(s), repeat=len(fam.free)):
+        w = list(base)
+        for pos, d in zip(fam.free, combo):
+            w[pos] = d
+        yield tuple(w)
 
 
 def two_level_toy():
@@ -145,8 +156,8 @@ def test_families_single_level_partition():
     h = RectangleHierarchy(2, rects)
     table = build_families(h, OracleTable({"B1": 4, "B2": 2}, normalized=True), 2)
     f1, f2 = table.family("B1"), table.family("B2")
-    words1 = set(f1.words(2))
-    words2 = set(f2.words(2))
+    words1 = set(family_words(f1, 2))
+    words2 = set(family_words(f2, 2))
     assert len(words1) == 4 and len(words2) == 2
     assert not words1 & words2
     # cylinder shapes: "0**" and "10*"
@@ -162,13 +173,13 @@ def test_families_two_level_toy():
     fam2 = table.family("R2")
     # children free counts (1, 1); each level-2 family fixes one of them
     assert len(fam1.free) == 1 and len(fam2.free) == 1
-    w1, w2 = set(fam1.words(2)), set(fam2.words(2))
+    w1, w2 = set(family_words(fam1, 2)), set(family_words(fam2, 2))
     assert len(w1) == oracle.budget("R1") == 2
     assert len(w2) == oracle.budget("R2") == 2
     assert not w1 & w2
     # level-2 words are concatenations of level-1 family members
-    c1 = set(table.family("B1").words(2))
-    c2 = set(table.family("B2").words(2))
+    c1 = set(family_words(table.family("B1"), 2))
+    c2 = set(family_words(table.family("B2"), 2))
     concat = {a + b for a in c1 for b in c2}
     assert len(concat) == 4
     assert w1 <= concat and w2 <= concat and (w1 | w2) == concat
@@ -410,22 +421,22 @@ def test_three_level_hierarchy_families():
         seen = set()
         for rid in ids:
             fam = table.family(rid)
-            words = set(fam.words(2))
+            words = set(family_words(fam, 2))
             assert len(words) == oracle.budget(rid)
             assert not words & seen
             seen |= words
     # level-3 families refine the concatenations of their children families
-    c1 = set(table.family("R1").words(2))
-    c2 = set(table.family("R2").words(2))
+    c1 = set(family_words(table.family("R1"), 2))
+    c2 = set(family_words(table.family("R2"), 2))
     concat = {a + b for a in c1 for b in c2}
-    w3 = set(table.family("S1").words(2)) | set(table.family("S2").words(2))
+    w3 = set(family_words(table.family("S1"), 2)) | set(family_words(table.family("S2"), 2))
     assert w3 <= concat
     # the distinguished words at depth 3 are distinct and members
     w_s1 = embed_selector(["B1", "R1", "S1"], table, h)
     w_s2 = embed_selector(["B1", "R1", "S2"], table, h)
     assert w_s1 != w_s2
-    assert w_s1 in set(table.family("S1").words(2))
-    assert w_s2 in set(table.family("S2").words(2))
+    assert w_s1 in set(family_words(table.family("S1"), 2))
+    assert w_s2 in set(family_words(table.family("S2"), 2))
 
 
 def test_keyed_lookups_keep_scan_order_and_messages():
@@ -532,10 +543,9 @@ def naive_build_families(hierarchy, oracle: NaiveOracleTable, s: int) -> NaiveFa
     lvl1 = level_rects(1)
     p1 = min(len(r.word) for r in lvl1)
     exps = [_exact_log(s, oracle.budget(1, r.rect_id)) for r in lvl1]
-    alloc = prefix_allocate(s, p1, exps)
     levels = []
     fams = []
-    for r, (prefix, e) in zip(lvl1, alloc.entries):
+    for r, (prefix, e) in zip(lvl1, prefix_allocate(s, p1, exps)):
         width = len(r.word)
         fixed = [(i, d) for i, d in enumerate(prefix)]
         fixed += [(i, 0) for i in range(p1, width)]
@@ -559,8 +569,7 @@ def naive_build_families(hierarchy, oracle: NaiveOracleTable, s: int) -> NaiveFa
                 offset += child.width
             rects = sorted(rects, key=lambda r: r.rect_id)
             exps = [_exact_log(s, oracle.budget(level, r.rect_id)) for r in rects]
-            alloc = prefix_allocate(s, len(free), exps)
-            for r, (prefix, e) in zip(rects, alloc.entries):
+            for r, (prefix, e) in zip(rects, prefix_allocate(s, len(free), exps)):
                 newly_fixed = [(free[i], d) for i, d in enumerate(prefix)]
                 fams.append(Family(r.rect_id, offset, tuple(sorted(fixed + newly_fixed)), tuple(free[len(prefix) :])))
         levels.append((level, tuple(fams)))

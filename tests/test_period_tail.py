@@ -47,6 +47,15 @@ def naive_period_tail(sft, periods, K):
     return PeriodTailSample(K, tuple(out))
 
 
+def tail_value(sample, orbit, k):
+    """The sample's value at the orbit and depth k."""
+    return dict(sample.values)[orbit][k - 1]
+
+
+def orbits_of(sample):
+    return [o for o, _ in sample.values]
+
+
 def random_row_systems(seed, count):
     """Two or three binary rows; forbidden 2-words of the product alphabet."""
     rng = random.Random(seed)
@@ -76,23 +85,22 @@ def test_values_against_direct_count():
     n = 4
     sample = period_tail_from_system(sft, [n], K=2)
     orbits = periodic_orbits(sft, n)[n]
-    points = []
-    for o in orbits:
-        points.extend(o.points())
+    points = [p for o in orbits for p in rotations(o.representative)]
     for o in orbits:
         for k in (1, 2):
             mine = tuple(sym[:k] for sym in o.representative)
             count = sum(
                 1 for p in points if tuple(sym[:k] for sym in p) == mine
             )
-            assert sample.value(o, k) == EntropyValue.log2_of(count, n)
+            assert tail_value(sample, o, k) == EntropyValue.log2_of(count, n)
 
 
 def test_full_depth_separates_points():
     sft = two_row_toy()
     sample = period_tail_from_system(sft, [3], K=2)
-    for o in sample.orbits():
-        assert sample.value(o, 2) == EntropyValue(0)
+    assert len(orbits_of(sample)) == 4  # two top rows times two period-3 bottom orbits
+    for o in orbits_of(sample):
+        assert tail_value(sample, o, 2) == EntropyValue(0)
 
 
 def test_shared_top_row_gives_one_bit_asymptotically():
@@ -101,8 +109,8 @@ def test_shared_top_row_gives_one_bit_asymptotically():
     sample = period_tail_from_system(sft, [n], K=1)
     # all minimal-period-n points with the same constant top row: M(n) many
     expected = EntropyValue.log2_of(necklace_count(2, n), n)
-    for o in sample.orbits():
-        assert sample.value(o, 1) == expected
+    for o in orbits_of(sample):
+        assert tail_value(sample, o, 1) == expected
     assert abs(expected.approx() - 1.0) < 0.35  # approaches 1 bit with n
 
 
@@ -121,34 +129,18 @@ def mixture_value(sample, parts, k: int) -> Fraction:
     total = sum((Fraction(w) for _, w in parts), Fraction(0))
     if total != 1:
         raise ArgumentError("mixture weights must sum to 1")
-    return sum((Fraction(w) * rational_bits(sample.value(orbit, k)) for orbit, w in parts), Fraction(0))
+    return sum((Fraction(w) * rational_bits(tail_value(sample, orbit, k)) for orbit, w in parts), Fraction(0))
 
 
 def test_harmonic_mixture():
     sft = two_row_toy()
     sample = period_tail_from_system(sft, [1], K=2)
-    orbits = sample.orbits()
+    orbits = orbits_of(sample)
     # four fixed points, two per top row: every value at k=1 is the rational 1
-    assert len(orbits) == 4 and all(sample.value(o, 1) == 1 for o in orbits)
+    assert len(orbits) == 4 and all(tail_value(sample, o, 1) == 1 for o in orbits)
     a, b = orbits[0], orbits[1]
     mixed = mixture_value(sample, [(a, Fraction(1, 2)), (b, Fraction(1, 2))], 1)
     assert type(mixed) is Fraction and mixed == 1
-
-
-def test_selection_override_and_errors():
-    sft = two_row_toy()
-    orbits = periodic_orbits(sft, 3)[3]
-    assert len(orbits) == 4  # two top rows times two period-3 bottom orbits
-    chosen = {3: orbits[:2]}
-    sample = period_tail_from_system(sft, [3], K=1, selection=chosen)
-    assert set(sample.orbits()) == set(orbits[:2])
-    with pytest.raises(ArgumentError):
-        sample.value(orbits[-1], 1)
-    with pytest.raises(ArgumentError):
-        period_tail_from_system(sft, [2], K=5)  # deeper than the row count
-    flat = SftSpec(Alphabet(("0", "1")))
-    with pytest.raises(ArgumentError):
-        period_tail_from_system(flat, [1], K=1)
 
 
 def test_one_walk_at_the_largest_period(monkeypatch):
@@ -164,7 +156,7 @@ def test_one_walk_at_the_largest_period(monkeypatch):
     assert period_tail_from_system(sft, (5, 1, 3), K=2) == expected
     assert horizons == [5]
     assert period_tail_from_system(sft, (), K=2) == PeriodTailSample(2, ())
-    assert horizons == [5]  # an empty selection walks nothing
+    assert horizons == [5]  # no periods walk nothing
 
 
 def test_period_checks_come_before_any_walk():
@@ -174,12 +166,18 @@ def test_period_checks_come_before_any_walk():
     for periods in ((0, 3), (-2,)):
         with pytest.raises(ArgumentError, match="^period must be >= 1$"):
             period_tail_from_system(sft, periods, K=1)
+    for K in (0, 3):  # the toy has two rows
+        with pytest.raises(ArgumentError, match=r"^depth must lie in 1\.\.2$"):
+            period_tail_from_system(sft, [2], K=K)
+    flat = SftSpec(Alphabet(("0", "1")))
+    with pytest.raises(ArgumentError, match="^period tails need an array system with row structure$"):
+        period_tail_from_system(flat, [1], K=1)
 
 
 def test_mixture_weights_validated():
     sft = two_row_toy()
     sample = period_tail_from_system(sft, [1], K=1)
-    a = sample.orbits()[0]
+    a = orbits_of(sample)[0]
     with pytest.raises(ArgumentError):
         mixture_value(sample, [(a, Fraction(1, 2))], 1)
 
@@ -190,24 +188,11 @@ def scan_value(sample, orbit, k):
 
 
 def test_indexed_lookup_over_every_orbit():
+    # each orbit is named once, so a dict over the values loses none
     sft = two_row_toy()
     sample = period_tail_from_system(sft, [12], K=2)
-    assert len(sample.orbits()) == 670
-    for o in sample.orbits():
+    index = dict(sample.values)
+    assert len(orbits_of(sample)) == len(index) == 670
+    for o in orbits_of(sample):
         for k in (1, 2):
-            assert sample.value(o, k) == scan_value(sample, o, k)
-
-
-def test_lookup_misses_and_first_pair_wins():
-    sft = two_row_toy()
-    orbits = periodic_orbits(sft, 3)[3]
-    a, b = orbits[0], orbits[1]
-    sample = PeriodTailSample(1, ((a, (EntropyValue(1),)), (a, (EntropyValue(2),))))
-    assert sample.value(a, 1) == EntropyValue(1)
-    with pytest.raises(ArgumentError, match=r"^depth 2 outside 1\.\.1$"):
-        sample.value(a, 2)
-    with pytest.raises(ArgumentError, match=r"^depth 0 outside 1\.\.1$"):
-        sample.value(b, 0)
-    with pytest.raises(ArgumentError) as miss:
-        sample.value(b, 1)
-    assert str(miss.value) == f"orbit {b.representative!r} not in the selection"
+            assert index[o][k - 1] == scan_value(sample, o, k)

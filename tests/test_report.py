@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symdyn.report import _dump
+from symdyn.report import _dump, jsonable
 
 
 class Int(int):
@@ -74,3 +74,14 @@ def test_dump_refuses_what_json_refuses(x):
         reference(x)
     with pytest.raises(TypeError):
         _dump(x)
+
+
+class Rendered:
+    def render(self):
+        return "text"
+
+
+@pytest.mark.parametrize("x, name", [(object(), "object"), (Rendered(), "Rendered"), (Int(2), "Int"), ([1, {2}], "set")])
+def test_jsonable_refuses_what_it_cannot_render(x, name):
+    with pytest.raises(TypeError, match=f"^Object of type {name} is not JSON serializable$"):
+        jsonable(x)

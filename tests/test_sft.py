@@ -234,7 +234,8 @@ def test_golden_mean_period_four_against_trace():
     gm = golden_mean()
     # trace of [[1,1],[1,0]]^n counts admissible cyclic words = Lucas numbers
     lucas = [None, 1, 3, 4, 7]
-    total = sum(per_table(gm, 4).count(d) for d in (1, 2, 4))
+    counts = dict(per_table(gm, 4).counts)
+    total = sum(counts[d] for d in (1, 2, 4))
     assert total == lucas[4] == 7
     assert brute_force_minimal_period_count(gm, 4) == 4
 
@@ -249,9 +250,6 @@ def test_per_table_full_shift_matches_necklace_oracle():
 def test_per_table_golden_mean():
     table = per_table(golden_mean(), 2)
     assert dict(table.counts) == {1: 1, 2: 2}
-    assert table.count(2) == 2
-    with pytest.raises(ArgumentError, match="^period 3 outside table range$"):
-        table.count(3)
 
 
 def test_aperiodic_truncation_all_zero():
@@ -313,8 +311,7 @@ def test_capacities_two_row_system_approaches_one_bit():
     N = 12
     table = per_table(spec, N)
     # oracle: counts must equal 2 * (# binary words of minimal period n)
-    for n in range(1, N + 1):
-        assert table.count(n) == 2 * necklace_count(2, n)
+    assert table.counts == tuple((n, 2 * necklace_count(2, n)) for n in range(1, N + 1))
     caps = capacities(table)
     est = caps.p_lim_estimate.approx()
     assert abs(est - 1.0) <= 2.0 / (N - len(caps.window) + 1)
@@ -546,7 +543,7 @@ def test_per_table_matches_enumeration():
     for spec in specs:
         table = per_table(spec, 14)
         assert table.counts == tuple((n, n * len(periodic_orbits(spec, n)[n])) for n in range(1, 15))
-    assert per_table(two_rows, 14).count(14) == necklace_count(2, 14)
+    assert per_table(two_rows, 14).counts[-1] == (14, necklace_count(2, 14))
 
 
 def test_per_table_full_shift_at_the_cap_matches_necklace_oracle():

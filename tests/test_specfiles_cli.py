@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import Budget
 from symdyn.cli import build_parser, main
 from symdyn.errors import SpecFileError
 from symdyn.markers import OPEN, WRAP, window_from_rows
@@ -1246,3 +1247,74 @@ def test_console_broken_pipe_exits_quietly(tmp_path):
     proc.stderr.close()
     assert proc.wait() == 1
     assert err == b""
+
+
+def test_an_empty_diagram_exits_3_with_a_named_message(tmp_path):
+    empty = {"kind": "diagram", "version": 1, "nodes": [], "families": [], "h": {}, "ptail": {}}
+    spec = write(tmp_path, "empty.json", empty)
+    assert run_cli(["diagram", "analyze", "--spec", spec]) == (
+        3,
+        "",
+        "error: diagram: a diagram needs at least one node class\n",
+    )
+
+
+# Timed runs, each under a budget no looser than the 20 s timeout they had
+# as shell lines: a quadratic or exponential path fails the budget here.
+
+
+def full_shift_spec(tmp_path, symbols):
+    return write(tmp_path, f"full{len(symbols)}.json", {"kind": "sft", "version": 1, "alphabet": list(symbols), "forbidden": []})
+
+
+def letter_code(tmp_path, symbols):
+    table = {s: "abc"[i] for i, s in enumerate(symbols)}
+    return write(tmp_path, f"c{len(symbols)}.json", {"kind": "blockcode", "version": 1, "radius": 0, "table": table})
+
+
+@pytest.mark.parametrize("p, q", [(251, 241), (80000, 80001)])
+def test_dbar_of_long_coprime_orbits_in_time(tmp_path, p, q):
+    # coprime periods meet in every phase pair once, so the two one-defect
+    # orbits agree on (p-1)(q-1) + 1 of their p*q aligned pairs; the 80,000-
+    # symbol orbits also need their least rotations in linear time
+    a, b = "0" * (p - 1) + "1", "0" * (q - 1) + "1"
+    with Budget(f"dbar of coprime periods {p} and {q}", 20.0):
+        code, out, err = run_cli(["dbar", "--spec", full_shift_spec(tmp_path, "01"), "--a", a, "--b", b])
+    assert code == 0, err
+    assert Fraction(json.loads(out)["result"]["distance"]["exact"]) == Fraction(p * q - (p - 1) * (q - 1) - 1, p * q)
+
+
+def test_per_to_period_14_on_the_ternary_spec_in_time(tmp_path):
+    # one walk names every orbit of period <= 14; the points of period
+    # dividing n are the trace of the n-th power of the transfer matrix
+    spec = write(tmp_path, "tern.json", {"kind": "sft", "version": 1, "alphabet": ["0", "1", "2"], "forbidden": ["00"]})
+    with Budget("per -n 14 on the ternary 00-free spec", 20.0):
+        code, out, err = run_cli(["per", "-n", "14", "--spec", spec])
+    assert code == 0, err
+    counts = {int(n): c for n, c in json.loads(out)["result"]["counts"].items()}
+    A = [[0, 1, 1], [1, 1, 1], [1, 1, 1]]
+    power = A
+    for n in range(1, 15):
+        assert sum(counts[d] for d in range(1, n + 1) if n % d == 0) == sum(power[i][i] for i in range(3))
+        power = [[sum(power[i][k] * A[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+
+
+@pytest.mark.parametrize("symbols, depth", [("012", 12), ("01", 2000)])
+def test_generator_on_a_full_shift_in_time(tmp_path, symbols, depth):
+    # the identity-like code names every word, so every multiplicity is 1;
+    # the tables step state sets, not the 3**25 words of depth 12
+    argv = ["extend", "generator", "--spec", full_shift_spec(tmp_path, symbols), "--code", letter_code(tmp_path, symbols)]
+    with Budget(f"extend generator on the full {len(symbols)}-shift at depth {depth}", 20.0):
+        code, out, err = run_cli([*argv, "--depth", str(depth)])
+    assert code == 0, err
+    assert list(json.loads(out)["result"]["multiplicities"].values()) == [1] * (depth + 1)
+
+
+def test_generator_set_cap_refuses_depth_ten_million_in_time(tmp_path):
+    # past level 1 each level holds one forward set and one backward set and
+    # combines one pair: the default cap of a million passes at level 333331
+    argv = ["extend", "generator", "--spec", full_shift_spec(tmp_path, "01"), "--code", letter_code(tmp_path, "01")]
+    with Budget("extend generator refused at depth 10**7", 10.0):
+        code, out, err = run_cli([*argv, "--depth", "10000000"])
+    assert (code, out) == (4, "")
+    assert err == "resource cap: more than 1000000 reachable sets stepped by level 333331\n"

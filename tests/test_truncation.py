@@ -58,7 +58,7 @@ class NaiveTruncatedOps:
                 cand = val(pt)
                 if cand > best:
                     best = cand
-        for deep_fam, _mid in self.diagram.chains_into(node_id):
+        for deep_fam in self.diagram.chains_into(node_id):
             grand = self.diagram.node(deep_fam.member)
             outer_cap = self.space.truncations[grand.node_id][len(node.params)]
             inner_cap = self.space.truncations[grand.node_id][len(node.params) + 1]
@@ -228,11 +228,14 @@ def test_compare_reads_exactly_the_safe_points(bound):
         if mins:
             D = with_mins(D, lambda n: mins[: len(n.params)])
         space = build_space(D, 10, data.hseq, data.perseq)
-        mismatches = compare_with_exact(D, data.hseq, data.perseq, 10, _Disagrees(), bound)
+        safe = [pt for pt in space.points if all(v <= bound for _, v in pt[1])]
+        assert [space.points[i] for i in TruncatedOps(space).safe_points(bound)] == safe
+        # compare_with_exact reads the points whose parameters are at most 4
+        mismatches = compare_with_exact(D, data.hseq, data.perseq, 10, _Disagrees())
         want = [
             (key, pt)
             for pt in space.points
-            if all(v <= bound for _, v in pt[1])
+            if all(v <= 4 for _, v in pt[1])
             for key in ("h_sex", "u1", "h_emb")
         ]
         assert [(key, pt) for key, pt, _, _ in mismatches[: len(want)]] == want
@@ -388,6 +391,23 @@ def test_truncation_matches_exact_on_random_diagrams():
     assert checked == 60
 
 
+def compare_at(D, hseq, perseq, T, exact, bound):
+    """compare_with_exact at the points whose parameters are at most bound."""
+    ops = TruncatedOps(build_space(D, T, hseq, perseq))
+    values, den = ops.analyze(hseq, perseq)
+    mismatches = []
+    for i in ops.safe_points(bound):
+        node_id, env = ops.space.points[i]
+        for key in ("h_sex", "u1", "h_emb"):
+            got, want = _exact(values[key][i], den), exact.value(key, node_id, dict(env))
+            if got != want:
+                mismatches.append((key, ops.space.points[i], got, want))
+    for key, got in _sups(values, den).items():
+        if got != getattr(exact, key):
+            mismatches.append((key, None, got, getattr(exact, key)))
+    return mismatches
+
+
 def test_truncation_matches_exact_on_raised_minimums():
     # one minimum per parameter name, so a member starts where its limit
     # starts; the safe points reach past every minimum
@@ -398,7 +418,7 @@ def test_truncation_matches_exact_on_raised_minimums():
             D, hseq, perseq = random_diagram(rng)
             D = with_drawn_mins(rng, D, choices)
             exact = analyze_diagram(D, hseq, perseq)
-            mismatches = compare_with_exact(D, hseq, perseq, 20, exact, max(choices) + 3)
+            mismatches = compare_at(D, hseq, perseq, 20, exact, max(choices) + 3)
             assert mismatches == [], mismatches[:3]
             raised += any(m > 1 for n in D.nodes for m in n.mins.values())
     assert raised > 40
