@@ -18,18 +18,16 @@ kept as given: no constructor converts them, and `exact` refuses any
 other value where a sequence or an analysis first reads it.  The one
 infinity is INF, defined here: it is above every number, `+` and `-`
 absorb numbers into it, nothing subtracts it, and `v is INF` tests for
-it.  Inside one analysis, `feasibility_memo` remembers each guard set's
-answer.
+it.  Guard answers are cached by guard set in one bounded cache, and each
+`feasible` call gets its own env dict.
 """
 
 from __future__ import annotations
 
 import operator
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 
 from .entropy import EntropyValue
 from .errors import ArgumentError
@@ -239,22 +237,10 @@ def _classes(x_lo: int, x_hi, pairs):
     yield from sorted(raised)
 
 
-_MEMO: ContextVar = ContextVar("feasibility_memo", default=None)
-
-
-@contextmanager
-def feasibility_memo():
-    """Remember `feasible`'s answers inside the block, keyed by the atoms
-    and the mins.  An enclosing block's memo is reused; the block's own
-    memo is dropped when it exits, by return or by raise."""
-    if _MEMO.get() is not None:
-        yield
-        return
-    token = _MEMO.set({})
-    try:
-        yield
-    finally:
-        _MEMO.reset(token)
+# Guard sets answered before are looked up, not solved again.  The bound
+# keeps a long run's memory flat; an analysis and a superenvelope check of
+# one random diagram ask about at most a few dozen guard sets.
+_CACHE_SIZE = 1024
 
 
 def feasible(atoms, mins: dict):
@@ -262,32 +248,27 @@ def feasible(atoms, mins: dict):
     `mins` has no entry) that has the least first var, and the least second
     var there; or None.
 
-    Inside a `feasibility_memo` block, equal guard sets share one answer,
-    env dict included: no caller in the algebra modifies it.
+    Answers are cached by guard set; each call gets its own env dict.
     """
-    memo = _MEMO.get()
-    if memo is None:
-        return _feasible(atoms, mins)
-    key = (atoms, tuple(mins.items()))
-    try:
-        return memo[key]
-    except KeyError:
-        env = memo[key] = _feasible(atoms, mins)
-        return env
+    env = _feasible(tuple(atoms), tuple(mins.items()))
+    return None if env is None else dict(env)
 
 
-def _feasible(atoms, mins: dict):
+@lru_cache(maxsize=_CACHE_SIZE)
+def _feasible(atoms: tuple, mins: tuple):
+    """`feasible`'s answer as None or the env's items."""
+    mins = dict(mins)
     vars_ = _vars(atoms, mins)
     if not atoms:
-        return {v: mins.get(v, 1) for v in vars_}
+        return tuple((v, mins.get(v, 1)) for v in vars_)
     x_var, y_var, lows, _, classes = _frame(atoms, mins, vars_)
     least = next(classes, None)
     if least is None:
         return None
     x, t, _ = least
     if y_var is None:
-        return {x_var: x}
-    return {x_var: x, y_var: max(s * t + k[x % _SLOPE_STEP] for s, k in lows)}
+        return ((x_var, x),)
+    return ((x_var, x), (y_var, max(s * t + k[x % _SLOPE_STEP] for s, k in lows)))
 
 
 def feasible_unbounded(atoms, mins: dict, var: str) -> bool:

@@ -27,8 +27,7 @@ runs unchanged on any common multiple of them.  Each entry point below
 writes every value it receives as an integer numerator over one scale D,
 the lcm of their denominators, and divides back where a value leaves:
 values leave as Fractions (or INF), and a value that is not exact is
-refused where it enters.  Inside one entry point, `feasibility_memo`
-remembers each guard set's answer.
+refused where it enters.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from .diagram import (
     SeqOnDiagram,
     const_fn,
     exact,
-    feasibility_memo,
     feasible_unbounded,
     fn_add,
     fn_compare,
@@ -261,16 +259,14 @@ class _Scaled:
 def usc_envelope(f: FnOnDiagram, diagram: MeasureDiagram) -> FnOnDiagram:
     """The upper semicontinuous envelope of f on the diagram."""
     run = _Scaled(diagram, f)
-    with feasibility_memo():
-        return run.fn_out(run.usc_envelope(run.fn(f)))
+    return run.fn_out(run.usc_envelope(run.fn(f)))
 
 
 def u_one(theta: SeqOnDiagram, diagram: MeasureDiagram) -> FnOnDiagram:
     """The limit of the usc envelopes of the tails: the first repair floor."""
     _require_vanishing_tails(theta)
     run = _Scaled(diagram, theta)
-    with feasibility_memo():
-        return run.fn_out(run.u_one(run.seq(theta)))
+    return run.fn_out(run.u_one(run.seq(theta)))
 
 
 def is_repair(
@@ -279,11 +275,10 @@ def is_repair(
     """Whether the envelopes of u + theta_k settle back down to u."""
     _require_vanishing_tails(theta)
     run = _Scaled(diagram, u, theta)
-    with feasibility_memo():
-        u = run.fn(u)
-        if _witness(run.zero, u, diagram, fn_le) is not None:
-            raise ArgumentError("repair candidates must be nonnegative")
-        return run.repair_verdict(run.repair_witness(u, run.seq(theta)))
+    u = run.fn(u)
+    if _witness(run.zero, u, diagram, fn_le) is not None:
+        raise ArgumentError("repair candidates must be nonnegative")
+    return run.repair_verdict(run.repair_witness(u, run.seq(theta)))
 
 
 def minimal_repair(
@@ -298,10 +293,9 @@ def minimal_repair(
     """
     _require_vanishing_tails(theta)
     run = _Scaled(diagram, theta, floor)
-    with feasibility_memo():
-        theta, floor = run.seq(theta), run.fn(floor)
-        run.check_floor(floor)
-        return run.fn_out(run.minimal_repair(theta, floor, run.u_one(theta)))
+    theta, floor = run.seq(theta), run.fn(floor)
+    run.check_floor(floor)
+    return run.fn_out(run.minimal_repair(theta, floor, run.u_one(theta)))
 
 
 @dataclass(frozen=True)
@@ -343,17 +337,16 @@ def is_superenvelope(
     run = _Scaled(diagram, E, hseq)
     out = run.out
     scaled_E, scaled_h = run.fn(E), run.seq(hseq)
-    with feasibility_memo():
-        w = _witness(scaled_h.limit_fn(diagram), scaled_E, diagram, fn_le)
-        if w is not None:
-            nid, env, hv, ev = w
-            return SuperenvelopeVerdict(False, nid, env, f"E = {out(ev)} < h = {out(hv)}")
-        if any(v is INF for v in hseq.values()):
-            raise ArgumentError("entropy sequences must take finite values")
-        u = fn_on(
-            diagram, {nid: fn_shift(scaled_E.spec(nid), -s.limit) for nid, s in scaled_h.specs}
-        )
-        w = run.repair_witness(u, tails_of(scaled_h, diagram))
+    w = _witness(scaled_h.limit_fn(diagram), scaled_E, diagram, fn_le)
+    if w is not None:
+        nid, env, hv, ev = w
+        return SuperenvelopeVerdict(False, nid, env, f"E = {out(ev)} < h = {out(hv)}")
+    if any(v is INF for v in hseq.values()):
+        raise ArgumentError("entropy sequences must take finite values")
+    u = fn_on(
+        diagram, {nid: fn_shift(scaled_E.spec(nid), -s.limit) for nid, s in scaled_h.specs}
+    )
+    w = run.repair_witness(u, tails_of(scaled_h, diagram))
     if w is None:
         return SuperenvelopeVerdict(True)
     nid, env, lv, uv = w
@@ -412,30 +405,29 @@ def analyze_diagram(
     warnings = []
     _require_vanishing_tails_perseq(perseq, diagram)
     run = _Scaled(diagram, hseq, perseq)
-    with feasibility_memo():
-        hseq, perseq = run.seq(hseq), run.seq(perseq)
-        theta = tails_of(hseq, diagram)
-        h = hseq.limit_fn(diagram)
-        u_theta = run.u_one(theta)
-        u_sex = run.minimal_repair(theta, run.zero, u_theta)
-        u1 = run.u_one(perseq)
-        run.check_floor(u1)
-        u_emb = run.minimal_repair(theta, u1, u_theta)
+    hseq, perseq = run.seq(hseq), run.seq(perseq)
+    theta = tails_of(hseq, diagram)
+    h = hseq.limit_fn(diagram)
+    u_theta = run.u_one(theta)
+    u_sex = run.minimal_repair(theta, run.zero, u_theta)
+    u1 = run.u_one(perseq)
+    run.check_floor(u1)
+    u_emb = run.minimal_repair(theta, u1, u_theta)
 
-        h_sex = _pointwise(fn_add, h, u_sex, diagram)
-        h_emb = _pointwise(fn_add, h, u_emb, diagram)
-        h_plus_u1 = _pointwise(fn_add, h, u1, diagram)
-        lower = _pointwise(fn_max, h_sex, h_plus_u1, diagram)
-        upper = _pointwise(fn_add, h_sex, u1, diagram)
-        p_star = _sup_over(u1, diagram)
-        sup_h_sex = _sup_over(h_sex, diagram)
-        sup_h_emb = _sup_over(h_emb, diagram)
-        bounds = BoundVerdicts(
-            _witness(lower, h_emb, diagram, fn_le) is None,
-            _witness(h_emb, upper, diagram, fn_le) is None,
-            max(sup_h_sex, p_star) <= sup_h_emb,
-            sup_h_emb <= sup_h_sex + p_star,
-        )
+    h_sex = _pointwise(fn_add, h, u_sex, diagram)
+    h_emb = _pointwise(fn_add, h, u_emb, diagram)
+    h_plus_u1 = _pointwise(fn_add, h, u1, diagram)
+    lower = _pointwise(fn_max, h_sex, h_plus_u1, diagram)
+    upper = _pointwise(fn_add, h_sex, u1, diagram)
+    p_star = _sup_over(u1, diagram)
+    sup_h_sex = _sup_over(h_sex, diagram)
+    sup_h_emb = _sup_over(h_emb, diagram)
+    bounds = BoundVerdicts(
+        _witness(lower, h_emb, diagram, fn_le) is None,
+        _witness(h_emb, upper, diagram, fn_le) is None,
+        max(sup_h_sex, p_star) <= sup_h_emb,
+        sup_h_emb <= sup_h_sex + p_star,
+    )
     out = run.out
     p_star, sup_h_sex, sup_h_emb = out(p_star), out(sup_h_sex), out(sup_h_emb)
     cardinality = None

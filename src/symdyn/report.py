@@ -25,8 +25,7 @@ def _float(x: float) -> str:
     return float.__repr__(x)
 
 
-# json's text for each exact scalar type; a subclass takes the isinstance
-# chain in `_dump`
+# json's text for each scalar type that `jsonable` keeps as it is
 _WRITE = {
     str: encode_basestring_ascii,
     int: int.__repr__,
@@ -63,31 +62,22 @@ def jsonable(x):
 def _dump(x, indent: str = "\n") -> str:
     """`json.dumps(x, sort_keys=True, indent=2)` for every value `jsonable`
     returns, built by joins rather than the pure-Python generators that
-    json runs whenever an indent is given.  The type tests keep json's
-    isinstance order, so subclasses of str, int and float print as json
-    prints them; `indent` is the newline and indent of x's own line."""
-    if isinstance(x, str):
-        return encode_basestring_ascii(x)
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float):
-        return _float(x)
+    json runs whenever an indent is given.  It dispatches on the exact type,
+    as `jsonable` returns only the scalars of `_WRITE`, lists and dicts;
+    `indent` is the newline and indent of x's own line."""
+    write = _WRITE.get(type(x))
+    if write is not None:
+        return write(x)
     inner = indent + "  "
-    if isinstance(x, (list, tuple)):
+    if type(x) is list:
         if not x:
             return "[]"
-        try:  # a list of exact scalars, written in one join
+        try:  # a list of scalars, written in one join
             items = [_WRITE[type(v)](v) for v in x]
-        except KeyError:  # it holds a container or a subclass
+        except KeyError:  # it holds a container
             items = [_dump(v, inner) for v in x]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(x, dict):
+    if type(x) is dict:
         if not x:
             return "{}"
         items = [encode_basestring_ascii(k) + ": " + _dump(v, inner) for k, v in sorted(x.items())]
@@ -116,7 +106,7 @@ class Report:
             "verdicts": jsonable(self.verdicts),
         }
         if self.warnings:
-            body["warnings"] = list(self.warnings)
+            body["warnings"] = jsonable(self.warnings)
         return _dump(body)
 
     def to_table(self) -> str:

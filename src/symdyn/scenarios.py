@@ -23,7 +23,6 @@ from .envelope import (
     analyze_diagram,
     is_repair,
     minimal_repair,
-    u_one,
     zero_fn,
 )
 from .errors import ArgumentError
@@ -170,7 +169,7 @@ def run_scenario(name: str, h0: Fraction | None = None) -> Report:
         result[key] = {"actual": actual, "reference": expected}
 
     if name in ("example1", "pickupsticks"):
-        u1 = u_one(perseq, D)
+        u1 = rep.u1
         verdict = is_repair(u1, perseq, D)
         u2 = minimal_repair(perseq, zero_fn(D), D)
         check("u1.top", u1.evaluate("mu0", {}), one)

@@ -352,11 +352,14 @@ class PerTable:
 
 
 def _check_horizon(N: int, cap: int) -> None:
-    """Refuse a table horizon N below 1 or above the period cap."""
+    """Refuse a table horizon N below 1, a negative period cap, or N above
+    the cap."""
     if N < 1:
         raise ArgumentError("table horizon must be >= 1")
+    if cap < 0:
+        raise ArgumentError(f"period cap must be >= 0, got {cap}")
     if N > cap:
-        raise ResourceCapError(f"period {max(1, cap + 1)} exceeds cap {cap}")
+        raise ResourceCapError(f"period {cap + 1} exceeds cap {cap}")
 
 
 def periodic_orbits(sft: SftSpec, N: int, cap: int = DEFAULT_PERIOD_CAP) -> dict:

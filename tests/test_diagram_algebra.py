@@ -663,6 +663,20 @@ def test_three_variables_are_refused_alike():
             tau_unbounded_along(atoms, mins, "m", lin(0, j=1))
 
 
+def test_feasible_answers_are_fresh_and_refusals_repeat():
+    atoms = [Atom("j", True, lin(-(10**5), m=3)), Atom("j", False, lin(10**4, m=2))]
+    mins = {"m": 1, "j": 1}
+    env = feasible(atoms, mins)
+    env["j"] = 0
+    env["t"] = 5
+    assert feasible(atoms, mins) == {"j": 230002, "m": 110001}
+    assert feasible(tuple(atoms), mins) is not feasible(tuple(atoms), mins)
+    three = [Atom("m", True, lin(4, j=1)), Atom("t", False, lin(2))]
+    for _ in range(2):
+        with pytest.raises(ArgumentError, match="at most two variables"):
+            feasible(three, mins)
+
+
 def rand_piecewise(rng, mins):
     """A covering FnSpec over m and j: a step, a two-step split or a constant,
     with values that tie often and sometimes are infinite."""

@@ -15,7 +15,6 @@ from symdyn.diagram import (
     Node,
     SeqSpec,
     const_fn,
-    feasibility_memo,
     fn_add,
     fn_compare,
     fn_le,
@@ -519,20 +518,19 @@ def naive_is_superenvelope(E, hseq, diagram):
         return g, usc_envelope(g, diagram)
 
     horizon = k_horizon(hseq, E, diagram)
-    with feasibility_memo():
-        slice_at(horizon)  # every value of h shows here, so it refuses an infinite one
-        for node in diagram.nodes:
-            for k in range(1, horizon + 1):
-                g, env_g = slice_at(k)
-                w = naive_fn_compare(env_g.spec(node.node_id), g.spec(node.node_id), node.mins)
-                if w is not None:
-                    env, ev, gv = w
-                    return SuperenvelopeVerdict(
-                        False,
-                        node.node_id,
-                        tuple(sorted(env.items())),
-                        f"E - h_{k} not usc: envelope {ev} > {gv}",
-                    )
+    slice_at(horizon)  # every value of h shows here, so it refuses an infinite one
+    for node in diagram.nodes:
+        for k in range(1, horizon + 1):
+            g, env_g = slice_at(k)
+            w = naive_fn_compare(env_g.spec(node.node_id), g.spec(node.node_id), node.mins)
+            if w is not None:
+                env, ev, gv = w
+                return SuperenvelopeVerdict(
+                    False,
+                    node.node_id,
+                    tuple(sorted(env.items())),
+                    f"E - h_{k} not usc: envelope {ev} > {gv}",
+                )
     return SuperenvelopeVerdict(True)
 
 
@@ -996,25 +994,7 @@ def test_values_that_are_not_exact_are_refused(bad):
                 seq_on(D, {"deep": 0, "mid": spec, "top": 0}, monotone)
 
 
-def test_memo_scopes_nest_and_leave_nothing_behind():
-    assert diagram_module._MEMO.get() is None
-    with feasibility_memo():
-        outer = diagram_module._MEMO.get()
-        assert outer == {}
-        with pytest.raises(ArgumentError):
-            with feasibility_memo():  # a nested analysis reuses the memo
-                assert diagram_module._MEMO.get() is outer
-                raise ArgumentError("partway")
-        assert diagram_module._MEMO.get() is outer  # the inner raise kept it
-    assert diagram_module._MEMO.get() is None
-    with pytest.raises(ArgumentError):
-        with feasibility_memo():
-            assert diagram_module._MEMO.get() == {}
-            raise ArgumentError("partway")
-    assert diagram_module._MEMO.get() is None
-
-
-def test_an_analysis_that_raises_leaves_no_memo():
+def test_a_refused_analysis_leaves_later_answers_unchanged():
     D = chain2()
     ptail = seq_on(
         D,
@@ -1025,7 +1005,6 @@ def test_an_analysis_that_raises_leaves_no_memo():
     not_usc = fn_on(D, {"deep": const_fn(0), "mid": const_fn(1), "top": const_fn(0)})
     with pytest.raises(ArgumentError, match="upper semicontinuous"):
         minimal_repair(ptail, not_usc, D)
-    assert diagram_module._MEMO.get() is None
     assert same(minimal_repair(ptail, zero_fn(D), D), fresh)
 
     # an infinite h is refused once E >= h holds
@@ -1035,7 +1014,6 @@ def test_an_analysis_that_raises_leaves_no_memo():
     E = fn_on(D2, {"top": const_fn(INF), "arm": const_fn(INF)})
     with pytest.raises(ArgumentError, match="finite values"):
         is_superenvelope(E, hseq, D2)
-    assert diagram_module._MEMO.get() is None
     finite = seq_on(D2, {"top": 1, "arm": seq_step(0, lin(m=1), 1)}, "nondecreasing")
     assert is_superenvelope(E, finite, D2) == naive_is_superenvelope(E, finite, D2)
 

@@ -1221,6 +1221,15 @@ def test_cli_capacities_past_the_period_cap(tmp_path):
     assert (code, err) == (4, "resource cap: period 6 exceeds cap 5\n")
 
 
+@pytest.mark.parametrize("command", ["per", "capacities"])
+def test_a_negative_cap_is_bad_input(tmp_path, command):
+    argv = [command, "--spec", gm_spec(tmp_path), "-n", "5"]
+    code, out, err = run_cli(argv + ["--cap", "-1"])
+    assert (code, out, err) == (3, "", "error: period cap must be >= 0, got -1\n")
+    code, out, err = run_cli(argv + ["--cap", "0"])
+    assert (code, out, err) == (4, "", "resource cap: period 1 exceeds cap 0\n")
+
+
 class ClosedPipe(io.StringIO):
     """A stdout whose reader has gone away."""
 
