@@ -2,23 +2,37 @@
 
 All entropies in this package are base-2 logarithms.  A value is either
 an exact rational or an exact log-form log2(c)/n with integer c >= 1,
-n >= 1; comparisons between the two are done by integer exponentiation,
-never through floats.  Values compare but do not add; the diagram
-algebra's values, its infinity INF included, live in `diagram`.
-Irrational entropies that cannot be pinned down exactly (spectral radii)
-are reported as rational brackets.
+n >= 1.  Every comparison is decided exactly.  Deciding whether
+x**e < y**f (p/q vs log2(c)/n is 2**(p*n) vs c**q, log2(a)/m vs log2(b)/n
+is a**n vs b**m), a float filter answers first: the sign of
+e*log2(x) - f*log2(y), taken only when it exceeds 2**-30 of the sum.
+That leaves slack for errors of 2**22 ulps, where libm's `log2` is
+within a few (glibc's within 1-2).  Near a tie the answer is exact:
+equal values are recognised by two integer roots (with e, f coprime,
+x**e == y**f exactly when x = t**f and y = t**e), and unequal ones are
+separated by mantissa brackets of x**e and y**f whose width doubles from
+64 bits.  No comparison builds x**e itself, so none
+is refused for the size of its values; only two values within about
+2**-65536 of each other, whose brackets are still joined at
+MAX_POWER_BITS bits, are refused (exit 4).  Values compare but do not
+add; the diagram algebra's values, its infinity INF included, live in
+`diagram`.  Irrational entropies that cannot be pinned down exactly
+(spectral radii) are reported as rational brackets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
-from math import isqrt, log2
+from math import gcd, isqrt, log2
 
 from .errors import ArgumentError, ResourceCapError
 
-MAX_POWER_BITS = 1 << 16  # exact powers past this many bits are refused (exit 4)
+# floor_two_pow refuses to build an exact power past this many bits, and a
+# comparison refuses to widen its mantissa brackets past it (both exit 4)
+MAX_POWER_BITS = 1 << 16
+MANTISSA_BITS = 64  # the first width of a power bracket
+_FILTER_MARGIN = 2.0**-30  # relative gap a float log2 difference must clear
 
 
 def int_nthroot(x: int, n: int) -> int:
@@ -66,7 +80,79 @@ def _log2_exact(c: int) -> int | None:
     return None
 
 
-@total_ordering
+def power_bracket(x: int, e: int, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, s) with lo * 2**s <= x**e <= hi * 2**s, for x >= 1, e >= 1.
+
+    A lower and an upper mantissa of x, of at most `bits` bits, are raised
+    to the e-th power together by square-and-multiply; after each step both
+    are shifted by the same amount, rounded down and up, so that hi keeps at
+    most `bits` bits.  While x**e fits in `bits` bits, lo == hi == x**e.
+    Each squaring doubles the relative width, so once e nears 2**bits lo
+    can round down to 0.
+    """
+    s0 = max(0, x.bit_length() - bits)
+    xlo, xhi = x >> s0, -(-x >> s0)
+    lo, hi, s = xlo, xhi, s0
+    for bit in bin(e)[3:]:
+        lo, hi, s = lo * lo, hi * hi, s + s
+        if bit == "1":
+            lo, hi, s = lo * xlo, hi * xhi, s + s0
+        t = hi.bit_length() - bits
+        if t > 0:
+            lo, hi, s = lo >> t, -(-hi >> t), s + t
+    return lo, hi, s
+
+
+def _below(a: int, s: int, b: int, t: int) -> bool:
+    """a * 2**s < b * 2**t, for a, b >= 1, shifting by no more than the
+    difference of their widths."""
+    if a.bit_length() + s != b.bit_length() + t:
+        return a.bit_length() + s < b.bit_length() + t
+    m = min(s, t)
+    return a << (s - m) < b << (t - m)
+
+
+def _float_sign(x: int, e: int, y: int, f: int) -> int:
+    """The sign of x**e - y**f when floats decide it, else 0; for x, y >= 2
+    and e, f >= 1.  Then log2(x), log2(y) >= 1, so rounding x, y, e and f
+    to doubles, libm's `log2` and the products each err by a few parts in
+    2**52 of e*log2(x) and f*log2(y), far inside _FILTER_MARGIN."""
+    try:
+        a, b = e * log2(x), f * log2(y)
+    except OverflowError:  # e or f past the float range
+        return 0
+    d = a - b  # an overflow to inf or nan fails the test below
+    if abs(d) > _FILTER_MARGIN * (a + b):
+        return 1 if d > 0 else -1
+    return 0
+
+
+def _equal_powers(x: int, e: int, y: int, f: int) -> bool:
+    """x**e == y**f, for x, y >= 2 and e, f >= 1, from two integer roots."""
+    g = gcd(e, f)
+    e, f = e // g, f // g
+    # with e, f coprime, x**e == y**f exactly when x = t**f and y = t**e
+    t = int_nthroot(x, f)
+    return t == int_nthroot(y, e) and t**f == x and t**e == y
+
+
+def _bracket_sign(x: int, e: int, y: int, f: int) -> int:
+    """The sign of x**e - y**f for unequal powers, from power brackets of
+    doubling width; ResourceCapError if they still overlap at
+    MAX_POWER_BITS bits."""
+    bits = MANTISSA_BITS
+    while bits <= MAX_POWER_BITS:
+        lo1, hi1, s1 = power_bracket(x, e, bits)
+        lo2, hi2, s2 = power_bracket(y, f, bits)
+        # rounding can take a lower mantissa down to 0, which bounds nothing
+        if lo2 and _below(hi1, s1, lo2, s2):
+            return -1
+        if lo1 and _below(hi2, s2, lo1, s1):
+            return 1
+        bits += bits
+    raise ResourceCapError(f"an exact power exceeds {MAX_POWER_BITS} bits")
+
+
 class EntropyValue:
     """An exact finite entropy: rational bits or log2(c)/n bits.  Values
     compare exactly with each other, ints and Fractions; they do not add
@@ -105,22 +191,27 @@ class EntropyValue:
             return float(self._rat)
         return log2(self._c) / self._n
 
-    # comparisons: rational p/q vs log2(c)/n  <=>  2**(p*n) vs c**q
     def _cmp(self, other: "EntropyValue") -> int:
         if self._kind == "rat" and other._kind == "rat":
             return (self._rat > other._rat) - (self._rat < other._rat)
         if self._kind == "log" and other._kind == "log":
-            lhs = _pow(self._c, other._n)
-            rhs = _pow(other._c, self._n)
-            return (lhs > rhs) - (lhs < rhs)
-        if self._kind == "rat":
+            # log2(a)/m vs log2(b)/n  <=>  a**n vs b**m
+            x, e, y, f = self._c, other._n, other._c, self._n
+        elif self._kind == "rat":
+            # p/q vs log2(c)/n  <=>  2**(p*n) vs c**q
             p, q = self._rat.numerator, self._rat.denominator
-            if p < 0:
-                return -1  # log form is always >= 0
-            lhs = _pow(2, p * other._n)
-            rhs = _pow(other._c, q)
-            return (lhs > rhs) - (lhs < rhs)
-        return -other._cmp(self)
+            if p <= 0:
+                return -1  # a log form has c >= 3, so it is > 0
+            x, e, y, f = 2, p * other._n, other._c, q
+        else:
+            return -other._cmp(self)
+        sign = _float_sign(x, e, y, f)
+        if sign:
+            return sign
+        # a log form is never rational: its c is not a power of two
+        if self._kind == "log" and _equal_powers(x, e, y, f):
+            return 0
+        return _bracket_sign(x, e, y, f)
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -131,6 +222,24 @@ class EntropyValue:
         if other is None:
             return NotImplemented
         return self._cmp(other) < 0
+
+    def __le__(self, other) -> bool:
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other) -> bool:
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._cmp(other) > 0
+
+    def __ge__(self, other) -> bool:
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._cmp(other) >= 0
 
     def __hash__(self):
         if self._kind == "rat":

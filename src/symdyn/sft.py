@@ -31,9 +31,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import floor, log2
 from typing import NamedTuple
 
-from .entropy import EntropyBracket, EntropyValue
+from .entropy import MANTISSA_BITS, EntropyBracket, EntropyValue, power_bracket
 from .errors import ArgumentError, ResourceCapError
 
 Word = tuple  # tuple of symbols
@@ -450,35 +451,34 @@ DEFAULT_ENTROPY_TOL = Fraction(1, 100)
 DEFAULT_ENTROPY_DEPTH_CAP = 160
 _LOG_SQUARINGS = 10
 _LOG_SCALE = 1 << _LOG_SQUARINGS
-_MANTISSA_BITS = 64
+_FLOAT_BITS = 1023  # x below 2**1023 is one correctly rounded double for log2
+_FLOOR_MARGIN = 2.0**-20  # least distance of 1024*log2(x) from an integer
 
 
 def _floor_log2_power(x: int) -> tuple[int, bool]:
     """(b, exact) with b = floor(log2(x**_LOG_SCALE)) for an x >= 1, and
     exact whether x is a power of two, so that log2(x) = b/_LOG_SCALE.
 
-    Otherwise 2**b <= x**K < 2**(b+1) gives b/K <= log2(x) < (b+1)/K.  A
-    lower and an upper mantissa of x, of _MANTISSA_BITS bits, are squared
-    together and shifted by the same amount, rounded down and up, so that
-    lo * 2**e <= x**K <= hi * 2**e at every step; b is read off both, and
-    only when x**K lies so close to a power of two that they disagree is
-    x**K computed exactly.
+    Otherwise 2**b <= x**K < 2**(b+1) gives b/K <= log2(x) < (b+1)/K.  For
+    x of at most _FLOAT_BITS bits a float filter answers first: b is the
+    floor of f = K*log2(x) when f lies more than _FLOOR_MARGIN from an
+    integer.  Rounding x to a double and libm's `log2` move f by at most
+    2**-33 per ulp of error, so the margin leaves slack for 2**13 ulps
+    (glibc's `log2` is within 1-2).  Any other x takes ``power_bracket``:
+    a lower and an upper MANTISSA_BITS-bit mantissa of x**K, from which b
+    is read off both; only when x**K lies so close to a power of two that
+    they disagree is x**K computed exactly.
     """
     if x & (x - 1) == 0:
         return (x.bit_length() - 1) << _LOG_SQUARINGS, True
-    e = max(0, x.bit_length() - _MANTISSA_BITS)
-    lo, hi = x >> e, -(-x >> e)
-    for _ in range(_LOG_SQUARINGS):
-        lo *= lo
-        hi *= hi
-        e += e
-        s = hi.bit_length() - _MANTISSA_BITS
-        if s > 0:
-            lo >>= s
-            hi = -(-hi >> s)
-            e += s
-    b = lo.bit_length() - 1 + e
-    if b != hi.bit_length() - 1 + e:
+    if x.bit_length() <= _FLOAT_BITS:
+        f = log2(x) * _LOG_SCALE
+        b = floor(f)
+        if _FLOOR_MARGIN < f - b < 1 - _FLOOR_MARGIN:
+            return b, False
+    lo, hi, s = power_bracket(x, _LOG_SCALE, MANTISSA_BITS)
+    b = lo.bit_length() - 1 + s
+    if b != hi.bit_length() - 1 + s:
         b = (x**_LOG_SCALE).bit_length() - 1
     return b, False
 

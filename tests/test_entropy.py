@@ -1,17 +1,22 @@
 import copy
+import operator
 import pickle
+from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import bracket_contains
+from symdyn import entropy
 from symdyn.diagram import INF
 from symdyn.entropy import (
     MAX_POWER_BITS,
     EntropyBracket,
     EntropyValue,
     _perfect_power,
+    power_bracket,
     int_nthroot,
     optimal_alphabet_size,
 )
@@ -89,6 +94,156 @@ def test_comparison_matches_floats(c1, n1, c2, n2):
         assert (a < b) == (fa < fb)
 
 
+def naive_cmp(u, v) -> int:
+    """Reference: the sign of u - v by cross powers, with no cap.  A value
+    is a Fraction or a pair (c, n) for log2(c)/n; p/q vs log2(c)/n compares
+    2**(p*n) with c**q, and log2(a)/m vs log2(b)/n compares a**n with b**m."""
+    if isinstance(u, Fraction) and isinstance(v, Fraction):
+        return (u > v) - (u < v)
+    if isinstance(u, Fraction):
+        return -naive_cmp(v, u)
+    c, n = u
+    if isinstance(v, Fraction):
+        if v < 0:
+            return 1
+        lhs, rhs = c**v.denominator, 2 ** (v.numerator * n)
+    else:
+        d, m = v
+        lhs, rhs = c**m, d**n
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def as_value(u) -> EntropyValue:
+    return EntropyValue(u) if isinstance(u, Fraction) else EntropyValue.log2_of(*u)
+
+
+def lucas(n: int) -> int:
+    """Points of period n in the golden-mean shift: tr(A**n) = phi**n + psi**n."""
+    a, b = 2, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+ONE = Fraction(1)
+EQUAL_WRITTEN_APART = [((9, 4), (3, 2)), ((27, 6), (9, 4)), ((8, 3), ONE)]
+# below float resolution: log2(2**k +- 1)/k differs from 1 by about 2**-k/k,
+# and the golden mean's log2(p_n)/n from log2(phi) by about phi**(-2n)/n
+NEAR_TIES = [((2**k + d, k), ONE) for k in range(60, 301) for d in (-1, 1)] + [
+    ((lucas(n), n), (lucas(m), m)) for n in range(396, 401) for m in (n + 1, n + 2)
+]
+OPERATORS = (operator.lt, operator.le, operator.eq, operator.ne, operator.gt, operator.ge)
+
+
+@st.composite
+def values(draw):
+    """Rationals (negative ones too), log-forms, and powers of small bases,
+    which give equal values written apart, rational ones included."""
+    kind = draw(st.sampled_from(["rat", "log", "power"]))
+    if kind == "rat":
+        return draw(st.fractions(-4, 4, max_denominator=64))
+    if kind == "log":
+        return draw(st.integers(1, 2**64)), draw(st.integers(1, 300))
+    return draw(st.integers(2, 12)) ** draw(st.integers(0, 8)), draw(st.integers(1, 12))
+
+
+def pin(pairs):
+    def decorate(test):
+        for u, v in pairs:
+            test = example(u, v)(test)
+        return test
+
+    return decorate
+
+
+@given(values(), values())
+@pin(EQUAL_WRITTEN_APART + NEAR_TIES)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_comparison_matches_cross_powers(u, v):
+    a, b = as_value(u), as_value(v)
+    sign = naive_cmp(u, v)
+    for op in OPERATORS:
+        assert op(a, b) == op(sign, 0), (op, u, v)
+        assert op(b, a) == op(-sign, 0), (op, v, u)
+    if sign == 0:
+        assert hash(a) == hash(b)
+
+
+def test_each_comparison_path_is_reached(monkeypatch):
+    # the float filter decides most pairs; near a tie two integer roots
+    # decide equality and the power brackets decide the rest
+    seen = Counter()
+
+    def spy(name):
+        real = getattr(entropy, name)
+
+        def counted(*args):
+            out = real(*args)
+            seen[name, bool(out)] += 1
+            return out
+
+        monkeypatch.setattr(entropy, name, counted)
+
+    for name in ("_float_sign", "_equal_powers", "_bracket_sign"):
+        spy(name)
+
+    def paths(u, v):
+        seen.clear()
+        assert (as_value(u) < as_value(v)) == (naive_cmp(u, v) < 0)
+        return {name for (name, _), count in seen.items() if count}
+
+    assert paths((3, 1), Fraction(3, 2)) == {"_float_sign"} and seen["_float_sign", True] == 1
+    assert paths((6, 3), (3, 2)) == {"_float_sign"}
+    for u, v in EQUAL_WRITTEN_APART[:2]:
+        assert paths(u, v) == {"_float_sign", "_equal_powers"} and seen["_equal_powers", True] == 1
+    for u, v in NEAR_TIES:
+        assert "_bracket_sign" in paths(u, v) and not seen["_float_sign", True]
+    assert paths((lucas(400), 400), (lucas(401), 401)) == {"_float_sign", "_equal_powers", "_bracket_sign"}
+
+
+def digits(x: Decimal) -> tuple:
+    """floor(x) and the distance of x from the nearest integer."""
+    p = int(x)
+    return p, min(x - p, p + 1 - x)
+
+
+@pytest.mark.parametrize("k", [80, 120, 200])
+def test_huge_exponents_are_decided_by_wider_brackets(k):
+    # p/2**k against log2(3) is 2**p against 3**(2**k); at 64 bits the
+    # lower bracket of 3**(2**k) rounds down to 0 and bounds nothing
+    assert power_bracket(3, 2**k, 64)[0] == 0
+    with localcontext() as ctx:
+        ctx.prec = 120
+        p, gap = digits(Decimal(3).ln() / Decimal(2).ln() * 2**k)
+    assert gap > Decimal(10) ** -6
+    three = EntropyValue.log2_of(3)
+    assert EntropyValue(Fraction(p, 2**k)) < three < EntropyValue(Fraction(p + 1, 2**k))
+
+
+def test_log_forms_of_huge_degree_are_decided_by_wider_brackets():
+    # convergents h/k of ln(5)/ln(3) make log2(3)/k and log2(5)/h agree to
+    # about 1/k**2; the sign of h*ln(3) - k*ln(5) says which is larger
+    with localcontext() as ctx:
+        ctx.prec = 200
+        ln3, ln5 = Decimal(3).ln(), Decimal(5).ln()
+        x, (h0, h1), (k0, k1), checked = ln5 / ln3, (0, 1), (1, 0), 0
+        while k1 < 2**100:
+            a = int(x)
+            x = 1 / (x - a)
+            h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+            if k1 > 2**60:
+                sign = 1 if h1 * ln3 > k1 * ln5 else -1
+                u, v = EntropyValue.log2_of(3, k1), EntropyValue.log2_of(5, h1)
+                assert (u > v, u < v) == (sign > 0, sign < 0), (h1, k1)
+                checked += 1
+    assert checked >= 10
+
+
+def test_max_keeps_the_first_of_equal_terms():
+    terms = [EntropyValue.log2_of(3, 2), EntropyValue.log2_of(9, 4), EntropyValue.log2_of(5, 4)]
+    assert max(terms) is terms[0]
+
+
 def test_floor_two_pow():
     assert EntropyValue(Fraction(3, 2)).floor_two_pow() == 2  # 2^1.5 ~ 2.83
     assert EntropyValue(2).floor_two_pow() == 4
@@ -128,8 +283,15 @@ def test_powers_past_the_bit_cap_are_refused():
     big = EntropyValue(MAX_POWER_BITS + 1)
     with pytest.raises(ResourceCapError):
         big.floor_two_pow()
+    # a comparison builds no power, so the size of its values does not matter
+    assert (big < EntropyValue.log2_of(3)) is False
+    assert EntropyValue(10**400) > EntropyValue.log2_of(3**190, 301)
+    assert EntropyValue.log2_of(2**300 + 1, 300) < EntropyValue.log2_of(3**190, 301)
+    # only values whose power brackets still overlap at MAX_POWER_BITS bits
+    # are refused: log2(2**k + 1)/k exceeds 1 by about 2**-k/k
     with pytest.raises(ResourceCapError):
-        big < EntropyValue.log2_of(3)
+        EntropyValue.log2_of(2 ** (MAX_POWER_BITS + 100) + 1, MAX_POWER_BITS + 100) > 1
+    assert EntropyValue.log2_of(2 ** (MAX_POWER_BITS - 100) + 1, MAX_POWER_BITS - 100) > 1
     # just under the cap the powers are still built exactly
     assert EntropyValue(MAX_POWER_BITS - 1).floor_two_pow() == 2 ** (MAX_POWER_BITS - 1)
     # a root of huge degree never builds a huge power

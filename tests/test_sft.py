@@ -9,14 +9,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import bracket_contains, necklace_count
-from symdyn.entropy import EntropyBracket, EntropyValue
+from symdyn import sft as sft_module
+from symdyn.entropy import MANTISSA_BITS, EntropyBracket, EntropyValue
 from symdyn.errors import ArgumentError, ResourceCapError
 from symdyn.sft import (
     _duval,
     _floor_log2_power,
+    _FLOOR_MARGIN,
     _LOG_SCALE,
     _LOG_SQUARINGS,
-    _MANTISSA_BITS,
     Alphabet,
     PeriodicOrbit,
     SftSpec,
@@ -106,8 +107,8 @@ def naive_word_counts(sft, n):
 
 
 def naive_mantissa(v, up):
-    """(m, s) with m <= 2**_MANTISSA_BITS and m * 2**s <= v, or >= v if up."""
-    s = max(0, v.bit_length() - _MANTISSA_BITS)
+    """(m, s) with m <= 2**MANTISSA_BITS and m * 2**s <= v, or >= v if up."""
+    s = max(0, v.bit_length() - MANTISSA_BITS)
     m = v >> s
     return (m + 1 if up and m << s != v else m), s
 
@@ -584,12 +585,42 @@ def least_root_above(m):
 @example(2**1000 + 1)
 @example(least_root_above(1024 * 200 + 1))  # x**1024 just above 2**m: the lower bound misses
 @example(least_root_above(1024 * 90 + 500))  # it, and only the exact power finds b = m
+@example(2**1023 - 1)  # the float filter's bit bound: 1,023 bits, and 1,024
+@example(2**1023 + 1)
+@example(2**1024 - 1)  # 1,024 and 1,025 bits
+@example(2**1024 + 1)
+@example(3 << 1020)  # far from a tie, on both sides of the bound
+@example(3 << 1022)
 @settings(max_examples=120, deadline=None)
 def test_log2_bracket_matches_exact_power(x):
     b, exact = _floor_log2_power(x)
     assert exact == (x & (x - 1) == 0)
     assert b == (x**1024).bit_length() - 1  # the exact 1024th power
     assert naive_log2_bracket(x) == (Fraction(b, 1024), Fraction(b + (not exact), 1024))
+
+
+@pytest.mark.parametrize(
+    "x, filtered",
+    [
+        (3 << 1020, True),  # 1,022 bits: the float decides
+        (3 << 1022, False),  # 1,024 bits: past the bound, the mantissa bounds decide
+        (2**1023 - 1, False),  # 1,023 bits, but 1024*log2(x) lies just below an integer
+        (2**1023 + 1, False),
+        (least_root_above(1024 * 200 + 1), False),  # inside the margin: the fallback is tested
+        (least_root_above(1024 * 90 + 500), False),
+        (10**100, True),
+    ],
+    ids=["3<<1020", "3<<1022", "2**1023-1", "2**1023+1", "root-200", "root-90", "10**100"],
+)
+def test_the_float_filter_answers_only_clear_of_an_integer(monkeypatch, x, filtered):
+    f = math.log2(x) * _LOG_SCALE
+    clear = _FLOOR_MARGIN < f - math.floor(f) < 1 - _FLOOR_MARGIN
+    assert filtered == (clear and x.bit_length() <= 1023)
+    calls = []
+    real = sft_module.power_bracket
+    monkeypatch.setattr(sft_module, "power_bracket", lambda *args: calls.append(args) or real(*args))
+    assert _floor_log2_power(x) == ((x**1024).bit_length() - 1, False)
+    assert calls == ([] if filtered else [(x, _LOG_SCALE, MANTISSA_BITS)])
 
 
 def test_top_entropy_refuses_a_depth_cap_below_one():

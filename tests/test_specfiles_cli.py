@@ -13,11 +13,12 @@ from pathlib import Path
 import pytest
 
 from conftest import Budget
+from test_entropy import naive_cmp
 from symdyn.cli import build_parser, main
 from symdyn.errors import SpecFileError
 from symdyn.markers import OPEN, WRAP, window_from_rows
 from symdyn.randgen import random_aperiodic_window
-from symdyn.sft import DEFAULT_PERIOD_CAP
+from symdyn.sft import DEFAULT_PERIOD_CAP, golden_mean, per_table
 from symdyn.specfiles import KINDS, load_spec, rational, window_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -1219,6 +1220,22 @@ def test_cli_capacities_past_the_period_cap(tmp_path):
     assert err == "resource cap: period 21 exceeds cap 20\n"
     code, _, err = run_cli(["capacities", "--spec", gm_spec(tmp_path), "-n", "8", "--cap", "5"])
     assert (code, err) == (4, "resource cap: period 6 exceeds cap 5\n")
+
+
+def test_cli_capacities_compares_terms_of_any_size(tmp_path):
+    # the golden mean's log2(p_n)/n differ from log2(phi) by about
+    # phi**(-2n)/n, far below float resolution at n = 400, and their cross
+    # powers have over 100,000 bits; the maximum is still decided exactly
+    argv = ["capacities", "--spec", gm_spec(tmp_path), "-n", "400", "--cap", "400"]
+    with Budget("capacities -n 400 --cap 400", 10.0):
+        code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    best = Fraction(0)
+    for n, c in per_table(golden_mean(), 400, cap=400).counts:
+        if c and naive_cmp((c, n), best) > 0:  # the first of equal terms stays
+            best = (c, n)
+    c, n = best
+    assert json.loads(out)["result"]["p_sup"]["exact"].startswith(f"log2({c})/{n} (")
 
 
 @pytest.mark.parametrize("command", ["per", "capacities"])
