@@ -12,10 +12,11 @@ as a bound, not as the distance.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from .errors import ArgumentError
 from .sft import PeriodicOrbit
@@ -27,30 +28,37 @@ def dbar_periodic(a: PeriodicOrbit, b: PeriodicOrbit) -> Fraction:
     On the common period L = lcm(p, q), phase r sets letter x of a against
     letter y of b for exactly one column of L whenever y = x + r (mod g),
     g = gcd(p, q), by the Chinese remainder theorem, and never otherwise.  So
-    the agreements at phase r are the sum over residues rho and symbols s of
-    A[rho][s] * B[rho + r][s], where A and B count each word's symbols per
+    the agreements at phase r are the sum over symbols s and residues rho of
+    A[s][rho] * B[s][rho + r], where A and B count each word's symbols per
     residue class mod g: O(p + q + g^2 |A|) time, not O(L^2).
     """
-    ta = any(isinstance(s, tuple) for s in a.representative)
-    tb = any(isinstance(s, tuple) for s in b.representative)
-    if ta != tb:
-        raise ArgumentError("orbit alphabets are incompatible")
+    return _distance(a, b, _profile)
+
+
+def _profile(w: tuple, g: int) -> tuple:
+    """Whether w's symbols are tuples, and {s: counts} with counts[rho] the
+    positions i = rho (mod g) with w[i] = s."""
+    counts = {}
+    for i, s in enumerate(w):
+        if s not in counts:
+            counts[s] = [0] * g
+        counts[s][i % g] += 1
+    return any(isinstance(s, tuple) for s in counts), counts
+
+
+def _distance(a: PeriodicOrbit, b: PeriodicOrbit, profile) -> Fraction:
+    """dbar_periodic from the orbits' profiles modulo g = gcd(p, q): each
+    symbol's counts in a are zipped against its counts in b, doubled, from
+    the phase on."""
     p, q = a.period, b.period
     g = gcd(p, q)
-    A, B = _residue_counts(a.representative, g), _residue_counts(b.representative, g)
-    agree = max(
-        sum(n * B[(rho + r) % g][s] for rho in range(g) for s, n in A[rho].items()) for r in range(g)
-    )
+    (ta, A), (tb, B) = profile(a.representative, g), profile(b.representative, g)
+    if ta != tb:
+        raise ArgumentError("orbit alphabets are incompatible")
+    rows = [(counts, B[s] * 2) for s, counts in A.items() if s in B]
+    agree = max(sum(sum(map(mul, counts, doubled[r:])) for counts, doubled in rows) for r in range(g))
     L = p * q // g
     return Fraction(L - agree, L)
-
-
-def _residue_counts(w: tuple, g: int) -> list:
-    """counts[rho][s]: the positions i = rho (mod g) with w[i] = s."""
-    counts = [Counter() for _ in range(g)]
-    for i, s in enumerate(w):
-        counts[i % g][s] += 1
-    return counts
 
 
 @dataclass(frozen=True)
@@ -148,6 +156,8 @@ def dbar_mixture(mu: OrbitMixture, nu: OrbitMixture) -> Fraction:
     Returns the minimum of sum w_i v_j d(a_i, b_j) over transport plans with
     the mixture weights as marginals.  This bounds the distance from above
     by the convexity inequality; for single orbits it is the exact distance.
+    Each orbit's residues are counted once per gcd its period meets, not
+    once per pair.
     """
     orbits_a = [o for o, _ in mu.parts]
     orbits_b = [o for o, _ in nu.parts]
@@ -156,6 +166,7 @@ def dbar_mixture(mu: OrbitMixture, nu: OrbitMixture) -> Fraction:
     denom = lcm(*(w.denominator for w in weights_a + weights_b))
     supply = [int(w * denom) for w in weights_a]
     demand = [int(w * denom) for w in weights_b]
-    cost = [[dbar_periodic(a, b) for b in orbits_b] for a in orbits_a]
+    profile = lru_cache(maxsize=None)(_profile)  # each orbit's residues are counted once per gcd
+    cost = [[_distance(a, b, profile) for b in orbits_b] for a in orbits_a]
     total = _min_cost_transport(supply, demand, cost)
     return total / denom

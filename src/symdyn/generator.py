@@ -34,12 +34,23 @@ One cap, ``set_cap``, bounds the reachable sets stepped, summed over all
 levels, each counted by what it costs.  The graph counts its nodes on every
 call, compiled or cached.  Each level from 1 on counts the forward and
 backward sets it holds, at least one each, and a depth the (S, R) pairs it
-combines.  A set stepped for the first time counts the states of the sets
+combines.  A set on its first use in a call counts the states of the sets
 it yields, and a centre table its (state, block) pairs, as they are formed
 and again when a new pair reads them.  So the work and the memory stay
 within the cap times factors of the alphabet size, whatever the depth, the
 centre radius or the size of the sets.  Past the cap, ``ResourceCapError``
 names the level, the number of symbols each pass has stepped.
+
+The subset steps are kept with the graph, in one memo per spec, code and
+cap: each set's successors and predecessors, its centre table per block
+width, and each (S, R) pair's multiplicity at that width.  A later call
+finds them instead of stepping again, but sets, centre tables and (S, R)
+pairs are charged on their first use in each call, whether stepped or
+found, with the costs they were made with and in the same order.  So a
+call spends the same and refuses at the same level whatever earlier calls
+left.  The costs of the entries kept, at least one each, sum to at most
+the cap: an entry that would pass it flushes the others first, so between
+calls the memo holds no more than one capped call may hold while it runs.
 """
 
 from __future__ import annotations
@@ -109,11 +120,36 @@ def _check_depth(depth: int, center_radius: int = 0) -> None:
         raise ArgumentError(f"center radius must lie in 0..depth = 0..{depth}, got {center_radius}")
 
 
+class _Memo:
+    """The subset steps of one graph, shared by the calls on it: each set's
+    successors, predecessors and centre tables, and each pair's
+    multiplicity, with the costs a call spent to make it, in order.  An
+    entry stores its costs, at least one, and the costs stored stay within
+    the cap: an entry that would pass it flushes the others first, so no
+    more is kept between calls than one capped call holds while it runs."""
+
+    def __init__(self, cap: int):
+        self.cap, self.stored = cap, 0
+        self.after, self.before, self.centres, self.most = {}, {}, {}, {}
+
+    def keep(self, table: dict, key, value, costs: tuple):
+        """Store value under key in table, with its costs, and return it."""
+        cost = max(1, sum(costs))
+        if self.stored + cost > self.cap:
+            for kept in (self.after, self.before, self.centres, self.most):
+                kept.clear()
+            self.stored = 0
+        table[key] = value, costs
+        self.stored += cost
+        return value
+
+
 @lru_cache(maxsize=1)
 def _labelled_graph(sft: SftSpec, code: BlockCode, cap: int) -> tuple:
-    """The code's labelled graph (out, into, B), checked total.  One graph is
-    kept, until another spec, code or cap is built, so both tables share it.
-    Past cap nodes it refuses as the set cap does at level 0, uncached.
+    """The code's labelled graph (out, into, B, memo), checked total.  One
+    graph is kept, until another spec, code or cap is built, so both tables
+    share it and its memo of subset steps.  Past cap nodes it refuses as the
+    set cap does at level 0, uncached.
 
     Node 0 is the root.  A node is an automaton state with the indices of
     the last min(L, 2r) symbols read, and out[x] lists its edges as
@@ -143,20 +179,24 @@ def _labelled_graph(sft: SftSpec, code: BlockCode, cap: int) -> tuple:
     for x, edges in enumerate(out):
         for _, label, y in edges:
             into[y].append((label, x))
-    return tuple(out), tuple(map(tuple, into)), len(names) + 1
+    return tuple(out), tuple(map(tuple, into)), len(names) + 1, _Memo(cap)
 
 
 class _Subsets:
     """Subset steps over the code's labelled graph, and their cap.
 
-    Each set's successors, predecessors and centre table are kept, so a set
-    that recurs costs a lookup.  Centre blocks are width symbols long.
+    A set's successors, predecessors and centre table, and a pair's
+    multiplicity, are made once per graph and kept in its memo; the per-call
+    dicts record what this call has charged.  An entry is charged on its
+    first use in each call, with the costs it was made with, in order, so a
+    call spends the same, and refuses at the same level, whether it steps
+    the sets or finds them.  Centre blocks are width symbols long.
     ``spend`` counts toward the cap, and ``level`` is the level a refusal
     names; the graph's nodes count at level 0 on every call."""
 
     def __init__(self, sft: SftSpec, code: BlockCode, width: int, cap: int):
         self.width, self.cap, self.spent, self.level = width, cap, 0, 0
-        self.out, self.into, self.base = _labelled_graph(sft, code, cap)
+        self.out, self.into, self.base, self.memo = _labelled_graph(sft, code, cap)
         self.spend(len(self.out))
         self.size = sft.alphabet.size
         self.root, self.everywhere = frozenset({0}), frozenset(range(len(self.out)))
@@ -167,28 +207,43 @@ class _Subsets:
         if self.spent > self.cap:
             raise ResourceCapError(f"more than {self.cap} reachable sets stepped by level {self.level}")
 
-    def _split(self, pairs) -> list:
-        """The sets of second entries, one per first entry (a label)."""
+    def _replay(self, entry: tuple):
+        """The value of a memo entry, its costs spent again in their order."""
+        value, costs = entry
+        for n in costs:
+            self.spend(n)
+        return value
+
+    def _split(self, kept: dict, key, pairs) -> tuple:
+        """The sets of second entries, one per first entry (a label), kept
+        under key."""
         groups = {}
         for label, y in pairs:
             if label in groups:
                 groups[label].add(y)
             else:
                 groups[label] = {y}
-        found = [frozenset(g) for g in groups.values()]
-        self.spend(sum(map(len, found)))
-        return found
+        found = tuple(map(frozenset, groups.values()))
+        cost = sum(map(len, found))
+        self.spend(cost)
+        return self.memo.keep(kept, key, found, (cost,))
 
-    def after(self, S: frozenset) -> list:
+    def after(self, S: frozenset) -> tuple:
         """The nonempty sets one label after S, one per label."""
         if S not in self._after:
-            self._after[S] = self._split((label, y) for x in S for _, label, y in self.out[x])
+            kept, out = self.memo.after, self.out
+            entry = kept.get(S)
+            pairs = ((label, y) for x in S for _, label, y in out[x])
+            self._after[S] = self._replay(entry) if entry else self._split(kept, S, pairs)
         return self._after[S]
 
-    def before(self, R: frozenset) -> list:
+    def before(self, R: frozenset) -> tuple:
         """The nonempty sets of nodes one label before R, one per label."""
         if R not in self._before:
-            self._before[R] = self._split(p for y in R for p in self.into[y])
+            kept, into = self.memo.before, self.into
+            entry = kept.get(R)
+            pairs = (p for y in R for p in into[y])
+            self._before[R] = self._replay(entry) if entry else self._split(kept, R, pairs)
         return self._before[R]
 
     def levels(self, n: int, back: int):
@@ -212,43 +267,60 @@ class _Subsets:
                     self.spend(max(1, len(family)))
             yield counts, family
 
-    def centre(self, S: frozenset) -> list:
+    def centre(self, S: frozenset) -> tuple:
         """For each label word of length width that a path from S carries,
-        the set of (end node, block) pairs of those paths.  The pair sets,
-        keyed by their label word as a base-B number, step one symbol at a
-        time; a block is the base-|A| number of its symbol indices."""
+        the (end node, block) pairs of those paths."""
         if S not in self._centres:
-            out, base, size = self.out, self.base, self.size
-            level = {0: {(x, 0) for x in S}}
-            for _ in range(self.width):
-                nxt = {}
-                for name, pairs in level.items():
-                    name *= base
-                    for x, block in pairs:
-                        block *= size
-                        for k, label, y in out[x]:
-                            if name + label in nxt:
-                                nxt[name + label].add((y, block + k))
-                            else:
-                                nxt[name + label] = {(y, block + k)}
-                self.spend(sum(map(len, nxt.values())))
-                level = nxt
-            self._centres[S] = list(level.values())
+            key = (self.width, S)
+            entry = self.memo.centres.get(key)
+            self._centres[S] = self._replay(entry) if entry else self._step_centre(key)
         return self._centres[S]
+
+    def _step_centre(self, key: tuple) -> tuple:
+        """The centre table of the set key[1], kept under key with one cost
+        per symbol.  The pair sets, keyed by their label word as a base-B
+        number, step one symbol at a time; a block is the base-|A| number of
+        its symbol indices."""
+        out, base, size = self.out, self.base, self.size
+        level, costs = {0: {(x, 0) for x in key[1]}}, []
+        for _ in range(self.width):
+            nxt = {}
+            for name, pairs in level.items():
+                name *= base
+                for x, block in pairs:
+                    block *= size
+                    for k, label, y in out[x]:
+                        if name + label in nxt:
+                            nxt[name + label].add((y, block + k))
+                        else:
+                            nxt[name + label] = {(y, block + k)}
+            costs.append(sum(map(len, nxt.values())))
+            self.spend(costs[-1])
+            level = nxt
+        return self.memo.keep(self.memo.centres, key, tuple(map(tuple, level.values())), tuple(costs))
 
     def multiplicity(self, forward, backward) -> int:
         """The most distinct centre blocks under one name: read from a
-        forward set with one label word into a backward set."""
+        forward set with one label word into a backward set.  A pair's
+        first use charges its forward set's centre table first, whether the
+        pair is made or found."""
         self.spend(len(forward) * len(backward))
-        best = 0
+        best, most = 0, self._most
         for S in forward:
             for R in backward:
-                if (S, R) not in self._most:
-                    table = self.centre(S)
-                    self.spend(sum(map(len, table)))
-                    self._most[S, R] = max((len({b for y, b in pairs if y in R}) for pairs in table), default=0)
-                best = max(best, self._most[S, R])
+                if (S, R) not in most:
+                    table, key = self.centre(S), (self.width, S, R)
+                    entry = self.memo.most.get(key)
+                    most[S, R] = self._replay(entry) if entry else self._count(table, key)
+                best = max(best, most[S, R])
         return best
+
+    def _count(self, table: tuple, key: tuple) -> int:
+        """The multiplicity of the pair key[1:], kept under key."""
+        R, cost = key[2], sum(map(len, table))
+        self.spend(cost)
+        found = max((len({b for y, b in pairs if y in R}) for pairs in table), default=0)
+        return self.memo.keep(self.memo.most, key, found, (cost,))
 
 
 @dataclass(frozen=True)

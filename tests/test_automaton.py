@@ -20,7 +20,7 @@ import pytest
 
 from symdyn.entropy import EntropyBracket
 from symdyn.errors import ArgumentError, ResourceCapError
-from symdyn import sft
+from symdyn import generator, sft
 from symdyn.generator import (
     DEFAULT_SET_CAP,
     block_code,
@@ -50,6 +50,7 @@ from test_generator import (
     naive_partition_to_extension,
     refusal_at,
     spend_trace,
+    traced,
 )
 from test_sft import (
     naive_admits,
@@ -471,6 +472,58 @@ def test_word_cap_fails_at_the_same_length(cap, monkeypatch):
         assert len({o.rsplit(" ", 1)[1] for o in refused}) > 1
     if cap == 10:
         assert len(refused) < len(outcomes)
+
+
+@pytest.mark.parametrize("cap", [0, 3, 10, DEFAULT_SET_CAP])
+def test_a_warm_memo_spends_as_a_cold_one(cap, monkeypatch):
+    """The subset memo kept with a graph changes no answer, no spend and no
+    refusal.  Each check, run cold after the graph cache is cleared, again
+    warm, and then interleaved with the other two on the same graph, gives
+    the cold run's outcome and (level, spent) trace each time; and a warm
+    run steps fewer sets than the cold one, none at all under the default
+    cap, so a memo that is never read fails here."""
+    rng = random.Random(cap)
+    splits = []
+    split = generator._Subsets._split
+
+    def counted(self, kept, key, pairs):
+        splits.append(key)
+        return split(self, kept, key, pairs)
+
+    monkeypatch.setattr(generator._Subsets, "_split", counted)
+    stepped = {"cold": 0, "warm": 0}
+    refused = set()
+    for spec in SPECS:
+        for radius in (0, 1):
+            code = random_code(rng, spec, radius)
+            checks = [
+                lambda: extract_generator(spec, code, 3, 1, cap),
+                lambda: partition_to_extension(spec, code, 3, cap),
+                lambda: extract_generator(spec, code, 3, 0, cap),
+            ]
+            cold = []
+            for check in checks:
+                generator._labelled_graph.cache_clear()
+                del splits[:]
+                cold.append(traced(monkeypatch, check))
+                cold_splits = len(splits)
+                del splits[:]
+                assert traced(monkeypatch, check) == cold[-1]
+                assert len(splits) <= cold_splits
+                if cap == DEFAULT_SET_CAP:
+                    assert not splits
+                stepped["cold"] += cold_splits
+                stepped["warm"] += len(splits)
+            for _ in range(2):
+                for check, expected in zip(checks, cold):
+                    assert traced(monkeypatch, check) == expected
+            refused.update(result for result, _ in cold if isinstance(result, str))
+    if cap:
+        assert stepped["warm"] < stepped["cold"]
+    else:  # the root alone passes the cap, and no graph is built
+        assert stepped["cold"] == 0 and refused == {"cap: more than 0 reachable sets stepped by level 0"}
+    if cap in (3, 10):  # refused at more than one level
+        assert len({r.rsplit(" ", 1)[1] for r in refused}) > 1
 
 
 def test_generator_reports_match_the_word_enumeration():

@@ -169,6 +169,16 @@ def test_residue_counts_match_the_phase_scan():
         assert dbar_periodic(a, b) == naive_dbar_periodic(a, b)
 
 
+def test_tuple_and_plain_symbols_are_refused():
+    plain, product = orbit("01"), PeriodicOrbit.of((("0", "1"), ("1", "1")))
+    for a, b in ((plain, product), (product, plain)):
+        with pytest.raises(ArgumentError, match="^orbit alphabets are incompatible$"):
+            dbar_periodic(a, b)
+    mu = OrbitMixture(((orbit("0"), Fraction(1, 2)), (plain, Fraction(1, 2))))
+    with pytest.raises(ArgumentError, match="^orbit alphabets are incompatible$"):
+        dbar_mixture(mu, OrbitMixture(((product, Fraction(1)),)))
+
+
 def test_coprime_single_defect_closed_form():
     # 0^(p-1)1 against 0^(q-1)1, gcd 1: every phase lines up exactly one pair
     # of 1s on the common period pq, so p + q - 2 columns disagree

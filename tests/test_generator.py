@@ -189,6 +189,21 @@ def spend_trace(monkeypatch, run):
     return trace
 
 
+def traced(monkeypatch, run):
+    """A check's result, or "cap: " and its refusal's message, and its
+    spends toward the set cap."""
+    found = []
+
+    def attempt():
+        try:
+            found.append(run())
+        except ResourceCapError as exc:
+            found.append(f"cap: {exc}")
+
+    trace = spend_trace(monkeypatch, attempt)
+    return found[0], trace
+
+
 def refusal_at(trace, cap):
     """The refusal a cap of cap gives a run with this uncapped trace: at the
     first level where the running count passes the cap, or None."""
@@ -507,6 +522,51 @@ def test_a_cached_graph_still_counts_its_nodes():
     # so the default cap's graph is built again after the cap-nodes one
     assert graph.cache_info()[:2] == (2, 7)
     assert graph.cache_info().currsize == 1
+
+
+def test_the_subset_memo_stays_within_its_cap(monkeypatch):
+    """Under a cap each of three checks fits but the steps of all three do
+    not: run in turn on one graph, they flush its memo, the costs kept, at
+    least one per entry, never pass the cap, and every answer and spend
+    trace is the cold run's.  A refused build still caches nothing."""
+    toy = delayed_copy_system(2)
+    code = top_row_code(toy)
+    graph = generator._labelled_graph
+    checks = [
+        lambda cap: extract_generator(toy, code, 3, 1, cap),
+        lambda cap: partition_to_extension(toy, code, 4, cap),
+        lambda cap: extract_generator(toy, code, 4, 0, cap),
+    ]
+    spent = []
+    for check in checks:
+        graph.cache_clear()
+        spent.append(spend_trace(monkeypatch, lambda: check(generator.DEFAULT_SET_CAP))[-1][1])
+    cap = max(spent)
+    cold = []
+    for check in checks:
+        graph.cache_clear()
+        cold.append(traced(monkeypatch, lambda: check(cap)))
+    assert not any(isinstance(result, str) for result, _ in cold)
+    graph.cache_clear()
+    kept, flushed = set(), False
+    for _ in range(3):
+        for check, expected in zip(checks, cold):
+            assert traced(monkeypatch, lambda: check(cap)) == expected
+            memo = graph(toy, code, cap)[3]
+            tables = (memo.after, memo.before, memo.centres, memo.most)
+            entries = {(i, key): costs for i, table in enumerate(tables) for key, (_, costs) in table.items()}
+            assert memo.stored == sum(max(1, sum(costs)) for costs in entries.values()) <= cap
+            flushed |= not kept <= entries.keys()
+            kept = set(entries)
+    assert flushed
+    nodes = len(graph(toy, code, cap)[0])
+    partial = block_code(0, {(s,): "a" for s in toy.alphabet.symbols[1:]})
+    graph.cache_clear()
+    with pytest.raises(ResourceCapError, match="by level 0$"):
+        extract_generator(toy, code, 3, 1, nodes - 1)
+    with pytest.raises(ArgumentError, match="^code not total"):
+        partition_to_extension(toy, partial, 4, cap)
+    assert graph.cache_info().currsize == 0
 
 
 def test_a_code_that_is_not_total_is_refused_on_every_call():
